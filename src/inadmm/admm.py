@@ -11,14 +11,15 @@ recombine the iterates into a Douglas-Rachford trajectory; the solver
 records both so the correspondence can be checked externally.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .duality import dual_value
 from .functions import Quadratic
 from .linalg import LinearMap, check_vector
-from .params import validate
-from .trace import SolveTrace, TraceRow
+from .params import require_valid
+from .trace import TraceRow, drive
 
 __all__ = [
     "ProblemSpec",
@@ -94,7 +95,7 @@ class XUpdateStrategy:
         self.kind = kind
         self.eps_inner = eps_inner
         self.budget = budget
-        self._cache = {}
+        self._entry = None  # (problem, gamma, prepared data) of the last solve
 
     @classmethod
     def automatic(cls, p):
@@ -110,6 +111,25 @@ class XUpdateStrategy:
         if self.kind == "quadratic_solve" and not isinstance(p.f, Quadratic):
             raise ValueError("quadratic_solve strategy requires quadratic f")
 
+    def _prepared(self, p, gamma):
+        """The Cholesky factor of Q + gamma L^T L with L^T, or gamma ||L||^2.
+
+        Kept for the last (problem, gamma) pair and matched to the problem by
+        identity, so a strategy reused across problems never serves another
+        problem's data.
+        """
+        entry = self._entry
+        if entry is None or entry[0] is not p or entry[1] != gamma:
+            if self.kind == "quadratic_solve":
+                import scipy.linalg
+
+                Lm = p.L.as_matrix()
+                data = (scipy.linalg.cho_factor(p.f.Q + gamma * (Lm.T @ Lm)), Lm.T)
+            else:
+                data = gamma * p.L.norm() ** 2
+            entry = self._entry = (p, gamma, data)
+        return entry[2]
+
 
 def x_update(state, p, gamma, alpha_k, strat):
     """Minimize f(x) + <c_k, Lx> + (gamma/2)||Lx - z^k||^2.
@@ -123,18 +143,11 @@ def x_update(state, p, gamma, alpha_k, strat):
     if strat.kind == "quadratic_solve":
         import scipy.linalg
 
-        Lm = p.L.as_matrix()
-        try:
-            fct, LmT = strat._cache[(id(p), gamma)]
-        except KeyError:
-            fct = scipy.linalg.cho_factor(p.f.Q + gamma * (Lm.T @ Lm))
-            LmT = Lm.T
-            strat._cache[(id(p), gamma)] = (fct, LmT)
+        fct, LmT = strat._prepared(p, gamma)
         rhs = gamma * (LmT @ state.z) - LmT @ c - p.f.q
         return scipy.linalg.cho_solve(fct, rhs)
     # proximal gradient on the smooth part s(x) = <c,Lx> + gamma/2 ||Lx-z||^2
-    lip = gamma * p.L.norm() ** 2
-    t = 1.0 / lip
+    t = 1.0 / strat._prepared(p, gamma)
     x = state.x.copy()
     Ltc = p.L.adjoint_apply(c)
     for it in range(strat.budget):
@@ -221,14 +234,6 @@ def step(state, p, params, k, strat):
     return new_state, extras
 
 
-def _dual_value(p, v, y):
-    a = p.f.conj(-p.L.adjoint_apply(v))
-    b = p.g.conj(y)
-    if np.isinf(a) or np.isinf(b):
-        return -np.inf
-    return -a - b
-
-
 def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10,
               horizon_check=1000):
     """Run the inertial ADMM iteration to the combined residual tolerance.
@@ -236,9 +241,7 @@ def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10,
     `init` is (y0, y1, z0, z1); defaults to zeros.  Stops when
     max(||Lx^{k+1} - z^k||, ||zbar^{k+1}||, ||w^{k+1} - w^k||) <= tol.
     """
-    report = validate(params, horizon=horizon_check)
-    if not report.ok:
-        raise ValueError(str(report))
+    require_valid(params, horizon_check)
     if strat is None:
         strat = XUpdateStrategy.automatic(p)
     strat.check(p)
@@ -249,56 +252,44 @@ def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10,
     else:
         y0, y1, z0, z1 = (check_vector(u, m) for u in init)
 
-    gamma = params.gamma
-    state = IadmmState(
-        k=1,
-        x=np.zeros(p.f.dim),
-        z=z1,
-        z_prev=z0,
-        zbar=np.zeros(m),
-        y=y1,
-        y_prev=y0,
-    )
-    trace = SolveTrace()
     dw_sq_sum = 0.0
-    zbar_prev = np.zeros(m)
-    for k in range(1, max_iters + 1):
-        y_k, z_k = state.y, state.z
+
+    def iterate(state, k):
+        nonlocal dw_sq_sum
         try:
-            state, extras = step(state, p, params, k, strat)
+            new, extras = step(state, p, params, k, strat)
         except SubproblemError as err:
             err.iteration = k
             raise
         dw = float(np.linalg.norm(extras["w_next"] - extras["w"]))
         dw_sq_sum += dw * dw
-        zbar_norm = float(np.linalg.norm(state.zbar))
-        primal = p.f(extras["x_next"]) + p.g(z_k + zbar_prev)
-        dual = _dual_value(p, extras["v"], y_k)
-        trace.append(TraceRow(
+        zbar_norm = float(np.linalg.norm(new.zbar))
+        row = TraceRow(
             k,
-            primal=primal,
-            dual=dual,
+            primal=p.f(extras["x_next"]) + p.g(state.z + state.zbar),
+            dual=dual_value(p, extras["v"], state.y),
             feas_residual=extras["feas"],
             zbar_norm=zbar_norm,
             dw_norm=dw,
             dw_sq_sum=dw_sq_sum,
             vectors={
                 "x_next": extras["x_next"],
-                "z": z_k,
-                "z_next": state.z,
-                "zbar_next": state.zbar,
-                "y": y_k,
-                "y_next": state.y,
+                "z": state.z,
+                "z_next": new.z,
+                "zbar_next": new.zbar,
+                "y": state.y,
+                "y_next": new.y,
                 "v": extras["v"],
                 "w": extras["w"],
                 "w_next": extras["w_next"],
             },
-        ))
-        zbar_prev = state.zbar
-        # k = 1 can show zero residuals by construction (w^2 = w^1 bridge)
-        if k >= 2 and max(extras["feas"], zbar_norm, dw) <= tol:
-            trace.converged = True
-            break
+        )
+        return new, row, (extras["feas"], zbar_norm, dw)
+
+    state = IadmmState(k=1, x=np.zeros(p.f.dim), z=z1, z_prev=z0,
+                       zbar=np.zeros(m), y=y1, y_prev=y0)
+    # first_k = 2: k = 1 can show zero residuals by construction (w^2 = w^1 bridge)
+    trace, state = drive(iterate, state, max_iters, tol, first_k=2)
     trace.final = {
         "x": state.x,
         "z": state.z,
@@ -329,10 +320,8 @@ def classical_admm(p, gamma, init=None, lam=1.0, strat=None,
         y, z = (check_vector(u, m) for u in init)
 
     zeros = np.zeros(m)
-    state = IadmmState(k=1, x=np.zeros(p.f.dim), z=z, z_prev=z,
-                       zbar=zeros, y=y, y_prev=y)
-    trace = SolveTrace()
-    for k in range(1, max_iters + 1):
+
+    def iterate(state, k):
         y_k, z_k = state.y, state.z
         x_next = x_update(state, p, gamma, 0.0, strat)
         Lx = p.L.apply(x_next)
@@ -343,21 +332,23 @@ def classical_admm(p, gamma, init=None, lam=1.0, strat=None,
         dz = float(np.linalg.norm(z_next - z_k))
         dy = float(np.linalg.norm(y_next - y_k))
         dw = float(np.linalg.norm((y_next + gamma * z_next) - (y_k + gamma * z_k)))
-        trace.append(TraceRow(
+        row = TraceRow(
             k,
             primal=p.f(x_next) + p.g(z_k),
-            dual=_dual_value(p, y_k + gamma * (Lx - z_k), y_k),
+            dual=dual_value(p, y_k + gamma * (Lx - z_k), y_k),
             feas_residual=feas,
             zbar_norm=0.0,
             dw_norm=dw,
             dw_sq_sum=np.nan,
             vectors={"x_next": x_next, "z": z_k, "z_next": z_next,
                      "y": y_k, "y_next": y_next},
-        ))
-        state = IadmmState(k=k + 1, x=x_next, z=z_next, z_prev=z_k,
-                           zbar=zeros, y=y_next, y_prev=y_k)
-        if max(feas, gamma * dz, dy) <= tol:
-            trace.converged = True
-            break
+        )
+        new = IadmmState(k=k + 1, x=x_next, z=z_next, z_prev=z_k,
+                         zbar=zeros, y=y_next, y_prev=y_k)
+        return new, row, (feas, gamma * dz, dy)
+
+    state = IadmmState(k=1, x=np.zeros(p.f.dim), z=z, z_prev=z,
+                       zbar=zeros, y=y, y_prev=y)
+    trace, state = drive(iterate, state, max_iters, tol, first_k=1)
     trace.final = {"x": state.x, "z": state.z, "y": state.y}
     return trace

@@ -1,6 +1,7 @@
 """Batch front end: parse a problem file, run a solver, stream a CSV trace.
 
-Exit codes: 0 converged, 3 iteration budget exhausted, 2 input error.
+Exit codes: 0 converged, 3 iteration budget exhausted or non-finite
+iterates, 2 input error.
 """
 
 import argparse
@@ -10,18 +11,11 @@ import numpy as np
 
 from . import __version__
 from .admm import ProblemSpec, SubproblemError, classical_admm, run_iadmm
-from .config import ConfigError, parse_config_file
+from .config import COMPOSITE_SOLVERS, SOLVERS, ConfigError, parse_config_file
 from .consensus import boyd_consensus, run_sum1, run_sum2
 from .dr import ResolventOp, run_idr
 from .duality import duality_report
-from .params import (
-    InertialParams,
-    InfeasibleParameters,
-    constant_schedule,
-    delta_lower_bound,
-    max_relaxation,
-    validate,
-)
+from .params import InfeasibleParameters, constant_params, validate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -52,21 +46,27 @@ def build_parser():
     return parser
 
 
-def _dr_operators(problem, out=None):
-    A = ResolventOp.composed_conjugate(problem.f, problem.L)
-    B = ResolventOp.conjugate_subdifferential(problem.g)
-    return A, B
+def _check_solver(solver, problem):
+    if solver not in SOLVERS:
+        raise ConfigError("unknown solver %r" % solver)
+    composite = isinstance(problem, ProblemSpec)
+    if solver in COMPOSITE_SOLVERS and not composite:
+        raise ConfigError(
+            "solver %r takes f/g/L blocks, not consensus blocks" % solver)
+    if solver not in COMPOSITE_SOLVERS and composite:
+        raise ConfigError("solver %r takes consensus blocks, not f/g/L" % solver)
 
 
-def _run_solver(cfg, solver, params, max_iters, tol):
+def _run_solver(cfg, solver, params, lam, max_iters, tol):
     problem = cfg.problem
     if solver == "iadmm":
         return run_iadmm(problem, params, max_iters=max_iters, tol=tol)
     if solver == "classical_admm":
-        return classical_admm(problem, params.gamma, lam=cfg.lambda_value,
+        return classical_admm(problem, params.gamma, lam=lam,
                               max_iters=max_iters, tol=tol)
     if solver == "idr":
-        A, B = _dr_operators(problem)
+        A = ResolventOp.composed_conjugate(problem.f, problem.L)
+        B = ResolventOp.conjugate_subdifferential(problem.g)
         zeros = np.zeros(problem.g.dim)
         return run_idr(A, B, params.gamma, params, zeros, zeros,
                        max_iters=max_iters, tol=tol)
@@ -74,9 +74,7 @@ def _run_solver(cfg, solver, params, max_iters, tol):
         return run_sum1(problem, params, max_iters=max_iters, tol=tol)
     if solver == "consensus_sum2":
         return run_sum2(problem, params, max_iters=max_iters, tol=tol)
-    if solver == "boyd_consensus":
-        return boyd_consensus(problem, params.gamma, max_iters=max_iters, tol=tol)
-    raise ConfigError("unknown solver %r" % solver)
+    return boyd_consensus(problem, params.gamma, max_iters=max_iters, tol=tol)
 
 
 def _summary(cfg, solver, trace, out):
@@ -110,21 +108,16 @@ def _nan0(v):
 
 
 def _run_compare(cfg, max_iters, tol, out):
-    problem = cfg.problem
-    if not isinstance(problem, ProblemSpec):
+    if not isinstance(cfg.problem, ProblemSpec):
         raise ConfigError("--compare needs a composite (f/g/L) problem")
-    trace_admm = run_iadmm(problem, cfg.params, max_iters=max_iters, tol=tol)
-    gamma = cfg.params.gamma
-    A, B = _dr_operators(problem)
-    zeros = np.zeros(problem.g.dim)
-    trace_dr = run_idr(A, B, gamma, cfg.params, zeros, zeros,
-                       max_iters=max_iters, tol=tol)
+    trace_admm = _run_solver(cfg, "iadmm", cfg.params, None, max_iters, tol)
+    trace_dr = _run_solver(cfg, "idr", cfg.params, None, max_iters, tol)
     n = min(len(trace_admm), len(trace_dr))
     worst = 0.0
     for k in range(1, n):  # compare from the second iteration on
         ra, rd = trace_admm[k], trace_dr[k]
-        for admm_key, dr_key in (("y", "y"), ("v", "v"), ("w", "w")):
-            dev = float(np.abs(ra.vectors[admm_key] - rd.vectors[dr_key]).max())
+        for key in ("y", "v", "w"):
+            dev = float(np.abs(ra.vectors[key] - rd.vectors[key]).max())
             worst = max(worst, dev)
     print("compared iterations: %d" % (n - 1), file=out)
     print("max deviation (y, v, w): %.3g" % worst, file=out)
@@ -153,26 +146,17 @@ def _parse_sweep(spec):
 
 
 def _sweep_params(cfg, alpha, lam):
-    sigma = cfg.params.sigma
-    lb = delta_lower_bound(alpha, sigma)
-    delta = 1.5 * lb if lb > 0.0 else 1.0
-    lam_max = max_relaxation(alpha, sigma, delta)
-    if lam is None:
-        lam = 0.9 * lam_max if alpha > 0.0 else 1.0
+    params = constant_params(
+        cfg.params.gamma, alpha, cfg.params.sigma, lam=lam,
+        init_mode="lambda1_alpha1_zero" if alpha > 0.0 else "alpha2_zero",
+    )
+    lam = params.lambda_schedule.value
+    lam_max = params.max_relaxation()
     if not 0.0 < lam <= lam_max:
         raise InfeasibleParameters(
             "lambda=%g outside (0, %g]" % (lam, lam_max)
         )
-    return InertialParams(
-        gamma=cfg.params.gamma,
-        alpha=alpha,
-        sigma=sigma,
-        delta=delta,
-        lambda_lo=min(lam, 1e-6),
-        alpha_schedule=constant_schedule(alpha),
-        lambda_schedule=constant_schedule(lam),
-        init_mode="lambda1_alpha1_zero" if alpha > 0.0 else "alpha2_zero",
-    ), lam
+    return params, lam
 
 
 def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
@@ -185,14 +169,11 @@ def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
         for lam in lams:
             try:
                 params, lam_eff = _sweep_params(cfg, alpha, lam)
-                cfg_lam = cfg.lambda_value
-                cfg.lambda_value = lam_eff
-                trace = _run_solver(cfg, solver, params, max_iters, tol)
-                cfg.lambda_value = cfg_lam
-            except (InfeasibleParameters, ValueError) as err:
+            except ValueError as err:
                 print("%g %s infeasible (%s)" % (alpha, lam, err), file=out)
                 all_ok = False
                 continue
+            trace = _run_solver(cfg, solver, params, lam_eff, max_iters, tol)
             print(
                 "%g %g %d %s %.3g"
                 % (alpha, lam_eff, trace.iterations,
@@ -222,16 +203,18 @@ def main(argv=None, out=None):
         return EXIT_INPUT
 
     solver = args.solver or cfg.solver
-    max_iters = args.max_iters or cfg.max_iters
+    max_iters = args.max_iters if args.max_iters is not None else cfg.max_iters
     tol = args.tol if args.tol is not None else cfg.tol
     output = args.output or cfg.output
 
     try:
         if args.compare:
             return _run_compare(cfg, max_iters, tol, out)
+        _check_solver(solver, cfg.problem)
         if args.sweep:
             return _run_sweep(cfg, solver, args.sweep, max_iters, tol, output, out)
-        trace = _run_solver(cfg, solver, cfg.params, max_iters, tol)
+        trace = _run_solver(cfg, solver, cfg.params, cfg.lambda_value,
+                            max_iters, tol)
     except (ConfigError, InfeasibleParameters, ValueError) as err:
         print("input error: %s" % err, file=sys.stderr)
         return EXIT_INPUT
@@ -241,6 +224,10 @@ def main(argv=None, out=None):
 
     if output:
         trace.write_csv(output)
+    if trace.nonfinite:
+        print("iterates became non-finite at iteration %d" % trace.iterations,
+              file=sys.stderr)
+        return EXIT_BUDGET
     _summary(cfg, solver, trace, out)
     if not trace.converged:
         print("budget exhausted after %d iterations" % trace.iterations, file=out)

@@ -32,7 +32,7 @@ f/g/L.  `#` starts a comment.  Unknown keys are rejected with the line
 number.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,12 +49,7 @@ from .functions import (
     Zero,
 )
 from .linalg import LinearMap
-from .params import (
-    InertialParams,
-    constant_schedule,
-    delta_lower_bound,
-    max_relaxation,
-)
+from .params import InertialParams, constant_params, delta_lower_bound
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file"]
 
@@ -317,35 +312,21 @@ def parse_config(text):
 
     lb = delta_lower_bound(alpha, sigma)
     delta = scalar("delta")
-    if delta is None:
-        delta = 1.5 * lb if lb > 0.0 else 1.0
-    elif delta <= lb:
+    if delta is not None and delta <= lb:
         raise ConfigError(
             "delta must exceed its lower bound %g" % lb, lines["delta"]
         )
-    lam_max = max_relaxation(alpha, sigma, delta)
     lam = scalar("lambda")
-    if lam is None:
-        lam = 0.9 * lam_max if alpha > 0.0 else 1.0
-    elif not 0.0 < lam <= lam_max:
-        raise ConfigError(
-            "lambda must lie in (0, %g]" % lam_max, lines["lambda"]
-        )
-
     init_mode = scalar("init_mode", "lambda1_alpha1_zero", cast=str)
     if init_mode not in ("alpha2_zero", "lambda1_alpha1_zero"):
         raise ConfigError("unknown init_mode %r" % init_mode, lines["init_mode"])
 
-    params = InertialParams(
-        gamma=gamma,
-        alpha=alpha,
-        sigma=sigma,
-        delta=delta,
-        lambda_lo=min(lam, 1e-6),
-        alpha_schedule=constant_schedule(alpha),
-        lambda_schedule=constant_schedule(lam),
-        init_mode=init_mode,
-    )
+    params = constant_params(gamma, alpha, sigma, delta, lam, init_mode)
+    lam_max = params.max_relaxation()
+    if lam is not None and not 0.0 < lam <= lam_max:
+        raise ConfigError(
+            "lambda must lie in (0, %g]" % lam_max, lines["lambda"]
+        )
 
     named = {}
     consensus_blocks = []
@@ -384,15 +365,21 @@ def parse_config(text):
             raise ConfigError("consensus solvers need at least two blocks")
         problem = ConsensusProblem(consensus_blocks)
 
+    max_iters = scalar("max_iters", 100000, cast=int)
+    if max_iters < 1:
+        raise ConfigError("max_iters must be at least 1", lines["max_iters"])
+    tol = scalar("tol", 1e-10)
+    if not tol >= 0.0:
+        raise ConfigError("tol must be a nonnegative number", lines["tol"])
     return RunConfig(
         solver=solver,
         problem=problem,
         params=params,
-        max_iters=scalar("max_iters", 100000, cast=int),
-        tol=scalar("tol", 1e-10),
+        max_iters=max_iters,
+        tol=tol,
         output=settings.get("output", [None])[0],
         seed=scalar("seed", 0, cast=int),
-        lambda_value=lam,
+        lambda_value=params.lambda_schedule.value,
     )
 
 

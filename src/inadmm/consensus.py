@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import ProblemSpec
-from .functions import IndicatorConsensus, SeparableSum
+from .admm import IadmmState, ProblemSpec
+from .duality import subgradient_violation
+from .functions import IndicatorConsensus, SeparableSum, sum_or_inf
 from .linalg import LinearMap
-from .params import validate
-from .trace import SolveTrace, TraceRow
+from .params import require_valid
+from .trace import TraceRow, drive
 
 __all__ = [
     "ConsensusProblem",
@@ -24,7 +25,6 @@ __all__ = [
     "run_sum1",
     "sum2_step",
     "run_sum2",
-    "run_sum1_simplified",
     "boyd_consensus",
     "consensus_optimality_residual",
     "lift_problem",
@@ -54,16 +54,9 @@ class ConsensusProblem:
 
 
 @dataclass
-class ConsensusState:
+class ConsensusState(IadmmState):
     """Per-block iterates as (m, n) arrays; `shared` is u or the shared x."""
 
-    k: int
-    x: np.ndarray
-    z: np.ndarray
-    z_prev: np.ndarray
-    zbar: np.ndarray
-    y: np.ndarray
-    y_prev: np.ndarray
     shared: np.ndarray = None
 
 
@@ -72,6 +65,11 @@ def _as_block_array(u, m, n, name):
     if a.shape != (m, n):
         raise ValueError("%s must have shape (%d, %d)" % (name, m, n))
     return a
+
+
+def _check_zero_sum(y, name):
+    if np.linalg.norm(y.sum(axis=0)) > ZERO_SUM_TOL * (1.0 + np.abs(y).max()):
+        raise ValueError("%s must sum to zero across blocks" % name)
 
 
 def _initial_state(cp, init, require_zero_sum):
@@ -84,10 +82,8 @@ def _initial_state(cp, init, require_zero_sum):
             for u, nm in zip(init, ("y0", "y1", "z0", "z1"))
         )
     if require_zero_sum:
-        for nm, y in (("y0", y0), ("y1", y1)):
-            s = np.linalg.norm(y.sum(axis=0))
-            if s > ZERO_SUM_TOL * (1.0 + np.abs(y).max()):
-                raise ValueError("%s must sum to zero across blocks" % nm)
+        _check_zero_sum(y0, "y0")
+        _check_zero_sum(y1, "y1")
     return ConsensusState(
         k=1,
         x=np.zeros((m, n)),
@@ -173,53 +169,40 @@ def _v_blocks_sum2(state, new_state, gamma, a_k):
 
 def _run_blockwise(cp, params, stepper, vfn, init, require_zero_sum,
                    max_iters, tol, horizon_check=1000):
-    report = validate(params, horizon=horizon_check)
-    if not report.ok:
-        raise ValueError(str(report))
-    state = _initial_state(cp, init, require_zero_sum)
+    require_valid(params, horizon_check)
     gamma = params.gamma
-    trace = SolveTrace()
     dw_sq_sum = 0.0
-    for k in range(1, max_iters + 1):
-        prev = state
-        state = stepper(state, cp, params, k)
-        v = vfn(prev, state, gamma, params.alpha_at(k))
-        w_prev = prev.y + gamma * prev.z
-        w_next = state.y + gamma * state.z
+
+    def iterate(state, k):
+        nonlocal dw_sq_sum
+        new = stepper(state, cp, params, k)
+        v = vfn(state, new, gamma, params.alpha_at(k))
+        w_prev = state.w(gamma)
+        w_next = new.w(gamma)
         dw = float(np.linalg.norm(w_next - w_prev))
         dw_sq_sum += dw * dw
-        feas = float(np.abs(state.x - prev.z).max())
-        zbar_norm = float(np.linalg.norm(state.zbar))
-        primal = _sum_or_inf(f(state.x[i]) for i, f in enumerate(cp.blocks))
-        dual = -_sum_or_inf(f.conj(-v[i]) for i, f in enumerate(cp.blocks))
-        trace.append(TraceRow(
+        feas = float(np.abs(new.x - state.z).max())
+        zbar_norm = float(np.linalg.norm(new.zbar))
+        row = TraceRow(
             k,
-            primal=primal,
-            dual=dual,
+            primal=sum_or_inf(f(new.x[i]) for i, f in enumerate(cp.blocks)),
+            dual=-sum_or_inf(f.conj(-v[i]) for i, f in enumerate(cp.blocks)),
             feas_residual=feas,
             zbar_norm=zbar_norm,
             dw_norm=dw,
             dw_sq_sum=dw_sq_sum,
-            vectors={"x": state.x, "z": state.z, "zbar": state.zbar,
-                     "y": state.y, "v": v, "shared": state.shared,
+            vectors={"x": new.x, "z": new.z, "zbar": new.zbar,
+                     "y": new.y, "v": v, "shared": new.shared,
                      "w": w_prev, "w_next": w_next},
-        ))
-        # k = 1 can show zero residuals by construction (forced bridge step)
-        if k >= 2 and max(feas, zbar_norm, dw) <= tol:
-            trace.converged = True
-            break
+        )
+        return new, row, (feas, zbar_norm, dw)
+
+    # first_k = 2: k = 1 can show zero residuals by construction (forced bridge step)
+    trace, state = drive(iterate, _initial_state(cp, init, require_zero_sum),
+                         max_iters, tol, first_k=2)
     trace.final = {"x": state.x, "z": state.z, "y": state.y,
-                   "shared": state.shared, "v": v}
+                   "shared": state.shared, "v": trace.rows[-1].vectors["v"]}
     return trace
-
-
-def _sum_or_inf(values):
-    total = 0.0
-    for v in values:
-        if np.isinf(v):
-            return np.inf
-        total += v
-    return total
 
 
 def run_sum1(cp, params, init=None, max_iters=100000, tol=1e-10):
@@ -232,46 +215,6 @@ def run_sum2(cp, params, init=None, max_iters=100000, tol=1e-10):
     """Interchanged consensus run (no zero-sum requirement on the duals)."""
     return _run_blockwise(cp, params, sum2_step, _v_blocks_sum2, init, False,
                           max_iters, tol)
-
-
-def run_sum1_simplified(cp, params, init=None, max_iters=1000):
-    """Independent implementation of the lambda_k = 1 simplification.
-
-    Requires the alpha_2 = 0 initialization mode (the simplification keeps
-    lambda_1 = 1) and a constant relaxation of exactly 1.
-    """
-    if params.init_mode != "alpha2_zero":
-        raise ValueError("simplified scheme assumes the alpha_2 = 0 init mode")
-    gamma = params.gamma
-    m, n = cp.m, cp.n
-    state = _initial_state(cp, init, True)
-    x_prev = None
-    trace = SolveTrace()
-    for k in range(1, max_iters + 1):
-        a_k = params.alpha_at(k)
-        a_next = params.alpha_at(k + 1)
-        if params.lambda_at(k) != 1.0:
-            raise ValueError("simplified scheme requires lambda_k = 1")
-        c = (state.y - a_k * (state.y - state.y_prev)
-             - gamma * a_k * (state.z - state.z_prev))
-        x_next = np.stack([
-            f.prox(1.0 / gamma, state.z[i] - c[i] / gamma)
-            for i, f in enumerate(cp.blocks)
-        ])
-        mean_next = x_next.mean(axis=0)
-        if a_next == 0.0:
-            z_next = np.tile(mean_next, (m, 1))
-        else:
-            z_next = ((1.0 + a_next) * mean_next - a_next * x_prev.mean(axis=0)
-                      )[None, :] - a_next * (x_next - state.z)
-        y_next = state.y + gamma * (x_next - z_next)
-        trace.append(TraceRow(k, vectors={"x": x_next, "z": z_next, "y": y_next}))
-        state = ConsensusState(k=k + 1, x=x_next, z=z_next, z_prev=state.z,
-                               zbar=np.zeros((m, n)), y=y_next,
-                               y_prev=state.y)
-        x_prev = x_next
-    trace.final = {"x": state.x, "z": state.z, "y": state.y}
-    return trace
 
 
 def boyd_consensus(cp, gamma, init=None, max_iters=100000, tol=1e-10):
@@ -290,11 +233,10 @@ def boyd_consensus(cp, gamma, init=None, max_iters=100000, tol=1e-10):
         y, xbar = init
         y = _as_block_array(y, m, n, "y0")
         xbar = np.asarray(xbar, dtype=float)
-        s = np.linalg.norm(y.sum(axis=0))
-        if s > ZERO_SUM_TOL * (1.0 + np.abs(y).max()):
-            raise ValueError("y0 must sum to zero across blocks")
-    trace = SolveTrace()
-    for k in range(1, max_iters + 1):
+        _check_zero_sum(y, "y0")
+
+    def iterate(state, k):
+        xbar, y = state
         x = np.stack([
             f.prox(1.0 / gamma, xbar - y[i] / gamma)
             for i, f in enumerate(cp.blocks)
@@ -303,18 +245,17 @@ def boyd_consensus(cp, gamma, init=None, max_iters=100000, tol=1e-10):
         y_next = y + gamma * (x - xbar_next[None, :])
         feas = float(np.abs(x - xbar[None, :]).max())
         dy = float(np.linalg.norm(y_next - y))
-        trace.append(TraceRow(
+        row = TraceRow(
             k,
-            primal=_sum_or_inf(f(x[i]) for i, f in enumerate(cp.blocks)),
+            primal=sum_or_inf(f(x[i]) for i, f in enumerate(cp.blocks)),
             feas_residual=feas,
             dw_norm=dy,
             vectors={"x": x, "xbar": xbar_next, "y": y_next},
-        ))
-        y, xbar = y_next, xbar_next
-        if feas <= tol and dy <= tol:
-            trace.converged = True
-            break
-    trace.final = {"x": x, "xbar": xbar, "y": y}
+        )
+        return (xbar_next, y_next), row, (feas, dy)
+
+    trace, (xbar, y) = drive(iterate, (xbar, y), max_iters, tol, first_k=1)
+    trace.final = {"x": trace.rows[-1].vectors["x"], "xbar": xbar, "y": y}
     return trace
 
 
@@ -327,20 +268,12 @@ def consensus_optimality_residual(x, v, cp, probes=50, rng=None):
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     worst = 0.0
     for i, f in enumerate(cp.blocks):
-        fx = f(x)
-        if np.isinf(fx):
+        worst = max(worst, subgradient_violation(f, x, -v[i], probes, rng))
+        if np.isinf(worst):
             return np.inf
-        for _ in range(probes):
-            p = x + rng.standard_normal(x.shape)
-            fp = f(p)
-            if np.isinf(fp):
-                continue
-            violation = fx - float(v[i] @ (p - x)) - fp
-            worst = max(worst, violation)
     return worst + float(np.linalg.norm(v.sum(axis=0)))
 
 

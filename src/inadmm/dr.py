@@ -11,8 +11,8 @@ import numpy as np
 
 from .functions import Quadratic
 from .linalg import check_vector
-from .params import validate
-from .trace import SolveTrace, TraceRow
+from .params import require_valid
+from .trace import TraceRow, drive
 
 __all__ = ["ResolventOp", "IdrState", "idr_step", "run_idr"]
 
@@ -133,9 +133,7 @@ def run_idr(A, B, gamma, params, w0, w1, max_iters=100000, tol=1e-10,
     `max_iters` iterations.  The trace stores w, y, v per iteration and
     the running sum of ||w_next - w||^2.
     """
-    report = validate(params, horizon=horizon_check)
-    if not report.ok:
-        raise ValueError(str(report))
+    require_valid(params, horizon_check)
     w0 = check_vector(w0, A.dim, name="w0")
     w1 = check_vector(w1, A.dim, name="w1")
     if params.alpha_at(1) > 0.0 and not np.array_equal(w0, w1):
@@ -143,25 +141,25 @@ def run_idr(A, B, gamma, params, w0, w1, max_iters=100000, tol=1e-10,
             "nonzero inertia at the first iteration requires w0 == w1"
         )
 
-    trace = SolveTrace()
-    state = IdrState(k=0, w_prev=w0, w=w1)
     dw_sq_sum = 0.0
-    for k in range(1, max_iters + 1):
-        w_cur = state.w
-        state = idr_step(state, A, B, gamma, params.alpha_at(k), params.lambda_at(k))
-        dw = float(np.linalg.norm(state.w - w_cur))
-        vy = float(np.linalg.norm(state.v - state.y))
+
+    def iterate(state, k):
+        nonlocal dw_sq_sum
+        new = idr_step(state, A, B, gamma, params.alpha_at(k), params.lambda_at(k))
+        dw = float(np.linalg.norm(new.w - state.w))
+        vy = float(np.linalg.norm(new.v - new.y))
         dw_sq_sum += dw * dw
-        trace.append(TraceRow(
+        row = TraceRow(
             k,
             feas_residual=vy,
             dw_norm=dw,
             dw_sq_sum=dw_sq_sum,
-            vectors={"w": w_cur, "w_next": state.w, "y": state.y, "v": state.v},
-        ))
-        # the first iteration can be a forced w^2 = w^1 bridge
-        if k >= 2 and vy <= tol and dw <= tol:
-            trace.converged = True
-            break
+            vectors={"w": state.w, "w_next": new.w, "y": new.y, "v": new.v},
+        )
+        return new, row, (vy, dw)
+
+    # first_k = 2: the first iteration can be a forced w^2 = w^1 bridge
+    trace, state = drive(iterate, IdrState(k=0, w_prev=w0, w=w1), max_iters,
+                         tol, first_k=2)
     trace.final = {"w": state.w, "y": state.y, "v": state.v}
     return trace

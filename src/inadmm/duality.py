@@ -26,12 +26,16 @@ def primal_value(p, x):
     return fx + gx
 
 
-def dual_value(p, v):
-    """-f*(-L*v) - g*(v); -inf when either conjugate is +inf."""
+def dual_value(p, v, y=None):
+    """-f*(-L*v) - g*(y), y defaulting to v; -inf when either conjugate is +inf.
+
+    The ADMM solvers pass their multiplier y^k as ``y`` next to the
+    certificate v^k, which differs from it while the iteration runs.
+    """
     a = p.f.conj(-p.L.adjoint_apply(v))
     if np.isinf(a):
         return -np.inf
-    b = p.g.conj(v)
+    b = p.g.conj(v if y is None else y)
     if np.isinf(b):
         return -np.inf
     return -a - b

@@ -34,6 +34,16 @@ INF = math.inf
 DOM_TOL = 1e-9
 
 
+def sum_or_inf(values):
+    """Sum of block values in order, +inf as soon as one is infinite."""
+    total = 0.0
+    for v in values:
+        if math.isinf(v):
+            return INF
+        total += v
+    return total
+
+
 class ConvexFn:
     """Base class: a proper closed convex function on R^dim."""
 
@@ -337,13 +347,7 @@ class SeparableSum(ConvexFn):
 
     def __call__(self, x):
         x = self._check(x)
-        total = 0.0
-        for f, xi in zip(self.blocks, self._split(x)):
-            v = f(xi)
-            if v == INF:
-                return INF
-            total += v
-        return total
+        return sum_or_inf(f(xi) for f, xi in zip(self.blocks, self._split(x)))
 
     def prox(self, gamma, x):
         x = self._check(x)
@@ -353,13 +357,7 @@ class SeparableSum(ConvexFn):
 
     def conj(self, u):
         u = self._check(u)
-        total = 0.0
-        for f, ui in zip(self.blocks, self._split(u)):
-            v = f.conj(ui)
-            if v == INF:
-                return INF
-            total += v
-        return total
+        return sum_or_inf(f.conj(ui) for f, ui in zip(self.blocks, self._split(u)))
 
 
 class IndicatorConsensus(ConvexFn):

@@ -2,15 +2,15 @@
 
 import numpy as np
 
-__all__ = ["LinearMap", "as_vector", "check_vector"]
+__all__ = ["LinearMap", "check_vector"]
 
 # Singular values below this are treated as zero when computing the
 # injectivity modulus (a strict inequality in the well-posedness hypothesis).
 SINGULAR_TOL = 1e-10
 
 
-def as_vector(x, dim=None):
-    """Coerce `x` to a 1-D float array, optionally checking its dimension."""
+def check_vector(x, dim, name="x"):
+    """Coerce `x` to a finite 1-D float array of dimension `dim` (if not None)."""
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
         v = v.reshape(1)
@@ -18,13 +18,6 @@ def as_vector(x, dim=None):
         raise ValueError("expected a 1-D vector, got shape %s" % (v.shape,))
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
-    if dim is not None and v.shape[0] != dim:
-        raise ValueError("dimension mismatch: expected %d, got %d" % (dim, v.shape[0]))
-    return v
-
-
-def check_vector(x, dim, name="x"):
-    v = as_vector(x)
     if dim is not None and v.shape[0] != dim:
         raise ValueError(
             "%s has dimension %d, expected %d" % (name, v.shape[0], dim)

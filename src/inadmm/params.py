@@ -18,9 +18,11 @@ __all__ = [
     "constant_schedule",
     "ramp_schedule",
     "InertialParams",
+    "constant_params",
     "default_params",
     "ValidationReport",
     "validate",
+    "require_valid",
 ]
 
 
@@ -149,16 +151,19 @@ class InertialParams:
         return max_relaxation(self.alpha, self.sigma, self.delta)
 
 
-def default_params(alpha, gamma=1.0, sigma=0.01, lambda_frac=0.9):
-    """Preset sitting strictly inside the admissible region.
+def constant_params(gamma, alpha, sigma, delta=None, lam=None,
+                    init_mode="lambda1_alpha1_zero"):
+    """Parameters with constant schedules alpha_k = alpha and lambda_k = lam.
 
-    delta is 1.5x its lower bound (or 1.0 when the bound vanishes at
-    alpha = 0), lambda_k is a constant fraction of the admissible maximum,
-    and alpha_k is constant with the first iteration un-inertial.
+    delta defaults to 1.5x its lower bound (1.0 when the bound vanishes at
+    alpha = 0) and lam to 0.9 lambda_max (1.0 at alpha = 0).  Neither is
+    checked against the region here; ``validate`` does that.
     """
-    lb = delta_lower_bound(alpha, sigma)
-    delta = 1.5 * lb if lb > 0.0 else 1.0
-    lam = lambda_frac * max_relaxation(alpha, sigma, delta)
+    if delta is None:
+        lb = delta_lower_bound(alpha, sigma)
+        delta = 1.5 * lb if lb > 0.0 else 1.0
+    if lam is None:
+        lam = 0.9 * max_relaxation(alpha, sigma, delta) if alpha > 0.0 else 1.0
     return InertialParams(
         gamma=gamma,
         alpha=alpha,
@@ -167,8 +172,21 @@ def default_params(alpha, gamma=1.0, sigma=0.01, lambda_frac=0.9):
         lambda_lo=min(lam, 1e-6),
         alpha_schedule=constant_schedule(alpha),
         lambda_schedule=constant_schedule(lam),
-        init_mode="lambda1_alpha1_zero",
+        init_mode=init_mode,
     )
+
+
+def default_params(alpha, gamma=1.0, sigma=0.01, lambda_frac=0.9):
+    """Preset sitting strictly inside the admissible region.
+
+    delta is 1.5x its lower bound (or 1.0 when the bound vanishes at
+    alpha = 0), lambda_k is a constant fraction of the admissible maximum
+    (at alpha = 0 too), and alpha_k is constant with the first iteration
+    un-inertial.
+    """
+    base = constant_params(gamma, alpha, sigma)
+    return constant_params(gamma, alpha, sigma, base.delta,
+                           lambda_frac * base.max_relaxation())
 
 
 @dataclass
@@ -226,3 +244,10 @@ def validate(p, horizon=1000):
     if alpha2 != 0.0 and not (p.lambda_at(1) == 0.0 and p.alpha_at(1) == 0.0):
         report.add("either alpha_2 = 0 or lambda_1 = alpha_1 = 0 is required")
     return report
+
+
+def require_valid(p, horizon=1000):
+    """``validate``, raising ValueError with the report when it fails."""
+    report = validate(p, horizon=horizon)
+    if not report.ok:
+        raise ValueError(str(report))

@@ -1,8 +1,10 @@
-"""Per-iteration solve traces and their CSV serialization."""
+"""Per-iteration solve traces, their CSV serialization, and the iteration driver."""
+
+import math
 
 import numpy as np
 
-__all__ = ["TraceRow", "SolveTrace", "CSV_COLUMNS"]
+__all__ = ["TraceRow", "SolveTrace", "CSV_COLUMNS", "drive"]
 
 CSV_COLUMNS = (
     "k",
@@ -60,6 +62,7 @@ class SolveTrace:
     def __init__(self):
         self.rows = []
         self.converged = False
+        self.nonfinite = False
         self.iterations = 0
         self.final = {}
 
@@ -94,3 +97,29 @@ class SolveTrace:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for row in self.rows:
             fh.write(",".join(_fmt(v) for v in row.scalars()) + "\n")
+
+
+def drive(iterate, state, max_iters, tol, first_k):
+    """Run ``iterate(state, k) -> (state, row, residuals)`` for k = 1, 2, ...
+
+    Every solver's loop.  It stops converged at the first k >= first_k with
+    max(residuals) <= tol, unconverged (``nonfinite`` set) as soon as a
+    residual is NaN or infinite, and otherwise after ``max_iters``
+    iterations.  Returns the trace of all rows and the last state.
+    """
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1, got %r" % (max_iters,))
+    if not tol >= 0.0:
+        raise ValueError("tol must be a nonnegative number, got %r" % (tol,))
+    trace = SolveTrace()
+    for k in range(1, max_iters + 1):
+        state, row, residuals = iterate(state, k)
+        trace.append(row)
+        # checked first: max() silently drops a NaN after the first position
+        if not all(map(math.isfinite, residuals)):
+            trace.nonfinite = True
+            break
+        if k >= first_k and max(residuals) <= tol:
+            trace.converged = True
+            break
+    return trace, state

@@ -12,6 +12,8 @@ from inadmm import (
     Translated,
     Zero,
 )
+from inadmm.consensus import ConsensusState, _initial_state
+from inadmm.trace import SolveTrace, TraceRow
 
 
 @pytest.fixture
@@ -103,3 +105,44 @@ def random_composite(rng, allow_dense=True):
     else:
         g = L2Norm(m, 0.5 + rng.random())
     return f, g, L
+
+
+def run_sum1_simplified(cp, params, init=None, max_iters=1000):
+    """Independent implementation of the lambda_k = 1 simplification.
+
+    Requires the alpha_2 = 0 initialization mode (the simplification keeps
+    lambda_1 = 1) and a constant relaxation of exactly 1.  A test oracle for
+    run_sum1, so it keeps its own loop rather than the solvers' driver.
+    """
+    if params.init_mode != "alpha2_zero":
+        raise ValueError("simplified scheme assumes the alpha_2 = 0 init mode")
+    gamma = params.gamma
+    m, n = cp.m, cp.n
+    state = _initial_state(cp, init, True)
+    x_prev = None
+    trace = SolveTrace()
+    for k in range(1, max_iters + 1):
+        a_k = params.alpha_at(k)
+        a_next = params.alpha_at(k + 1)
+        if params.lambda_at(k) != 1.0:
+            raise ValueError("simplified scheme requires lambda_k = 1")
+        c = (state.y - a_k * (state.y - state.y_prev)
+             - gamma * a_k * (state.z - state.z_prev))
+        x_next = np.stack([
+            f.prox(1.0 / gamma, state.z[i] - c[i] / gamma)
+            for i, f in enumerate(cp.blocks)
+        ])
+        mean_next = x_next.mean(axis=0)
+        if a_next == 0.0:
+            z_next = np.tile(mean_next, (m, 1))
+        else:
+            z_next = ((1.0 + a_next) * mean_next - a_next * x_prev.mean(axis=0)
+                      )[None, :] - a_next * (x_next - state.z)
+        y_next = state.y + gamma * (x_next - z_next)
+        trace.append(TraceRow(k, vectors={"x": x_next, "z": z_next, "y": y_next}))
+        state = ConsensusState(k=k + 1, x=x_next, z=z_next, z_prev=state.z,
+                               zbar=np.zeros((m, n)), y=y_next,
+                               y_prev=state.y)
+        x_prev = x_next
+    trace.final = {"x": state.x, "z": state.z, "y": state.y}
+    return trace

@@ -33,9 +33,8 @@ from inadmm import (
     InfeasibleParameters,
 )
 from inadmm.cli import EXIT_INPUT, EXIT_OK, main as cli_main
-from inadmm.consensus import run_sum1_simplified
 
-from conftest import catalog, random_composite, tall_full_rank
+from conftest import catalog, random_composite, run_sum1_simplified, tall_full_rank
 
 
 ACCEPTANCE_CRITERIA = {}

@@ -9,6 +9,7 @@ from inadmm import (
     ProblemSpec,
     Quadratic,
     SubproblemError,
+    Translated,
     XUpdateStrategy,
     classical_admm,
     default_params,
@@ -104,6 +105,38 @@ def test_inner_iterative_budget_error(rng):
         x_update(state, p, 1.0, 0.0,
                  XUpdateStrategy("inner_iterative", eps_inner=1e-16, budget=1))
     assert exc.value.residual is not None
+
+
+def test_quadratic_solve_cache_follows_problem_identity(rng):
+    # problems built one after another recycle ids; a shared strategy must
+    # still solve each one's own system
+    n, m, gamma = 4, 6, 0.7
+    strat = XUpdateStrategy("quadratic_solve")
+    for _ in range(200):
+        Lm = tall_full_rank(m, n, rng)
+        p = ProblemSpec(random_quadratic(n, rng), L1Norm(m, 1.0),
+                        LinearMap.dense(Lm))
+        z, y = rng.standard_normal(m), rng.standard_normal(m)
+        state = IadmmState(k=1, x=np.zeros(n), z=z, z_prev=z, zbar=np.zeros(m),
+                           y=y, y_prev=y)
+        x = x_update(state, p, gamma, 0.0, strat)
+        expected = np.linalg.solve(p.f.Q + gamma * Lm.T @ Lm,
+                                   gamma * Lm.T @ z - Lm.T @ y - p.f.q)
+        assert np.allclose(x, expected, rtol=1e-9, atol=1e-9)
+        del p, state
+
+
+def test_inner_iterative_computes_operator_norm_once(rng, monkeypatch):
+    calls = []
+    norm = LinearMap.norm
+    monkeypatch.setattr(LinearMap, "norm",
+                        lambda self: calls.append(1) or norm(self))
+    n, m = 3, 4
+    f = Translated(L1Norm(n, 0.2), rng.standard_normal(n))
+    p = ProblemSpec(f, L2Norm(m, 1.0), LinearMap.dense(tall_full_rank(m, n, rng)))
+    trace = run_iadmm(p, default_params(0.2), max_iters=30, tol=0.0)
+    assert trace.iterations == 30
+    assert len(calls) == 1
 
 
 # -- classical reduction oracle ----------------------------------------------

@@ -255,3 +255,49 @@ def test_sweep_bad_spec(tmp_path, capsys):
     code, _ = run([cfg, "--sweep", "gamma=1,2"])
     assert code == EXIT_INPUT
     assert "alpha and lambda" in capsys.readouterr().err
+
+
+OVERFLOW_CONFIG = LASSO_CONFIG.replace("q -1 0.5", "q 1e308 -1e308")
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (LASSO_CONFIG.replace("max_iters 50000", "max_iters 0"), [],
+     "line 5: max_iters must be at least 1"),
+    (LASSO_CONFIG, ["--max-iters", "0"], "max_iters must be at least 1"),
+    (LASSO_CONFIG.replace("tol 1e-11", "tol nan"), [],
+     "line 6: tol must be a nonnegative number"),
+    (LASSO_CONFIG, ["--solver", "consensus_sum1"],
+     "solver 'consensus_sum1' takes consensus blocks, not f/g/L"),
+    (CONSENSUS_CONFIG, ["--solver", "iadmm"],
+     "solver 'iadmm' takes f/g/L blocks, not consensus blocks"),
+], ids=["config_max_iters_0", "flag_max_iters_0", "config_tol_nan",
+        "consensus_solver_on_fgl_file", "composite_solver_on_block_file"])
+def test_rejected_inputs_exit_with_diagnostic(tmp_path, capsys, text, argv, message):
+    code, _ = run([write(tmp_path, text)] + argv)
+    assert code == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_iterates_exit_code(tmp_path, capsys):
+    code, _ = run([write(tmp_path, OVERFLOW_CONFIG)])
+    assert code == EXIT_BUDGET
+    assert "iterates became non-finite at iteration 1" in capsys.readouterr().err
+
+
+def test_sweep_passes_lambda_without_mutating_config(monkeypatch):
+    from inadmm import cli
+
+    cfg = parse_config(LASSO_CONFIG)
+    seen = []
+
+    def failing_classical(problem, gamma, lam=1.0, **kwargs):
+        seen.append(lam)
+        raise RuntimeError("solver failed")
+
+    monkeypatch.setattr(cli, "classical_admm", failing_classical)
+    with pytest.raises(RuntimeError):
+        cli._run_sweep(cfg, "classical_admm", "alpha=0;lambda=0.7", 100, 1e-8,
+                       None, io.StringIO())
+    assert seen == [0.7]
+    assert cfg.lambda_value == parse_config(LASSO_CONFIG).lambda_value

@@ -16,7 +16,8 @@ from inadmm import (
     run_sum1,
     run_sum2,
 )
-from inadmm.consensus import run_sum1_simplified
+
+from conftest import run_sum1_simplified
 
 
 def quadratic_blocks(m, n, rng):

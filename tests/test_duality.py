@@ -45,6 +45,14 @@ def test_dual_value_infinite_conjugate():
     assert np.isfinite(dual_value(p, [0.5]))
 
 
+def test_dual_value_evaluates_g_conjugate_at_y():
+    p = ProblemSpec(Quadratic(np.eye(1), np.zeros(1)), L1Norm(1, 1.0),
+                    LinearMap.identity(1))
+    # f* stays at -L*v; g* moves to y: f*(-2) = 2 and g*(0.5) = 0
+    assert dual_value(p, [2.0], y=[0.5]) == pytest.approx(-2.0)
+    assert dual_value(p, [0.5], y=[2.0]) == -np.inf
+
+
 def test_weak_duality_random(rng):
     # every primal value dominates every dual value
     for _ in range(10):
