@@ -32,6 +32,7 @@ f/g/L.  `#` starts a comment.  Unknown keys are rejected with the line
 number.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,9 +99,12 @@ def _tokenize(text):
 
 def _floats(tokens, lineno, key):
     try:
-        return [float(t) for t in tokens]
+        values = [float(t) for t in tokens]
     except ValueError:
         raise ConfigError("malformed numeral in %r" % key, lineno)
+    if not all(map(math.isfinite, values)):
+        raise ConfigError("%s must be finite" % key, lineno)
+    return values
 
 
 def _parse_blocks(rows):
@@ -131,14 +135,60 @@ def _parse_blocks(rows):
     return top, blocks
 
 
-def _block_fields(body, block_lineno):
-    fields = {}
-    for lineno, toks in body:
-        key = toks[0]
-        if key in fields:
-            raise ConfigError("duplicate field %r" % key, lineno)
-        fields[key] = (lineno, toks[1:])
-    return fields
+class _Fields:
+    """The fields of one block; every read checks presence, arity and numerals."""
+
+    def __init__(self, body, block_lineno):
+        self.lines = {}
+        for lineno, toks in body:
+            if toks[0] in self.lines:
+                raise ConfigError("duplicate field %r" % toks[0], lineno)
+            self.lines[toks[0]] = (lineno, toks[1:])
+        self.block_lineno = block_lineno
+        self.kind = None
+
+    def pop_kind(self, kinds, family, owner):
+        """Remove and return the block's kind, a key of ``kinds``, after
+        checking that the other fields are among ``kinds[kind]``."""
+        if "kind" not in self.lines:
+            raise ConfigError("%s needs a kind" % owner, self.block_lineno)
+        lineno, toks = self.lines.pop("kind")
+        if len(toks) != 1:
+            raise ConfigError("kind takes one value", lineno)
+        kind = toks[0]
+        if kind not in kinds:
+            raise ConfigError("unknown %s kind %r" % (family, kind), lineno)
+        unknown = set(self.lines) - kinds[kind]
+        if unknown:
+            key = min(unknown, key=lambda k: self.lines[k][0])
+            raise ConfigError("unknown field %r for kind %r" % (key, kind),
+                              self.lines[key][0])
+        self.kind = kind
+        return kind
+
+    def tokens(self, key):
+        if key not in self.lines:
+            raise ConfigError("kind %r needs field %r" % (self.kind, key),
+                              self.block_lineno)
+        lineno, toks = self.lines[key]
+        if not toks:
+            raise ConfigError("field %r needs a value" % key, lineno)
+        return lineno, toks
+
+    def vector(self, key):
+        lineno, toks = self.tokens(key)
+        return np.array(_floats(toks, lineno, key))
+
+    def scalar(self, key, cast=float):
+        lineno, toks = self.tokens(key)
+        if len(toks) != 1:
+            raise ConfigError("%s takes one value" % key, lineno)
+        if cast is float:
+            return _floats(toks, lineno, key)[0]
+        try:
+            return cast(toks[0])
+        except ValueError:
+            raise ConfigError("malformed numeral in %r" % key, lineno)
 
 
 _FN_FIELDS = {
@@ -152,114 +202,69 @@ _FN_FIELDS = {
 }
 
 
+_OP_FIELDS = {
+    "identity": {"dim"},
+    "scaled_identity": {"dim", "scale"},
+    "dense": {"rows", "cols", "entries"},
+}
+
+
 def _build_function(name, body, block_lineno):
-    fields = _block_fields(body, block_lineno)
-    if "kind" not in fields:
-        raise ConfigError("block %r needs a kind" % name, block_lineno)
-    kind_lineno, kind_toks = fields.pop("kind")
-    if len(kind_toks) != 1:
-        raise ConfigError("kind takes one value", kind_lineno)
-    kind = kind_toks[0]
-    if kind not in _FN_FIELDS:
-        raise ConfigError("unknown function kind %r" % kind, kind_lineno)
-    shift = None
-    if "shift" in fields:
-        lineno, toks = fields.pop("shift")
-        shift = np.array(_floats(toks, lineno, "shift"))
-    unknown = set(fields) - _FN_FIELDS[kind]
-    if unknown:
-        lineno = min(fields[k][0] for k in unknown)
-        raise ConfigError(
-            "unknown field %r for kind %r" % (sorted(unknown)[0], kind), lineno
-        )
-
-    def need(key):
-        if key not in fields:
-            raise ConfigError(
-                "kind %r needs field %r" % (kind, key), block_lineno
-            )
-        lineno, toks = fields[key]
-        return lineno, toks
-
+    fields = _Fields(body, block_lineno)
+    kind = fields.pop_kind({k: v | {"shift"} for k, v in _FN_FIELDS.items()},
+                           "function", "block %r" % name)
     try:
         if kind == "zero":
-            lineno, toks = need("dim")
-            fn = Zero(int(toks[0]))
+            fn = Zero(fields.scalar("dim", int))
         elif kind == "quadratic":
-            _, q_toks = need("q")
-            q = np.array(_floats(q_toks, block_lineno, "q"))
+            q = fields.vector("q")
             n = q.shape[0]
-            lineno, Q_toks = need("Q")
-            Qv = _floats(Q_toks, lineno, "Q")
-            if len(Qv) != n * n:
-                raise ConfigError("Q needs %d entries (row-major)" % (n * n), lineno)
-            r = 0.0
-            if "r" in fields:
-                lineno, r_toks = fields["r"]
-                r = _floats(r_toks, lineno, "r")[0]
-            fn = Quadratic(np.array(Qv).reshape(n, n), q, r)
+            Qv = fields.vector("Q")
+            if Qv.size != n * n:
+                raise ConfigError("Q needs %d entries (row-major)" % (n * n),
+                                  fields.lines["Q"][0])
+            r = fields.scalar("r") if "r" in fields.lines else 0.0
+            fn = Quadratic(Qv.reshape(n, n), q, r)
         elif kind in ("l1", "l2norm"):
-            lineno, toks = need("dim")
-            dim = int(toks[0])
-            lineno, toks = need("tau")
-            tau = _floats(toks, lineno, "tau")[0]
-            fn = (L1Norm if kind == "l1" else L2Norm)(dim, tau)
+            dim = fields.scalar("dim", int)
+            fn = (L1Norm if kind == "l1" else L2Norm)(dim, fields.scalar("tau"))
         elif kind == "indicator_point":
-            lineno, toks = need("a")
-            fn = IndicatorPoint(np.array(_floats(toks, lineno, "a")))
+            fn = IndicatorPoint(fields.vector("a"))
         elif kind == "indicator_box":
-            lineno, toks = need("lo")
-            lo = np.array(_floats(toks, lineno, "lo"))
-            lineno, toks = need("hi")
-            hi = np.array(_floats(toks, lineno, "hi"))
-            fn = IndicatorBox(lo, hi)
+            fn = IndicatorBox(fields.vector("lo"), fields.vector("hi"))
         else:  # indicator_hyperplane
-            lineno, toks = need("a")
-            a = np.array(_floats(toks, lineno, "a"))
-            lineno, toks = need("b")
-            b = _floats(toks, lineno, "b")[0]
-            fn = IndicatorHyperplane(a, b)
+            fn = IndicatorHyperplane(fields.vector("a"), fields.scalar("b"))
+        if "shift" in fields.lines:
+            fn = Translated(fn, fields.vector("shift"))
+    except ConfigError:
+        raise
     except ValueError as err:
-        if isinstance(err, ConfigError):
-            raise
         raise ConfigError(str(err), block_lineno)
-    if shift is not None:
-        fn = Translated(fn, shift)
     return fn
 
 
 def _build_operator(body, block_lineno):
-    fields = _block_fields(body, block_lineno)
-    if "kind" not in fields:
-        raise ConfigError("operator block needs a kind", block_lineno)
-    _, kind_toks = fields.pop("kind")
-    kind = kind_toks[0]
+    fields = _Fields(body, block_lineno)
+    kind = fields.pop_kind(_OP_FIELDS, "operator", "operator block")
     try:
         if kind == "identity":
-            lineno, toks = fields["dim"]
-            return LinearMap.identity(int(toks[0]))
+            return LinearMap.identity(fields.scalar("dim", int))
         if kind == "scaled_identity":
-            lineno, toks = fields["dim"]
-            n = int(toks[0])
-            lineno, toks = fields["scale"]
-            return LinearMap.scaled_identity(n, _floats(toks, lineno, "scale")[0])
-        if kind == "dense":
-            lineno, toks = fields["rows"]
-            rows = int(toks[0])
-            lineno, toks = fields["cols"]
-            cols = int(toks[0])
-            lineno, toks = fields["entries"]
-            entries = _floats(toks, lineno, "entries")
-            if len(entries) != rows * cols:
-                raise ConfigError(
-                    "entries needs %d values (row-major)" % (rows * cols), lineno
-                )
-            return LinearMap.dense(np.array(entries).reshape(rows, cols))
-    except KeyError as err:
-        raise ConfigError(
-            "operator kind %r needs field %r" % (kind, err.args[0]), block_lineno
-        )
-    raise ConfigError("unknown operator kind %r" % kind, block_lineno)
+            return LinearMap.scaled_identity(fields.scalar("dim", int),
+                                             fields.scalar("scale"))
+        rows = fields.scalar("rows", int)
+        cols = fields.scalar("cols", int)
+        entries = fields.vector("entries")
+        if rows < 1 or cols < 1:
+            raise ConfigError("rows and cols must be at least 1", block_lineno)
+        if entries.size != rows * cols:
+            raise ConfigError("entries needs %d values (row-major)" % (rows * cols),
+                              fields.lines["entries"][0])
+        return LinearMap.dense(entries.reshape(rows, cols))
+    except ConfigError:
+        raise
+    except ValueError as err:
+        raise ConfigError(str(err), block_lineno)
 
 
 _TOP_KEYS = {
@@ -294,35 +299,50 @@ def parse_config(text):
         except ValueError:
             raise ConfigError("malformed numeral in %r" % key, lines[key])
 
+    def number(key, default=None):
+        value = scalar(key, default)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError("%s must be finite" % key, lines[key])
+        return value
+
     solver = scalar("solver", cast=str)
     if solver is None:
         raise ConfigError("missing required key 'solver'")
     if solver not in SOLVERS:
         raise ConfigError("unknown solver %r" % solver, lines["solver"])
 
-    gamma = scalar("gamma", 1.0)
+    gamma = number("gamma", 1.0)
     if gamma <= 0:
         raise ConfigError("gamma must be positive", lines["gamma"])
-    alpha = scalar("alpha", 0.0)
+    alpha = number("alpha", 0.0)
     if not 0.0 <= alpha < 1.0:
         raise ConfigError("alpha must lie in [0,1)", lines.get("alpha"))
-    sigma = scalar("sigma", 0.01)
+    sigma = number("sigma", 0.01)
     if sigma <= 0:
         raise ConfigError("sigma must be positive", lines["sigma"])
 
     lb = delta_lower_bound(alpha, sigma)
-    delta = scalar("delta")
+    if not math.isfinite(lb):
+        raise ConfigError("sigma too large: the delta lower bound overflows",
+                          lines["sigma"])
+    delta = number("delta")
     if delta is not None and delta <= lb:
         raise ConfigError(
             "delta must exceed its lower bound %g" % lb, lines["delta"]
         )
-    lam = scalar("lambda")
+    lam = number("lambda")
     init_mode = scalar("init_mode", "lambda1_alpha1_zero", cast=str)
     if init_mode not in ("alpha2_zero", "lambda1_alpha1_zero"):
         raise ConfigError("unknown init_mode %r" % init_mode, lines["init_mode"])
 
     params = constant_params(gamma, alpha, sigma, delta, lam, init_mode)
     lam_max = params.max_relaxation()
+    if not 0.0 < lam_max <= 2.0:
+        # a huge sigma or delta over- or underflows lambda_max to inf, nan or 0
+        raise ConfigError(
+            "alpha, sigma and delta leave no admissible lambda (lambda_max = %g)"
+            % lam_max, lines.get("delta", lines.get("sigma", lines.get("alpha")))
+        )
     if lam is not None and not 0.0 < lam <= lam_max:
         raise ConfigError(
             "lambda must lie in (0, %g]" % lam_max, lines["lambda"]
@@ -363,7 +383,10 @@ def parse_config(text):
             )
         if len(consensus_blocks) < 2:
             raise ConfigError("consensus solvers need at least two blocks")
-        problem = ConsensusProblem(consensus_blocks)
+        try:
+            problem = ConsensusProblem(consensus_blocks)
+        except ValueError as err:
+            raise ConfigError(str(err))
 
     max_iters = scalar("max_iters", 100000, cast=int)
     if max_iters < 1:
@@ -377,7 +400,7 @@ def parse_config(text):
         params=params,
         max_iters=max_iters,
         tol=tol,
-        output=settings.get("output", [None])[0],
+        output=scalar("output", cast=str),
         seed=scalar("seed", 0, cast=int),
         lambda_value=params.lambda_schedule.value,
     )

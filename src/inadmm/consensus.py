@@ -7,13 +7,13 @@ variables.  Both reduce to the textbook consensus ADMM when inertia is off
 and relaxation is 1.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .admm import IadmmState, ProblemSpec
 from .duality import subgradient_violation
-from .functions import IndicatorConsensus, SeparableSum, sum_or_inf
+from .functions import IndicatorConsensus, SeparableSum, StackedBlocks
 from .linalg import LinearMap
 from .params import require_valid
 from .trace import TraceRow, drive
@@ -33,16 +33,19 @@ __all__ = [
 ZERO_SUM_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConsensusProblem:
-    blocks: list  # ConvexFn, all on the same space
+    """min sum_i f_i(x); ``stacked`` evaluates all blocks on an (m, n) array."""
+
+    blocks: tuple  # ConvexFn, all on the same space
+    stacked: StackedBlocks = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.blocks) < 2:
+        blocks = tuple(self.blocks)
+        if len(blocks) < 2:
             raise ValueError("need at least two blocks")
-        dims = {f.dim for f in self.blocks}
-        if len(dims) != 1:
-            raise ValueError("all blocks must share one dimension")
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "stacked", StackedBlocks(blocks))
 
     @property
     def m(self):
@@ -105,10 +108,7 @@ def sum1_step(state, cp, params, k):
 
     drift = state.y - state.y_prev + gamma * (state.z - state.z_prev)
     c = state.y - a_k * (state.y - state.y_prev) - gamma * a_k * (state.z - state.z_prev)
-    x_next = np.stack([
-        f.prox(1.0 / gamma, state.z[i] - c[i] / gamma)
-        for i, f in enumerate(cp.blocks)
-    ])
+    x_next = cp.stacked.prox(1.0 / gamma, state.z - c / gamma)
     zbar_next = (a_next * l_k * (x_next - state.z)
                  + ((1.0 - l_k) * a_k * a_next / gamma) * drift)
     u_next = (
@@ -142,10 +142,7 @@ def sum2_step(state, cp, params, k):
                  + ((1.0 - l_k) * a_k * a_next / gamma) * drift)
     arg = (zbar_next + l_k * x_next[None, :] + (1.0 - l_k) * state.z
            + state.y / gamma + ((1.0 - l_k) * a_k / gamma) * drift)
-    z_next = np.stack([
-        -zbar_next[i] + f.prox(1.0 / gamma, arg[i])
-        for i, f in enumerate(cp.blocks)
-    ])
+    z_next = -zbar_next + cp.stacked.prox(1.0 / gamma, arg)
     y_next = (state.y
               + gamma * (l_k * x_next[None, :] + (1.0 - l_k) * state.z - z_next)
               + (1.0 - l_k) * a_k * drift)
@@ -185,8 +182,8 @@ def _run_blockwise(cp, params, stepper, vfn, init, require_zero_sum,
         zbar_norm = float(np.linalg.norm(new.zbar))
         row = TraceRow(
             k,
-            primal=sum_or_inf(f(new.x[i]) for i, f in enumerate(cp.blocks)),
-            dual=-sum_or_inf(f.conj(-v[i]) for i, f in enumerate(cp.blocks)),
+            primal=cp.stacked.value(new.x),
+            dual=-cp.stacked.conj(-v),
             feas_residual=feas,
             zbar_norm=zbar_norm,
             dw_norm=dw,
@@ -237,17 +234,14 @@ def boyd_consensus(cp, gamma, init=None, max_iters=100000, tol=1e-10):
 
     def iterate(state, k):
         xbar, y = state
-        x = np.stack([
-            f.prox(1.0 / gamma, xbar - y[i] / gamma)
-            for i, f in enumerate(cp.blocks)
-        ])
+        x = cp.stacked.prox(1.0 / gamma, xbar - y / gamma)
         xbar_next = x.mean(axis=0)
         y_next = y + gamma * (x - xbar_next[None, :])
         feas = float(np.abs(x - xbar[None, :]).max())
         dy = float(np.linalg.norm(y_next - y))
         row = TraceRow(
             k,
-            primal=sum_or_inf(f(x[i]) for i, f in enumerate(cp.blocks)),
+            primal=cp.stacked.value(x),
             feas_residual=feas,
             dw_norm=dy,
             vectors={"x": x, "xbar": xbar_next, "y": y_next},

@@ -159,8 +159,8 @@ class L1Norm(ConvexFn):
 
     def __init__(self, dim, tau):
         super().__init__(dim)
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < tau < INF:
+            raise ValueError("tau must be positive and finite")
         self.tau = float(tau)
 
     def __call__(self, x):
@@ -186,8 +186,8 @@ class L2Norm(ConvexFn):
 
     def __init__(self, dim, tau):
         super().__init__(dim)
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < tau < INF:
+            raise ValueError("tau must be positive and finite")
         self.tau = float(tau)
 
     def __call__(self, x):
@@ -358,6 +358,134 @@ class SeparableSum(ConvexFn):
     def conj(self, u):
         u = self._check(u)
         return sum_or_inf(f.conj(ui) for f, ui in zip(self.blocks, self._split(u)))
+
+
+def _rowdot(A, B):
+    """Row-wise dot products, each rounded as the 1-D ``a @ b`` is."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
+class _StackedL1:
+    """k ``L1Norm`` blocks with per-row ``tau``, mirroring ``L1Norm``'s
+    arithmetic on a (k, n) array so that every row comes out bit for bit."""
+
+    def __init__(self, fns):
+        self.tau = np.array([[f.tau] for f in fns])
+        self.cap = self.tau[:, 0] * (1.0 + DOM_TOL) + 1e-15
+
+    def prox(self, gamma, X):
+        t = gamma * self.tau
+        return np.sign(X) * np.maximum(np.abs(X) - t, 0.0)
+
+    def values(self, X):
+        return self.tau[:, 0] * np.abs(X).sum(axis=1)
+
+    def conjs(self, U):
+        return np.where(np.abs(U).max(axis=1) <= self.cap, 0.0, INF)
+
+
+class _StackedTranslatedL1:
+    """k ``Translated(L1Norm)`` blocks with per-row ``shift``."""
+
+    def __init__(self, fns):
+        self.base = _StackedL1([f.base for f in fns])
+        self.shift = np.array([f.shift for f in fns])
+
+    def prox(self, gamma, X):
+        return self.shift + self.base.prox(gamma, X - self.shift)
+
+    def values(self, X):
+        return self.base.values(X - self.shift)
+
+    def conjs(self, U):
+        base = self.base.conjs(U)
+        return np.where(base == INF, INF, base + _rowdot(self.shift, U))
+
+
+class _Looped:
+    """Any other kind: the blocks' own methods, one row at a time."""
+
+    def __init__(self, fns):
+        self.fns = fns
+
+    def prox(self, gamma, X):
+        return np.stack([f.prox(gamma, x) for f, x in zip(self.fns, X)])
+
+    def values(self, X):
+        return np.array([f(x) for f, x in zip(self.fns, X)], dtype=float)
+
+    def conjs(self, U):
+        return np.array([f.conj(u) for f, u in zip(self.fns, U)], dtype=float)
+
+
+def _group(f):
+    # exact types only: a subclass may override the arithmetic
+    if type(f) is L1Norm:
+        return _StackedL1
+    if type(f) is Translated and type(f.base) is L1Norm:
+        return _StackedTranslatedL1
+    return _Looped
+
+
+class StackedBlocks:
+    """Blocks f_1..f_m on R^n evaluated together on an (m, n) array.
+
+    Row i of the array belongs to block i.  The ``L1Norm`` blocks form one
+    group and the ``Translated(L1Norm)`` blocks another, each evaluated by
+    a single numpy expression over its rows with the blocks' parameters
+    stacked into arrays; they stay separate because adding a zero shift
+    would turn -0.0 into 0.0.  Every other block keeps its own per-block
+    calls.  Every row of ``prox`` is bit for bit the block's ``prox`` of
+    that row, and ``value``/``conj`` add the block values with
+    ``sum_or_inf``.  The stacked groups copy the blocks' parameters at
+    construction; a block changed afterwards is not seen.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = tuple(blocks)
+        if not self.blocks:
+            raise ValueError("need at least one block")
+        self.n = self.blocks[0].dim
+        if any(f.dim != self.n for f in self.blocks):
+            raise ValueError("all blocks must share one dimension")
+        self.m = len(self.blocks)
+        rows = {}
+        for i, f in enumerate(self.blocks):
+            rows.setdefault(_group(f), []).append(i)
+        self._groups = [
+            (np.array(idx), group([self.blocks[i] for i in idx]))
+            for group, idx in rows.items()
+        ]
+
+    def _check(self, X):
+        X = np.asarray(X, dtype=float)
+        if X.shape != (self.m, self.n):
+            raise ValueError("expected an array of shape (%d, %d), got %s"
+                             % (self.m, self.n, X.shape))
+        if not np.isfinite(X).all():
+            raise ValueError("vector entries must be finite")
+        return X
+
+    def _rowwise(self, method, X, *args):
+        # per-row results of one group method, in block order
+        if len(self._groups) == 1:
+            return getattr(self._groups[0][1], method)(*args, X)
+        out = np.empty(X.shape if method == "prox" else self.m)
+        for idx, group in self._groups:
+            out[idx] = getattr(group, method)(*args, X[idx])
+        return out
+
+    def prox(self, gamma, X):
+        """The (m, n) array whose row i is ``blocks[i].prox(gamma, X[i])``."""
+        return self._rowwise("prox", self._check(X), gamma)
+
+    def value(self, X):
+        """sum_i f_i(X[i]); +inf as soon as one block is +inf."""
+        return sum_or_inf(self._rowwise("values", self._check(X)).tolist())
+
+    def conj(self, U):
+        """sum_i f_i*(U[i]); +inf as soon as one block is +inf."""
+        return sum_or_inf(self._rowwise("conjs", self._check(U)).tolist())
 
 
 class IndicatorConsensus(ConvexFn):

@@ -69,6 +69,56 @@ def catalog(n, rng):
     return fns
 
 
+class CountingL1(L1Norm):
+    """A user subclass that counts its prox calls, so a test can see that the
+    stacked evaluator kept the block's own method."""
+
+    def __init__(self, dim, tau):
+        super().__init__(dim, tau)
+        self.prox_calls = 0
+
+    def prox(self, gamma, x):
+        self.prox_calls += 1
+        return super().prox(gamma, x)
+
+
+def mixed_blocks(n, rng, point=None):
+    """Equal-dimension blocks hitting both stacked groups and the looped kinds.
+
+    Two blocks each of ``L1Norm`` and ``Translated(L1Norm)`` (the stacked
+    groups) and of the other kinds with an elementwise prox, plain and
+    translated, with different parameters, and one block of each other kind,
+    in shuffled order.  With ``point`` every block's domain contains it, so
+    the consensus problem over the blocks is feasible.
+    """
+    p = rng.standard_normal(n) if point is None else point
+    fns = []
+    for _ in range(2):
+        s = rng.standard_normal(n)
+        width = rng.uniform(0.1, 1.0, n)
+        fns += [
+            Zero(n),
+            Translated(Zero(n), s),
+            L1Norm(n, rng.uniform(0.2, 2.0)),
+            Translated(L1Norm(n, rng.uniform(0.2, 2.0)), s),
+            IndicatorPoint(p),
+            Translated(IndicatorPoint(p - s), s),
+            IndicatorBox(p - width, p + width),
+            Translated(IndicatorBox(p - s - width, p - s + width), s),
+        ]
+    a = rng.standard_normal(n) + 0.1
+    fns += [
+        random_quadratic(n, rng),
+        L2Norm(n, rng.uniform(0.2, 2.0)),
+        IndicatorHyperplane(a, float(a @ p)),
+        Translated(Translated(L1Norm(n, 1.0), rng.standard_normal(n)),
+                   rng.standard_normal(n)),
+        CountingL1(n, 0.7),
+        Translated(CountingL1(n, 0.3), rng.standard_normal(n)),
+    ]
+    return [fns[i] for i in rng.permutation(len(fns))]
+
+
 def tall_full_rank(m, n, rng):
     """Random m x n (m >= n) matrix with a comfortably positive smallest SV."""
     a = rng.standard_normal((m, n))

@@ -270,8 +270,36 @@ OVERFLOW_CONFIG = LASSO_CONFIG.replace("q -1 0.5", "q 1e308 -1e308")
      "solver 'consensus_sum1' takes consensus blocks, not f/g/L"),
     (CONSENSUS_CONFIG, ["--solver", "iadmm"],
      "solver 'iadmm' takes f/g/L blocks, not consensus blocks"),
+    (LASSO_CONFIG.replace("kind l1\ndim 2", "kind l1\ndim"), [],
+     "line 18: field 'dim' needs a value"),
+    (LASSO_CONFIG.replace("kind identity", "kind"), [],
+     "line 23: kind takes one value"),
+    (LASSO_CONFIG.replace("gamma 1.0", "gamma nan"), [], "line 3: gamma must be finite"),
+    (LASSO_CONFIG.replace("gamma 1.0", "gamma inf"), [], "line 3: gamma must be finite"),
+    (LASSO_CONFIG.replace("seed 0", "sigma nan"), [], "line 7: sigma must be finite"),
+    (LASSO_CONFIG.replace("seed 0", "delta nan"), [], "line 7: delta must be finite"),
+    (LASSO_CONFIG.replace("tau 0.3", "tau nan"), [], "line 19: tau must be finite"),
+    (LASSO_CONFIG.replace("kind l1", "kind l2norm").replace("tau 0.3", "tau nan"), [],
+     "line 19: tau must be finite"),
+    (LASSO_CONFIG.replace("tau 0.3", "tau 0.3\nshift"), [],
+     "line 20: field 'shift' needs a value"),
+    (LASSO_CONFIG.replace("kind identity\ndim 2", "kind identity\ndim 1.5"), [],
+     "line 24: malformed numeral in 'dim'"),
+    (CONSENSUS_CONFIG.replace("Q 2 0 0 2\nq 0 -2", "Q 2 0 0 0 2 0 0 0 2\nq 0 -2 0"), [],
+     "all blocks must share one dimension"),
+    (LASSO_CONFIG.replace("alpha 0.2", "alpha 0.9\nsigma 1e308"), [],
+     "line 5: sigma too large: the delta lower bound overflows"),
+    (LASSO_CONFIG.replace("alpha 0.2", "alpha 0.5\nsigma 1e308"), [],
+     "line 5: alpha, sigma and delta leave no admissible lambda"),
+    (LASSO_CONFIG.replace("alpha 0.2", "alpha 0\ndelta 1e308\nlambda 5"), [],
+     "line 5: alpha, sigma and delta leave no admissible lambda"),
 ], ids=["config_max_iters_0", "flag_max_iters_0", "config_tol_nan",
-        "consensus_solver_on_fgl_file", "composite_solver_on_block_file"])
+        "consensus_solver_on_fgl_file", "composite_solver_on_block_file",
+        "l1_dim_without_value", "operator_kind_without_value", "gamma_nan",
+        "gamma_inf", "sigma_nan", "delta_nan", "l1_tau_nan", "l2norm_tau_nan",
+        "shift_without_value", "operator_dim_not_integer",
+        "blocks_of_mixed_dimension", "delta_bound_overflows",
+        "lambda_max_underflows", "lambda_max_overflows"])
 def test_rejected_inputs_exit_with_diagnostic(tmp_path, capsys, text, argv, message):
     code, _ = run([write(tmp_path, text)] + argv)
     assert code == EXIT_INPUT
@@ -301,3 +329,4 @@ def test_sweep_passes_lambda_without_mutating_config(monkeypatch):
                        None, io.StringIO())
     assert seen == [0.7]
     assert cfg.lambda_value == parse_config(LASSO_CONFIG).lambda_value
+

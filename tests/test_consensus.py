@@ -17,7 +17,10 @@ from inadmm import (
     run_sum2,
 )
 
-from conftest import run_sum1_simplified
+from inadmm.consensus import ConsensusState, sum1_step, sum2_step
+from inadmm.functions import sum_or_inf
+
+from conftest import mixed_blocks, run_sum1_simplified
 
 
 def quadratic_blocks(m, n, rng):
@@ -187,3 +190,107 @@ def test_optimality_residual(rng):
     assert consensus_optimality_residual(x, v, cp) <= 1e-8
     # a clearly non-stationary point scores badly
     assert consensus_optimality_residual(x + 5.0, v, cp) > 1e-2
+
+
+# -- stacked blocks against per-block loops ----------------------------------
+
+def _random_state(rng, m, n):
+    arrays = [rng.standard_normal((m, n)) for _ in range(6)]
+    return ConsensusState(1, *arrays)
+
+
+def _same_bytes(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def loop_sum1_step(state, blocks, params, k):
+    """sum1_step with one prox call per block."""
+    gamma, a_k, a_next, l_k = (params.gamma, params.alpha_at(k),
+                               params.alpha_at(k + 1), params.lambda_at(k))
+    m = len(blocks)
+    drift = state.y - state.y_prev + gamma * (state.z - state.z_prev)
+    c = state.y - a_k * (state.y - state.y_prev) - gamma * a_k * (state.z - state.z_prev)
+    x = np.stack([f.prox(1.0 / gamma, state.z[i] - c[i] / gamma)
+                  for i, f in enumerate(blocks)])
+    zbar = (a_next * l_k * (x - state.z)
+            + ((1.0 - l_k) * a_k * a_next / gamma) * drift)
+    u = ((l_k * (1.0 + a_next) / m) * x.sum(axis=0)
+         + ((1.0 - a_next * l_k - l_k) / m) * state.z.sum(axis=0)
+         + (a_k * (1.0 - l_k) * (1.0 + a_next) / m)
+         * (state.z - state.z_prev).sum(axis=0))
+    z = u[None, :] - zbar
+    y = (state.y + gamma * (l_k * x + (1.0 - l_k) * state.z - z)
+         + (1.0 - l_k) * a_k * drift)
+    return {"x": x, "zbar": zbar, "shared": u, "z": z, "y": y}
+
+
+def loop_sum2_step(state, blocks, params, k):
+    """sum2_step with one prox call per block."""
+    gamma, a_k, a_next, l_k = (params.gamma, params.alpha_at(k),
+                               params.alpha_at(k + 1), params.lambda_at(k))
+    m = len(blocks)
+    drift = state.y - state.y_prev + gamma * (state.z - state.z_prev)
+    x = (state.z.sum(axis=0) / m - state.y.sum(axis=0) / (m * gamma)
+         + (a_k / (m * gamma)) * drift.sum(axis=0))
+    zbar = (a_next * l_k * (x[None, :] - state.z)
+            + ((1.0 - l_k) * a_k * a_next / gamma) * drift)
+    arg = (zbar + l_k * x[None, :] + (1.0 - l_k) * state.z
+           + state.y / gamma + ((1.0 - l_k) * a_k / gamma) * drift)
+    z = np.stack([-zbar[i] + f.prox(1.0 / gamma, arg[i])
+                  for i, f in enumerate(blocks)])
+    y = (state.y + gamma * (l_k * x[None, :] + (1.0 - l_k) * state.z - z)
+         + (1.0 - l_k) * a_k * drift)
+    return {"x": np.tile(x, (m, 1)), "zbar": zbar, "shared": x, "z": z, "y": y}
+
+
+@pytest.mark.parametrize("step, loop", [(sum1_step, loop_sum1_step),
+                                        (sum2_step, loop_sum2_step)],
+                         ids=["sum1", "sum2"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_step_matches_per_block_loop_bit_for_bit(rng, step, loop, n):
+    cp = ConsensusProblem(mixed_blocks(n, rng))
+    state = _random_state(rng, cp.m, n)
+    params = default_params(0.2, gamma=1.3)
+    new = step(state, cp, params, 3)
+    want = loop(state, cp.blocks, params, 3)
+    for name, value in want.items():
+        assert _same_bytes(getattr(new, name), value), name
+
+
+def test_boyd_iteration_matches_per_block_loop_bit_for_bit(rng):
+    cp = ConsensusProblem(mixed_blocks(3, rng))
+    gamma = 0.9
+    y = rng.standard_normal((cp.m, 3))
+    y -= y.mean(axis=0)
+    xbar = rng.standard_normal(3)
+    row = boyd_consensus(cp, gamma, init=(y, xbar), max_iters=1).rows[0]
+    x = np.stack([f.prox(1.0 / gamma, xbar - y[i] / gamma)
+                  for i, f in enumerate(cp.blocks)])
+    xbar_next = x.mean(axis=0)
+    assert _same_bytes(row.vectors["x"], x)
+    assert _same_bytes(row.vectors["xbar"], xbar_next)
+    assert _same_bytes(row.vectors["y"], y + gamma * (x - xbar_next[None, :]))
+    assert row.primal == sum_or_inf(f(xi) for f, xi in zip(cp.blocks, x))
+
+
+def test_blockwise_trace_values_match_per_block_sums(rng):
+    p = rng.standard_normal(3)
+    cp = ConsensusProblem(mixed_blocks(3, rng, point=p))
+    for run in (run_sum1, run_sum2):
+        trace = run(cp, default_params(0.2, gamma=1.3), max_iters=30, tol=0.0)
+        for row in trace.rows:
+            x, v = row.vectors["x"], row.vectors["v"]
+            primal = sum_or_inf(f(xi) for f, xi in zip(cp.blocks, x))
+            dual = -sum_or_inf(f.conj(-vi) for f, vi in zip(cp.blocks, v))
+            assert row.primal == pytest.approx(primal, rel=1e-12, abs=0.0)
+            assert row.dual == pytest.approx(dual, rel=1e-12, abs=0.0)
+
+
+def test_consensus_problem_blocks_are_fixed(rng):
+    blocks = [L1Norm(2, 1.0), L1Norm(2, 2.0)]
+    cp = ConsensusProblem(blocks)
+    blocks.append(L1Norm(2, 3.0))
+    assert isinstance(cp.blocks, tuple) and cp.m == 2
+    assert cp.stacked.m == 2
+    with pytest.raises(AttributeError):
+        cp.blocks = tuple(blocks)

@@ -9,13 +9,15 @@ from inadmm import (
     IndicatorHyperplane,
     IndicatorPoint,
     L1Norm,
+    L2Norm,
     Quadratic,
     SeparableSum,
     Translated,
     Zero,
 )
+from inadmm.functions import StackedBlocks, sum_or_inf
 
-from conftest import catalog
+from conftest import CountingL1, catalog, mixed_blocks, random_quadratic
 
 INF = math.inf
 
@@ -243,3 +245,105 @@ def test_constructor_validation():
         L1Norm(2, -1.0)
     with pytest.raises(ValueError):
         IndicatorBox([1.0], [0.0])
+
+
+# -- row-stacked evaluation --------------------------------------------------
+
+def _blockwise_prox(blocks, gamma, X):
+    return np.stack([f.prox(gamma, x) for f, x in zip(blocks, X)])
+
+
+def _stacked_input(rng, m, n):
+    X = 3.0 * rng.standard_normal((m, n))
+    X[rng.random((m, n)) < 0.1] = 0.0
+    X[rng.random((m, n)) < 0.1] = -0.0
+    return X
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 7.0])
+def test_stacked_prox_matches_blockwise_bit_for_bit(rng, n, gamma):
+    blocks = mixed_blocks(n, rng)
+    sb = StackedBlocks(blocks)
+    X = _stacked_input(rng, len(blocks), n)
+    assert sb.prox(gamma, X).tobytes() == _blockwise_prox(blocks, gamma, X).tobytes()
+    counting = [f for f in blocks if isinstance(f, CountingL1)]
+    assert counting and all(f.prox_calls == 2 for f in counting)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n, rng: L1Norm(n, 1.0),
+    lambda n, rng: Translated(L1Norm(n, 0.5), rng.standard_normal(n)),
+    lambda n, rng: Zero(n),
+    lambda n, rng: random_quadratic(n, rng),
+], ids=["l1", "translated_l1", "zero", "quadratic"])
+def test_stacked_prox_single_group(rng, make):
+    blocks = [make(3, rng) for _ in range(5)]
+    X = _stacked_input(rng, 5, 3)
+    got = StackedBlocks(blocks).prox(0.7, X)
+    assert got.tobytes() == _blockwise_prox(blocks, 0.7, X).tobytes()
+
+
+def _domain_points(blocks, rng, gamma=0.8):
+    """Rows in dom f_i and in dom f_i*: a prox point and its Moreau partner."""
+    Y = _stacked_input(rng, len(blocks), blocks[0].dim)
+    P = _blockwise_prox(blocks, gamma, Y)
+    return P, (Y - P) / gamma
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_stacked_value_and_conj_sum_blocks_in_order(rng, n):
+    blocks = mixed_blocks(n, rng)
+    sb = StackedBlocks(blocks)
+    X, U = _domain_points(blocks, rng)
+    value = sum_or_inf(f(x) for f, x in zip(blocks, X))
+    conj = sum_or_inf(f.conj(u) for f, u in zip(blocks, U))
+    assert math.isfinite(value) and math.isfinite(conj)
+    assert sb.value(X) == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert sb.conj(U) == pytest.approx(conj, rel=1e-12, abs=0.0)
+
+
+def test_stacked_value_and_conj_infinite_exactly(rng):
+    blocks = mixed_blocks(3, rng)
+    sb = StackedBlocks(blocks)
+    X, U = _domain_points(blocks, rng)
+    for i, f in enumerate(blocks):
+        Xi, Ui = X.copy(), U.copy()
+        Xi[i] += 100.0
+        Ui[i] += 100.0
+        value = sum_or_inf(g(x) for g, x in zip(blocks, Xi))
+        conj = sum_or_inf(g.conj(u) for g, u in zip(blocks, Ui))
+        if math.isinf(value):
+            assert sb.value(Xi) == INF
+        else:
+            assert sb.value(Xi) == pytest.approx(value, rel=1e-12, abs=0.0)
+        if math.isinf(conj):
+            assert sb.conj(Ui) == INF
+        else:
+            assert sb.conj(Ui) == pytest.approx(conj, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stacked_rejects_nonfinite_rows(rng, bad):
+    blocks = mixed_blocks(2, rng)
+    sb = StackedBlocks(blocks)
+    X = _stacked_input(rng, len(blocks), 2)
+    X[3, 1] = bad
+    for call in (lambda: sb.prox(1.0, X), lambda: sb.value(X), lambda: sb.conj(X)):
+        with pytest.raises(ValueError, match="vector entries must be finite"):
+            call()
+
+
+def test_stacked_rejects_wrong_shape_and_dimensions(rng):
+    sb = StackedBlocks([L1Norm(2, 1.0), Zero(2)])
+    with pytest.raises(ValueError, match="shape"):
+        sb.prox(1.0, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="one dimension"):
+        StackedBlocks([L1Norm(2, 1.0), Zero(3)])
+
+
+@pytest.mark.parametrize("cls", [L1Norm, L2Norm])
+@pytest.mark.parametrize("tau", [np.nan, np.inf])
+def test_norms_reject_nonfinite_tau(cls, tau):
+    with pytest.raises(ValueError, match="tau"):
+        cls(2, tau)
