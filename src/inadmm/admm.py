@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import dual_value
+from .duality import _dual_value
 from .functions import Quadratic
-from .linalg import LinearMap, check_vector
+from .linalg import LinearMap, check_gamma, check_vector
 from .params import require_valid
 from .trace import TraceRow, drive
 
@@ -27,10 +27,6 @@ __all__ = [
     "XUpdateStrategy",
     "SubproblemError",
     "x_update",
-    "zbar_update",
-    "z_update",
-    "y_update",
-    "v_of",
     "step",
     "run_iadmm",
     "classical_admm",
@@ -139,20 +135,20 @@ def x_update(state, p, gamma, alpha_k, strat):
     c = (state.y - alpha_k * (state.y - state.y_prev)
          - gamma * alpha_k * (state.z - state.z_prev))
     if strat.kind == "prox_identity":
-        return p.f.prox(1.0 / gamma, state.z - c / gamma)
+        return p.f._prox(1.0 / gamma, state.z - c / gamma)
     if strat.kind == "quadratic_solve":
         import scipy.linalg
 
         fct, LmT = strat._prepared(p, gamma)
         rhs = gamma * (LmT @ state.z) - LmT @ c - p.f.q
-        return scipy.linalg.cho_solve(fct, rhs)
+        return scipy.linalg.cho_solve(fct, rhs, check_finite=False)
     # proximal gradient on the smooth part s(x) = <c,Lx> + gamma/2 ||Lx-z||^2
     t = 1.0 / strat._prepared(p, gamma)
     x = state.x.copy()
-    Ltc = p.L.adjoint_apply(c)
+    Ltc = p.L._adjoint_apply(c)
     for it in range(strat.budget):
-        grad = Ltc + gamma * p.L.adjoint_apply(p.L.apply(x) - state.z)
-        x_new = p.f.prox(t, x - t * grad)
+        grad = Ltc + gamma * p.L._adjoint_apply(p.L._apply(x) - state.z)
+        x_new = p.f._prox(t, x - t * grad)
         resid = float(np.linalg.norm(x_new - x)) / t
         x = x_new
         if resid <= strat.eps_inner:
@@ -165,72 +161,42 @@ def x_update(state, p, gamma, alpha_k, strat):
     )
 
 
-def zbar_update(state, gamma, alpha_k, alpha_next, lambda_k, x_next, L):
-    """alpha_{k+1} lambda_k (Lx^{k+1} - z^k) + inertial history correction."""
-    drift = state.y - state.y_prev + gamma * (state.z - state.z_prev)
-    return (alpha_next * lambda_k * (L.apply(x_next) - state.z)
-            + ((1.0 - lambda_k) * alpha_k * alpha_next / gamma) * drift)
-
-
-def z_update(state, p, gamma, alpha_k, lambda_k, x_next, zbar_next):
-    """-zbar^{k+1} + prox of g at the relaxed/extrapolated point."""
-    drift = state.y - state.y_prev + gamma * (state.z - state.z_prev)
-    arg = (zbar_next + lambda_k * p.L.apply(x_next)
-           + (1.0 - lambda_k) * state.z + state.y / gamma
-           + ((1.0 - lambda_k) * alpha_k / gamma) * drift)
-    return -zbar_next + p.g.prox(1.0 / gamma, arg)
-
-
-def y_update(state, gamma, alpha_k, lambda_k, x_next, z_next, L):
-    """Multiplier update with relaxation and inertial correction."""
-    drift = state.y - state.y_prev + gamma * (state.z - state.z_prev)
-    return (state.y
-            + gamma * (lambda_k * L.apply(x_next)
-                       + (1.0 - lambda_k) * state.z - z_next)
-            + (1.0 - lambda_k) * alpha_k * drift)
-
-
-def v_of(state, gamma, alpha_k, x_next, L):
-    """Auxiliary dual sequence certifying -L*v^k in df(x^{k+1})."""
-    drift = state.y - state.y_prev + gamma * (state.z - state.z_prev)
-    return (state.y - gamma * state.z + gamma * L.apply(x_next)
-            - alpha_k * drift)
-
-
 def step(state, p, params, k, strat):
     """One full inertial ADMM iteration; returns (new_state, extras).
 
-    extras carries x^{k+1}, v^k, w^k, w^{k+1} and the feasibility
-    residual ||Lx^{k+1} - z^k|| for tracing.
+    Lx^{k+1}, r = Lx^{k+1} - z^k and drift = dy + gamma dz are computed once.
+    extras carries x^{k+1}, v^k, w^k, w^{k+1} and ||r|| for tracing.
     """
     gamma = params.gamma
     a_k = params.alpha_at(k)
     a_next = params.alpha_at(k + 1)
     l_k = params.lambda_at(k)
+    y, z = state.y, state.z
 
     x_next = x_update(state, p, gamma, a_k, strat)
-    zbar_next = zbar_update(state, gamma, a_k, a_next, l_k, x_next, p.L)
-    z_next = z_update(state, p, gamma, a_k, l_k, x_next, zbar_next)
-    y_next = y_update(state, gamma, a_k, l_k, x_next, z_next, p.L)
-    v_k = v_of(state, gamma, a_k, x_next, p.L)
+    Lx = p.L._apply(x_next)
+    r = Lx - z
+    drift = y - state.y_prev + gamma * (z - state.z_prev)
+    # zbar^{k+1} = alpha_{k+1} lambda_k (Lx^{k+1} - z^k)
+    #              + ((1 - lambda_k) alpha_k alpha_{k+1} / gamma) drift
+    zbar_next = a_next * l_k * r + ((1.0 - l_k) * a_k * a_next / gamma) * drift
+    # z^{k+1} = -zbar^{k+1} + prox_{g/gamma}(zbar^{k+1} + lambda_k Lx^{k+1}
+    #   + (1 - lambda_k) z^k + y^k / gamma + ((1 - lambda_k) alpha_k / gamma) drift)
+    arg = (zbar_next + l_k * Lx + (1.0 - l_k) * z + y / gamma
+           + ((1.0 - l_k) * a_k / gamma) * drift)
+    z_next = -zbar_next + p.g._prox(1.0 / gamma, arg)
+    # y^{k+1} = y^k + gamma (lambda_k Lx^{k+1} + (1 - lambda_k) z^k - z^{k+1})
+    #           + (1 - lambda_k) alpha_k drift
+    y_next = (y + gamma * (l_k * Lx + (1.0 - l_k) * z - z_next)
+              + (1.0 - l_k) * a_k * drift)
+    # v^k = y^k - gamma z^k + gamma Lx^{k+1} - alpha_k drift, certifying
+    # -L*v^k in df(x^{k+1})
+    v_k = y - gamma * z + gamma * Lx - a_k * drift
 
-    w_k = state.w(gamma)
-    new_state = IadmmState(
-        k=k + 1,
-        x=x_next,
-        z=z_next,
-        z_prev=state.z,
-        zbar=zbar_next,
-        y=y_next,
-        y_prev=state.y,
-    )
-    extras = {
-        "x_next": x_next,
-        "v": v_k,
-        "w": w_k,
-        "w_next": new_state.w(gamma),
-        "feas": float(np.linalg.norm(p.L.apply(x_next) - state.z)),
-    }
+    new_state = IadmmState(k=k + 1, x=x_next, z=z_next, z_prev=z,
+                           zbar=zbar_next, y=y_next, y_prev=y)
+    extras = {"x_next": x_next, "v": v_k, "w": state.w(gamma),
+              "w_next": new_state.w(gamma), "feas": float(np.linalg.norm(r))}
     return new_state, extras
 
 
@@ -266,8 +232,8 @@ def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10,
         zbar_norm = float(np.linalg.norm(new.zbar))
         row = TraceRow(
             k,
-            primal=p.f(extras["x_next"]) + p.g(state.z + state.zbar),
-            dual=dual_value(p, extras["v"], state.y),
+            primal=p.f._value(extras["x_next"]) + p.g._value(state.z + state.zbar),
+            dual=_dual_value(p, extras["v"], state.y),
             feas_residual=extras["feas"],
             zbar_norm=zbar_norm,
             dw_norm=dw,
@@ -307,8 +273,7 @@ def classical_admm(p, gamma, init=None, lam=1.0, strat=None,
     Serves as the reduction oracle: the inertial scheme with alpha_k = 0
     and lambda_k = lam must reproduce it iterate for iterate.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    check_gamma(gamma)
     if strat is None:
         strat = XUpdateStrategy.automatic(p)
     strat.check(p)
@@ -324,8 +289,8 @@ def classical_admm(p, gamma, init=None, lam=1.0, strat=None,
     def iterate(state, k):
         y_k, z_k = state.y, state.z
         x_next = x_update(state, p, gamma, 0.0, strat)
-        Lx = p.L.apply(x_next)
-        z_next = p.g.prox(1.0 / gamma,
+        Lx = p.L._apply(x_next)
+        z_next = p.g._prox(1.0 / gamma,
                           lam * Lx + (1.0 - lam) * z_k + y_k / gamma)
         y_next = y_k + gamma * (lam * Lx + (1.0 - lam) * z_k - z_next)
         feas = float(np.linalg.norm(Lx - z_k))
@@ -334,8 +299,8 @@ def classical_admm(p, gamma, init=None, lam=1.0, strat=None,
         dw = float(np.linalg.norm((y_next + gamma * z_next) - (y_k + gamma * z_k)))
         row = TraceRow(
             k,
-            primal=p.f(x_next) + p.g(z_k),
-            dual=dual_value(p, y_k + gamma * (Lx - z_k), y_k),
+            primal=p.f._value(x_next) + p.g._value(z_k),
+            dual=_dual_value(p, y_k + gamma * (Lx - z_k), y_k),
             feas_residual=feas,
             zbar_norm=0.0,
             dw_norm=dw,

@@ -14,7 +14,7 @@ import numpy as np
 from .admm import IadmmState, ProblemSpec
 from .duality import subgradient_violation
 from .functions import IndicatorConsensus, SeparableSum, StackedBlocks
-from .linalg import LinearMap
+from .linalg import LinearMap, check_gamma
 from .params import require_valid
 from .trace import TraceRow, drive
 
@@ -220,8 +220,7 @@ def boyd_consensus(cp, gamma, init=None, max_iters=100000, tol=1e-10):
     The reduction oracle for the dual-sum-zero scheme with inertia off and
     relaxation 1.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    check_gamma(gamma)
     m, n = cp.m, cp.n
     if init is None:
         y = np.zeros((m, n))

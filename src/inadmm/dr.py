@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import Quadratic
-from .linalg import check_vector
+from .linalg import check_gamma, check_vector
 from .params import require_valid
 from .trace import TraceRow, drive
 
@@ -35,27 +35,33 @@ class ResolventOp:
         self.kind = kind
         self._resolvent = resolvent
         self.dim = dim
+        # what idr_step calls: set by the constructors below to their
+        # unchecked kernel; a hand-built operator keeps the checked resolvent
+        self._kernel = None
+
+    @classmethod
+    def _catalog(cls, kind, kernel, dim):
+        op = cls(kind, kernel, dim)
+        op._kernel = kernel
+        return op
 
     @classmethod
     def subdifferential(cls, f):
-        return cls("subdifferential", lambda gamma, u: f.prox(gamma, u), f.dim)
+        return cls._catalog("subdifferential", f._prox, f.dim)
 
     @classmethod
     def conjugate_subdifferential(cls, g):
-        return cls(
-            "conjugate_subdifferential",
-            lambda gamma, u: g.conj_prox(gamma, u),
-            g.dim,
-        )
+        return cls._catalog("conjugate_subdifferential", g._conj_prox, g.dim)
 
     @classmethod
     def zero(cls, dim):
-        return cls("zero", lambda gamma, u: check_vector(u, dim).copy(), dim)
+        return cls._catalog("zero", lambda gamma, u: u.copy(), dim)
 
     @classmethod
     def point_normal_cone(cls, a):
         a = check_vector(a, None, name="a")
-        return cls("point_normal_cone", lambda gamma, u: a.copy(), a.shape[0])
+        return cls._catalog("point_normal_cone", lambda gamma, u: a.copy(),
+                            a.shape[0])
 
     @classmethod
     def composed_conjugate(cls, f, L):
@@ -69,12 +75,11 @@ class ResolventOp:
             c = 1.0 if L.kind == "identity" else L.scale
 
             def resolvent(gamma, u):
-                u = check_vector(u, dim)
                 # argmin f(x) + c<u,x> + (gamma c^2/2)||x||^2
-                xhat = f.prox(1.0 / (gamma * c * c), -u / (gamma * c))
+                xhat = f._prox(1.0 / (gamma * c * c), -u / (gamma * c))
                 return u + gamma * c * xhat
 
-            return cls("composed_conjugate", resolvent, dim)
+            return cls._catalog("composed_conjugate", resolvent, dim)
         if isinstance(f, Quadratic):
             import scipy.linalg
 
@@ -82,24 +87,23 @@ class ResolventOp:
             cache = {}
 
             def resolvent(gamma, u):
-                u = check_vector(u, dim)
                 try:
                     fct = cache[gamma]
                 except KeyError:
                     fct = scipy.linalg.cho_factor(f.Q + gamma * (Lm.T @ Lm))
                     cache[gamma] = fct
-                xhat = scipy.linalg.cho_solve(fct, -f.q - Lm.T @ u)
+                xhat = scipy.linalg.cho_solve(fct, -f.q - Lm.T @ u,
+                                              check_finite=False)
                 return u + gamma * (Lm @ xhat)
 
-            return cls("composed_conjugate", resolvent, dim)
+            return cls._catalog("composed_conjugate", resolvent, dim)
         raise ValueError(
             "composed_conjugate needs quadratic f or (scaled-)identity L "
             "for an exact inner solve"
         )
 
     def resolvent(self, gamma, u):
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        check_gamma(gamma)
         return self._resolvent(gamma, check_vector(u, self.dim))
 
 
@@ -119,8 +123,8 @@ def idr_step(state, A, B, gamma, alpha_k, lambda_k):
     v = J_{gamma A}(2y - u); w_next = u + lambda_k (v - y).
     """
     u = state.w + alpha_k * (state.w - state.w_prev)
-    y = B.resolvent(gamma, u)
-    v = A.resolvent(gamma, 2.0 * y - u)
+    y = (B._kernel or B.resolvent)(gamma, u)
+    v = (A._kernel or A.resolvent)(gamma, 2.0 * y - u)
     w_next = u + lambda_k * (v - y)
     return IdrState(k=state.k + 1, w_prev=state.w, w=w_next, y=y, v=v)
 
@@ -133,6 +137,7 @@ def run_idr(A, B, gamma, params, w0, w1, max_iters=100000, tol=1e-10,
     `max_iters` iterations.  The trace stores w, y, v per iteration and
     the running sum of ||w_next - w||^2.
     """
+    check_gamma(gamma)
     require_valid(params, horizon_check)
     w0 = check_vector(w0, A.dim, name="w0")
     w1 = check_vector(w1, A.dim, name="w1")

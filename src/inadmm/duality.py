@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import check_vector
+
 __all__ = [
     "DualityReport",
     "primal_value",
@@ -32,10 +34,16 @@ def dual_value(p, v, y=None):
     The ADMM solvers pass their multiplier y^k as ``y`` next to the
     certificate v^k, which differs from it while the iteration runs.
     """
-    a = p.f.conj(-p.L.adjoint_apply(v))
+    v = check_vector(v, p.L.codomain_dim, name="v")
+    return _dual_value(p, v, v if y is None else check_vector(y, v.size, name="y"))
+
+
+def _dual_value(p, v, y):
+    # dual_value on vectors already checked, through the unchecked kernels
+    a = p.f._conj(-p.L._adjoint_apply(v))
     if np.isinf(a):
         return -np.inf
-    b = p.g.conj(v if y is None else y)
+    b = p.g._conj(y)
     if np.isinf(b):
         return -np.inf
     return -a - b

@@ -6,11 +6,12 @@ decomposition).  The catalog is closed: solvers only ever see these kinds,
 so all the identities used by the solvers hold in closed form.
 """
 
+import functools
 import math
 
 import numpy as np
 
-from .linalg import check_vector
+from .linalg import check_gamma, check_vector
 
 __all__ = [
     "ConvexFn",
@@ -44,8 +45,25 @@ def sum_or_inf(values):
     return total
 
 
+# Each public method: the unchecked kernel it runs, and how to build one
+# kind's checked method from that kind's kernel k.
+_KERNELS = {
+    "__call__": ("_value", lambda k: lambda self, x: k(self, self._check(x))),
+    "prox": ("_prox", lambda k: lambda self, gamma, x: k(self, gamma, self._check(x))),
+    "conj": ("_conj", lambda k: lambda self, u: k(self, self._check(u))),
+}
+
+
 class ConvexFn:
-    """Base class: a proper closed convex function on R^dim."""
+    """Base class: a proper closed convex function on R^dim.
+
+    A kind defines the unchecked kernels ``_value``, ``_prox`` and ``_conj``
+    and gets public ``__call__``, ``prox`` and ``conj`` that check their
+    vector, then run the kind's own kernel.  The solver loops, whose vectors
+    were checked where they entered, call the kernels.  A subclass that
+    overrides a public method but not its kernel has the kernel routed to
+    the override, so the solver loops still run it.
+    """
 
     kind = "abstract"
 
@@ -54,7 +72,18 @@ class ConvexFn:
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        for public, (kernel, checked) in _KERNELS.items():
+            if kernel in own and public not in own:
+                method = functools.wraps(getattr(ConvexFn, public))(checked(own[kernel]))
+                setattr(cls, public, method)
+            elif public in own and kernel not in own:
+                setattr(cls, kernel, own[public])
+
     def __call__(self, x):
+        """Value f(x), possibly +inf."""
         raise NotImplementedError
 
     def prox(self, gamma, x):
@@ -68,9 +97,11 @@ class ConvexFn:
     def conj_prox(self, gamma, x):
         """prox of gamma * f*, via Moreau: x - gamma * prox_{f/gamma}(x/gamma)."""
         x = check_vector(x, self.dim)
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        return x - gamma * self.prox(1.0 / gamma, x / gamma)
+        check_gamma(gamma)
+        return self._conj_prox(gamma, x)
+
+    def _conj_prox(self, gamma, x):
+        return x - gamma * self._prox(1.0 / gamma, x / gamma)
 
     def _check(self, x):
         return check_vector(x, self.dim)
@@ -81,15 +112,13 @@ class Zero(ConvexFn):
 
     kind = "zero"
 
-    def __call__(self, x):
-        self._check(x)
+    def _value(self, x):
         return 0.0
 
-    def prox(self, gamma, x):
-        return self._check(x).copy()
+    def _prox(self, gamma, x):
+        return x.copy()
 
-    def conj(self, u):
-        u = self._check(u)
+    def _conj(self, u):
         if np.linalg.norm(u) <= DOM_TOL:
             return 0.0
         return INF
@@ -120,25 +149,22 @@ class Quadratic(ConvexFn):
         self._rank_tol = 1e-12 * scale
         self._prox_cache = {}
 
-    def __call__(self, x):
-        x = self._check(x)
+    def _value(self, x):
         return 0.5 * x @ self.Q @ x + self.q @ x + self.r
 
-    def prox(self, gamma, x):
-        x = self._check(x)
+    def _prox(self, gamma, x):
         try:
             solve = self._prox_cache[gamma]
         except KeyError:
             import scipy.linalg
 
             fct = scipy.linalg.cho_factor(np.eye(self.dim) + gamma * self.Q)
-            solve = lambda rhs: scipy.linalg.cho_solve(fct, rhs)
+            solve = lambda rhs: scipy.linalg.cho_solve(fct, rhs, check_finite=False)
             self._prox_cache[gamma] = solve
         return solve(x - gamma * self.q)
 
-    def conj(self, u):
+    def _conj(self, u):
         # f*(u) = (u-q)' Q^+ (u-q) / 2 - r when u - q lies in range(Q).
-        u = self._check(u)
         w = self._evecs.T @ (u - self.q)
         small = self._evals <= self._rank_tol
         if np.any(np.abs(w[small]) > DOM_TOL * (1.0 + np.linalg.norm(u - self.q))):
@@ -146,10 +172,6 @@ class Quadratic(ConvexFn):
         good = ~small
         val = 0.5 * float(np.sum(w[good] ** 2 / self._evals[good]))
         return val - self.r
-
-    def gradient(self, x):
-        x = self._check(x)
-        return self.Q @ x + self.q
 
 
 class L1Norm(ConvexFn):
@@ -163,17 +185,14 @@ class L1Norm(ConvexFn):
             raise ValueError("tau must be positive and finite")
         self.tau = float(tau)
 
-    def __call__(self, x):
-        x = self._check(x)
+    def _value(self, x):
         return self.tau * float(np.abs(x).sum())
 
-    def prox(self, gamma, x):
-        x = self._check(x)
+    def _prox(self, gamma, x):
         t = gamma * self.tau
         return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
-    def conj(self, u):
-        u = self._check(u)
+    def _conj(self, u):
         if np.abs(u).max() <= self.tau * (1.0 + DOM_TOL) + 1e-15:
             return 0.0
         return INF
@@ -190,20 +209,17 @@ class L2Norm(ConvexFn):
             raise ValueError("tau must be positive and finite")
         self.tau = float(tau)
 
-    def __call__(self, x):
-        x = self._check(x)
+    def _value(self, x):
         return self.tau * float(np.linalg.norm(x))
 
-    def prox(self, gamma, x):
-        x = self._check(x)
+    def _prox(self, gamma, x):
         nrm = np.linalg.norm(x)
         t = gamma * self.tau
         if nrm <= t:
             return np.zeros_like(x)
         return (1.0 - t / nrm) * x
 
-    def conj(self, u):
-        u = self._check(u)
+    def _conj(self, u):
         if np.linalg.norm(u) <= self.tau * (1.0 + DOM_TOL) + 1e-15:
             return 0.0
         return INF
@@ -219,18 +235,15 @@ class IndicatorPoint(ConvexFn):
         super().__init__(a.shape[0])
         self.a = a
 
-    def __call__(self, x):
-        x = self._check(x)
+    def _value(self, x):
         if np.linalg.norm(x - self.a) <= DOM_TOL * (1.0 + np.linalg.norm(self.a)):
             return 0.0
         return INF
 
-    def prox(self, gamma, x):
-        self._check(x)
+    def _prox(self, gamma, x):
         return self.a.copy()
 
-    def conj(self, u):
-        u = self._check(u)
+    def _conj(self, u):
         return float(self.a @ u)
 
 
@@ -248,20 +261,17 @@ class IndicatorBox(ConvexFn):
         self.lo = lo
         self.hi = hi
 
-    def __call__(self, x):
-        x = self._check(x)
+    def _value(self, x):
         slack = DOM_TOL * (1.0 + np.abs(x).max())
         if np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack):
             return 0.0
         return INF
 
-    def prox(self, gamma, x):
-        x = self._check(x)
+    def _prox(self, gamma, x):
         return np.clip(x, self.lo, self.hi)
 
-    def conj(self, u):
+    def _conj(self, u):
         # support function of the box
-        u = self._check(u)
         return float(np.sum(np.where(u >= 0.0, self.hi * u, self.lo * u)))
 
 
@@ -279,20 +289,17 @@ class IndicatorHyperplane(ConvexFn):
         self.b = float(b)
         self._aa = float(a @ a)
 
-    def __call__(self, x):
-        x = self._check(x)
+    def _value(self, x):
         resid = abs(self.a @ x - self.b)
         if resid <= DOM_TOL * (1.0 + abs(self.b) + np.linalg.norm(x)):
             return 0.0
         return INF
 
-    def prox(self, gamma, x):
-        x = self._check(x)
+    def _prox(self, gamma, x):
         return x - ((self.a @ x - self.b) / self._aa) * self.a
 
-    def conj(self, u):
+    def _conj(self, u):
         # finite only on the span of a: u = t a gives t b
-        u = self._check(u)
         t = float(u @ self.a) / self._aa
         if np.linalg.norm(u - t * self.a) <= DOM_TOL * (1.0 + np.linalg.norm(u)):
             return t * self.b
@@ -310,17 +317,14 @@ class Translated(ConvexFn):
         self.base = base
         self.shift = shift
 
-    def __call__(self, x):
-        x = self._check(x)
-        return self.base(x - self.shift)
+    def _value(self, x):
+        return self.base._value(x - self.shift)
 
-    def prox(self, gamma, x):
-        x = self._check(x)
-        return self.shift + self.base.prox(gamma, x - self.shift)
+    def _prox(self, gamma, x):
+        return self.shift + self.base._prox(gamma, x - self.shift)
 
-    def conj(self, u):
-        u = self._check(u)
-        base_val = self.base.conj(u)
+    def _conj(self, u):
+        base_val = self.base._conj(u)
         if base_val == INF:
             return INF
         return base_val + float(self.shift @ u)
@@ -345,19 +349,16 @@ class SeparableSum(ConvexFn):
             for i in range(len(self.blocks))
         ]
 
-    def __call__(self, x):
-        x = self._check(x)
-        return sum_or_inf(f(xi) for f, xi in zip(self.blocks, self._split(x)))
+    def _value(self, x):
+        return sum_or_inf(f._value(xi) for f, xi in zip(self.blocks, self._split(x)))
 
-    def prox(self, gamma, x):
-        x = self._check(x)
+    def _prox(self, gamma, x):
         return np.concatenate(
-            [f.prox(gamma, xi) for f, xi in zip(self.blocks, self._split(x))]
+            [f._prox(gamma, xi) for f, xi in zip(self.blocks, self._split(x))]
         )
 
-    def conj(self, u):
-        u = self._check(u)
-        return sum_or_inf(f.conj(ui) for f, ui in zip(self.blocks, self._split(u)))
+    def _conj(self, u):
+        return sum_or_inf(f._conj(ui) for f, ui in zip(self.blocks, self._split(u)))
 
 
 def _rowdot(A, B):
@@ -403,19 +404,19 @@ class _StackedTranslatedL1:
 
 
 class _Looped:
-    """Any other kind: the blocks' own methods, one row at a time."""
+    """Any other kind: the blocks' own kernels, one row at a time."""
 
     def __init__(self, fns):
         self.fns = fns
 
     def prox(self, gamma, X):
-        return np.stack([f.prox(gamma, x) for f, x in zip(self.fns, X)])
+        return np.stack([f._prox(gamma, x) for f, x in zip(self.fns, X)])
 
     def values(self, X):
-        return np.array([f(x) for f, x in zip(self.fns, X)], dtype=float)
+        return np.array([f._value(x) for f, x in zip(self.fns, X)], dtype=float)
 
     def conjs(self, U):
-        return np.array([f.conj(u) for f, u in zip(self.fns, U)], dtype=float)
+        return np.array([f._conj(u) for f, u in zip(self.fns, U)], dtype=float)
 
 
 def _group(f):
@@ -508,21 +509,18 @@ class IndicatorConsensus(ConvexFn):
     def _blocks(self, x):
         return x.reshape(self.m, self.n)
 
-    def __call__(self, x):
-        x = self._check(x)
+    def _value(self, x):
         blocks = self._blocks(x)
         mean = blocks.mean(axis=0)
         if np.abs(blocks - mean).max() <= DOM_TOL * (1.0 + np.abs(x).max()):
             return 0.0
         return INF
 
-    def prox(self, gamma, x):
-        x = self._check(x)
+    def _prox(self, gamma, x):
         mean = self._blocks(x).mean(axis=0)
         return np.tile(mean, self.m)
 
-    def conj(self, u):
-        u = self._check(u)
+    def _conj(self, u):
         s = self._blocks(u).sum(axis=0)
         if np.linalg.norm(s) <= DOM_TOL * (1.0 + np.abs(u).max()):
             return 0.0

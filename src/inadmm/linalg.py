@@ -2,7 +2,7 @@
 
 import numpy as np
 
-__all__ = ["LinearMap", "check_vector"]
+__all__ = ["LinearMap", "check_vector", "check_gamma"]
 
 # Singular values below this are treated as zero when computing the
 # injectivity modulus (a strict inequality in the well-posedness hypothesis).
@@ -16,13 +16,19 @@ def check_vector(x, dim, name="x"):
         v = v.reshape(1)
     if v.ndim != 1:
         raise ValueError("expected a 1-D vector, got shape %s" % (v.shape,))
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(
             "%s has dimension %d, expected %d" % (name, v.shape[0], dim)
         )
     return v
+
+
+def check_gamma(gamma):
+    """Reject a step parameter gamma that is not positive and finite."""
+    if not 0.0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite, got %r" % (gamma,))
 
 
 class LinearMap:
@@ -88,16 +94,21 @@ class LinearMap:
 
     def apply(self, x):
         """Return L x."""
-        x = check_vector(x, self.domain_dim)
+        return self._apply(check_vector(x, self.domain_dim))
+
+    def adjoint_apply(self, y):
+        """Return L* y (transpose action for dense matrices)."""
+        return self._adjoint_apply(check_vector(y, self.codomain_dim, name="y"))
+
+    # unchecked kernels of apply/adjoint_apply for the solver loops
+    def _apply(self, x):
         if self.kind == "identity":
             return x.copy()
         if self.kind == "scaled_identity":
             return self.scale * x
         return self.matrix @ x
 
-    def adjoint_apply(self, y):
-        """Return L* y (transpose action for dense matrices)."""
-        y = check_vector(y, self.codomain_dim, name="y")
+    def _adjoint_apply(self, y):
         if self.kind == "identity":
             return y.copy()
         if self.kind == "scaled_identity":

@@ -9,6 +9,8 @@ confined to ``(0, lambda_max]`` with ``lambda_max < 2``.
 import math
 from dataclasses import dataclass, field
 
+from .linalg import check_gamma
+
 __all__ = [
     "InfeasibleParameters",
     "delta_lower_bound",
@@ -126,8 +128,7 @@ class InertialParams:
     init_mode: str = "lambda1_alpha1_zero"  # or "alpha2_zero" / "raw"
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        check_gamma(self.gamma)
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must lie in [0,1)")
         if self.init_mode not in ("alpha2_zero", "lambda1_alpha1_zero", "raw"):
@@ -221,6 +222,11 @@ def validate(p, horizon=1000):
     if not 0.0 < p.lambda_lo:
         report.add("lambda lower bound must be positive")
 
+    # closed-form schedules, and with them alpha_at and lambda_at, are constant
+    # from k = max(3, ramp_over) on; any other callable is walked in full
+    schedules = (p.alpha_schedule, p.lambda_schedule)
+    if type(p) is InertialParams and all(type(s) is Schedule for s in schedules):
+        horizon = min(horizon, max(3, *(s.ramp_over for s in schedules)) + 1)
     prev_alpha = None
     for k in range(1, horizon + 1):
         a_k = p.alpha_at(k)

@@ -16,6 +16,7 @@ from inadmm import (
     Zero,
 )
 from inadmm.functions import StackedBlocks, sum_or_inf
+from inadmm.linalg import check_vector
 
 from conftest import CountingL1, catalog, mixed_blocks, random_quadratic
 
@@ -180,7 +181,9 @@ def _brute_force_conj(f, u, lo=-6.0, hi=6.0, rounds=4, pts=241):
         else:
             g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
             grid = np.stack([g0.ravel(), g1.ravel()], axis=1)
-        vals = np.array([u @ x - f(x) for x in grid])
+        # one check per round, then the unchecked value kernel per point
+        check_vector(grid.ravel(), None, name="grid")
+        vals = np.array([u @ x - f._value(x) for x in grid])
         idx = int(np.argmax(vals))
         best = float(vals[idx])
         center = grid[idx]

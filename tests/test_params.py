@@ -202,3 +202,69 @@ def test_constructor_guards():
             alpha_schedule=constant_schedule(0.1),
             lambda_schedule=constant_schedule(1.0),
         )
+
+
+def _full_walk(p, horizon):
+    """The schedule conditions of ``validate``, walked over every k."""
+    violations = []
+    lam_max = max_relaxation(p.alpha, p.sigma, p.delta)
+    prev_alpha = None
+    for k in range(1, horizon + 1):
+        a_k, l_k = p.alpha_at(k), p.lambda_at(k)
+        if not 0.0 <= a_k <= p.alpha:
+            violations.append(("alpha_k must lie in [0, alpha]", k))
+            break
+        if prev_alpha is not None and a_k < prev_alpha:
+            violations.append(("alpha schedule must be nondecreasing", k))
+            break
+        prev_alpha = a_k
+        if k >= 2 and not (p.lambda_lo <= l_k <= lam_max):
+            violations.append(
+                ("lambda_k must lie in [%g, %g]" % (p.lambda_lo, lam_max), k))
+            break
+        if k == 1 and l_k != 0.0 and not (p.lambda_lo <= l_k <= lam_max):
+            violations.append(
+                ("lambda_1 must be 0 or lie in the admissible interval", k))
+    if p.alpha_at(2) != 0.0 and not (p.lambda_at(1) == 0.0 and p.alpha_at(1) == 0.0):
+        violations.append(
+            ("either alpha_2 = 0 or lambda_1 = alpha_1 = 0 is required", None))
+    return violations
+
+
+RAMP_OVERS = (1, 2, 3, 10, 999, 1000, 1001, 5000)
+
+
+def _params_grid():
+    alpha, sigma = 0.3, 0.01
+    delta = 1.5 * delta_lower_bound(alpha, sigma)
+    lam = 0.9 * max_relaxation(alpha, sigma, delta)
+    for r_a in RAMP_OVERS:
+        for r_l in (r_a, 1, 5000):
+            alphas = (constant_schedule(alpha),
+                      ramp_schedule(alpha, 0.0, r_a),
+                      ramp_schedule(0.0, alpha, r_a),  # decreasing
+                      ramp_schedule(0.5, 0.1, r_a))  # leaves [0, alpha]
+            lambdas = (constant_schedule(lam),
+                       constant_schedule(1.99),  # above lambda_max
+                       ramp_schedule(lam, 0.5, r_l),
+                       ramp_schedule(1.99, 0.5, r_l),  # leaves the interval late
+                       ramp_schedule(lam, -0.5, r_l))  # starts below lambda_lo
+            for a_s in alphas:
+                for l_s in lambdas:
+                    for mode in ("lambda1_alpha1_zero", "alpha2_zero", "raw"):
+                        yield InertialParams(1.0, alpha, sigma, delta, 1e-6,
+                                             a_s, l_s, mode)
+
+
+def test_validate_stops_early_with_the_full_walk_result():
+    for p in _params_grid():
+        for horizon in (1, 2, 3, 1000):
+            got = validate(p, horizon).violations
+            assert got == _full_walk(p, horizon), (p, horizon)
+
+
+def test_validate_walks_other_schedules_in_full():
+    p = default_params(0.2)
+    late = InertialParams(p.gamma, p.alpha, p.sigma, p.delta, p.lambda_lo,
+                          lambda k: 0.2 if k < 900 else 0.5, p.lambda_schedule)
+    assert validate(late).violations == [("alpha_k must lie in [0, alpha]", 900)]
