@@ -80,9 +80,12 @@ class XUpdateStrategy:
     """How the x-subproblem is minimized.
 
     - ``prox_identity``: L is the identity; one prox call, exact.
-    - ``quadratic_solve``: f is quadratic; one cached linear solve, exact.
+    - ``quadratic_solve``: f is quadratic; one linear solve with the factor
+      f keeps for (gamma, L), exact.
     - ``inner_iterative``: proximal gradient on the subproblem to a
       fixed-point residual ``eps_inner`` (fallback, inexact).
+
+    A strategy keeps no state, so one strategy serves any number of problems.
     """
 
     def __init__(self, kind, eps_inner=1e-12, budget=10000):
@@ -91,7 +94,6 @@ class XUpdateStrategy:
         self.kind = kind
         self.eps_inner = eps_inner
         self.budget = budget
-        self._entry = None  # (problem, gamma, prepared data) of the last solve
 
     @classmethod
     def automatic(cls, p):
@@ -107,25 +109,6 @@ class XUpdateStrategy:
         if self.kind == "quadratic_solve" and not isinstance(p.f, Quadratic):
             raise ValueError("quadratic_solve strategy requires quadratic f")
 
-    def _prepared(self, p, gamma):
-        """The Cholesky factor of Q + gamma L^T L with L^T, or gamma ||L||^2.
-
-        Kept for the last (problem, gamma) pair and matched to the problem by
-        identity, so a strategy reused across problems never serves another
-        problem's data.
-        """
-        entry = self._entry
-        if entry is None or entry[0] is not p or entry[1] != gamma:
-            if self.kind == "quadratic_solve":
-                import scipy.linalg
-
-                Lm = p.L.as_matrix()
-                data = (scipy.linalg.cho_factor(p.f.Q + gamma * (Lm.T @ Lm)), Lm.T)
-            else:
-                data = gamma * p.L.norm() ** 2
-            entry = self._entry = (p, gamma, data)
-        return entry[2]
-
 
 def x_update(state, p, gamma, alpha_k, strat):
     """Minimize f(x) + <c_k, Lx> + (gamma/2)||Lx - z^k||^2.
@@ -136,18 +119,16 @@ def x_update(state, p, gamma, alpha_k, strat):
          - gamma * alpha_k * (state.z - state.z_prev))
     if strat.kind == "prox_identity":
         return p.f._prox(1.0 / gamma, state.z - c / gamma)
+    L = p.L
     if strat.kind == "quadratic_solve":
-        import scipy.linalg
-
-        fct, LmT = strat._prepared(p, gamma)
-        rhs = gamma * (LmT @ state.z) - LmT @ c - p.f.q
-        return scipy.linalg.cho_solve(fct, rhs, check_finite=False)
+        rhs = gamma * L._adjoint_apply(state.z) - L._adjoint_apply(c) - p.f.q
+        return p.f._solver(gamma, L)(rhs)
     # proximal gradient on the smooth part s(x) = <c,Lx> + gamma/2 ||Lx-z||^2
-    t = 1.0 / strat._prepared(p, gamma)
+    t = 1.0 / (gamma * L.norm() ** 2)
     x = state.x.copy()
-    Ltc = p.L._adjoint_apply(c)
-    for it in range(strat.budget):
-        grad = Ltc + gamma * p.L._adjoint_apply(p.L._apply(x) - state.z)
+    Ltc = L._adjoint_apply(c)
+    for _ in range(strat.budget):
+        grad = Ltc + gamma * L._adjoint_apply(L._apply(x) - state.z)
         x_new = p.f._prox(t, x - t * grad)
         resid = float(np.linalg.norm(x_new - x)) / t
         x = x_new

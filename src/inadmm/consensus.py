@@ -108,7 +108,7 @@ def sum1_step(state, cp, params, k):
 
     drift = state.y - state.y_prev + gamma * (state.z - state.z_prev)
     c = state.y - a_k * (state.y - state.y_prev) - gamma * a_k * (state.z - state.z_prev)
-    x_next = cp.stacked.prox(1.0 / gamma, state.z - c / gamma)
+    x_next = cp.stacked._prox(1.0 / gamma, state.z - c / gamma)
     zbar_next = (a_next * l_k * (x_next - state.z)
                  + ((1.0 - l_k) * a_k * a_next / gamma) * drift)
     u_next = (
@@ -142,7 +142,7 @@ def sum2_step(state, cp, params, k):
                  + ((1.0 - l_k) * a_k * a_next / gamma) * drift)
     arg = (zbar_next + l_k * x_next[None, :] + (1.0 - l_k) * state.z
            + state.y / gamma + ((1.0 - l_k) * a_k / gamma) * drift)
-    z_next = -zbar_next + cp.stacked.prox(1.0 / gamma, arg)
+    z_next = -zbar_next + cp.stacked._prox(1.0 / gamma, arg)
     y_next = (state.y
               + gamma * (l_k * x_next[None, :] + (1.0 - l_k) * state.z - z_next)
               + (1.0 - l_k) * a_k * drift)
@@ -182,8 +182,8 @@ def _run_blockwise(cp, params, stepper, vfn, init, require_zero_sum,
         zbar_norm = float(np.linalg.norm(new.zbar))
         row = TraceRow(
             k,
-            primal=cp.stacked.value(new.x),
-            dual=-cp.stacked.conj(-v),
+            primal=cp.stacked._value(new.x),
+            dual=-cp.stacked._conj(-v),
             feas_residual=feas,
             zbar_norm=zbar_norm,
             dw_norm=dw,
@@ -233,14 +233,14 @@ def boyd_consensus(cp, gamma, init=None, max_iters=100000, tol=1e-10):
 
     def iterate(state, k):
         xbar, y = state
-        x = cp.stacked.prox(1.0 / gamma, xbar - y / gamma)
+        x = cp.stacked._prox(1.0 / gamma, xbar - y / gamma)
         xbar_next = x.mean(axis=0)
         y_next = y + gamma * (x - xbar_next[None, :])
         feas = float(np.abs(x - xbar[None, :]).max())
         dy = float(np.linalg.norm(y_next - y))
         row = TraceRow(
             k,
-            primal=cp.stacked.value(x),
+            primal=cp.stacked._value(x),
             feas_residual=feas,
             dw_norm=dy,
             vectors={"x": x, "xbar": xbar_next, "y": y_next},

@@ -81,20 +81,10 @@ class ResolventOp:
 
             return cls._catalog("composed_conjugate", resolvent, dim)
         if isinstance(f, Quadratic):
-            import scipy.linalg
-
-            Lm = L.as_matrix()
-            cache = {}
-
             def resolvent(gamma, u):
-                try:
-                    fct = cache[gamma]
-                except KeyError:
-                    fct = scipy.linalg.cho_factor(f.Q + gamma * (Lm.T @ Lm))
-                    cache[gamma] = fct
-                xhat = scipy.linalg.cho_solve(fct, -f.q - Lm.T @ u,
-                                              check_finite=False)
-                return u + gamma * (Lm @ xhat)
+                # xhat solves (Q + gamma L'L) x = -q - L'u with f's own factor
+                xhat = f._solver(gamma, L)(-f.q - L._adjoint_apply(u))
+                return u + gamma * L._apply(xhat)
 
             return cls._catalog("composed_conjugate", resolvent, dim)
         raise ValueError(

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .linalg import check_gamma, check_vector
+from .linalg import check_gamma, check_vector, cholesky
 
 __all__ = [
     "ConvexFn",
@@ -125,7 +125,11 @@ class Zero(ConvexFn):
 
 
 class Quadratic(ConvexFn):
-    """f(x) = x'Qx/2 + q'x + r with Q symmetric positive semidefinite."""
+    """f(x) = x'Qx/2 + q'x + r with Q symmetric positive semidefinite.
+
+    ``Q`` and ``q`` are read-only copies.  The factors of I + gamma Q (prox)
+    and Q + gamma L'L (x-update, resolvent) are kept, one per system, for
+    the last gamma and L."""
 
     kind = "quadratic"
 
@@ -136,32 +140,39 @@ class Quadratic(ConvexFn):
         if not np.allclose(Q, Q.T, atol=1e-12):
             raise ValueError("Q must be symmetric")
         super().__init__(Q.shape[0])
-        q = check_vector(q, self.dim, name="q")
+        q = check_vector(q, self.dim, name="q").copy()
         scale = 1.0 + float(np.abs(Q).max(initial=0.0))
         evals, evecs = np.linalg.eigh(Q)
         if evals.min(initial=0.0) < -1e-12 * scale:
             raise ValueError("Q must be positive semidefinite")
+        Q.setflags(write=False)
+        q.setflags(write=False)
         self.Q = Q
         self.q = q
         self.r = float(r)
         self._evals = np.maximum(evals, 0.0)
         self._evecs = evecs
         self._rank_tol = 1e-12 * scale
-        self._prox_cache = {}
+        self._factors = {}  # system -> (gamma, L, solve)
+
+    def _solver(self, gamma, L=None):
+        """b -> M^{-1} b for M = I + gamma Q, or M = Q + gamma L'L given L."""
+        system = "prox" if L is None else "normal"
+        entry = self._factors.get(system)
+        if entry is None or entry[0] != gamma or entry[1] is not L:
+            if L is None:
+                M = np.eye(self.dim) + gamma * self.Q
+            else:
+                Lm = L.as_matrix()
+                M = self.Q + gamma * (Lm.T @ Lm)
+            entry = self._factors[system] = (gamma, L, cholesky(M))
+        return entry[2]
 
     def _value(self, x):
         return 0.5 * x @ self.Q @ x + self.q @ x + self.r
 
     def _prox(self, gamma, x):
-        try:
-            solve = self._prox_cache[gamma]
-        except KeyError:
-            import scipy.linalg
-
-            fct = scipy.linalg.cho_factor(np.eye(self.dim) + gamma * self.Q)
-            solve = lambda rhs: scipy.linalg.cho_solve(fct, rhs, check_finite=False)
-            self._prox_cache[gamma] = solve
-        return solve(x - gamma * self.q)
+        return self._solver(gamma)(x - gamma * self.q)
 
     def _conj(self, u):
         # f*(u) = (u-q)' Q^+ (u-q) / 2 - r when u - q lies in range(Q).
@@ -478,15 +489,25 @@ class StackedBlocks:
 
     def prox(self, gamma, X):
         """The (m, n) array whose row i is ``blocks[i].prox(gamma, X[i])``."""
-        return self._rowwise("prox", self._check(X), gamma)
+        return self._prox(gamma, self._check(X))
 
     def value(self, X):
         """sum_i f_i(X[i]); +inf as soon as one block is +inf."""
-        return sum_or_inf(self._rowwise("values", self._check(X)).tolist())
+        return self._value(self._check(X))
 
     def conj(self, U):
         """sum_i f_i*(U[i]); +inf as soon as one block is +inf."""
-        return sum_or_inf(self._rowwise("conjs", self._check(U)).tolist())
+        return self._conj(self._check(U))
+
+    # unchecked kernels of prox/value/conj for the consensus loops
+    def _prox(self, gamma, X):
+        return self._rowwise("prox", X, gamma)
+
+    def _value(self, X):
+        return sum_or_inf(self._rowwise("values", X).tolist())
+
+    def _conj(self, U):
+        return sum_or_inf(self._rowwise("conjs", U).tolist())
 
 
 class IndicatorConsensus(ConvexFn):

@@ -31,13 +31,33 @@ def check_gamma(gamma):
         raise ValueError("gamma must be positive and finite, got %r" % (gamma,))
 
 
+def cholesky(M):
+    """Factor a symmetric positive definite M (the package's only factoring
+    call) and return b -> M^{-1} b.  LAPACK potrf/potrs give the bytes of
+    scipy.linalg's Cholesky routines without their per-call wrappers.  Raises
+    ValueError on a non-finite M, LinAlgError if M is not positive definite.
+    """
+    from scipy.linalg import lapack  # deferred: scipy.linalg is slow to import
+
+    c, info = lapack.dpotrf(np.asarray_chkfinite(M, dtype=float), clean=False)
+    if info:
+        raise np.linalg.LinAlgError(
+            "%d-th leading minor of the matrix is not positive definite" % info)
+    potrs = lapack.dpotrs
+
+    def solve(b):
+        return potrs(c, b)[0]
+
+    return solve
+
+
 class LinearMap:
     """A linear operator between finite-dimensional real spaces.
 
     Supported kinds are dense matrices, the identity, and scaled
     identities.  Values are immutable after construction; the adjoint and
     the injectivity modulus (the smallest singular value) are exact up to
-    dense linear-algebra accuracy.
+    dense linear-algebra accuracy.  Singular values are computed once.
     """
 
     def __init__(self, matrix=None, *, identity_dim=None, scale=1.0):
@@ -61,7 +81,7 @@ class LinearMap:
             self.scale = float(scale)
             self.matrix = None
             self.shape = (n, n)
-        self._theta = None
+        self._sv = None  # (smallest, largest) singular value of a dense map
 
     @classmethod
     def dense(cls, matrix):
@@ -102,16 +122,12 @@ class LinearMap:
 
     # unchecked kernels of apply/adjoint_apply for the solver loops
     def _apply(self, x):
-        if self.kind == "identity":
-            return x.copy()
-        if self.kind == "scaled_identity":
+        if self.matrix is None:
             return self.scale * x
         return self.matrix @ x
 
     def _adjoint_apply(self, y):
-        if self.kind == "identity":
-            return y.copy()
-        if self.kind == "scaled_identity":
+        if self.matrix is None:
             return self.scale * y
         return self.matrix.T @ y
 
@@ -124,35 +140,29 @@ class LinearMap:
     def injectivity_modulus(self):
         """Largest theta >= 0 with ||Lx|| >= theta ||x|| for all x.
 
-        This is the smallest singular value of the matrix.  Values below
-        ``SINGULAR_TOL`` are reported as 0, which downstream solvers treat
-        as a failure of the full-column-rank hypothesis.
+        The smallest singular value, 0 for a wide matrix.  Values below
+        ``SINGULAR_TOL`` are reported as 0 for every kind, which downstream
+        solvers treat as a failure of the full-column-rank hypothesis.
         """
-        if self._theta is None:
-            if self.kind == "identity":
-                theta = 1.0
-            elif self.kind == "scaled_identity":
-                theta = abs(self.scale)
-            else:
-                if self.shape[0] < self.shape[1]:
-                    # wide matrix: nontrivial kernel, modulus is 0 unless square
-                    theta = 0.0
-                else:
-                    sv = np.linalg.svd(self.matrix, compute_uv=False)
-                    theta = float(sv[-1]) if sv.size else 0.0
-                if theta < SINGULAR_TOL:
-                    theta = 0.0
-            self._theta = theta
-        return self._theta
+        if self.matrix is None:
+            theta = abs(self.scale)
+        elif self.shape[0] < self.shape[1]:
+            theta = 0.0
+        else:
+            theta = self._singular_values()[0]
+        return theta if theta >= SINGULAR_TOL else 0.0
 
     def norm(self):
         """Operator norm (largest singular value)."""
-        if self.kind == "identity":
-            return 1.0
-        if self.kind == "scaled_identity":
+        if self.matrix is None:
             return abs(self.scale)
-        sv = np.linalg.svd(self.matrix, compute_uv=False)
-        return float(sv[0]) if sv.size else 0.0
+        return self._singular_values()[1]
+
+    def _singular_values(self):
+        if self._sv is None:
+            sv = np.linalg.svd(self.matrix, compute_uv=False)
+            self._sv = (float(sv[-1]), float(sv[0])) if sv.size else (0.0, 0.0)
+        return self._sv
 
     def __repr__(self):
         if self.kind == "dense":

@@ -81,10 +81,6 @@ class SolveTrace:
         idx = CSV_COLUMNS.index(name)
         return np.array([row.scalars()[idx] for row in self.rows])
 
-    def vector_series(self, name):
-        """All stored per-iteration vectors under `name` (skips missing rows)."""
-        return [(row.k, row.vectors[name]) for row in self.rows if name in row.vectors]
-
     def write_csv(self, path_or_file):
         """Write scalar columns; floats at 17 significant digits."""
         if hasattr(path_or_file, "write"):

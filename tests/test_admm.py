@@ -127,16 +127,43 @@ def test_quadratic_solve_cache_follows_problem_identity(rng):
 
 
 def test_inner_iterative_computes_operator_norm_once(rng, monkeypatch):
-    calls = []
-    norm = LinearMap.norm
-    monkeypatch.setattr(LinearMap, "norm",
-                        lambda self: calls.append(1) or norm(self))
+    # one SVD serves the injectivity check at build and every norm read
     n, m = 3, 4
+    Lm = tall_full_rank(m, n, rng)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **kw: calls.append(1) or svd(*a, **kw))
     f = Translated(L1Norm(n, 0.2), rng.standard_normal(n))
-    p = ProblemSpec(f, L2Norm(m, 1.0), LinearMap.dense(tall_full_rank(m, n, rng)))
-    trace = run_iadmm(p, default_params(0.2), max_iters=30, tol=0.0)
-    assert trace.iterations == 30
+    p = ProblemSpec(f, L2Norm(m, 1.0), LinearMap.dense(Lm))
+    for _ in range(2):
+        trace = run_iadmm(p, default_params(0.2), max_iters=30, tol=0.0)
+        assert trace.iterations == 30
     assert len(calls) == 1
+
+
+def test_shared_quadratic_solves_follow_gamma_and_operator(rng):
+    # one f across 200 problems built one after another: whatever gamma, L
+    # and system came before, every solve uses the current system
+    n, m = 4, 6
+    f = random_quadratic(n, rng)
+    strat = XUpdateStrategy("quadratic_solve")
+    for i in range(200):
+        gamma = (0.7, 1.3)[i % 2]
+        Lm = tall_full_rank(m, n, rng)
+        p = ProblemSpec(f, L1Norm(m, 1.0), LinearMap.dense(Lm))
+        z, y = rng.standard_normal(m), rng.standard_normal(m)
+        if i % 3 == 0:
+            x = f.prox(gamma, z[:n])
+            expected = np.linalg.solve(np.eye(n) + gamma * f.Q, z[:n] - gamma * f.q)
+        else:
+            state = IadmmState(k=1, x=np.zeros(n), z=z, z_prev=z,
+                               zbar=np.zeros(m), y=y, y_prev=y)
+            x = x_update(state, p, gamma, 0.0, strat)
+            expected = np.linalg.solve(f.Q + gamma * Lm.T @ Lm,
+                                       gamma * Lm.T @ z - Lm.T @ y - f.q)
+        assert np.allclose(x, expected, rtol=1e-9, atol=1e-9)
+        del p
 
 
 # -- classical reduction oracle ----------------------------------------------

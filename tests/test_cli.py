@@ -227,6 +227,25 @@ def test_compare_mode(tmp_path):
     assert dev <= 1e-9
 
 
+def test_compare_factors_normal_matrix_once(tmp_path, monkeypatch):
+    # the ADMM x-update and the Douglas-Rachford resolvent share f's factor
+    # of Q + gamma L'L
+    from inadmm import functions
+
+    factored = []
+    cholesky = functions.cholesky
+    monkeypatch.setattr(functions, "cholesky",
+                        lambda M: factored.append(M.shape) or cholesky(M))
+    dense = LASSO_CONFIG.replace("dim 2\ntau", "dim 3\ntau").replace(
+        "kind identity\ndim 2",
+        "kind dense\nrows 3\ncols 2\nentries 1 0.5 0 1 0.3 0.2")
+    code, out = run([write(tmp_path, dense), "--compare", "--max-iters", "300",
+                     "--tol", "0"])
+    assert code == EXIT_OK
+    assert float(out.strip().splitlines()[-1].split()[-1]) <= 1e-9
+    assert factored == [(2, 2)]
+
+
 def test_compare_rejects_consensus(tmp_path, capsys):
     cfg = write(tmp_path, CONSENSUS_CONFIG)
     code, _ = run([cfg, "--compare"])

@@ -66,6 +66,19 @@ def test_prox_quadratic_scalar():
     assert f.prox(1.0, [4.0]) == pytest.approx([2.0])
 
 
+def test_quadratic_data_is_read_only():
+    # the prox factor derives from Q and q, so neither may change after it
+    Q, q = np.eye(2), np.zeros(2)
+    f = Quadratic(Q, q)
+    assert f.prox(1.0, [1.0, 2.0]) == pytest.approx([0.5, 1.0], abs=1e-15)
+    with pytest.raises(ValueError):
+        f.Q[0, 0] = 3.0
+    with pytest.raises(ValueError):
+        f.q[0] = 1.0
+    Q[0, 0], q[0] = 3.0, 1.0  # the caller's arrays stay writeable and apart
+    assert f.prox(1.0, [1.0, 2.0]) == pytest.approx([0.5, 1.0], abs=1e-15)
+
+
 def test_prox_projections():
     assert np.allclose(IndicatorBox([-1, -1], [1, 1]).prox(2.0, [3.0, 0.5]),
                        [1.0, 0.5])

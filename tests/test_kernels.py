@@ -19,11 +19,13 @@ from inadmm import (
     Quadratic,
     ResolventOp,
     Translated,
+    boyd_consensus,
     classical_admm,
     default_params,
     run_iadmm,
     run_idr,
     run_sum1,
+    run_sum2,
 )
 from inadmm.params import constant_params
 
@@ -45,9 +47,12 @@ class NanProxL1(L1Norm):
         return out if self.prox_calls < 3 else np.full_like(out, np.nan)
 
 
+def _quadratic():
+    return Quadratic(np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([-1.0, 0.5]))
+
+
 def _lasso(g):
-    f = Quadratic(np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([-1.0, 0.5]))
-    return ProblemSpec(f, g, LinearMap.identity(2))
+    return ProblemSpec(_quadratic(), g, LinearMap.identity(2))
 
 
 def _idr(p, gamma, params):
@@ -57,17 +62,25 @@ def _idr(p, gamma, params):
                    zeros, zeros)
 
 
+def _blocks(g):
+    return ConsensusProblem([g, _quadratic()])
+
+
+# each run calls g's prox once per iteration
 NAN_RUNS = {
-    "iadmm": lambda p: run_iadmm(p, default_params(0.2, GAMMA)),
-    "classical_admm": lambda p: classical_admm(p, GAMMA),
-    "idr": lambda p: _idr(p, GAMMA, default_params(0.2, GAMMA)),
+    "iadmm": lambda g: run_iadmm(_lasso(g), default_params(0.2, GAMMA)),
+    "classical_admm": lambda g: classical_admm(_lasso(g), GAMMA),
+    "idr": lambda g: _idr(_lasso(g), GAMMA, default_params(0.2, GAMMA)),
+    "sum1": lambda g: run_sum1(_blocks(g), default_params(0.2, GAMMA)),
+    "sum2": lambda g: run_sum2(_blocks(g), default_params(0.2, GAMMA)),
+    "boyd_consensus": lambda g: boyd_consensus(_blocks(g), GAMMA),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NAN_RUNS))
 def test_nonfinite_prox_ends_run_as_nonfinite(name):
     g = NanProxL1(2, 0.3)
-    trace = NAN_RUNS[name](_lasso(g))
+    trace = NAN_RUNS[name](g)
     assert trace.nonfinite and not trace.converged
     assert trace.iterations == 3 and g.prox_calls == 3
 

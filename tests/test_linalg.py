@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from inadmm import LinearMap
+from inadmm.linalg import cholesky
 
 
 def test_identity_apply():
@@ -88,3 +89,45 @@ def test_modulus_sharpness(rng):
         _, s, vt = np.linalg.svd(mat)
         v = vt[-1]
         assert np.linalg.norm(L.apply(v)) == pytest.approx(theta, abs=1e-8)
+
+
+def test_tiny_scaled_identity_modulus_zero():
+    L = LinearMap.scaled_identity(2, 1e-12)
+    assert L.injectivity_modulus() == 0.0
+    assert L.norm() == 1e-12
+
+
+def test_norm_and_modulus_share_one_svd(rng, monkeypatch):
+    mat = rng.standard_normal((5, 3))
+    sv = np.linalg.svd(mat, compute_uv=False)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    L = LinearMap.dense(mat)
+    for _ in range(3):
+        assert L.norm() == sv[0] and L.injectivity_modulus() == sv[-1]
+    assert len(calls) == 1
+    wide = LinearMap.dense(mat.T)
+    assert wide.injectivity_modulus() == 0.0 and len(calls) == 1
+    assert wide.norm() == pytest.approx(sv[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3, 30, 200])
+def test_cholesky_matches_scipy_bytes(rng, n):
+    import scipy.linalg
+
+    a = rng.standard_normal((n, n))
+    M = a @ a.T + 0.1 * np.eye(n)
+    solve = cholesky(M)
+    fct = scipy.linalg.cho_factor(M)
+    for _ in range(3):
+        b = rng.standard_normal(n)
+        assert solve(b).tobytes() == scipy.linalg.cho_solve(fct, b).tobytes()
+
+
+def test_cholesky_rejects_nonfinite_and_indefinite():
+    with pytest.raises(ValueError):
+        cholesky(np.array([[1.0, 0.0], [0.0, np.inf]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
