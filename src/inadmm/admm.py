@@ -11,13 +11,15 @@ recombine the iterates into a Douglas-Rachford trajectory; the solver
 records both so the correspondence can be checked externally.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .duality import _dual_value
 from .functions import Quadratic
-from .linalg import LinearMap, check_gamma, check_vector
+from .linalg import LinearMap, _norm, check_gamma, check_vector
 from .params import require_valid
 from .trace import TraceRow, drive
 
@@ -86,11 +88,18 @@ class XUpdateStrategy:
       fixed-point residual ``eps_inner`` (fallback, inexact).
 
     A strategy keeps no state, so one strategy serves any number of problems.
+    The inner ``budget`` must be an integer >= 1 and ``eps_inner`` a finite
+    number >= 0.
     """
 
     def __init__(self, kind, eps_inner=1e-12, budget=10000):
         if kind not in ("prox_identity", "quadratic_solve", "inner_iterative"):
             raise ValueError("unknown x-update strategy %r" % (kind,))
+        if not (isinstance(budget, numbers.Integral) and budget >= 1):
+            raise ValueError("budget must be an integer >= 1, got %r" % (budget,))
+        if not 0.0 <= eps_inner < math.inf:
+            raise ValueError("eps_inner must be finite and >= 0, got %r"
+                             % (eps_inner,))
         self.kind = kind
         self.eps_inner = eps_inner
         self.budget = budget
@@ -110,13 +119,17 @@ class XUpdateStrategy:
             raise ValueError("quadratic_solve strategy requires quadratic f")
 
 
-def x_update(state, p, gamma, alpha_k, strat):
+def x_update(state, p, gamma, alpha_k, strat, dy=None, dz=None):
     """Minimize f(x) + <c_k, Lx> + (gamma/2)||Lx - z^k||^2.
 
-    c_k = y^k - alpha_k (y^k - y^{k-1}) - gamma alpha_k (z^k - z^{k-1}).
+    c_k = y^k - alpha_k dy - gamma alpha_k dz with dy = y^k - y^{k-1} and
+    dz = z^k - z^{k-1}, computed here unless the caller passes them.
     """
-    c = (state.y - alpha_k * (state.y - state.y_prev)
-         - gamma * alpha_k * (state.z - state.z_prev))
+    if dy is None:
+        dy = state.y - state.y_prev
+    if dz is None:
+        dz = state.z - state.z_prev
+    c = state.y - alpha_k * dy - gamma * alpha_k * dz
     if strat.kind == "prox_identity":
         return p.f._prox(1.0 / gamma, state.z - c / gamma)
     L = p.L
@@ -130,7 +143,7 @@ def x_update(state, p, gamma, alpha_k, strat):
     for _ in range(strat.budget):
         grad = Ltc + gamma * L._adjoint_apply(L._apply(x) - state.z)
         x_new = p.f._prox(t, x - t * grad)
-        resid = float(np.linalg.norm(x_new - x)) / t
+        resid = _norm(x_new - x) / t
         x = x_new
         if resid <= strat.eps_inner:
             return x
@@ -145,39 +158,43 @@ def x_update(state, p, gamma, alpha_k, strat):
 def step(state, p, params, k, strat):
     """One full inertial ADMM iteration; returns (new_state, extras).
 
-    Lx^{k+1}, r = Lx^{k+1} - z^k and drift = dy + gamma dz are computed once.
-    extras carries x^{k+1}, v^k, w^k, w^{k+1} and ||r|| for tracing.
+    Every shared term (dy, dz, Lx^{k+1}, r = Lx^{k+1} - z^k, drift = dy +
+    gamma dz, lambda_k Lx^{k+1}, (1 - lambda_k) z^k, gamma z^k) is computed
+    once.  extras carries x^{k+1}, v^k, w^k, w^{k+1} and ||r|| for tracing.
     """
     gamma = params.gamma
     a_k = params.alpha_at(k)
     a_next = params.alpha_at(k + 1)
     l_k = params.lambda_at(k)
     y, z = state.y, state.z
+    dy = y - state.y_prev
+    dz = z - state.z_prev
 
-    x_next = x_update(state, p, gamma, a_k, strat)
+    x_next = x_update(state, p, gamma, a_k, strat, dy, dz)
     Lx = p.L._apply(x_next)
     r = Lx - z
-    drift = y - state.y_prev + gamma * (z - state.z_prev)
+    drift = dy + gamma * dz
     # zbar^{k+1} = alpha_{k+1} lambda_k (Lx^{k+1} - z^k)
     #              + ((1 - lambda_k) alpha_k alpha_{k+1} / gamma) drift
     zbar_next = a_next * l_k * r + ((1.0 - l_k) * a_k * a_next / gamma) * drift
     # z^{k+1} = -zbar^{k+1} + prox_{g/gamma}(zbar^{k+1} + lambda_k Lx^{k+1}
     #   + (1 - lambda_k) z^k + y^k / gamma + ((1 - lambda_k) alpha_k / gamma) drift)
-    arg = (zbar_next + l_k * Lx + (1.0 - l_k) * z + y / gamma
-           + ((1.0 - l_k) * a_k / gamma) * drift)
+    l_Lx = l_k * Lx
+    l_z = (1.0 - l_k) * z
+    arg = zbar_next + l_Lx + l_z + y / gamma + ((1.0 - l_k) * a_k / gamma) * drift
     z_next = -zbar_next + p.g._prox(1.0 / gamma, arg)
     # y^{k+1} = y^k + gamma (lambda_k Lx^{k+1} + (1 - lambda_k) z^k - z^{k+1})
     #           + (1 - lambda_k) alpha_k drift
-    y_next = (y + gamma * (l_k * Lx + (1.0 - l_k) * z - z_next)
-              + (1.0 - l_k) * a_k * drift)
+    y_next = y + gamma * (l_Lx + l_z - z_next) + (1.0 - l_k) * a_k * drift
     # v^k = y^k - gamma z^k + gamma Lx^{k+1} - alpha_k drift, certifying
     # -L*v^k in df(x^{k+1})
-    v_k = y - gamma * z + gamma * Lx - a_k * drift
+    gz = gamma * z
+    v_k = y - gz + gamma * Lx - a_k * drift
 
     new_state = IadmmState(k=k + 1, x=x_next, z=z_next, z_prev=z,
                            zbar=zbar_next, y=y_next, y_prev=y)
-    extras = {"x_next": x_next, "v": v_k, "w": state.w(gamma),
-              "w_next": new_state.w(gamma), "feas": float(np.linalg.norm(r))}
+    extras = {"x_next": x_next, "v": v_k, "w": y + gz,
+              "w_next": new_state.w(gamma), "feas": _norm(r)}
     return new_state, extras
 
 
@@ -208,9 +225,9 @@ def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10,
         except SubproblemError as err:
             err.iteration = k
             raise
-        dw = float(np.linalg.norm(extras["w_next"] - extras["w"]))
+        dw = _norm(extras["w_next"] - extras["w"])
         dw_sq_sum += dw * dw
-        zbar_norm = float(np.linalg.norm(new.zbar))
+        zbar_norm = _norm(new.zbar)
         row = TraceRow(
             k,
             primal=p.f._value(extras["x_next"]) + p.g._value(state.z + state.zbar),
@@ -271,17 +288,18 @@ def classical_admm(p, gamma, init=None, lam=1.0, strat=None,
         y_k, z_k = state.y, state.z
         x_next = x_update(state, p, gamma, 0.0, strat)
         Lx = p.L._apply(x_next)
-        z_next = p.g._prox(1.0 / gamma,
-                          lam * Lx + (1.0 - lam) * z_k + y_k / gamma)
-        y_next = y_k + gamma * (lam * Lx + (1.0 - lam) * z_k - z_next)
-        feas = float(np.linalg.norm(Lx - z_k))
-        dz = float(np.linalg.norm(z_next - z_k))
-        dy = float(np.linalg.norm(y_next - y_k))
-        dw = float(np.linalg.norm((y_next + gamma * z_next) - (y_k + gamma * z_k)))
+        relaxed = lam * Lx + (1.0 - lam) * z_k
+        z_next = p.g._prox(1.0 / gamma, relaxed + y_k / gamma)
+        y_next = y_k + gamma * (relaxed - z_next)
+        r = Lx - z_k
+        feas = _norm(r)
+        dz = _norm(z_next - z_k)
+        dy = _norm(y_next - y_k)
+        dw = _norm((y_next + gamma * z_next) - (y_k + gamma * z_k))
         row = TraceRow(
             k,
             primal=p.f._value(x_next) + p.g._value(z_k),
-            dual=_dual_value(p, y_k + gamma * (Lx - z_k), y_k),
+            dual=_dual_value(p, y_k + gamma * r, y_k),
             feas_residual=feas,
             zbar_norm=0.0,
             dw_norm=dw,

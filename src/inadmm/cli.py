@@ -5,6 +5,7 @@ iterates, 2 input error.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -87,7 +88,7 @@ def _summary(cfg, solver, trace, out):
         % (_nan0(last.feas_residual), _nan0(last.zbar_norm), _nan0(last.dw_norm)),
         file=out,
     )
-    if np.isfinite(last.primal) or np.isfinite(last.dual):
+    if math.isfinite(last.primal) or math.isfinite(last.dual):
         print(
             "objective: primal=%.12g dual=%.12g gap=%.3g"
             % (last.primal, last.dual, last.gap),

@@ -14,7 +14,7 @@ import numpy as np
 from .admm import IadmmState, ProblemSpec
 from .duality import subgradient_violation
 from .functions import IndicatorConsensus, SeparableSum, StackedBlocks
-from .linalg import LinearMap, check_gamma
+from .linalg import LinearMap, _norm, check_gamma
 from .params import require_valid
 from .trace import TraceRow, drive
 
@@ -106,16 +106,17 @@ def sum1_step(state, cp, params, k):
     l_k = params.lambda_at(k)
     m = cp.m
 
-    drift = state.y - state.y_prev + gamma * (state.z - state.z_prev)
-    c = state.y - a_k * (state.y - state.y_prev) - gamma * a_k * (state.z - state.z_prev)
+    dy = state.y - state.y_prev
+    dz = state.z - state.z_prev
+    drift = dy + gamma * dz
+    c = state.y - a_k * dy - gamma * a_k * dz
     x_next = cp.stacked._prox(1.0 / gamma, state.z - c / gamma)
     zbar_next = (a_next * l_k * (x_next - state.z)
                  + ((1.0 - l_k) * a_k * a_next / gamma) * drift)
     u_next = (
         (l_k * (1.0 + a_next) / m) * x_next.sum(axis=0)
         + ((1.0 - a_next * l_k - l_k) / m) * state.z.sum(axis=0)
-        + (a_k * (1.0 - l_k) * (1.0 + a_next) / m)
-        * (state.z - state.z_prev).sum(axis=0)
+        + (a_k * (1.0 - l_k) * (1.0 + a_next) / m) * dz.sum(axis=0)
     )
     z_next = u_next[None, :] - zbar_next
     y_next = (state.y
@@ -176,10 +177,10 @@ def _run_blockwise(cp, params, stepper, vfn, init, require_zero_sum,
         v = vfn(state, new, gamma, params.alpha_at(k))
         w_prev = state.w(gamma)
         w_next = new.w(gamma)
-        dw = float(np.linalg.norm(w_next - w_prev))
+        dw = _norm(w_next - w_prev)
         dw_sq_sum += dw * dw
         feas = float(np.abs(new.x - state.z).max())
-        zbar_norm = float(np.linalg.norm(new.zbar))
+        zbar_norm = _norm(new.zbar)
         row = TraceRow(
             k,
             primal=cp.stacked._value(new.x),
@@ -237,7 +238,7 @@ def boyd_consensus(cp, gamma, init=None, max_iters=100000, tol=1e-10):
         xbar_next = x.mean(axis=0)
         y_next = y + gamma * (x - xbar_next[None, :])
         feas = float(np.abs(x - xbar[None, :]).max())
-        dy = float(np.linalg.norm(y_next - y))
+        dy = _norm(y_next - y)
         row = TraceRow(
             k,
             primal=cp.stacked._value(x),

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import Quadratic
-from .linalg import check_gamma, check_vector
+from .linalg import _norm, check_gamma, check_vector
 from .params import require_valid
 from .trace import TraceRow, drive
 
@@ -141,8 +141,8 @@ def run_idr(A, B, gamma, params, w0, w1, max_iters=100000, tol=1e-10,
     def iterate(state, k):
         nonlocal dw_sq_sum
         new = idr_step(state, A, B, gamma, params.alpha_at(k), params.lambda_at(k))
-        dw = float(np.linalg.norm(new.w - state.w))
-        vy = float(np.linalg.norm(new.v - new.y))
+        dw = _norm(new.w - state.w)
+        vy = _norm(new.v - new.y)
         dw_sq_sum += dw * dw
         row = TraceRow(
             k,

@@ -1,5 +1,6 @@
 """Primal/dual objective values, Fenchel gap, and optimality residuals."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,10 @@ def dual_value(p, v, y=None):
 def _dual_value(p, v, y):
     # dual_value on vectors already checked, through the unchecked kernels
     a = p.f._conj(-p.L._adjoint_apply(v))
-    if np.isinf(a):
+    if math.isinf(a):
         return -np.inf
     b = p.g._conj(y)
-    if np.isinf(b):
+    if math.isinf(b):
         return -np.inf
     return -a - b
 
@@ -106,7 +107,7 @@ class DualityReport:
 def duality_report(p, x, v, probes=50, rng=None):
     pv = primal_value(p, x)
     dv = dual_value(p, v)
-    gap = pv - dv if np.isfinite(pv) and np.isfinite(dv) else np.inf
+    gap = pv - dv if math.isfinite(pv) and math.isfinite(dv) else np.inf
     theta, theta_star = hypothesis_check(p)
     return DualityReport(
         primal_value=pv,

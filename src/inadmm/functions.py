@@ -129,7 +129,9 @@ class Quadratic(ConvexFn):
 
     ``Q`` and ``q`` are read-only copies.  The factors of I + gamma Q (prox)
     and Q + gamma L'L (x-update, resolvent) are kept, one per system, for
-    the last gamma and L."""
+    the last gamma and L.  Whether Q has an eigenvalue at or below the rank
+    tolerance is decided once, at construction: without one, the conjugate
+    skips the domain test of range(Q), which could never fail."""
 
     kind = "quadratic"
 
@@ -153,6 +155,7 @@ class Quadratic(ConvexFn):
         self._evals = np.maximum(evals, 0.0)
         self._evecs = evecs
         self._rank_tol = 1e-12 * scale
+        self._full_rank = bool((self._evals > self._rank_tol).all())
         self._factors = {}  # system -> (gamma, L, solve)
 
     def _solver(self, gamma, L=None):
@@ -177,6 +180,8 @@ class Quadratic(ConvexFn):
     def _conj(self, u):
         # f*(u) = (u-q)' Q^+ (u-q) / 2 - r when u - q lies in range(Q).
         w = self._evecs.T @ (u - self.q)
+        if self._full_rank:
+            return 0.5 * float((w ** 2 / self._evals).sum()) - self.r
         small = self._evals <= self._rank_tol
         if np.any(np.abs(w[small]) > DOM_TOL * (1.0 + np.linalg.norm(u - self.q))):
             return INF

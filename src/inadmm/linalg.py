@@ -1,5 +1,7 @@
 """Dense vectors and linear operators with adjoints and injectivity moduli."""
 
+import math
+
 import numpy as np
 
 __all__ = ["LinearMap", "check_vector", "check_gamma"]
@@ -23,6 +25,14 @@ def check_vector(x, dim, name="x"):
             "%s has dimension %d, expected %d" % (name, v.shape[0], dim)
         )
     return v
+
+
+def _norm(v):
+    """Euclidean norm of all entries of v, as a float: the formula of
+    ``numpy.linalg.norm`` (sqrt of x.dot(x), x the order-K ravel of v)
+    without its dispatch, so the bits are the same."""
+    x = v.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def check_gamma(gamma):
@@ -113,29 +123,39 @@ class LinearMap:
         return self.scale * np.eye(self.shape[0])
 
     def apply(self, x):
-        """Return L x."""
-        return self._apply(check_vector(x, self.domain_dim))
+        """Return L x as a new array."""
+        x = check_vector(x, self.domain_dim)
+        y = self._apply(x)
+        return y.copy() if y is x else y
 
     def adjoint_apply(self, y):
-        """Return L* y (transpose action for dense matrices)."""
-        return self._adjoint_apply(check_vector(y, self.codomain_dim, name="y"))
+        """Return L* y (transpose action for dense matrices) as a new array."""
+        y = check_vector(y, self.codomain_dim, name="y")
+        x = self._adjoint_apply(y)
+        return x.copy() if x is y else x
 
-    # unchecked kernels of apply/adjoint_apply for the solver loops
+    # unchecked kernels of apply/adjoint_apply for the solver loops; the
+    # identity returns its argument itself, which the loops never write into
     def _apply(self, x):
         if self.matrix is None:
-            return self.scale * x
+            return x if self.kind == "identity" else self.scale * x
         return self.matrix @ x
 
     def _adjoint_apply(self, y):
         if self.matrix is None:
-            return self.scale * y
+            return y if self.kind == "identity" else self.scale * y
         return self.matrix.T @ y
 
     def adjoint(self):
-        """Return the adjoint operator as a new LinearMap."""
+        """Return the adjoint operator as a new LinearMap.
+
+        L* has the singular values of L, so a dense adjoint takes the ones
+        already computed instead of running a second SVD."""
         if self.matrix is None:
             return LinearMap(identity_dim=self.shape[0], scale=self.scale)
-        return LinearMap(matrix=self.matrix.T)
+        adj = LinearMap(matrix=self.matrix.T)
+        adj._sv = self._sv
+        return adj
 
     def injectivity_modulus(self):
         """Largest theta >= 0 with ||Lx|| >= theta ||x|| for all x.

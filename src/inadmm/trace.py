@@ -38,7 +38,8 @@ class TraceRow:
         self.k = k
         self.primal = primal
         self.dual = dual
-        self.gap = primal - dual if np.isfinite(primal) and np.isfinite(dual) else np.inf
+        self.gap = (primal - dual if math.isfinite(primal) and math.isfinite(dual)
+                    else np.inf)
         self.feas_residual = feas_residual
         self.zbar_norm = zbar_norm
         self.dw_norm = dw_norm

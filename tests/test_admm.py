@@ -70,6 +70,29 @@ def test_strategy_check_rejects_mismatch(rng):
         XUpdateStrategy("bogus")
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"budget": 0}, {"budget": -3}, {"budget": 2.5},
+    {"eps_inner": float("nan")}, {"eps_inner": -1e-12},
+    {"eps_inner": float("inf")}],
+    ids=["budget_0", "budget_negative", "budget_float",
+         "eps_nan", "eps_negative", "eps_inf"])
+def test_strategy_rejects_bad_inner_budget(kwargs):
+    # budget 0 used to end the run in an UnboundLocalError, and a NaN or
+    # negative eps_inner burned the whole budget before SubproblemError
+    with pytest.raises(ValueError):
+        XUpdateStrategy("inner_iterative", **kwargs)
+
+
+def test_strategy_with_budget_one_runs(rng):
+    n, m = 3, 4
+    Lm = tall_full_rank(m, n, rng)
+    f = Translated(L1Norm(n, 0.2), rng.standard_normal(n))
+    p = ProblemSpec(f, L2Norm(m, 1.0), LinearMap.dense(Lm))
+    strat = XUpdateStrategy("inner_iterative", eps_inner=1e3, budget=np.int64(1))
+    trace = run_iadmm(p, default_params(0.2), strat=strat, max_iters=5, tol=0.0)
+    assert trace.iterations == 5
+
+
 def test_x_update_strategies_agree(rng):
     # same subproblem through three independent routes
     n = 3

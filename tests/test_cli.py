@@ -246,6 +246,20 @@ def test_compare_factors_normal_matrix_once(tmp_path, monkeypatch):
     assert factored == [(2, 2)]
 
 
+def test_run_with_dense_operator_computes_one_svd(tmp_path, monkeypatch):
+    # the diagnostics line reads theta* from the adjoint, which shares the
+    # singular values ProblemSpec already computed for L
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    dense = LASSO_CONFIG.replace(
+        "kind identity\ndim 2", "kind dense\nrows 2\ncols 2\nentries 1 0.5 0.2 1")
+    code, out = run([write(tmp_path, dense)])
+    assert code == EXIT_OK and "theta* " in out
+    assert len(calls) == 1
+
+
 def test_compare_rejects_consensus(tmp_path, capsys):
     cfg = write(tmp_path, CONSENSUS_CONFIG)
     code, _ = run([cfg, "--compare"])

@@ -4,6 +4,8 @@ import pytest
 from inadmm import LinearMap
 from inadmm.linalg import cholesky
 
+from conftest import tall_full_rank
+
 
 def test_identity_apply():
     L = LinearMap.identity(3)
@@ -111,6 +113,23 @@ def test_norm_and_modulus_share_one_svd(rng, monkeypatch):
     wide = LinearMap.dense(mat.T)
     assert wide.injectivity_modulus() == 0.0 and len(calls) == 1
     assert wide.norm() == pytest.approx(sv[0], rel=1e-12)
+
+
+def test_adjoint_shares_singular_values(rng, monkeypatch):
+    square = LinearMap.dense(tall_full_rank(4, 4, rng))
+    tall = LinearMap.dense(tall_full_rank(5, 3, rng))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    theta = square.injectivity_modulus()
+    adj = square.adjoint()
+    assert adj.injectivity_modulus() == theta and adj.norm() == square.norm()
+    assert tall.injectivity_modulus() > 0.0
+    wide = tall.adjoint()
+    assert wide.injectivity_modulus() == 0.0  # the shape rule still holds
+    assert wide.norm() == tall.norm()
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("n", [1, 3, 30, 200])
