@@ -7,8 +7,10 @@ relaxation factor lambda_k.  The auxiliary sequences
     w^k = y^k + gamma z^k
     v^k = y^k - gamma z^k + gamma L x^{k+1} - alpha_k (dy + gamma dz)
 
-recombine the iterates into a Douglas-Rachford trajectory; the solver
-records both so the correspondence can be checked externally.
+recombine the iterates into a Douglas-Rachford trajectory.  Each state
+carries the pair: ``step`` computes v^k and w^{k+1} once and stores them on
+the state it returns, and the run records both from the states so the
+correspondence can be checked externally.
 """
 
 import math
@@ -73,9 +75,8 @@ class IadmmState:
     zbar: np.ndarray
     y: np.ndarray
     y_prev: np.ndarray
-
-    def w(self, gamma):
-        return self.y + gamma * self.z
+    v: np.ndarray = None  # v^k of the step that made this state
+    w: np.ndarray = None  # y + gamma z
 
 
 class XUpdateStrategy:
@@ -156,11 +157,11 @@ def x_update(state, p, gamma, alpha_k, strat, dy=None, dz=None):
 
 
 def step(state, p, params, k, strat):
-    """One full inertial ADMM iteration; returns (new_state, extras).
+    """One full inertial ADMM iteration; returns (new_state, ||r||).
 
-    Every shared term (dy, dz, Lx^{k+1}, r = Lx^{k+1} - z^k, drift = dy +
-    gamma dz, lambda_k Lx^{k+1}, (1 - lambda_k) z^k, gamma z^k) is computed
-    once.  extras carries x^{k+1}, v^k, w^k, w^{k+1} and ||r|| for tracing.
+    The new state carries x^{k+1}, z^{k+1}, y^{k+1}, v^k and w^{k+1};
+    r = Lx^{k+1} - z^k.  Every shared term (dy, dz, Lx^{k+1}, r, drift =
+    dy + gamma dz, lambda_k Lx^{k+1}, (1 - lambda_k) z^k) is computed once.
     """
     gamma = params.gamma
     a_k = params.alpha_at(k)
@@ -188,24 +189,20 @@ def step(state, p, params, k, strat):
     y_next = y + gamma * (l_Lx + l_z - z_next) + (1.0 - l_k) * a_k * drift
     # v^k = y^k - gamma z^k + gamma Lx^{k+1} - alpha_k drift, certifying
     # -L*v^k in df(x^{k+1})
-    gz = gamma * z
-    v_k = y - gz + gamma * Lx - a_k * drift
-
+    v_k = y - gamma * z + gamma * Lx - a_k * drift
     new_state = IadmmState(k=k + 1, x=x_next, z=z_next, z_prev=z,
-                           zbar=zbar_next, y=y_next, y_prev=y)
-    extras = {"x_next": x_next, "v": v_k, "w": y + gz,
-              "w_next": new_state.w(gamma), "feas": _norm(r)}
-    return new_state, extras
+                           zbar=zbar_next, y=y_next, y_prev=y, v=v_k,
+                           w=y_next + gamma * z_next)
+    return new_state, _norm(r)
 
 
-def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10,
-              horizon_check=1000):
+def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10):
     """Run the inertial ADMM iteration to the combined residual tolerance.
 
     `init` is (y0, y1, z0, z1); defaults to zeros.  Stops when
     max(||Lx^{k+1} - z^k||, ||zbar^{k+1}||, ||w^{k+1} - w^k||) <= tol.
     """
-    require_valid(params, horizon_check)
+    require_valid(params)
     if strat is None:
         strat = XUpdateStrategy.automatic(p)
     strat.check(p)
@@ -221,46 +218,42 @@ def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10,
     def iterate(state, k):
         nonlocal dw_sq_sum
         try:
-            new, extras = step(state, p, params, k, strat)
+            new, feas = step(state, p, params, k, strat)
         except SubproblemError as err:
             err.iteration = k
             raise
-        dw = _norm(extras["w_next"] - extras["w"])
+        dw = _norm(new.w - state.w)
         dw_sq_sum += dw * dw
         zbar_norm = _norm(new.zbar)
         row = TraceRow(
             k,
-            primal=p.f._value(extras["x_next"]) + p.g._value(state.z + state.zbar),
-            dual=_dual_value(p, extras["v"], state.y),
-            feas_residual=extras["feas"],
+            primal=p.f._value(new.x) + p.g._value(state.z + state.zbar),
+            dual=_dual_value(p, new.v, state.y),
+            feas_residual=feas,
             zbar_norm=zbar_norm,
             dw_norm=dw,
             dw_sq_sum=dw_sq_sum,
             vectors={
-                "x_next": extras["x_next"],
+                "x_next": new.x,
                 "z": state.z,
                 "z_next": new.z,
                 "zbar_next": new.zbar,
                 "y": state.y,
                 "y_next": new.y,
-                "v": extras["v"],
-                "w": extras["w"],
-                "w_next": extras["w_next"],
+                "v": new.v,
+                "w": state.w,
+                "w_next": new.w,
             },
         )
-        return new, row, (extras["feas"], zbar_norm, dw)
+        return new, row, (feas, zbar_norm, dw)
 
     state = IadmmState(k=1, x=np.zeros(p.f.dim), z=z1, z_prev=z0,
-                       zbar=np.zeros(m), y=y1, y_prev=y0)
+                       zbar=np.zeros(m), y=y1, y_prev=y0,
+                       w=y1 + params.gamma * z1)
     # first_k = 2: k = 1 can show zero residuals by construction (w^2 = w^1 bridge)
     trace, state = drive(iterate, state, max_iters, tol, first_k=2)
-    trace.final = {
-        "x": state.x,
-        "z": state.z,
-        "y": state.y,
-        "v": trace.rows[-1].vectors["v"],
-        "w": trace.rows[-1].vectors["w_next"],
-    }
+    trace.final = {"x": state.x, "z": state.z, "y": state.y, "v": state.v,
+                   "w": state.w}
     return trace
 
 

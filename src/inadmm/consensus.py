@@ -122,9 +122,12 @@ def sum1_step(state, cp, params, k):
     y_next = (state.y
               + gamma * (l_k * x_next + (1.0 - l_k) * state.z - z_next)
               + (1.0 - l_k) * a_k * drift)
+    # v_i^k = y_i^k - gamma z_i^k + gamma x_i^{k+1} - alpha_k drift; the
+    # per-block prox x-update certifies -v_i^k in df_i(x_i^{k+1})
+    v = state.y - gamma * state.z + gamma * x_next - a_k * drift
     return ConsensusState(k=k + 1, x=x_next, z=z_next, z_prev=state.z,
-                          zbar=zbar_next, y=y_next, y_prev=state.y,
-                          shared=u_next)
+                          zbar=zbar_next, y=y_next, y_prev=state.y, v=v,
+                          w=y_next + gamma * z_next, shared=u_next)
 
 
 def sum2_step(state, cp, params, k):
@@ -147,72 +150,57 @@ def sum2_step(state, cp, params, k):
     y_next = (state.y
               + gamma * (l_k * x_next[None, :] + (1.0 - l_k) * state.z - z_next)
               + (1.0 - l_k) * a_k * drift)
-    return ConsensusState(k=k + 1, x=np.tile(x_next, (m, 1)), z=z_next,
-                          z_prev=state.z, zbar=zbar_next, y=y_next,
-                          y_prev=state.y, shared=x_next)
-
-
-def _v_blocks_sum1(state, new_state, gamma, a_k):
-    # v_i^k = y_i^k - gamma z_i^k + gamma x_i^{k+1} - alpha_k (dy + gamma dz);
-    # the per-block prox x-update certifies -v_i^k in df_i(x_i^{k+1})
-    drift = state.y - state.y_prev + gamma * (state.z - state.z_prev)
-    return state.y - gamma * state.z + gamma * new_state.x - a_k * drift
-
-
-def _v_blocks_sum2(state, new_state, gamma, a_k):
     # the per-block prox sits in the z-update here, certifying
     # y_i^{k+1} in df_i(z_i^{k+1} + zbar_i^{k+1}); same -v_i convention
-    return -new_state.y
+    return ConsensusState(k=k + 1, x=np.tile(x_next, (m, 1)), z=z_next,
+                          z_prev=state.z, zbar=zbar_next, y=y_next,
+                          y_prev=state.y, v=-y_next,
+                          w=y_next + gamma * z_next, shared=x_next)
 
 
-def _run_blockwise(cp, params, stepper, vfn, init, require_zero_sum,
-                   max_iters, tol, horizon_check=1000):
-    require_valid(params, horizon_check)
-    gamma = params.gamma
+def _run_blockwise(cp, params, stepper, init, require_zero_sum, max_iters,
+                   tol):
+    require_valid(params)
     dw_sq_sum = 0.0
 
     def iterate(state, k):
         nonlocal dw_sq_sum
         new = stepper(state, cp, params, k)
-        v = vfn(state, new, gamma, params.alpha_at(k))
-        w_prev = state.w(gamma)
-        w_next = new.w(gamma)
-        dw = _norm(w_next - w_prev)
+        dw = _norm(new.w - state.w)
         dw_sq_sum += dw * dw
         feas = float(np.abs(new.x - state.z).max())
         zbar_norm = _norm(new.zbar)
         row = TraceRow(
             k,
             primal=cp.stacked._value(new.x),
-            dual=-cp.stacked._conj(-v),
+            dual=-cp.stacked._conj(-new.v),
             feas_residual=feas,
             zbar_norm=zbar_norm,
             dw_norm=dw,
             dw_sq_sum=dw_sq_sum,
             vectors={"x": new.x, "z": new.z, "zbar": new.zbar,
-                     "y": new.y, "v": v, "shared": new.shared,
-                     "w": w_prev, "w_next": w_next},
+                     "y": new.y, "v": new.v, "shared": new.shared,
+                     "w": state.w, "w_next": new.w},
         )
         return new, row, (feas, zbar_norm, dw)
 
+    state = _initial_state(cp, init, require_zero_sum)
+    state.w = state.y + params.gamma * state.z
     # first_k = 2: k = 1 can show zero residuals by construction (forced bridge step)
-    trace, state = drive(iterate, _initial_state(cp, init, require_zero_sum),
-                         max_iters, tol, first_k=2)
+    trace, state = drive(iterate, state, max_iters, tol, first_k=2)
     trace.final = {"x": state.x, "z": state.z, "y": state.y,
-                   "shared": state.shared, "v": trace.rows[-1].vectors["v"]}
+                   "shared": state.shared, "v": state.v}
     return trace
 
 
 def run_sum1(cp, params, init=None, max_iters=100000, tol=1e-10):
     """Dual-sum-zero consensus run; initialization must have zero dual sum."""
-    return _run_blockwise(cp, params, sum1_step, _v_blocks_sum1, init, True,
-                          max_iters, tol)
+    return _run_blockwise(cp, params, sum1_step, init, True, max_iters, tol)
 
 
 def run_sum2(cp, params, init=None, max_iters=100000, tol=1e-10):
     """Interchanged consensus run (no zero-sum requirement on the duals)."""
-    return _run_blockwise(cp, params, sum2_step, _v_blocks_sum2, init, False,
-                          max_iters, tol)
+    return _run_blockwise(cp, params, sum2_step, init, False, max_iters, tol)
 
 
 def boyd_consensus(cp, gamma, init=None, max_iters=100000, tol=1e-10):

@@ -119,8 +119,7 @@ def idr_step(state, A, B, gamma, alpha_k, lambda_k):
     return IdrState(k=state.k + 1, w_prev=state.w, w=w_next, y=y, v=v)
 
 
-def run_idr(A, B, gamma, params, w0, w1, max_iters=100000, tol=1e-10,
-            horizon_check=1000):
+def run_idr(A, B, gamma, params, w0, w1, max_iters=100000, tol=1e-10):
     """Iterate the inertial DR scheme until the joint residual is small.
 
     Stops when ||v - y|| <= tol and ||w_next - w|| <= tol, or after
@@ -128,7 +127,7 @@ def run_idr(A, B, gamma, params, w0, w1, max_iters=100000, tol=1e-10,
     the running sum of ||w_next - w||^2.
     """
     check_gamma(gamma)
-    require_valid(params, horizon_check)
+    require_valid(params)
     w0 = check_vector(w0, A.dim, name="w0")
     w1 = check_vector(w1, A.dim, name="w1")
     if params.alpha_at(1) > 0.0 and not np.array_equal(w0, w1):

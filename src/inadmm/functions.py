@@ -139,6 +139,10 @@ class Quadratic(ConvexFn):
         Q = np.array(Q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("Q must be square")
+        if not np.isfinite(Q).all():
+            raise ValueError("Q entries must be finite")
+        if not math.isfinite(r):
+            raise ValueError("r must be finite")
         if not np.allclose(Q, Q.T, atol=1e-12):
             raise ValueError("Q must be symmetric")
         super().__init__(Q.shape[0])
@@ -300,6 +304,8 @@ class IndicatorHyperplane(ConvexFn):
         a = check_vector(a, None, name="a")
         if np.linalg.norm(a) == 0.0:
             raise ValueError("hyperplane normal must be nonzero")
+        if not math.isfinite(b):
+            raise ValueError("b must be finite")
         super().__init__(a.shape[0])
         self.a = a
         self.b = float(b)

@@ -87,6 +87,8 @@ class LinearMap:
             n = int(identity_dim)
             if n < 1:
                 raise ValueError("identity dimension must be >= 1")
+            if not math.isfinite(scale):
+                raise ValueError("scale must be finite")
             self.kind = "identity" if scale == 1.0 else "scaled_identity"
             self.scale = float(scale)
             self.matrix = None

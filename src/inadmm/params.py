@@ -252,8 +252,8 @@ def validate(p, horizon=1000):
     return report
 
 
-def require_valid(p, horizon=1000):
+def require_valid(p):
     """``validate``, raising ValueError with the report when it fails."""
-    report = validate(p, horizon=horizon)
+    report = validate(p)
     if not report.ok:
         raise ValueError(str(report))

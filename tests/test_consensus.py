@@ -221,7 +221,9 @@ def loop_sum1_step(state, blocks, params, k):
     z = u[None, :] - zbar
     y = (state.y + gamma * (l_k * x + (1.0 - l_k) * state.z - z)
          + (1.0 - l_k) * a_k * drift)
-    return {"x": x, "zbar": zbar, "shared": u, "z": z, "y": y}
+    v = state.y - gamma * state.z + gamma * x - a_k * drift
+    return {"x": x, "zbar": zbar, "shared": u, "z": z, "y": y, "v": v,
+            "w": y + gamma * z}
 
 
 def loop_sum2_step(state, blocks, params, k):
@@ -240,7 +242,8 @@ def loop_sum2_step(state, blocks, params, k):
                   for i, f in enumerate(blocks)])
     y = (state.y + gamma * (l_k * x[None, :] + (1.0 - l_k) * state.z - z)
          + (1.0 - l_k) * a_k * drift)
-    return {"x": np.tile(x, (m, 1)), "zbar": zbar, "shared": x, "z": z, "y": y}
+    return {"x": np.tile(x, (m, 1)), "zbar": zbar, "shared": x, "z": z, "y": y,
+            "v": -y, "w": y + gamma * z}
 
 
 @pytest.mark.parametrize("step, loop", [(sum1_step, loop_sum1_step),

@@ -263,6 +263,23 @@ def test_constructor_validation():
         IndicatorBox([1.0], [0.0])
 
 
+@pytest.mark.parametrize("Q, r, message", [
+    ([[np.inf]], 0.0, "Q entries must be finite"),
+    ([[np.nan]], 0.0, "Q entries must be finite"),  # not "Q must be symmetric"
+    ([[1.0]], np.nan, "r must be finite"),
+    ([[1.0]], np.inf, "r must be finite"),
+], ids=["Q_inf", "Q_nan", "r_nan", "r_inf"])
+def test_quadratic_rejects_nonfinite_data(Q, r, message):
+    with pytest.raises(ValueError, match=message):
+        Quadratic(Q, [0.0], r)
+
+
+@pytest.mark.parametrize("b", [np.inf, np.nan], ids=["inf", "nan"])
+def test_hyperplane_rejects_nonfinite_offset(b):
+    with pytest.raises(ValueError, match="b must be finite"):
+        IndicatorHyperplane([1.0, 0.0], b)
+
+
 # -- row-stacked evaluation --------------------------------------------------
 
 def _blockwise_prox(blocks, gamma, X):

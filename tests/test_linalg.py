@@ -37,6 +37,14 @@ def test_nonfinite_rejected():
         LinearMap.identity(2).apply([np.inf, 0])
 
 
+@pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan])
+def test_nonfinite_scale_rejected(scale):
+    # an infinite scale used to pass as theta = inf and fail in the first
+    # factorization; a NaN one was reported as rank-deficient
+    with pytest.raises(ValueError, match="scale must be finite"):
+        LinearMap.scaled_identity(2, scale)
+
+
 def test_injectivity_modulus_examples():
     assert LinearMap.identity(4).injectivity_modulus() == 1.0
     assert LinearMap.dense([[1, 0], [0, 2]]).injectivity_modulus() == pytest.approx(1.0, abs=1e-12)
