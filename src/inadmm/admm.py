@@ -196,6 +196,17 @@ def step(state, p, params, k, strat):
     return new_state, _norm(r)
 
 
+def _objective(p, x, z, zbar, v, y):
+    """Primal f(x^{k+1}) + g(z^k + zbar^k) and dual value of a run_iadmm row."""
+    return p.f._value(x) + p.g._value(z + zbar), _dual_value(p, v, y)
+
+
+def _classical_objective(p, x, z, y, r, gamma):
+    """Primal f(x^{k+1}) + g(z^k) and dual value at v^k = y^k + gamma r of a
+    classical_admm row."""
+    return p.f._value(x) + p.g._value(z), _dual_value(p, y + gamma * r, y)
+
+
 def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10):
     """Run the inertial ADMM iteration to the combined residual tolerance.
 
@@ -227,8 +238,6 @@ def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10):
         zbar_norm = _norm(new.zbar)
         row = TraceRow(
             k,
-            primal=p.f._value(new.x) + p.g._value(state.z + state.zbar),
-            dual=_dual_value(p, new.v, state.y),
             feas_residual=feas,
             zbar_norm=zbar_norm,
             dw_norm=dw,
@@ -244,6 +253,8 @@ def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10):
                 "w": state.w,
                 "w_next": new.w,
             },
+            objective=(_objective, p, new.x, state.z, state.zbar, new.v,
+                       state.y),
         )
         return new, row, (feas, zbar_norm, dw)
 
@@ -291,14 +302,13 @@ def classical_admm(p, gamma, init=None, lam=1.0, strat=None,
         dw = _norm((y_next + gamma * z_next) - (y_k + gamma * z_k))
         row = TraceRow(
             k,
-            primal=p.f._value(x_next) + p.g._value(z_k),
-            dual=_dual_value(p, y_k + gamma * r, y_k),
             feas_residual=feas,
             zbar_norm=0.0,
             dw_norm=dw,
             dw_sq_sum=np.nan,
             vectors={"x_next": x_next, "z": z_k, "z_next": z_next,
                      "y": y_k, "y_next": y_next},
+            objective=(_classical_objective, p, x_next, z_k, y_k, r, gamma),
         )
         new = IadmmState(k=k + 1, x=x_next, z=z_next, z_prev=z_k,
                          zbar=zeros, y=y_next, y_prev=y_k)

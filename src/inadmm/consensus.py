@@ -158,6 +158,15 @@ def sum2_step(state, cp, params, k):
                           w=y_next + gamma * z_next, shared=x_next)
 
 
+def _blockwise_objective(stacked, x, v):
+    """Primal sum_i f_i(x_i) and dual -sum_i f_i*(-v_i) of a blockwise row."""
+    return stacked._value(x), -stacked._conj(-v)
+
+
+def _primal_only(stacked, x):
+    return stacked._value(x), np.nan
+
+
 def _run_blockwise(cp, params, stepper, init, require_zero_sum, max_iters,
                    tol):
     require_valid(params)
@@ -172,8 +181,6 @@ def _run_blockwise(cp, params, stepper, init, require_zero_sum, max_iters,
         zbar_norm = _norm(new.zbar)
         row = TraceRow(
             k,
-            primal=cp.stacked._value(new.x),
-            dual=-cp.stacked._conj(-new.v),
             feas_residual=feas,
             zbar_norm=zbar_norm,
             dw_norm=dw,
@@ -181,6 +188,7 @@ def _run_blockwise(cp, params, stepper, init, require_zero_sum, max_iters,
             vectors={"x": new.x, "z": new.z, "zbar": new.zbar,
                      "y": new.y, "v": new.v, "shared": new.shared,
                      "w": state.w, "w_next": new.w},
+            objective=(_blockwise_objective, cp.stacked, new.x, new.v),
         )
         return new, row, (feas, zbar_norm, dw)
 
@@ -229,10 +237,10 @@ def boyd_consensus(cp, gamma, init=None, max_iters=100000, tol=1e-10):
         dy = _norm(y_next - y)
         row = TraceRow(
             k,
-            primal=cp.stacked._value(x),
             feas_residual=feas,
             dw_norm=dy,
             vectors={"x": x, "xbar": xbar_next, "y": y_next},
+            objective=(_primal_only, cp.stacked, x),
         )
         return (xbar_next, y_next), row, (feas, dy)
 

@@ -1,6 +1,7 @@
 """Dense vectors and linear operators with adjoints and injectivity moduli."""
 
 import math
+import numbers
 
 import numpy as np
 
@@ -84,6 +85,10 @@ class LinearMap:
             self.matrix = m
             self.shape = m.shape
         else:
+            if (not isinstance(identity_dim, numbers.Integral)
+                    or isinstance(identity_dim, bool)):
+                raise ValueError("identity dimension must be an integer, got %r"
+                                 % (identity_dim,))
             n = int(identity_dim)
             if n < 1:
                 raise ValueError("identity dimension must be >= 1")

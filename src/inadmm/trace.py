@@ -1,4 +1,12 @@
-"""Per-iteration solve traces, their CSV serialization, and the iteration driver."""
+"""Per-iteration solve traces, their CSV serialization, and the iteration driver.
+
+A row's objective columns (``primal``, ``dual``, ``gap``) are computed on
+first read, from the arrays the row holds, and cached: no stopping rule
+reads them, so a solve whose caller never reads them does not pay for
+them.  Writing into one of those arrays in place before the first read
+changes the values read, and numpy floating-point warnings from diverging
+iterates appear at read time (in ``write_csv``, say), not during the solve.
+"""
 
 import math
 
@@ -19,13 +27,16 @@ CSV_COLUMNS = (
 
 
 class TraceRow:
-    """One iteration's record.  Scalar columns go to CSV; vectors stay in memory."""
+    """One iteration's record.  Scalar columns go to CSV; vectors stay in memory.
+
+    ``objective`` is ``(fn, *args)`` with ``fn(*args) -> (primal, dual)``,
+    called once, on the first read of ``primal``, ``dual`` or ``gap``;
+    without it both read NaN.
+    """
 
     __slots__ = (
         "k",
-        "primal",
-        "dual",
-        "gap",
+        "_objective",  # (fn, *args) until first read, then (primal, dual, gap)
         "feas_residual",
         "zbar_norm",
         "dw_norm",
@@ -33,22 +44,46 @@ class TraceRow:
         "vectors",
     )
 
-    def __init__(self, k, primal=np.nan, dual=np.nan, feas_residual=np.nan,
-                 zbar_norm=np.nan, dw_norm=np.nan, dw_sq_sum=np.nan, vectors=None):
+    def __init__(self, k, feas_residual=np.nan, zbar_norm=np.nan,
+                 dw_norm=np.nan, dw_sq_sum=np.nan, vectors=None, objective=None):
         self.k = k
-        self.primal = primal
-        self.dual = dual
-        self.gap = (primal - dual if math.isfinite(primal) and math.isfinite(dual)
-                    else np.inf)
+        self._objective = _NO_OBJECTIVE if objective is None else objective
         self.feas_residual = feas_residual
         self.zbar_norm = zbar_norm
         self.dw_norm = dw_norm
         self.dw_sq_sum = dw_sq_sum
         self.vectors = vectors or {}
 
+    def _values(self):
+        obj = self._objective
+        if callable(obj[0]):
+            obj = self._objective = _with_gap(*obj[0](*obj[1:]))
+        return obj
+
+    @property
+    def primal(self):
+        return self._values()[0]
+
+    @property
+    def dual(self):
+        return self._values()[1]
+
+    @property
+    def gap(self):
+        return self._values()[2]
+
     def scalars(self):
         return (self.k, self.primal, self.dual, self.gap, self.feas_residual,
                 self.zbar_norm, self.dw_norm, self.dw_sq_sum)
+
+
+def _with_gap(primal, dual):
+    return (primal, dual,
+            primal - dual if math.isfinite(primal) and math.isfinite(dual)
+            else np.inf)
+
+
+_NO_OBJECTIVE = _with_gap(np.nan, np.nan)
 
 
 def _fmt(value):
@@ -79,8 +114,9 @@ class SolveTrace:
 
     def column(self, name):
         """All values of one scalar column as an array."""
-        idx = CSV_COLUMNS.index(name)
-        return np.array([row.scalars()[idx] for row in self.rows])
+        if name not in CSV_COLUMNS:
+            raise ValueError("unknown trace column %r" % (name,))
+        return np.array([getattr(row, name) for row in self.rows])
 
     def write_csv(self, path_or_file):
         """Write scalar columns; floats at 17 significant digits."""

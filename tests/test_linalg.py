@@ -45,6 +45,17 @@ def test_nonfinite_scale_rejected(scale):
         LinearMap.scaled_identity(2, scale)
 
 
+@pytest.mark.parametrize("dim", [1.5, True])
+def test_non_integer_identity_dimension_rejected(dim):
+    # int() used to truncate both to a 1 x 1 map
+    with pytest.raises(ValueError, match="must be an integer"):
+        LinearMap.identity(dim)
+
+
+def test_numpy_integer_identity_dimension_accepted():
+    assert LinearMap.identity(np.int64(3)).shape == (3, 3)
+
+
 def test_injectivity_modulus_examples():
     assert LinearMap.identity(4).injectivity_modulus() == 1.0
     assert LinearMap.dense([[1, 0], [0, 2]]).injectivity_modulus() == pytest.approx(1.0, abs=1e-12)
