@@ -13,8 +13,8 @@ import numpy as np
 
 from .admm import IadmmState, ProblemSpec
 from .duality import subgradient_violation
-from .functions import IndicatorConsensus, SeparableSum, StackedBlocks
-from .linalg import LinearMap, _norm, check_gamma
+from .functions import IndicatorConsensus, SeparableSum
+from .linalg import LinearMap, _norm, check_gamma, check_vector
 from .params import require_valid
 from .trace import TraceRow, drive
 
@@ -38,14 +38,14 @@ class ConsensusProblem:
     """min sum_i f_i(x); ``stacked`` evaluates all blocks on an (m, n) array."""
 
     blocks: tuple  # ConvexFn, all on the same space
-    stacked: StackedBlocks = field(init=False, repr=False, compare=False)
+    stacked: SeparableSum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(self.blocks)
         if len(blocks) < 2:
             raise ValueError("need at least two blocks")
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "stacked", StackedBlocks(blocks))
+        object.__setattr__(self, "stacked", SeparableSum(blocks))
 
     @property
     def m(self):
@@ -67,6 +67,8 @@ def _as_block_array(u, m, n, name):
     a = np.asarray(u, dtype=float)
     if a.shape != (m, n):
         raise ValueError("%s must have shape (%d, %d)" % (name, m, n))
+    if not np.isfinite(a).all():
+        raise ValueError("%s entries must be finite" % name)
     return a
 
 
@@ -225,7 +227,7 @@ def boyd_consensus(cp, gamma, init=None, max_iters=100000, tol=1e-10):
     else:
         y, xbar = init
         y = _as_block_array(y, m, n, "y0")
-        xbar = np.asarray(xbar, dtype=float)
+        xbar = check_vector(xbar, n, name="xbar")
         _check_zero_sum(y, "y0")
 
     def iterate(state, k):
@@ -270,7 +272,7 @@ def consensus_optimality_residual(x, v, cp, probes=50, rng=None):
 def lift_problem(cp):
     """The product-space composite problem equivalent to the consensus one."""
     return ProblemSpec(
-        f=SeparableSum(cp.blocks),
+        f=cp.stacked,
         g=IndicatorConsensus(cp.m, cp.n),
         L=LinearMap.identity(cp.m * cp.n),
     )

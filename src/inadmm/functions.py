@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .linalg import check_gamma, check_vector, cholesky
+from .linalg import check_dim, check_gamma, check_vector, cholesky
 
 __all__ = [
     "ConvexFn",
@@ -49,7 +49,8 @@ def sum_or_inf(values):
 # kind's checked method from that kind's kernel k.
 _KERNELS = {
     "__call__": ("_value", lambda k: lambda self, x: k(self, self._check(x))),
-    "prox": ("_prox", lambda k: lambda self, gamma, x: k(self, gamma, self._check(x))),
+    "prox": ("_prox", lambda k: lambda self, gamma, x: k(
+        self, check_gamma(gamma), self._check(x))),
     "conj": ("_conj", lambda k: lambda self, u: k(self, self._check(u))),
 }
 
@@ -59,18 +60,17 @@ class ConvexFn:
 
     A kind defines the unchecked kernels ``_value``, ``_prox`` and ``_conj``
     and gets public ``__call__``, ``prox`` and ``conj`` that check their
-    vector, then run the kind's own kernel.  The solver loops, whose vectors
-    were checked where they entered, call the kernels.  A subclass that
-    overrides a public method but not its kernel has the kernel routed to
-    the override, so the solver loops still run it.
+    vector (``prox`` its gamma first), then run the kind's own kernel.  The
+    solver loops, whose vectors were checked where they entered, call the
+    kernels.  A subclass that overrides a public method but not its kernel
+    has the kernel routed to the override, so the solver loops still run
+    it.
     """
 
     kind = "abstract"
 
     def __init__(self, dim):
-        self.dim = int(dim)
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
+        self.dim = check_dim(dim, "dimension")
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -96,9 +96,7 @@ class ConvexFn:
 
     def conj_prox(self, gamma, x):
         """prox of gamma * f*, via Moreau: x - gamma * prox_{f/gamma}(x/gamma)."""
-        x = check_vector(x, self.dim)
-        check_gamma(gamma)
-        return self._conj_prox(gamma, x)
+        return self._conj_prox(check_gamma(gamma), self._check(x))
 
     def _conj_prox(self, gamma, x):
         return x - gamma * self._prox(1.0 / gamma, x / gamma)
@@ -352,37 +350,6 @@ class Translated(ConvexFn):
         return base_val + float(self.shift @ u)
 
 
-class SeparableSum(ConvexFn):
-    """f(x_1,...,x_m) = sum_i f_i(x_i) on the stacked space."""
-
-    kind = "separable_sum"
-
-    def __init__(self, blocks):
-        blocks = list(blocks)
-        if not blocks:
-            raise ValueError("need at least one block")
-        super().__init__(sum(f.dim for f in blocks))
-        self.blocks = blocks
-        self._offsets = np.cumsum([0] + [f.dim for f in blocks])
-
-    def _split(self, x):
-        return [
-            x[self._offsets[i] : self._offsets[i + 1]]
-            for i in range(len(self.blocks))
-        ]
-
-    def _value(self, x):
-        return sum_or_inf(f._value(xi) for f, xi in zip(self.blocks, self._split(x)))
-
-    def _prox(self, gamma, x):
-        return np.concatenate(
-            [f._prox(gamma, xi) for f, xi in zip(self.blocks, self._split(x))]
-        )
-
-    def _conj(self, u):
-        return sum_or_inf(f._conj(ui) for f, ui in zip(self.blocks, self._split(u)))
-
-
 def _rowdot(A, B):
     """Row-wise dot products, each rounded as the 1-D ``a @ b`` is."""
     return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
@@ -450,19 +417,23 @@ def _group(f):
     return _Looped
 
 
-class StackedBlocks:
-    """Blocks f_1..f_m on R^n evaluated together on an (m, n) array.
+class SeparableSum(ConvexFn):
+    """f(x_1,...,x_m) = sum_i f_i(x_i) over m >= 1 blocks on one R^n.
 
-    Row i of the array belongs to block i.  The ``L1Norm`` blocks form one
-    group and the ``Translated(L1Norm)`` blocks another, each evaluated by
-    a single numpy expression over its rows with the blocks' parameters
-    stacked into arrays; they stay separate because adding a zero shift
-    would turn -0.0 into 0.0.  Every other block keeps its own per-block
-    calls.  Every row of ``prox`` is bit for bit the block's ``prox`` of
-    that row, and ``value``/``conj`` add the block values with
-    ``sum_or_inf``.  The stacked groups copy the blocks' parameters at
-    construction; a block changed afterwards is not seen.
+    The kernels take the stacked vector flat, of shape (m*n,), or as an
+    (m, n) array whose row i belongs to block i; ``_prox`` returns its
+    input's shape.  The ``L1Norm`` blocks form one group and the
+    ``Translated(L1Norm)`` blocks another, each evaluated by a single numpy
+    expression over its rows with the blocks' parameters stacked into
+    arrays; they stay separate because adding a zero shift would turn -0.0
+    into 0.0.  Every other block keeps its own per-block calls.  Every row
+    of ``prox`` is bit for bit the block's ``prox`` of that row, and the
+    value and conjugate add the block values with ``sum_or_inf``.  The
+    stacked groups copy the blocks' parameters at construction; a block
+    changed afterwards is not seen.
     """
+
+    kind = "separable_sum"
 
     def __init__(self, blocks):
         self.blocks = tuple(blocks)
@@ -472,6 +443,7 @@ class StackedBlocks:
         if any(f.dim != self.n for f in self.blocks):
             raise ValueError("all blocks must share one dimension")
         self.m = len(self.blocks)
+        super().__init__(self.m * self.n)
         rows = {}
         for i, f in enumerate(self.blocks):
             rows.setdefault(_group(f), []).append(i)
@@ -480,17 +452,19 @@ class StackedBlocks:
             for group, idx in rows.items()
         ]
 
-    def _check(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.shape != (self.m, self.n):
-            raise ValueError("expected an array of shape (%d, %d), got %s"
-                             % (self.m, self.n, X.shape))
+    def _check(self, x):
+        X = np.asarray(x, dtype=float)
+        if X.shape not in ((self.dim,), (self.m, self.n)):
+            raise ValueError("expected shape (%d,) or (%d, %d), got %s"
+                             % (self.dim, self.m, self.n, X.shape))
         if not np.isfinite(X).all():
             raise ValueError("vector entries must be finite")
         return X
 
-    def _rowwise(self, method, X, *args):
-        # per-row results of one group method, in block order
+    def _rowwise(self, method, x, *args):
+        # per-row results of one group method, in block order; the test of
+        # ndim costs less than a reshape on the consensus loops' (m, n) input
+        X = x if x.ndim == 2 else x.reshape(self.m, self.n)
         if len(self._groups) == 1:
             return getattr(self._groups[0][1], method)(*args, X)
         out = np.empty(X.shape if method == "prox" else self.m)
@@ -498,27 +472,15 @@ class StackedBlocks:
             out[idx] = getattr(group, method)(*args, X[idx])
         return out
 
-    def prox(self, gamma, X):
-        """The (m, n) array whose row i is ``blocks[i].prox(gamma, X[i])``."""
-        return self._prox(gamma, self._check(X))
+    def _prox(self, gamma, x):
+        out = self._rowwise("prox", x, gamma)
+        return out if x.ndim == 2 else out.ravel()
 
-    def value(self, X):
-        """sum_i f_i(X[i]); +inf as soon as one block is +inf."""
-        return self._value(self._check(X))
+    def _value(self, x):
+        return sum_or_inf(self._rowwise("values", x).tolist())
 
-    def conj(self, U):
-        """sum_i f_i*(U[i]); +inf as soon as one block is +inf."""
-        return self._conj(self._check(U))
-
-    # unchecked kernels of prox/value/conj for the consensus loops
-    def _prox(self, gamma, X):
-        return self._rowwise("prox", X, gamma)
-
-    def _value(self, X):
-        return sum_or_inf(self._rowwise("values", X).tolist())
-
-    def _conj(self, U):
-        return sum_or_inf(self._rowwise("conjs", U).tolist())
+    def _conj(self, u):
+        return sum_or_inf(self._rowwise("conjs", u).tolist())
 
 
 class IndicatorConsensus(ConvexFn):
@@ -532,11 +494,9 @@ class IndicatorConsensus(ConvexFn):
     kind = "indicator_consensus"
 
     def __init__(self, m, n):
-        if m < 2:
-            raise ValueError("need at least two blocks")
-        super().__init__(m * n)
-        self.m = int(m)
-        self.n = int(n)
+        self.m = check_dim(m, "number of blocks", 2)
+        self.n = check_dim(n, "block dimension")
+        super().__init__(self.m * self.n)
 
     def _blocks(self, x):
         return x.reshape(self.m, self.n)

@@ -5,7 +5,7 @@ import numbers
 
 import numpy as np
 
-__all__ = ["LinearMap", "check_vector", "check_gamma"]
+__all__ = ["LinearMap", "check_vector", "check_gamma", "check_dim"]
 
 # Singular values below this are treated as zero when computing the
 # injectivity modulus (a strict inequality in the well-posedness hypothesis).
@@ -37,9 +37,20 @@ def _norm(v):
 
 
 def check_gamma(gamma):
-    """Reject a step parameter gamma that is not positive and finite."""
+    """Return a step parameter gamma; reject one not positive and finite."""
     if not 0.0 < gamma < np.inf:
         raise ValueError("gamma must be positive and finite, got %r" % (gamma,))
+    return gamma
+
+
+def check_dim(n, name, least=1):
+    """Return a dimension n as an int; reject a bool, a non-integer, or
+    an n below ``least``."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise ValueError("%s must be an integer, got %r" % (name, n))
+    if n < least:
+        raise ValueError("%s must be >= %d" % (name, least))
+    return int(n)
 
 
 def cholesky(M):
@@ -85,13 +96,7 @@ class LinearMap:
             self.matrix = m
             self.shape = m.shape
         else:
-            if (not isinstance(identity_dim, numbers.Integral)
-                    or isinstance(identity_dim, bool)):
-                raise ValueError("identity dimension must be an integer, got %r"
-                                 % (identity_dim,))
-            n = int(identity_dim)
-            if n < 1:
-                raise ValueError("identity dimension must be >= 1")
+            n = check_dim(identity_dim, "identity dimension")
             if not math.isfinite(scale):
                 raise ValueError("scale must be finite")
             self.kind = "identity" if scale == 1.0 else "scaled_identity"

@@ -17,8 +17,9 @@ from inadmm import (
     run_sum2,
 )
 
+from inadmm.admm import ProblemSpec
 from inadmm.consensus import ConsensusState, sum1_step, sum2_step
-from inadmm.functions import sum_or_inf
+from inadmm.functions import ConvexFn, sum_or_inf
 
 from conftest import mixed_blocks, run_sum1_simplified
 
@@ -287,6 +288,71 @@ def test_blockwise_trace_values_match_per_block_sums(rng):
             dual = -sum_or_inf(f.conj(-vi) for f, vi in zip(cp.blocks, v))
             assert row.primal == pytest.approx(primal, rel=1e-12, abs=0.0)
             assert row.dual == pytest.approx(dual, rel=1e-12, abs=0.0)
+
+
+class LoopedSum(ConvexFn):
+    """sum_i f_i(x_i) with one kernel call per block on slices of the flat
+    vector: the per-block oracle for the lifted ``SeparableSum``."""
+
+    kind = "looped_sum"
+
+    def __init__(self, blocks):
+        super().__init__(sum(f.dim for f in blocks))
+        self.blocks = blocks
+        self._offsets = np.cumsum([0] + [f.dim for f in blocks])
+
+    def _split(self, x):
+        return [x[a:b] for a, b in zip(self._offsets[:-1], self._offsets[1:])]
+
+    def _value(self, x):
+        return sum_or_inf(f._value(xi) for f, xi in zip(self.blocks, self._split(x)))
+
+    def _prox(self, gamma, x):
+        return np.concatenate(
+            [f._prox(gamma, xi) for f, xi in zip(self.blocks, self._split(x))])
+
+    def _conj(self, u):
+        return sum_or_inf(f._conj(ui) for f, ui in zip(self.blocks, self._split(u)))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_lift_matches_per_block_loop_bit_for_bit(rng, n):
+    cp = ConsensusProblem(mixed_blocks(n, rng, point=rng.standard_normal(n)))
+    lifted = lift_problem(cp)
+    assert lifted.f is cp.stacked
+    looped = ProblemSpec(f=LoopedSum(cp.blocks), g=lifted.g, L=lifted.L)
+    params = default_params(0.2, gamma=1.3)
+    got = run_iadmm(lifted, params, max_iters=60, tol=0.0)
+    want = run_iadmm(looped, params, max_iters=60, tol=0.0)
+    assert len(got.rows) == len(want.rows) == 60
+    for a, b in zip(got.rows, want.rows):
+        assert a.vectors.keys() == b.vectors.keys()
+        for name in a.vectors:
+            assert _same_bytes(a.vectors[name], b.vectors[name]), (a.k, name)
+        assert (a.primal, a.dual) == (b.primal, b.dual), a.k
+
+
+@pytest.mark.parametrize("run", [run_sum1, run_sum2])
+@pytest.mark.parametrize("which", ["y0", "y1", "z0", "z1"])
+def test_blockwise_rejects_nonfinite_initial_iterates(run, which):
+    cp = ConsensusProblem([L1Norm(2, 1.0), L1Norm(2, 2.0), Translated(
+        L1Norm(2, 0.5), [1.0, -1.0])])
+    init = {name: np.zeros((3, 2)) for name in ("y0", "y1", "z0", "z1")}
+    init[which][1, 0] = np.nan
+    with pytest.raises(ValueError, match="%s entries must be finite" % which):
+        run(cp, default_params(0.2), init=tuple(init.values()), max_iters=5)
+
+
+def test_boyd_consensus_checks_initial_iterates(rng):
+    cp = ConsensusProblem(quadratic_blocks(3, 2, rng))
+    y = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="xbar has dimension 1, expected 2"):
+        boyd_consensus(cp, 1.0, init=(y, np.zeros(1)), max_iters=5)
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        boyd_consensus(cp, 1.0, init=(y, [0.0, np.nan]), max_iters=5)
+    y[0, 0] = np.inf
+    with pytest.raises(ValueError, match="y0 entries must be finite"):
+        boyd_consensus(cp, 1.0, init=(y, np.zeros(2)), max_iters=5)
 
 
 def test_consensus_problem_blocks_are_fixed(rng):

@@ -15,7 +15,7 @@ from inadmm import (
     Translated,
     Zero,
 )
-from inadmm.functions import StackedBlocks, sum_or_inf
+from inadmm.functions import sum_or_inf
 from inadmm.linalg import check_vector
 
 from conftest import CountingL1, catalog, mixed_blocks, random_quadratic
@@ -236,10 +236,16 @@ def test_translated_prox_and_conj(rng):
 
 
 def test_separable_sum_blockwise(rng):
-    f = SeparableSum([L1Norm(2, 1.0), Quadratic(np.eye(1), [0.0])])
-    x = np.array([2.0, -0.5, 4.0])
-    assert f(x) == pytest.approx(2.5 + 8.0)
-    assert np.allclose(f.prox(1.0, x), [1.0, 0.0, 2.0])
+    f = SeparableSum([L1Norm(2, 1.0), Quadratic(np.eye(2), [0.0, 0.0])])
+    x = np.array([2.0, -0.5, 4.0, -2.0])
+    for xs in _shapes(x.reshape(2, 2)):
+        assert f(xs) == pytest.approx(2.5 + 10.0)
+        assert f.conj(xs) == INF
+        p = f.prox(1.0, xs)
+        assert p.shape == xs.shape
+        assert np.allclose(p.ravel(), [1.0, 0.0, 2.0, -1.0])
+        q = f.conj_prox(1.0, xs)
+        assert q.shape == xs.shape and np.allclose(p + q, xs)
 
 
 def test_indicator_consensus_projection():
@@ -282,6 +288,11 @@ def test_hyperplane_rejects_nonfinite_offset(b):
 
 # -- row-stacked evaluation --------------------------------------------------
 
+def _shapes(X):
+    """A stacked (m, n) input in both accepted shapes: as it is, and flat."""
+    return X, X.ravel()
+
+
 def _blockwise_prox(blocks, gamma, X):
     return np.stack([f.prox(gamma, x) for f, x in zip(blocks, X)])
 
@@ -297,11 +308,14 @@ def _stacked_input(rng, m, n):
 @pytest.mark.parametrize("gamma", [0.1, 1.0, 7.0])
 def test_stacked_prox_matches_blockwise_bit_for_bit(rng, n, gamma):
     blocks = mixed_blocks(n, rng)
-    sb = StackedBlocks(blocks)
+    f = SeparableSum(blocks)
     X = _stacked_input(rng, len(blocks), n)
-    assert sb.prox(gamma, X).tobytes() == _blockwise_prox(blocks, gamma, X).tobytes()
-    counting = [f for f in blocks if isinstance(f, CountingL1)]
-    assert counting and all(f.prox_calls == 2 for f in counting)
+    want = _blockwise_prox(blocks, gamma, X).tobytes()
+    for Xs in _shapes(X):
+        got = f.prox(gamma, Xs)
+        assert got.shape == Xs.shape and got.tobytes() == want
+    counting = [g for g in blocks if isinstance(g, CountingL1)]
+    assert counting and all(g.prox_calls == 3 for g in counting)
 
 
 @pytest.mark.parametrize("make", [
@@ -313,8 +327,9 @@ def test_stacked_prox_matches_blockwise_bit_for_bit(rng, n, gamma):
 def test_stacked_prox_single_group(rng, make):
     blocks = [make(3, rng) for _ in range(5)]
     X = _stacked_input(rng, 5, 3)
-    got = StackedBlocks(blocks).prox(0.7, X)
-    assert got.tobytes() == _blockwise_prox(blocks, 0.7, X).tobytes()
+    want = _blockwise_prox(blocks, 0.7, X).tobytes()
+    for Xs in _shapes(X):
+        assert SeparableSum(blocks).prox(0.7, Xs).tobytes() == want
 
 
 def _domain_points(blocks, rng, gamma=0.8):
@@ -327,52 +342,57 @@ def _domain_points(blocks, rng, gamma=0.8):
 @pytest.mark.parametrize("n", [1, 3, 10])
 def test_stacked_value_and_conj_sum_blocks_in_order(rng, n):
     blocks = mixed_blocks(n, rng)
-    sb = StackedBlocks(blocks)
+    f = SeparableSum(blocks)
     X, U = _domain_points(blocks, rng)
-    value = sum_or_inf(f(x) for f, x in zip(blocks, X))
-    conj = sum_or_inf(f.conj(u) for f, u in zip(blocks, U))
+    value = sum_or_inf(g(x) for g, x in zip(blocks, X))
+    conj = sum_or_inf(g.conj(u) for g, u in zip(blocks, U))
     assert math.isfinite(value) and math.isfinite(conj)
-    assert sb.value(X) == pytest.approx(value, rel=1e-12, abs=0.0)
-    assert sb.conj(U) == pytest.approx(conj, rel=1e-12, abs=0.0)
+    for Xs, Us in zip(_shapes(X), _shapes(U)):
+        assert f(Xs) == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert f.conj(Us) == pytest.approx(conj, rel=1e-12, abs=0.0)
 
 
 def test_stacked_value_and_conj_infinite_exactly(rng):
     blocks = mixed_blocks(3, rng)
-    sb = StackedBlocks(blocks)
+    f = SeparableSum(blocks)
     X, U = _domain_points(blocks, rng)
-    for i, f in enumerate(blocks):
+    for i in range(len(blocks)):
         Xi, Ui = X.copy(), U.copy()
         Xi[i] += 100.0
         Ui[i] += 100.0
         value = sum_or_inf(g(x) for g, x in zip(blocks, Xi))
         conj = sum_or_inf(g.conj(u) for g, u in zip(blocks, Ui))
-        if math.isinf(value):
-            assert sb.value(Xi) == INF
-        else:
-            assert sb.value(Xi) == pytest.approx(value, rel=1e-12, abs=0.0)
-        if math.isinf(conj):
-            assert sb.conj(Ui) == INF
-        else:
-            assert sb.conj(Ui) == pytest.approx(conj, rel=1e-12, abs=0.0)
+        for Xs, Us in zip(_shapes(Xi), _shapes(Ui)):
+            if math.isinf(value):
+                assert f(Xs) == INF
+            else:
+                assert f(Xs) == pytest.approx(value, rel=1e-12, abs=0.0)
+            if math.isinf(conj):
+                assert f.conj(Us) == INF
+            else:
+                assert f.conj(Us) == pytest.approx(conj, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_stacked_rejects_nonfinite_rows(rng, bad):
-    blocks = mixed_blocks(2, rng)
-    sb = StackedBlocks(blocks)
-    X = _stacked_input(rng, len(blocks), 2)
+    f = SeparableSum(mixed_blocks(2, rng))
+    X = _stacked_input(rng, f.m, 2)
     X[3, 1] = bad
-    for call in (lambda: sb.prox(1.0, X), lambda: sb.value(X), lambda: sb.conj(X)):
-        with pytest.raises(ValueError, match="vector entries must be finite"):
-            call()
+    for Xs in _shapes(X):
+        for call in (lambda: f.prox(1.0, Xs), lambda: f(Xs), lambda: f.conj(Xs)):
+            with pytest.raises(ValueError, match="vector entries must be finite"):
+                call()
 
 
 def test_stacked_rejects_wrong_shape_and_dimensions(rng):
-    sb = StackedBlocks([L1Norm(2, 1.0), Zero(2)])
-    with pytest.raises(ValueError, match="shape"):
-        sb.prox(1.0, np.zeros((2, 3)))
+    f = SeparableSum([L1Norm(2, 1.0), Zero(2)])
+    for bad in (np.zeros((2, 3)), np.zeros((4, 1)), np.zeros(5), np.zeros((1, 4))):
+        with pytest.raises(ValueError, match="shape"):
+            f.prox(1.0, bad)
     with pytest.raises(ValueError, match="one dimension"):
-        StackedBlocks([L1Norm(2, 1.0), Zero(3)])
+        SeparableSum([L1Norm(2, 1.0), Zero(3)])
+    with pytest.raises(ValueError, match="at least one block"):
+        SeparableSum([])
 
 
 @pytest.mark.parametrize("cls", [L1Norm, L2Norm])
@@ -380,3 +400,43 @@ def test_stacked_rejects_wrong_shape_and_dimensions(rng):
 def test_norms_reject_nonfinite_tau(cls, tau):
     with pytest.raises(ValueError, match="tau"):
         cls(2, tau)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_prox_rejects_bad_gamma(rng, gamma):
+    fns = catalog(3, rng)
+    fns += [SeparableSum(fns), IndicatorConsensus(2, 3)]
+    for f in fns:
+        x = rng.standard_normal(f.dim)
+        for prox in (f.prox, f.conj_prox):
+            with pytest.raises(ValueError, match="gamma must be positive"):
+                prox(gamma, x)
+            # gamma is checked before the vector
+            with pytest.raises(ValueError, match="gamma must be positive"):
+                prox(gamma, np.full(f.dim, np.nan))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Zero(2.7),
+    lambda: Zero(2.0),
+    lambda: L1Norm(True, 1.0),
+    lambda: L2Norm(np.float64(3.0), 1.0),
+    lambda: IndicatorConsensus(2.9, 2),
+    lambda: IndicatorConsensus(2, 1.5),
+    lambda: IndicatorConsensus(3, True),
+], ids=["zero_float", "zero_integral_float", "l1_bool", "l2_numpy_float",
+        "consensus_m_float", "consensus_n_float", "consensus_n_bool"])
+def test_dimension_arguments_must_be_integers(make):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
+def test_dimension_arguments_accept_integers():
+    assert Zero(np.int64(3)).dim == 3 and type(Zero(np.int64(3)).dim) is int
+    g = IndicatorConsensus(np.int32(3), 2)
+    assert (g.m, g.n, g.dim) == (3, 2, 6)
+    with pytest.raises(ValueError, match="number of blocks must be >= 2"):
+        IndicatorConsensus(1, 2)
+    with pytest.raises(ValueError, match="block dimension must be >= 1"):
+        IndicatorConsensus(2, 0)

@@ -144,9 +144,10 @@ def test_blockwise_objective_columns_bit_for_bit(rng, snapshots, run):
     trace = run(cp, default_params(0.2, gamma=1.3), max_iters=ITERS, tol=0.0)
     assert len(snapshots) == ITERS
     for row, vec in zip(trace.rows, snapshots):
-        primal = cp.stacked.value(vec["x"])
-        dual = -cp.stacked.conj(-vec["v"])
-        assert hexes(row.primal, row.dual, row.gap) == with_gap(primal, dual), row.k
+        for x, v in ((vec["x"], vec["v"]), (vec["x"].ravel(), vec["v"].ravel())):
+            primal = cp.stacked(x)
+            dual = -cp.stacked.conj(-v)
+            assert hexes(row.primal, row.dual, row.gap) == with_gap(primal, dual), row.k
 
 
 def test_boyd_consensus_objective_columns_bit_for_bit(rng, snapshots):
@@ -154,8 +155,9 @@ def test_boyd_consensus_objective_columns_bit_for_bit(rng, snapshots):
     trace = boyd_consensus(cp, 0.9, max_iters=ITERS, tol=0.0)
     assert len(snapshots) == ITERS
     for row, vec in zip(trace.rows, snapshots):
-        primal = cp.stacked.value(vec["x"])
-        assert hexes(row.primal, row.dual, row.gap) == with_gap(primal, math.nan)
+        for x in (vec["x"], vec["x"].ravel()):
+            primal = cp.stacked(x)
+            assert hexes(row.primal, row.dual, row.gap) == with_gap(primal, math.nan)
 
 
 def test_objective_columns_computed_once_on_first_read(rng, monkeypatch):

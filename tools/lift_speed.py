@@ -1,0 +1,81 @@
+"""Time per iteration of the blockwise and the lifted consensus solvers.
+
+    python tools/lift_speed.py [--smoke]
+
+Builds one consensus problem of 101 ``Translated(L1Norm)`` blocks on R^3
+(a median problem: the shifts are seeded standard normals) and times
+``run_sum1``, ``run_sum2`` and ``run_iadmm(lift_problem(cp))`` on it with
+gamma = 5, alpha = 0.2 and 300 iterations at tolerance 0, so every run
+takes the same number of steps.  Each solver reports the best of
+``REPEATS`` runs in microseconds per iteration, and its ratio to
+``run_sum1``.  One BLAS thread.  ``--smoke`` runs 11 blocks on R^2 for 20
+iterations, once, which only checks that the script works.  Runs from the root
+of a checkout and imports the program from its ``src/``.
+"""
+
+import os
+
+# One BLAS thread, set before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import sys
+import time
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from inadmm import (ConsensusProblem, L1Norm, Translated, default_params,
+                    lift_problem, run_iadmm, run_sum1, run_sum2)
+
+REPEATS = 5  # timed runs per solver; the best one is reported
+
+
+def parse_args(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--smoke", action="store_true",
+                    help="11 blocks on R^2, 20 iterations, one run")
+    return ap.parse_args(argv)
+
+
+def best_us_per_iter(solve, iters, repeats):
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        trace = solve()
+        elapsed = time.perf_counter() - t0
+        if trace.iterations != iters:
+            sys.exit("lift_speed: a run stopped after %d of %d iterations"
+                     % (trace.iterations, iters))
+        best = min(best, elapsed)
+    return 1e6 * best / iters
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    m, n, iters, repeats = (11, 2, 20, 1) if args.smoke else (101, 3, 300, REPEATS)
+    rng = np.random.default_rng(0)
+    cp = ConsensusProblem([Translated(L1Norm(n, 1.0), rng.standard_normal(n))
+                           for _ in range(m)])
+    params = default_params(0.2, gamma=5.0)
+    lifted = lift_problem(cp)
+    solvers = [
+        ("run_sum1", lambda: run_sum1(cp, params, max_iters=iters, tol=0.0)),
+        ("run_sum2", lambda: run_sum2(cp, params, max_iters=iters, tol=0.0)),
+        ("lifted run_iadmm",
+         lambda: run_iadmm(lifted, params, max_iters=iters, tol=0.0)),
+    ]
+    print("%d blocks on R^%d, %d iterations, best of %d"
+          % (m, n, iters, repeats))
+    base = None
+    for name, solve in solvers:
+        us = best_us_per_iter(solve, iters, repeats)
+        base = us if base is None else base
+        print("%-18s %9.1f us/iter  %5.2fx run_sum1" % (name, us, us / base))
+
+
+if __name__ == "__main__":
+    main()
