@@ -196,15 +196,15 @@ def step(state, p, params, k, strat):
     return new_state, _norm(r)
 
 
-def _objective(p, x, z, zbar, v, y):
-    """Primal f(x^{k+1}) + g(z^k + zbar^k) and dual value of a run_iadmm row."""
-    return p.f._value(x) + p.g._value(z + zbar), _dual_value(p, v, y)
+def _iadmm_vectors(prev, new):
+    return {"x_next": new.x, "z": prev.z, "z_next": new.z,
+            "zbar_next": new.zbar, "y": prev.y, "y_next": new.y, "v": new.v,
+            "w": prev.w, "w_next": new.w}
 
 
-def _classical_objective(p, x, z, y, r, gamma):
-    """Primal f(x^{k+1}) + g(z^k) and dual value at v^k = y^k + gamma r of a
-    classical_admm row."""
-    return p.f._value(x) + p.g._value(z), _dual_value(p, y + gamma * r, y)
+def _classical_vectors(prev, new):
+    return {"x_next": new.x, "z": prev.z, "z_next": new.z, "y": prev.y,
+            "y_next": new.y}
 
 
 def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10):
@@ -224,39 +224,20 @@ def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10):
     else:
         y0, y1, z0, z1 = (check_vector(u, m) for u in init)
 
-    dw_sq_sum = 0.0
+    # primal f(x^{k+1}) + g(z^k + zbar^k), dual value at (v^k, y^k)
+    schema = (_iadmm_vectors, lambda prev, new: (
+        p.f._value(new.x) + p.g._value(prev.z + prev.zbar),
+        _dual_value(p, new.v, prev.y)))
 
     def iterate(state, k):
-        nonlocal dw_sq_sum
         try:
             new, feas = step(state, p, params, k, strat)
         except SubproblemError as err:
             err.iteration = k
             raise
-        dw = _norm(new.w - state.w)
-        dw_sq_sum += dw * dw
         zbar_norm = _norm(new.zbar)
-        row = TraceRow(
-            k,
-            feas_residual=feas,
-            zbar_norm=zbar_norm,
-            dw_norm=dw,
-            dw_sq_sum=dw_sq_sum,
-            vectors={
-                "x_next": new.x,
-                "z": state.z,
-                "z_next": new.z,
-                "zbar_next": new.zbar,
-                "y": state.y,
-                "y_next": new.y,
-                "v": new.v,
-                "w": state.w,
-                "w_next": new.w,
-            },
-            objective=(_objective, p, new.x, state.z, state.zbar, new.v,
-                       state.y),
-        )
-        return new, row, (feas, zbar_norm, dw)
+        row = TraceRow(k, feas, zbar_norm, prev=state, new=new, schema=schema)
+        return new, row, (feas, zbar_norm)
 
     state = IadmmState(k=1, x=np.zeros(p.f.dim), z=z1, z_prev=z0,
                        zbar=np.zeros(m), y=y1, y_prev=y0,
@@ -288,6 +269,12 @@ def classical_admm(p, gamma, init=None, lam=1.0, strat=None,
 
     zeros = np.zeros(m)
 
+    # primal f(x^{k+1}) + g(z^k), dual value at v^k = y^k + gamma r, with
+    # r = Lx^{k+1} - z^k recomputed by the iteration's own expression
+    schema = (_classical_vectors, lambda prev, new: (
+        p.f._value(new.x) + p.g._value(prev.z),
+        _dual_value(p, prev.y + gamma * (p.L._apply(new.x) - prev.z), prev.y)))
+
     def iterate(state, k):
         y_k, z_k = state.y, state.z
         x_next = x_update(state, p, gamma, 0.0, strat)
@@ -295,23 +282,14 @@ def classical_admm(p, gamma, init=None, lam=1.0, strat=None,
         relaxed = lam * Lx + (1.0 - lam) * z_k
         z_next = p.g._prox(1.0 / gamma, relaxed + y_k / gamma)
         y_next = y_k + gamma * (relaxed - z_next)
-        r = Lx - z_k
-        feas = _norm(r)
+        feas = _norm(Lx - z_k)
         dz = _norm(z_next - z_k)
         dy = _norm(y_next - y_k)
         dw = _norm((y_next + gamma * z_next) - (y_k + gamma * z_k))
-        row = TraceRow(
-            k,
-            feas_residual=feas,
-            zbar_norm=0.0,
-            dw_norm=dw,
-            dw_sq_sum=np.nan,
-            vectors={"x_next": x_next, "z": z_k, "z_next": z_next,
-                     "y": y_k, "y_next": y_next},
-            objective=(_classical_objective, p, x_next, z_k, y_k, r, gamma),
-        )
         new = IadmmState(k=k + 1, x=x_next, z=z_next, z_prev=z_k,
                          zbar=zeros, y=y_next, y_prev=y_k)
+        row = TraceRow(k, feas, zbar_norm=0.0, dw_norm=dw, prev=state, new=new,
+                       schema=schema)
         return new, row, (feas, gamma * dz, dy)
 
     state = IadmmState(k=1, x=np.zeros(p.f.dim), z=z, z_prev=z,

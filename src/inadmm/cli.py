@@ -216,15 +216,18 @@ def main(argv=None, out=None):
             return _run_sweep(cfg, solver, args.sweep, max_iters, tol, output, out)
         trace = _run_solver(cfg, solver, cfg.params, cfg.lambda_value,
                             max_iters, tol)
+        if output:
+            trace.write_csv(output)
     except (ConfigError, InfeasibleParameters, ValueError) as err:
         print("input error: %s" % err, file=sys.stderr)
         return EXIT_INPUT
     except SubproblemError as err:
         print("solver error: %s" % err, file=sys.stderr)
         return EXIT_BUDGET
+    except OSError as err:
+        print("cannot write output: %s" % err, file=sys.stderr)
+        return EXIT_INPUT
 
-    if output:
-        trace.write_csv(output)
     if trace.nonfinite:
         print("iterates became non-finite at iteration %d" % trace.iterations,
               file=sys.stderr)

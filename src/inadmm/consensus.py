@@ -160,39 +160,24 @@ def sum2_step(state, cp, params, k):
                           w=y_next + gamma * z_next, shared=x_next)
 
 
-def _blockwise_objective(stacked, x, v):
-    """Primal sum_i f_i(x_i) and dual -sum_i f_i*(-v_i) of a blockwise row."""
-    return stacked._value(x), -stacked._conj(-v)
-
-
-def _primal_only(stacked, x):
-    return stacked._value(x), np.nan
+def _blockwise_vectors(prev, new):
+    return {"x": new.x, "z": new.z, "zbar": new.zbar, "y": new.y, "v": new.v,
+            "shared": new.shared, "w": prev.w, "w_next": new.w}
 
 
 def _run_blockwise(cp, params, stepper, init, require_zero_sum, max_iters,
                    tol):
     require_valid(params)
-    dw_sq_sum = 0.0
+    # primal sum_i f_i(x_i) and dual -sum_i f_i*(-v_i)
+    schema = (_blockwise_vectors, lambda prev, new: (
+        cp.stacked._value(new.x), -cp.stacked._conj(-new.v)))
 
     def iterate(state, k):
-        nonlocal dw_sq_sum
         new = stepper(state, cp, params, k)
-        dw = _norm(new.w - state.w)
-        dw_sq_sum += dw * dw
         feas = float(np.abs(new.x - state.z).max())
         zbar_norm = _norm(new.zbar)
-        row = TraceRow(
-            k,
-            feas_residual=feas,
-            zbar_norm=zbar_norm,
-            dw_norm=dw,
-            dw_sq_sum=dw_sq_sum,
-            vectors={"x": new.x, "z": new.z, "zbar": new.zbar,
-                     "y": new.y, "v": new.v, "shared": new.shared,
-                     "w": state.w, "w_next": new.w},
-            objective=(_blockwise_objective, cp.stacked, new.x, new.v),
-        )
-        return new, row, (feas, zbar_norm, dw)
+        row = TraceRow(k, feas, zbar_norm, prev=state, new=new, schema=schema)
+        return new, row, (feas, zbar_norm)
 
     state = _initial_state(cp, init, require_zero_sum)
     state.w = state.y + params.gamma * state.z
@@ -213,6 +198,17 @@ def run_sum2(cp, params, init=None, max_iters=100000, tol=1e-10):
     return _run_blockwise(cp, params, sum2_step, init, False, max_iters, tol)
 
 
+@dataclass
+class _BoydState:
+    x: np.ndarray  # the per-block prox of the step that made this state
+    xbar: np.ndarray
+    y: np.ndarray
+
+
+def _boyd_vectors(prev, new):
+    return {"x": new.x, "xbar": new.xbar, "y": new.y}
+
+
 def boyd_consensus(cp, gamma, init=None, max_iters=100000, tol=1e-10):
     """Textbook consensus ADMM: per-block prox against the running average.
 
@@ -229,25 +225,21 @@ def boyd_consensus(cp, gamma, init=None, max_iters=100000, tol=1e-10):
         y = _as_block_array(y, m, n, "y0")
         xbar = check_vector(xbar, n, name="xbar")
         _check_zero_sum(y, "y0")
+    stacked = cp.stacked
+    schema = (_boyd_vectors, lambda prev, new: (stacked._value(new.x), np.nan))
 
     def iterate(state, k):
-        xbar, y = state
-        x = cp.stacked._prox(1.0 / gamma, xbar - y / gamma)
+        x = stacked._prox(1.0 / gamma, state.xbar - state.y / gamma)
         xbar_next = x.mean(axis=0)
-        y_next = y + gamma * (x - xbar_next[None, :])
-        feas = float(np.abs(x - xbar[None, :]).max())
-        dy = _norm(y_next - y)
-        row = TraceRow(
-            k,
-            feas_residual=feas,
-            dw_norm=dy,
-            vectors={"x": x, "xbar": xbar_next, "y": y_next},
-            objective=(_primal_only, cp.stacked, x),
-        )
-        return (xbar_next, y_next), row, (feas, dy)
+        new = _BoydState(x, xbar_next, state.y + gamma * (x - xbar_next[None, :]))
+        feas = float(np.abs(x - state.xbar[None, :]).max())
+        dy = _norm(new.y - state.y)
+        row = TraceRow(k, feas, dw_norm=dy, prev=state, new=new, schema=schema)
+        return new, row, (feas, dy)
 
-    trace, (xbar, y) = drive(iterate, (xbar, y), max_iters, tol, first_k=1)
-    trace.final = {"x": trace.rows[-1].vectors["x"], "xbar": xbar, "y": y}
+    trace, state = drive(iterate, _BoydState(None, xbar, y), max_iters, tol,
+                         first_k=1)
+    trace.final = {"x": state.x, "xbar": state.xbar, "y": state.y}
     return trace
 
 

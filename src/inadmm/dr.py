@@ -119,6 +119,10 @@ def idr_step(state, A, B, gamma, alpha_k, lambda_k):
     return IdrState(k=state.k + 1, w_prev=state.w, w=w_next, y=y, v=v)
 
 
+def _idr_vectors(prev, new):
+    return {"w": prev.w, "w_next": new.w, "y": new.y, "v": new.v}
+
+
 def run_idr(A, B, gamma, params, w0, w1, max_iters=100000, tol=1e-10):
     """Iterate the inertial DR scheme until the joint residual is small.
 
@@ -135,22 +139,11 @@ def run_idr(A, B, gamma, params, w0, w1, max_iters=100000, tol=1e-10):
             "nonzero inertia at the first iteration requires w0 == w1"
         )
 
-    dw_sq_sum = 0.0
-
     def iterate(state, k):
-        nonlocal dw_sq_sum
         new = idr_step(state, A, B, gamma, params.alpha_at(k), params.lambda_at(k))
-        dw = _norm(new.w - state.w)
         vy = _norm(new.v - new.y)
-        dw_sq_sum += dw * dw
-        row = TraceRow(
-            k,
-            feas_residual=vy,
-            dw_norm=dw,
-            dw_sq_sum=dw_sq_sum,
-            vectors={"w": state.w, "w_next": new.w, "y": new.y, "v": new.v},
-        )
-        return new, row, (vy, dw)
+        row = TraceRow(k, vy, prev=state, new=new, schema=(_idr_vectors, None))
+        return new, row, (vy,)
 
     # first_k = 2: the first iteration can be a forced w^2 = w^1 bridge
     trace, state = drive(iterate, IdrState(k=0, w_prev=w0, w=w1), max_iters,

@@ -11,6 +11,7 @@ __all__ = [
     "DualityReport",
     "primal_value",
     "dual_value",
+    "duality_gap",
     "kkt_residual",
     "subgradient_violation",
     "hypothesis_check",
@@ -48,6 +49,11 @@ def _dual_value(p, v, y):
     if math.isinf(b):
         return -np.inf
     return -a - b
+
+
+def duality_gap(primal, dual):
+    """primal - dual when both are finite, else +inf."""
+    return primal - dual if math.isfinite(primal) and math.isfinite(dual) else np.inf
 
 
 def subgradient_violation(f, x, u, probes=50, rng=None, scale=1.0):
@@ -107,12 +113,11 @@ class DualityReport:
 def duality_report(p, x, v, probes=50, rng=None):
     pv = primal_value(p, x)
     dv = dual_value(p, v)
-    gap = pv - dv if math.isfinite(pv) and math.isfinite(dv) else np.inf
     theta, theta_star = hypothesis_check(p)
     return DualityReport(
         primal_value=pv,
         dual_value=dv,
-        gap=gap,
+        gap=duality_gap(pv, dv),
         kkt_residual=kkt_residual(p, x, v, probes, rng),
         h_theta=theta,
         h_star_theta=theta_star,

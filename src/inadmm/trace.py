@@ -1,16 +1,20 @@
 """Per-iteration solve traces, their CSV serialization, and the iteration driver.
 
-A row's objective columns (``primal``, ``dual``, ``gap``) are computed on
-first read, from the arrays the row holds, and cached: no stopping rule
-reads them, so a solve whose caller never reads them does not pay for
-them.  Writing into one of those arrays in place before the first read
-changes the values read, and numpy floating-point warnings from diverging
-iterates appear at read time (in ``write_csv``, say), not during the solve.
+A row holds the solver states before and after its iteration, and builds
+its ``vectors`` and objective columns (``primal``, ``dual``, ``gap``) from
+them on first read: no stopping rule reads them, so a solve whose caller
+never does pays nothing for them.  Writing into a state's array in place
+before that read changes the values read, and numpy floating-point warnings
+from diverging iterates appear at read time (in ``write_csv``, say).
 """
 
 import math
+import numbers
 
 import numpy as np
+
+from .duality import duality_gap
+from .linalg import _norm
 
 __all__ = ["TraceRow", "SolveTrace", "CSV_COLUMNS", "drive"]
 
@@ -26,64 +30,57 @@ CSV_COLUMNS = (
 )
 
 
+_NO_SCHEMA = (lambda prev, new: {}, None)  # no vectors, NaN objective
+
+
 class TraceRow:
     """One iteration's record.  Scalar columns go to CSV; vectors stay in memory.
 
-    ``objective`` is ``(fn, *args)`` with ``fn(*args) -> (primal, dual)``,
-    called once, on the first read of ``primal``, ``dual`` or ``gap``;
-    without it both read NaN.
+    ``schema`` is the run's pair of functions of the states ``(prev, new)``
+    before and after the iteration: ``vectors`` names the row's arrays and
+    ``objective`` (``None``: NaN, NaN) returns ``(primal, dual)``.  Each is
+    called on first read and its result kept (``vectors=`` presets it).
     """
 
-    __slots__ = (
-        "k",
-        "_objective",  # (fn, *args) until first read, then (primal, dual, gap)
-        "feas_residual",
-        "zbar_norm",
-        "dw_norm",
-        "dw_sq_sum",
-        "vectors",
-    )
+    __slots__ = ("k", "feas_residual", "zbar_norm", "dw_norm", "dw_sq_sum",
+                 "prev", "new", "_schema", "_vectors", "_primal", "_dual",
+                 "_gap")
 
     def __init__(self, k, feas_residual=np.nan, zbar_norm=np.nan,
-                 dw_norm=np.nan, dw_sq_sum=np.nan, vectors=None, objective=None):
+                 dw_norm=np.nan, dw_sq_sum=np.nan, vectors=None, prev=None,
+                 new=None, schema=_NO_SCHEMA):
         self.k = k
-        self._objective = _NO_OBJECTIVE if objective is None else objective
         self.feas_residual = feas_residual
         self.zbar_norm = zbar_norm
         self.dw_norm = dw_norm
         self.dw_sq_sum = dw_sq_sum
-        self.vectors = vectors or {}
-
-    def _values(self):
-        obj = self._objective
-        if callable(obj[0]):
-            obj = self._objective = _with_gap(*obj[0](*obj[1:]))
-        return obj
+        self.prev = prev
+        self.new = new
+        self._schema = schema
+        self._vectors = vectors
+        self._gap = None
 
     @property
-    def primal(self):
-        return self._values()[0]
+    def vectors(self):
+        if self._vectors is None:
+            self._vectors = self._schema[0](self.prev, self.new)
+        return self._vectors
 
-    @property
-    def dual(self):
-        return self._values()[1]
+    def _objective(self, slot):
+        if self._gap is None:  # first read: one call of the objective
+            objective = self._schema[1]
+            self._primal, self._dual = ((np.nan, np.nan) if objective is None
+                                        else objective(self.prev, self.new))
+            self._gap = duality_gap(self._primal, self._dual)
+        return getattr(self, slot)
 
-    @property
-    def gap(self):
-        return self._values()[2]
+    primal = property(lambda self: self._objective("_primal"))
+    dual = property(lambda self: self._objective("_dual"))
+    gap = property(lambda self: self._objective("_gap"))
 
     def scalars(self):
         return (self.k, self.primal, self.dual, self.gap, self.feas_residual,
                 self.zbar_norm, self.dw_norm, self.dw_sq_sum)
-
-
-def _with_gap(primal, dual):
-    return (primal, dual,
-            primal - dual if math.isfinite(primal) and math.isfinite(dual)
-            else np.inf)
-
-
-_NO_OBJECTIVE = _with_gap(np.nan, np.nan)
 
 
 def _fmt(value):
@@ -138,15 +135,26 @@ def drive(iterate, state, max_iters, tol, first_k):
     Every solver's loop.  It stops converged at the first k >= first_k with
     max(residuals) <= tol, unconverged (``nonfinite`` set) as soon as a
     residual is NaN or infinite, and otherwise after ``max_iters``
-    iterations.  Returns the trace of all rows and the last state.
+    iterations.  For states with a ``w``, dw = ||w^{k+1} - w^k|| joins the
+    residuals and fills the row's ``dw_norm`` and ``dw_sq_sum`` (the running
+    sum of dw^2).  Returns the trace of all rows and the last state.
     """
+    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral):
+        raise ValueError("max_iters must be an integer, got %r" % (max_iters,))
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1, got %r" % (max_iters,))
     if not tol >= 0.0:
         raise ValueError("tol must be a nonnegative number, got %r" % (tol,))
     trace = SolveTrace()
+    dw_sq_sum = 0.0
     for k in range(1, max_iters + 1):
-        state, row, residuals = iterate(state, k)
+        new, row, residuals = iterate(state, k)
+        if getattr(new, "w", None) is not None:
+            dw = row.dw_norm = _norm(new.w - state.w)
+            dw_sq_sum += dw * dw
+            row.dw_sq_sum = dw_sq_sum
+            residuals += (dw,)
+        state = new
         trace.append(row)
         # checked first: max() silently drops a NaN after the first position
         if not all(map(math.isfinite, residuals)):

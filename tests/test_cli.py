@@ -190,6 +190,19 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name", [
+    ([], "x.csv"), (["--sweep", "alpha=0,0.1"], "x"),
+], ids=["run", "sweep"])
+def test_unwritable_output_exit_code(tmp_path, capsys, argv, name):
+    cfg = write(tmp_path, LASSO_CONFIG)
+    output = str(tmp_path / "missing" / name)
+    code, _ = run([cfg, "--output", output] + argv)
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and output in err
+    assert err.count("\n") == 1
+
+
 def test_solver_override(tmp_path):
     cfg = write(tmp_path, LASSO_CONFIG)
     code, out = run([cfg, "--solver", "classical_admm"])

@@ -1,6 +1,8 @@
 """The iteration driver shared by every solver: budget, stopping rule, NaN stop."""
 
+import copy
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -114,6 +116,9 @@ def test_douglas_rachford_pair_is_computed_once(name):
 @pytest.mark.parametrize("max_iters, tol, match", [
     (0, 1e-10, "max_iters"), (-3, 1e-10, "max_iters"),
     (10, math.nan, "tol"), (10, -1e-12, "tol"),
+    (2.5, 1e-10, "max_iters"), (True, 1e-10, "max_iters"),
+    (False, 1e-10, "max_iters"), (np.float64(4.0), 1e-10, "max_iters"),
+    ("3", 1e-10, "max_iters"),
 ])
 def test_driver_rejects_bad_budget_and_tolerance(max_iters, tol, match):
     with pytest.raises(ValueError, match=match):
@@ -158,3 +163,74 @@ def test_driver_first_k_and_budget():
     assert trace.converged and trace.iterations == 2
     trace, _ = drive(_counting(nan_at=None), 0, 7, 0.0, first_k=2)
     assert not trace.converged and not trace.nonfinite and trace.iterations == 7
+
+
+def test_driver_accepts_numpy_integer_budget():
+    for max_iters in (np.int64(7), np.int32(7), np.uint8(7)):
+        trace, state = drive(_counting(nan_at=None), 0, max_iters, 0.0, first_k=1)
+        assert trace.iterations == state == 7
+
+
+@dataclass
+class WState:
+    w: np.ndarray
+
+
+def _stepping(steps):
+    """States whose w moves by steps[k - 1] at step k; residuals (0,)."""
+
+    def iterate(state, k):
+        new = WState(state.w + steps[k - 1])
+        return new, TraceRow(k, prev=state, new=new), (0.0,)
+
+    return iterate
+
+
+def test_driver_monitors_the_w_step():
+    rng = np.random.default_rng(3)
+    steps = [0.5 ** k * rng.standard_normal(4) for k in range(12)]
+    trace, state = drive(_stepping(steps), WState(np.ones(4)), 12, 0.0,
+                         first_k=1)
+    assert not trace.converged and trace.iterations == 12
+    dw_sq_sum = 0.0
+    for row, step in zip(trace.rows, steps):
+        dw = float(np.linalg.norm(row.new.w - row.prev.w))
+        dw_sq_sum += dw * dw
+        assert row.dw_norm.hex() == dw.hex()
+        assert row.dw_sq_sum.hex() == dw_sq_sum.hex()
+    assert state is trace.rows[-1].new
+    # states without a w leave both columns to the solver
+    trace, _ = drive(_counting(nan_at=None), 0, 3, 0.0, first_k=1)
+    assert all(math.isnan(r.dw_norm) and math.isnan(r.dw_sq_sum)
+               for r in trace.rows)
+
+
+def test_driver_stops_on_nonfinite_w_step():
+    steps = [np.ones(2), np.ones(2), np.array([0.0, math.nan])] + [np.zeros(2)] * 5
+    trace, _ = drive(_stepping(steps), WState(np.zeros(2)), 8, 1.0, first_k=1)
+    assert trace.nonfinite and not trace.converged and trace.iterations == 3
+
+
+def test_large_w_step_blocks_convergence():
+    # the iterate's own residuals are zero: only dw can hold the run back
+    steps = [np.full(2, 1.0)] * 5 + [np.zeros(2)] * 5
+    trace, _ = drive(_stepping(steps), WState(np.zeros(2)), 10, 1e-3, first_k=1)
+    assert trace.converged and trace.iterations == 6
+    assert [r.dw_norm for r in trace.rows] == [math.sqrt(2.0)] * 5 + [0.0]
+
+
+@pytest.mark.parametrize("name", ["iadmm", "idr"])
+@pytest.mark.parametrize("read_first", [False, True])
+def test_assigned_row_vector_sticks_on_deep_copy(name, read_first):
+    # what the benchmark's diverging-twin check does to a deep-copied trace
+    trace = SOLVERS[name][0](30, 0.0)
+    if read_first:
+        [row.vectors for row in trace.rows]
+    twin = copy.deepcopy(trace)
+    row = twin.rows[len(twin.rows) // 2]
+    moved = row.vectors["w"] + 1e-7
+    row.vectors["w"] = moved
+    assert twin.rows[len(twin.rows) // 2].vectors["w"] is moved
+    assert row.vectors["w_next"] is twin.rows[len(twin.rows) // 2 + 1].vectors["w"]
+    original = trace.rows[len(trace.rows) // 2].vectors["w"]
+    assert not np.array_equal(original, moved)

@@ -1,0 +1,273 @@
+"""SHA-256 digests of solver traces and CLI outputs, for byte-identity checks.
+
+    python tools/trace_digest.py [--smoke]
+
+Prints one ``family digest`` line per solver family and per CLI run.  Run it
+from the root of two checkouts and compare the lines: equal digests mean
+equal bytes.
+
+A solver family hashes, for every run in it: the stop flags and iteration
+count; each row's scalars (``TraceRow.scalars()``, read after the run, as
+``float.hex``) and each of its vectors (name, shape, dtype and bytes); every
+``trace.final`` entry; and the bytes of ``write_csv``.  The families are
+``run_iadmm`` with each x-update strategy at alpha 0 and 0.2 (and a
+hyperplane g whose first dual reads -inf), ``classical_admm`` at lambda 1
+and 1.5, ``run_idr``, ``run_sum1``, ``run_sum2``, ``run_iadmm`` on the
+lifted consensus problem, and ``boyd_consensus``, on seeded problems
+(seeds 1 to 3, 60 iterations at tolerance 0).
+
+A CLI run hashes the exit code (or the name of an escaping exception),
+stdout, stderr and the bytes of every CSV it wrote, with the temporary
+directory's name replaced by a placeholder.  The runs cover a run with CSV,
+a sweep with CSVs, compare, budget exhaustion, classical, idr, the three
+consensus solvers and an ``--output`` into a missing directory, in run and
+in sweep mode.
+
+``--smoke`` runs seed 1 for 10 iterations, which only checks that the script
+works.  Imports the program from the ``src/`` of the checkout it sits in.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from inadmm import (ConsensusProblem, IndicatorBox, IndicatorHyperplane,
+                    IndicatorPoint, L1Norm, L2Norm, LinearMap, ProblemSpec,
+                    Quadratic, ResolventOp, Translated, XUpdateStrategy, Zero,
+                    boyd_consensus, classical_admm, default_params,
+                    lift_problem, run_iadmm, run_idr, run_sum1, run_sum2)
+from inadmm.cli import main as cli_main
+
+STRATEGIES = ("prox_identity", "quadratic_solve", "inner_iterative")
+
+
+def parse_args(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--smoke", action="store_true",
+                    help="seed 1 only, 10 iterations")
+    return ap.parse_args(argv)
+
+
+def _scalar(value):
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return float(value).hex()
+
+
+def _array(h, name, value):
+    h.update(name.encode() + b"\0")
+    if value is None:
+        h.update(b"None\0")
+        return
+    a = np.ascontiguousarray(value)
+    h.update(("%s %s\0" % (a.dtype.str, a.shape)).encode())
+    h.update(a.tobytes())
+
+
+def hash_trace(h, trace):
+    h.update(("%s %s %d\0" % (trace.converged, trace.nonfinite,
+                              trace.iterations)).encode())
+    for row in trace.rows:
+        h.update(" ".join(_scalar(v) for v in row.scalars()).encode() + b"\0")
+        for name, value in row.vectors.items():
+            _array(h, name, value)
+    for name, value in trace.final.items():
+        _array(h, "final." + name, value)
+    csv = io.StringIO()
+    trace.write_csv(csv)
+    h.update(csv.getvalue().encode())
+
+
+def tall_full_rank(m, n, rng):
+    while True:
+        A = rng.standard_normal((m, n))
+        if np.linalg.matrix_rank(A) == n:
+            return A
+
+
+def random_quadratic(n, rng):
+    A = rng.standard_normal((n, n))
+    return Quadratic(A.T @ A + 0.1 * np.eye(n), rng.standard_normal(n))
+
+
+def composite_problem(kind, rng):
+    n = 5
+    if kind == "prox_identity":
+        D = tall_full_rank(2 * n, n, rng)
+        b = rng.standard_normal(2 * n)
+        f = Quadratic(D.T @ D, -D.T @ b, 0.5 * float(b @ b))
+        return ProblemSpec(f, L1Norm(n, 0.3), LinearMap.identity(n))
+    m = n + 2
+    L = LinearMap.dense(tall_full_rank(m, n, rng))
+    if kind == "quadratic_solve":
+        return ProblemSpec(random_quadratic(n, rng), L1Norm(m, 0.2), L)
+    return ProblemSpec(L1Norm(n, 0.4),
+                       Quadratic(np.eye(m), -rng.standard_normal(m)), L)
+
+
+def consensus_problem(rng, n=3):
+    p = rng.standard_normal(n)
+    s = rng.standard_normal(n)
+    width = rng.uniform(0.1, 1.0, n)
+    return ConsensusProblem([
+        Zero(n),
+        L1Norm(n, rng.uniform(0.2, 2.0)),
+        Translated(L1Norm(n, rng.uniform(0.2, 2.0)), s),
+        Translated(L1Norm(n, rng.uniform(0.2, 2.0)), -s),
+        IndicatorPoint(p),
+        L2Norm(n, 0.7),
+        IndicatorBox(p - width, p + width),
+        Translated(IndicatorBox(p - s - width, p - s + width), s),
+        Quadratic(np.eye(n) * 1.5, rng.standard_normal(n)),
+    ])
+
+
+def solver_families(seeds, iters):
+    """family name -> list of zero-argument callables returning a trace."""
+    fam = {}
+    for seed in seeds:
+        for kind in STRATEGIES:
+            for alpha in (0.0, 0.2):
+                p = composite_problem(kind, np.random.default_rng(seed))
+                fam.setdefault("iadmm_%s_alpha%g" % (kind, alpha), []).append(
+                    lambda p=p, kind=kind, alpha=alpha: run_iadmm(
+                        p, default_params(alpha, gamma=1.3),
+                        strat=XUpdateStrategy(kind), max_iters=iters, tol=0.0))
+            for lam in (1.0, 1.5):
+                p = composite_problem(kind, np.random.default_rng(seed))
+                fam.setdefault("classical_lam%g" % lam, []).append(
+                    lambda p=p, lam=lam: classical_admm(
+                        p, 0.8, lam=lam, max_iters=iters, tol=0.0))
+        for kind in STRATEGIES[:2]:
+            p = composite_problem(kind, np.random.default_rng(seed))
+            zeros = np.zeros(p.g.dim)
+            fam.setdefault("idr", []).append(
+                lambda p=p, zeros=zeros: run_idr(
+                    ResolventOp.composed_conjugate(p.f, p.L),
+                    ResolventOp.conjugate_subdifferential(p.g), 1.3,
+                    default_params(0.2, gamma=1.3), zeros, zeros,
+                    max_iters=iters, tol=0.0))
+        rng = np.random.default_rng(seed)
+        n = 4
+        a = rng.standard_normal(n) + 0.1
+        p = ProblemSpec(random_quadratic(n, rng), IndicatorHyperplane(a, 0.0),
+                        LinearMap.identity(n))
+        y1 = rng.standard_normal(n)
+        zeros = np.zeros(n)
+        fam.setdefault("iadmm_hyperplane", []).append(
+            lambda p=p, y1=y1, zeros=zeros: run_iadmm(
+                p, default_params(0.2, gamma=1.1), init=(y1, y1, zeros, zeros),
+                max_iters=iters, tol=0.0))
+        cp = consensus_problem(np.random.default_rng(seed))
+        params = default_params(0.2, gamma=1.3)
+        fam.setdefault("sum1", []).append(
+            lambda cp=cp: run_sum1(cp, params, max_iters=iters, tol=0.0))
+        fam.setdefault("sum2", []).append(
+            lambda cp=cp: run_sum2(cp, params, max_iters=iters, tol=0.0))
+        fam.setdefault("lifted_iadmm", []).append(
+            lambda cp=cp: run_iadmm(lift_problem(cp), params,
+                                    max_iters=iters, tol=0.0))
+        fam.setdefault("boyd_consensus", []).append(
+            lambda cp=cp: boyd_consensus(cp, 0.9, max_iters=iters, tol=0.0))
+    return fam
+
+
+def _numerals(a):
+    return " ".join(repr(float(v)) for v in np.ravel(a))
+
+
+def composite_config(solver, rng, max_iters):
+    n, m = 4, 6
+    A = rng.standard_normal((n, n))
+    Q = A.T @ A + 0.5 * np.eye(n)
+    Lm = tall_full_rank(m, n, rng)
+    return "\n".join([
+        "solver %s" % solver, "gamma 1.2", "alpha 0.2", "tol 1e-9",
+        "max_iters %d" % max_iters, "seed 0", "",
+        "begin f", "kind quadratic", "Q " + _numerals(Q),
+        "q " + _numerals(rng.standard_normal(n)), "end", "",
+        "begin g", "kind l1", "dim %d" % m, "tau 0.3", "end", "",
+        "begin L", "kind dense", "rows %d" % m, "cols %d" % n,
+        "entries " + _numerals(Lm), "end", "",
+    ])
+
+
+def consensus_config(solver, rng):
+    lines = ["solver %s" % solver, "gamma 1.0", "alpha 0.2", "tol 1e-9",
+             "max_iters 3000", ""]
+    for _ in range(3):
+        lines += ["begin block", "kind l1", "dim 2", "tau 1",
+                  "shift " + _numerals(rng.standard_normal(2)), "end", ""]
+    return "\n".join(lines)
+
+
+def cli_runs(tmp):
+    """run name -> (config text, extra argv, output prefix or None)."""
+    rng = np.random.default_rng(7)
+    dense = composite_config("iadmm", rng, 5000)
+    missing = os.path.join(tmp, "missing", "x")
+    return {
+        "cli_run_csv": (dense, [], "run.csv"),
+        "cli_sweep": (dense, ["--sweep", "alpha=0,0.1,0.2"], "sweep"),
+        "cli_compare": (dense, ["--compare"], None),
+        "cli_budget": (dense, ["--max-iters", "5"], None),
+        "cli_classical": (dense, ["--solver", "classical_admm"], "c.csv"),
+        "cli_idr": (dense, ["--solver", "idr"], "idr.csv"),
+        "cli_sum1": (consensus_config("consensus_sum1", rng), [], "s1.csv"),
+        "cli_sum2": (consensus_config("consensus_sum2", rng), [], "s2.csv"),
+        "cli_boyd": (consensus_config("boyd_consensus", rng), [], "b.csv"),
+        "cli_missing_output_run": (dense, ["--output", missing + ".csv"], None),
+        "cli_missing_output_sweep": (
+            dense, ["--sweep", "alpha=0,0.1", "--output", missing], None),
+    }
+
+
+def hash_cli(h, tmp, name, text, argv, output):
+    run_dir = os.path.join(tmp, name)
+    os.mkdir(run_dir)
+    cfg = os.path.join(run_dir, "problem.cfg")
+    with open(cfg, "w") as fh:
+        fh.write(text)
+    if output is not None:
+        argv = argv + ["--output", os.path.join(run_dir, output)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = str(cli_main([cfg] + argv, out=out))
+        except Exception as exc:  # a traceback at the command line
+            code = type(exc).__name__
+    h.update(code.encode() + b"\0")
+    for stream in (out, err):
+        h.update(stream.getvalue().replace(tmp, "<tmp>").encode() + b"\0")
+    for fname in sorted(os.listdir(run_dir)):
+        with open(os.path.join(run_dir, fname), "rb") as fh:
+            h.update(fname.encode() + b"\0" + fh.read())
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    seeds, iters = ((1,), 10) if args.smoke else ((1, 2, 3), 60)
+    for name, runs in solver_families(seeds, iters).items():
+        h = hashlib.sha256()
+        with np.errstate(all="ignore"):
+            for run in runs:
+                hash_trace(h, run())
+        print("%-32s %s" % (name, h.hexdigest()))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (text, extra, output) in cli_runs(tmp).items():
+            h = hashlib.sha256()
+            hash_cli(h, tmp, name, text, extra, output)
+            print("%-32s %s" % (name, h.hexdigest()))
+
+
+if __name__ == "__main__":
+    main()
