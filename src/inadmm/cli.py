@@ -5,8 +5,11 @@ iterates, 2 input error.
 """
 
 import argparse
+import errno
 import math
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -137,27 +140,28 @@ def _parse_sweep(spec):
         name = name.strip()
         if name not in ("alpha", "lambda"):
             raise ConfigError("sweep supports only alpha and lambda")
+        if name in grids:
+            raise ConfigError("sweep names %r twice" % name)
         try:
             grids[name] = [float(v) for v in values.split(",") if v.strip()]
         except ValueError:
             raise ConfigError("malformed numeral in sweep %r" % name)
+        if not grids[name]:
+            raise ConfigError("sweep %r has no values" % name)
     if not grids:
         raise ConfigError("empty sweep specification")
     return grids
 
 
-def _sweep_params(cfg, alpha, lam):
-    params = constant_params(
-        cfg.params.gamma, alpha, cfg.params.sigma, lam=lam,
-        init_mode="lambda1_alpha1_zero" if alpha > 0.0 else "alpha2_zero",
-    )
-    lam = params.lambda_schedule.value
-    lam_max = params.max_relaxation()
-    if not 0.0 < lam <= lam_max:
-        raise InfeasibleParameters(
-            "lambda=%g outside (0, %g]" % (lam, lam_max)
-        )
-    return params, lam
+def _check_output(output, sweep):
+    """Raise, before any solve, the OSError that writing the trace CSV
+    ``output`` (in a sweep, the prefix of its CSVs' names) would raise."""
+    try:
+        if not sweep and os.path.isdir(output):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        tempfile.TemporaryFile(dir=os.path.dirname(output) or ".").close()
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, output)
 
 
 def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
@@ -169,11 +173,14 @@ def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
     for alpha in alphas:
         for lam in lams:
             try:
-                params, lam_eff = _sweep_params(cfg, alpha, lam)
-            except ValueError as err:
+                params = constant_params(
+                    cfg.params.gamma, alpha, cfg.params.sigma, cfg.delta, lam,
+                    "lambda1_alpha1_zero" if alpha > 0.0 else "alpha2_zero")
+            except InfeasibleParameters as err:
                 print("%g %s infeasible (%s)" % (alpha, lam, err), file=out)
                 all_ok = False
                 continue
+            lam_eff = params.lambda_schedule.value
             trace = _run_solver(cfg, solver, params, lam_eff, max_iters, tol)
             print(
                 "%g %g %d %s %.3g"
@@ -212,13 +219,15 @@ def main(argv=None, out=None):
         if args.compare:
             return _run_compare(cfg, max_iters, tol, out)
         _check_solver(solver, cfg.problem)
+        if output:
+            _check_output(output, args.sweep)
         if args.sweep:
             return _run_sweep(cfg, solver, args.sweep, max_iters, tol, output, out)
         trace = _run_solver(cfg, solver, cfg.params, cfg.lambda_value,
                             max_iters, tol)
         if output:
             trace.write_csv(output)
-    except (ConfigError, InfeasibleParameters, ValueError) as err:
+    except ValueError as err:
         print("input error: %s" % err, file=sys.stderr)
         return EXIT_INPUT
     except SubproblemError as err:

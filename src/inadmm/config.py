@@ -50,7 +50,7 @@ from .functions import (
     Zero,
 )
 from .linalg import LinearMap
-from .params import InertialParams, constant_params, delta_lower_bound
+from .params import InertialParams, InfeasibleParameters, constant_params
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file"]
 
@@ -86,6 +86,7 @@ class RunConfig:
     output: str = None
     seed: int = 0
     lambda_value: float = None  # as requested, before feasibility clamping
+    delta: float = None  # as requested; None means the default
 
 
 def _tokenize(text):
@@ -312,41 +313,20 @@ def parse_config(text):
         raise ConfigError("unknown solver %r" % solver, lines["solver"])
 
     gamma = number("gamma", 1.0)
-    if gamma <= 0:
-        raise ConfigError("gamma must be positive", lines["gamma"])
     alpha = number("alpha", 0.0)
-    if not 0.0 <= alpha < 1.0:
-        raise ConfigError("alpha must lie in [0,1)", lines.get("alpha"))
     sigma = number("sigma", 0.01)
-    if sigma <= 0:
-        raise ConfigError("sigma must be positive", lines["sigma"])
-
-    lb = delta_lower_bound(alpha, sigma)
-    if not math.isfinite(lb):
-        raise ConfigError("sigma too large: the delta lower bound overflows",
-                          lines["sigma"])
     delta = number("delta")
-    if delta is not None and delta <= lb:
-        raise ConfigError(
-            "delta must exceed its lower bound %g" % lb, lines["delta"]
-        )
     lam = number("lambda")
     init_mode = scalar("init_mode", "lambda1_alpha1_zero", cast=str)
     if init_mode not in ("alpha2_zero", "lambda1_alpha1_zero"):
         raise ConfigError("unknown init_mode %r" % init_mode, lines["init_mode"])
-
-    params = constant_params(gamma, alpha, sigma, delta, lam, init_mode)
-    lam_max = params.max_relaxation()
-    if not 0.0 < lam_max <= 2.0:
-        # a huge sigma or delta over- or underflows lambda_max to inf, nan or 0
-        raise ConfigError(
-            "alpha, sigma and delta leave no admissible lambda (lambda_max = %g)"
-            % lam_max, lines.get("delta", lines.get("sigma", lines.get("alpha")))
-        )
-    if lam is not None and not 0.0 < lam <= lam_max:
-        raise ConfigError(
-            "lambda must lie in (0, %g]" % lam_max, lines["lambda"]
-        )
+    try:
+        params = constant_params(gamma, alpha, sigma, delta, lam, init_mode)
+    except InfeasibleParameters as err:
+        # an input the file left out is blamed on the nearest one it gave
+        at = next((lines[k] for k in (err.key, "delta", "sigma", "alpha")
+                   if k in lines), None)
+        raise ConfigError(str(err), at)
 
     named = {}
     consensus_blocks = []
@@ -403,6 +383,7 @@ def parse_config(text):
         output=scalar("output", cast=str),
         seed=scalar("seed", 0, cast=int),
         lambda_value=params.lambda_schedule.value,
+        delta=delta,
     )
 
 

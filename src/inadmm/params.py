@@ -29,7 +29,11 @@ __all__ = [
 
 
 class InfeasibleParameters(ValueError):
-    """Raised when (alpha, sigma, delta) lies outside the admissible region."""
+    """Inputs outside the admissible region; ``key`` names the one at fault."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 def delta_lower_bound(alpha, sigma):
@@ -152,19 +156,45 @@ class InertialParams:
         return max_relaxation(self.alpha, self.sigma, self.delta)
 
 
+def _require(ok, key, message, *args):
+    if not ok:
+        raise InfeasibleParameters(message % args, key)
+
+
+def _default_delta(lb):
+    return 1.5 * lb if lb > 0.0 else 1.0
+
+
 def constant_params(gamma, alpha, sigma, delta=None, lam=None,
                     init_mode="lambda1_alpha1_zero"):
-    """Parameters with constant schedules alpha_k = alpha and lambda_k = lam.
+    """Checked parameters with constant alpha_k = alpha and lambda_k = lam.
 
     delta defaults to 1.5x its lower bound (1.0 when the bound vanishes at
-    alpha = 0) and lam to 0.9 lambda_max (1.0 at alpha = 0).  Neither is
-    checked against the region here; ``validate`` does that.
+    alpha = 0) and lam to 0.9 lambda_max (1.0 at alpha = 0).  Raises
+    ``InfeasibleParameters``, whose ``key`` is "gamma", "alpha", "sigma",
+    "delta" or "lambda", for inputs outside the admissible region: gamma not
+    positive and finite, alpha outside [0, 1), sigma not positive, a delta
+    lower bound that overflows, delta at or below that bound, lambda_max
+    outside (0, 2] and lam, defaulted or not, outside (0, lambda_max].
     """
+    _require(0.0 < gamma < math.inf, "gamma",
+             "gamma must be positive and finite, got %r", gamma)
+    _require(0.0 <= alpha < 1.0, "alpha", "alpha must lie in [0,1)")
+    _require(sigma > 0.0, "sigma", "sigma must be positive")
+    lb = delta_lower_bound(alpha, sigma)
+    _require(math.isfinite(lb), "sigma",
+             "sigma too large: the delta lower bound overflows")
     if delta is None:
-        lb = delta_lower_bound(alpha, sigma)
-        delta = 1.5 * lb if lb > 0.0 else 1.0
+        delta = _default_delta(lb)
+    _require(delta > lb, "delta", "delta must exceed its lower bound %g", lb)
+    lam_max = max_relaxation(alpha, sigma, delta)
+    # a huge sigma or delta over- or underflows lambda_max to inf, nan or 0
+    _require(0.0 < lam_max <= 2.0, "delta",
+             "alpha, sigma and delta leave no admissible lambda (lambda_max = %g)",
+             lam_max)
     if lam is None:
-        lam = 0.9 * max_relaxation(alpha, sigma, delta) if alpha > 0.0 else 1.0
+        lam = 0.9 * lam_max if alpha > 0.0 else 1.0
+    _require(0.0 < lam <= lam_max, "lambda", "lambda must lie in (0, %g]", lam_max)
     return InertialParams(
         gamma=gamma,
         alpha=alpha,
@@ -185,9 +215,9 @@ def default_params(alpha, gamma=1.0, sigma=0.01, lambda_frac=0.9):
     (at alpha = 0 too), and alpha_k is constant with the first iteration
     un-inertial.
     """
-    base = constant_params(gamma, alpha, sigma)
-    return constant_params(gamma, alpha, sigma, base.delta,
-                           lambda_frac * base.max_relaxation())
+    delta = _default_delta(delta_lower_bound(alpha, sigma))
+    return constant_params(gamma, alpha, sigma, delta,
+                           lambda_frac * max_relaxation(alpha, sigma, delta))
 
 
 @dataclass

@@ -191,13 +191,20 @@ def test_missing_file_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, name", [
-    ([], "x.csv"), (["--sweep", "alpha=0,0.1"], "x"),
-], ids=["run", "sweep"])
-def test_unwritable_output_exit_code(tmp_path, capsys, argv, name):
+    ([], "missing/x.csv"), (["--sweep", "alpha=0,0.1"], "missing/x"),
+    (["--max-iters", "5"], "."),
+], ids=["run", "sweep", "run_into_directory"])
+def test_unwritable_output_exit_code(tmp_path, capsys, monkeypatch, argv, name):
+    # found before any solve: nothing is solved and nothing reaches stdout
+    from inadmm import cli
+
+    solves = []
+    monkeypatch.setattr(cli, "_run_solver", lambda *a: solves.append(a))
     cfg = write(tmp_path, LASSO_CONFIG)
-    output = str(tmp_path / "missing" / name)
-    code, _ = run([cfg, "--output", output] + argv)
+    output = str(tmp_path / name)
+    code, out = run([cfg, "--output", output] + argv)
     assert code == EXIT_INPUT
+    assert out == "" and solves == []
     err = capsys.readouterr().err
     assert err.startswith("cannot write output: ") and output in err
     assert err.count("\n") == 1
@@ -298,9 +305,30 @@ def test_sweep_reports_infeasible(tmp_path):
 
 def test_sweep_bad_spec(tmp_path, capsys):
     cfg = write(tmp_path, LASSO_CONFIG)
-    code, _ = run([cfg, "--sweep", "gamma=1,2"])
-    assert code == EXIT_INPUT
-    assert "alpha and lambda" in capsys.readouterr().err
+    for spec, message in [("gamma=1,2", "alpha and lambda"),
+                          ("alpha=", "sweep 'alpha' has no values"),
+                          ("alpha=0.1;lambda= , ", "sweep 'lambda' has no values"),
+                          ("alpha=0.1;alpha=0.2", "sweep names 'alpha' twice")]:
+        code, out = run([cfg, "--sweep", spec])
+        assert code == EXIT_INPUT and out == "", spec
+        assert message in capsys.readouterr().err, spec
+
+
+DELTA_CONFIG = LASSO_CONFIG.replace("alpha 0.2", "alpha 0.2\ndelta 0.625\nlambda 1.0")
+
+
+def test_sweep_keeps_the_files_delta(tmp_path):
+    # with the default delta the relaxation cap at alpha 0.2 is 0.505679;
+    # the file's delta 0.625 raises it to 1.28, so lambda 1.0 is admissible
+    cfg = write(tmp_path, DELTA_CONFIG)
+    code, out = run([cfg])
+    assert code == EXIT_OK
+    assert out.splitlines()[1] == "iterations: 24"
+    code, out = run([cfg, "--sweep", "lambda=1.0,1.2"])
+    assert code == EXIT_OK
+    rows = [line.split()[:4] for line in out.splitlines()[1:]]
+    assert rows[0] == ["0.2", "1", "24", "yes"]
+    assert rows[1][:2] == ["0.2", "1.2"] and rows[1][3] == "yes"
 
 
 OVERFLOW_CONFIG = LASSO_CONFIG.replace("q -1 0.5", "q 1e308 -1e308")

@@ -14,6 +14,7 @@ from inadmm import (
     ramp_schedule,
     validate,
 )
+from inadmm.params import constant_params
 
 
 def test_delta_lower_bound_values():
@@ -117,6 +118,45 @@ def test_default_params_valid():
         assert validate(p).ok
         lam = p.lambda_schedule(10)
         assert 0.0 < lam < p.max_relaxation()
+    # at alpha = 0 with sigma > 1, constant_params' default lambda of 1.0
+    # exceeds lambda_max = 2 / (1 + sigma); the preset asks for 0.9 lambda_max
+    p = default_params(0.0, sigma=3.0)
+    assert p.lambda_schedule.value == 0.9 * max_relaxation(0.0, 3.0, 1.0)
+    assert validate(p).ok
+
+
+@pytest.mark.parametrize("args, key, message", [
+    ((0.0, 0.2, 0.01), "gamma", "gamma must be positive and finite, got 0.0"),
+    ((math.inf, 0.2, 0.01), "gamma", "gamma must be positive and finite"),
+    ((1.0, 1.0, 0.01), "alpha", "alpha must lie in [0,1)"),
+    ((1.0, -0.1, 0.01), "alpha", "alpha must lie in [0,1)"),
+    ((1.0, math.nan, 0.01), "alpha", "alpha must lie in [0,1)"),
+    ((1.0, 0.2, 0.0), "sigma", "sigma must be positive"),
+    ((1.0, 0.9, 1e308), "sigma",
+     "sigma too large: the delta lower bound overflows"),
+    ((1.0, 0.2, 0.01, 0.05), "delta", "delta must exceed its lower bound 0.0520833"),
+    ((1.0, 0.0, 0.01, 0.0), "delta", "delta must exceed its lower bound 0"),
+    ((1.0, 0.2, 0.01, math.nan), "delta", "delta must exceed its lower bound"),
+    ((1.0, 0.5, 1e308), "delta",
+     "alpha, sigma and delta leave no admissible lambda (lambda_max = 0)"),
+    ((1.0, 0.0, 0.01, 1e308), "delta",
+     "alpha, sigma and delta leave no admissible lambda (lambda_max = inf)"),
+    ((1.0, 0.2, 0.01, None, 0.6), "lambda", "lambda must lie in (0, 0.505679]"),
+    ((1.0, 0.2, 0.01, None, 0.0), "lambda", "lambda must lie in (0, 0.505679]"),
+    ((1.0, 0.0, 3.0), "lambda", "lambda must lie in (0, 0.5]"),
+])
+def test_constant_params_names_the_input_at_fault(args, key, message):
+    with pytest.raises(InfeasibleParameters) as info:
+        constant_params(*args)
+    assert info.value.key == key
+    assert str(info.value).startswith(message)
+
+
+def test_constant_params_accepts_the_region_boundary():
+    lam_max = max_relaxation(0.2, 0.01, 0.625)
+    p = constant_params(1.0, 0.2, 0.01, 0.625, lam_max)
+    assert p.lambda_schedule.value == lam_max and validate(p).ok
+    assert constant_params(1.0, 0.0, 1.0).lambda_schedule.value == 1.0
 
 
 def test_schedules():

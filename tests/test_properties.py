@@ -5,11 +5,12 @@ import io
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from inadmm.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
 from inadmm.config import SOLVERS, ConfigError, parse_config
+from inadmm.params import InfeasibleParameters, constant_params
 
 TOP_KEYS = ["solver", "gamma", "alpha", "sigma", "delta", "lambda",
             "init_mode", "max_iters", "tol", "seed", "output"]
@@ -127,3 +128,86 @@ def test_cli_exits_only_with_contract_codes(text, flags):
             fh.write(text)
         code = main([path] + flags, out=io.StringIO())
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_BUDGET)
+
+
+# -- the admissible region has one owner ---------------------------------------
+
+REGION_FILE = """solver iadmm
+max_iters 1
+begin f
+kind quadratic
+Q 2 0 0 1
+q -1 0.5
+end
+begin g
+kind l1
+dim 2
+tau 0.3
+end
+begin L
+kind identity
+dim 2
+end
+"""
+
+# overflow-sized and arbitrary values, next to draws near the region's boundaries
+extreme = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e300, 1e307, 1e308, 1.7e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+ALPHA = st.one_of(st.floats(-0.05, 1.0), st.floats(0.0, 0.99), extreme)
+SIGMA = st.one_of(st.floats(-0.05, 2.0), st.floats(1e-6, 1.0), extreme)
+DELTA = st.one_of(st.floats(-0.05, 3.0), st.floats(0.0, 3.0), extreme)
+LAMBDA = st.one_of(st.floats(-0.05, 2.1), st.floats(0.0, 2.0), extreme)
+
+
+def _region_file(alpha=None, sigma=None, delta=None, lam=None):
+    values = zip(("alpha", "sigma", "delta", "lambda"), (alpha, sigma, delta, lam))
+    return "".join("%s %r\n" % kv for kv in values if kv[1] is not None) + REGION_FILE
+
+
+def _parses(text):
+    try:
+        parse_config(text)
+    except ConfigError as err:
+        return str(err)
+    return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(*[st.one_of(st.none(), s) for s in (ALPHA, SIGMA, DELTA, LAMBDA)])
+def test_parser_accepts_a_file_iff_constant_params_does(alpha, sigma, delta, lam):
+    try:
+        constant_params(1.0, 0.0 if alpha is None else alpha,
+                        0.01 if sigma is None else sigma, delta, lam)
+        verdict = None
+    except InfeasibleParameters as err:
+        verdict = str(err)
+    error = _parses(_region_file(alpha, sigma, delta, lam))
+    if verdict is None:
+        assert error is None
+    else:
+        assert error is not None and error.endswith(verdict)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(st.none(), st.floats(1e-6, 1.0)),
+       st.one_of(st.none(), st.floats(1e-3, 10.0), st.just(1e307)),
+       ALPHA, LAMBDA)
+def test_sweep_reports_infeasible_iff_the_file_is_rejected(sigma, delta,
+                                                           alpha, lam):
+    # the sweep runs on a file holding the same sigma and delta, without
+    # alpha and lambda, which must itself be accepted
+    base = _region_file(None, sigma, delta)
+    assume(_parses(base) is None)
+    rejected = _parses(_region_file(alpha, sigma, delta, lam)) is not None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.cfg")
+        with open(path, "w") as fh:
+            fh.write(base)
+        out = io.StringIO()
+        code = main([path, "--sweep", "alpha=%r;lambda=%r" % (alpha, lam)],
+                    out=out)
+    assert code in (EXIT_OK, EXIT_BUDGET)
+    row = out.getvalue().splitlines()[1]
+    assert ("infeasible" in row) == rejected, row

@@ -19,9 +19,9 @@ lifted consensus problem, and ``boyd_consensus``, on seeded problems
 A CLI run hashes the exit code (or the name of an escaping exception),
 stdout, stderr and the bytes of every CSV it wrote, with the temporary
 directory's name replaced by a placeholder.  The runs cover a run with CSV,
-a sweep with CSVs, compare, budget exhaustion, classical, idr, the three
-consensus solvers and an ``--output`` into a missing directory, in run and
-in sweep mode.
+a sweep with CSVs, a ``lambda`` sweep of a file that gives ``delta``, compare,
+budget exhaustion, classical, idr, the three consensus solvers and an
+``--output`` into a missing directory, in run and in sweep mode.
 
 ``--smoke`` runs seed 1 for 10 iterations, which only checks that the script
 works.  Imports the program from the ``src/`` of the checkout it sits in.
@@ -218,6 +218,8 @@ def cli_runs(tmp):
     return {
         "cli_run_csv": (dense, [], "run.csv"),
         "cli_sweep": (dense, ["--sweep", "alpha=0,0.1,0.2"], "sweep"),
+        "cli_sweep_delta": (dense.replace("alpha 0.2", "alpha 0.2\ndelta 0.625"),
+                            ["--sweep", "lambda=0.9,1.2"], "sd"),
         "cli_compare": (dense, ["--compare"], None),
         "cli_budget": (dense, ["--max-iters", "5"], None),
         "cli_classical": (dense, ["--solver", "classical_admm"], "c.csv"),
