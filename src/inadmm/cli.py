@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .admm import ProblemSpec, SubproblemError, classical_admm, run_iadmm
-from .config import COMPOSITE_SOLVERS, SOLVERS, ConfigError, parse_config_file
+from .config import ConfigError, check_solver, parse_config_file
 from .consensus import boyd_consensus, run_sum1, run_sum2
 from .dr import ResolventOp, run_idr
 from .duality import duality_report
@@ -48,17 +48,6 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     return parser
-
-
-def _check_solver(solver, problem):
-    if solver not in SOLVERS:
-        raise ConfigError("unknown solver %r" % solver)
-    composite = isinstance(problem, ProblemSpec)
-    if solver in COMPOSITE_SOLVERS and not composite:
-        raise ConfigError(
-            "solver %r takes f/g/L blocks, not consensus blocks" % solver)
-    if solver not in COMPOSITE_SOLVERS and composite:
-        raise ConfigError("solver %r takes consensus blocks, not f/g/L" % solver)
 
 
 def _run_solver(cfg, solver, params, lam, max_iters, tol):
@@ -177,7 +166,8 @@ def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
                     cfg.params.gamma, alpha, cfg.params.sigma, cfg.delta, lam,
                     "lambda1_alpha1_zero" if alpha > 0.0 else "alpha2_zero")
             except InfeasibleParameters as err:
-                print("%g %s infeasible (%s)" % (alpha, lam, err), file=out)
+                print("%g %s infeasible (%s)"
+                      % (alpha, "-" if lam is None else "%g" % lam, err), file=out)
                 all_ok = False
                 continue
             lam_eff = params.lambda_schedule.value
@@ -196,11 +186,24 @@ def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
 
 
 def main(argv=None, out=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if out is None:
-        out = sys.stdout
+    """Run the command line ``argv`` (default ``sys.argv[1:]``), writing to
+    ``out`` (default stdout); return the exit code."""
+    stream = sys.stdout if out is None else out
+    try:
+        code = _main(argv, stream)
+        stream.flush()
+        return code
+    except OSError as err:  # the trace CSV, or a closed stdout
+        if isinstance(err, BrokenPipeError) and out is None:
+            # stdout is flushed again at exit: point it at devnull, as the
+            # signal module's documentation advises
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("cannot write output: %s" % err, file=sys.stderr)
+        return EXIT_INPUT
 
+
+def _main(argv, out):
+    args = build_parser().parse_args(argv)
     try:
         cfg = parse_config_file(args.config)
     except ConfigError as err:
@@ -218,7 +221,8 @@ def main(argv=None, out=None):
     try:
         if args.compare:
             return _run_compare(cfg, max_iters, tol, out)
-        _check_solver(solver, cfg.problem)
+        composite = isinstance(cfg.problem, ProblemSpec)
+        check_solver(solver, composite, not composite)
         if output:
             _check_output(output, args.sweep)
         if args.sweep:
@@ -233,9 +237,6 @@ def main(argv=None, out=None):
     except SubproblemError as err:
         print("solver error: %s" % err, file=sys.stderr)
         return EXIT_BUDGET
-    except OSError as err:
-        print("cannot write output: %s" % err, file=sys.stderr)
-        return EXIT_INPUT
 
     if trace.nonfinite:
         print("iterates became non-finite at iteration %d" % trace.iterations,

@@ -52,7 +52,8 @@ from .functions import (
 from .linalg import LinearMap
 from .params import InertialParams, InfeasibleParameters, constant_params
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file"]
+__all__ = ["ConfigError", "RunConfig", "check_solver", "parse_config",
+           "parse_config_file"]
 
 SOLVERS = (
     "iadmm",
@@ -74,6 +75,18 @@ class ConfigError(ValueError):
             message = "line %d: %s" % (line, message)
         super().__init__(message)
         self.line = line
+
+
+def check_solver(solver, fgl=False, blocks=False, line=None):
+    """Raise ConfigError unless ``solver`` is known and takes what it is
+    given: f/g/L blocks (``fgl``) for the composite solvers, consensus
+    blocks (``blocks``) for the others.  ``line`` locates an unknown name."""
+    if solver not in SOLVERS:
+        raise ConfigError("unknown solver %r" % solver, line)
+    if solver in COMPOSITE_SOLVERS and blocks:
+        raise ConfigError("solver %r takes f/g/L blocks, not consensus blocks" % solver)
+    if solver not in COMPOSITE_SOLVERS and fgl:
+        raise ConfigError("solver %r takes consensus blocks, not f/g/L" % solver)
 
 
 @dataclass
@@ -309,8 +322,7 @@ def parse_config(text):
     solver = scalar("solver", cast=str)
     if solver is None:
         raise ConfigError("missing required key 'solver'")
-    if solver not in SOLVERS:
-        raise ConfigError("unknown solver %r" % solver, lines["solver"])
+    check_solver(solver, line=lines["solver"])
 
     gamma = number("gamma", 1.0)
     alpha = number("alpha", 0.0)
@@ -344,11 +356,8 @@ def parse_config(text):
         else:
             raise ConfigError("unknown block %r" % name, lineno)
 
+    check_solver(solver, bool(named), bool(consensus_blocks))
     if solver in COMPOSITE_SOLVERS:
-        if consensus_blocks:
-            raise ConfigError(
-                "solver %r takes f/g/L blocks, not consensus blocks" % solver
-            )
         for need_block in ("f", "g", "L"):
             if need_block not in named:
                 raise ConfigError("solver %r needs block %r" % (solver, need_block))
@@ -357,10 +366,6 @@ def parse_config(text):
         except ValueError as err:
             raise ConfigError(str(err))
     else:
-        if named:
-            raise ConfigError(
-                "solver %r takes consensus blocks, not f/g/L" % solver
-            )
         if len(consensus_blocks) < 2:
             raise ConfigError("consensus solvers need at least two blocks")
         try:

@@ -6,6 +6,7 @@ decomposition).  The catalog is closed: solvers only ever see these kinds,
 so all the identities used by the solvers hold in closed form.
 """
 
+import copy
 import functools
 import math
 
@@ -45,6 +46,23 @@ def sum_or_inf(values):
     return total
 
 
+def _dot(a, b):
+    """Dot products over the last axis, its length kept at 1; every row
+    rounds as the 1-D ``a @ b`` does."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
+
+
+def _norm(x):
+    # contiguous, as numpy.linalg.norm's ravel makes it, for the same bits
+    x = np.ascontiguousarray(x)
+    return np.sqrt(_dot(x, x))
+
+
+def _out(a):
+    """Drop the kept last axis: a numpy float for a vector, one per row."""
+    return a[..., 0][()]
+
+
 # Each public method: the unchecked kernel it runs, and how to build one
 # kind's checked method from that kind's kernel k.
 _KERNELS = {
@@ -65,6 +83,11 @@ class ConvexFn:
     kernels.  A subclass that overrides a public method but not its kernel
     has the kernel routed to the override, so the solver loops still run
     it.
+
+    A kind that names its per-block parameters in ``_rows`` has kernels
+    that also take (k, n) rows, one block each, when those parameters are
+    stacked as (k, 1) or (k, n) arrays; every row's result is bit for bit
+    the block's own.
     """
 
     kind = "abstract"
@@ -109,17 +132,16 @@ class Zero(ConvexFn):
     """The zero function; its conjugate is the indicator of the origin."""
 
     kind = "zero"
+    _rows = ()
 
     def _value(self, x):
-        return 0.0
+        return _out(np.zeros_like(x[..., :1]))
 
     def _prox(self, gamma, x):
         return x.copy()
 
     def _conj(self, u):
-        if np.linalg.norm(u) <= DOM_TOL:
-            return 0.0
-        return INF
+        return _out(np.where(_norm(u) <= DOM_TOL, 0.0, INF))
 
 
 class Quadratic(ConvexFn):
@@ -196,6 +218,7 @@ class L1Norm(ConvexFn):
     """f(x) = tau * ||x||_1; conjugate is the indicator of [-tau, tau]^n."""
 
     kind = "l1"
+    _rows = ("tau",)
 
     def __init__(self, dim, tau):
         super().__init__(dim)
@@ -204,22 +227,22 @@ class L1Norm(ConvexFn):
         self.tau = float(tau)
 
     def _value(self, x):
-        return self.tau * float(np.abs(x).sum())
+        return _out(self.tau * np.abs(x).sum(-1, keepdims=True))
 
     def _prox(self, gamma, x):
         t = gamma * self.tau
         return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
     def _conj(self, u):
-        if np.abs(u).max() <= self.tau * (1.0 + DOM_TOL) + 1e-15:
-            return 0.0
-        return INF
+        inside = np.abs(u).max(-1, keepdims=True) <= self.tau * (1.0 + DOM_TOL) + 1e-15
+        return _out(np.where(inside, 0.0, INF))
 
 
 class L2Norm(ConvexFn):
     """f(x) = tau * ||x||_2; conjugate is the indicator of the tau-ball."""
 
     kind = "l2norm"
+    _rows = ("tau",)
 
     def __init__(self, dim, tau):
         super().__init__(dim)
@@ -228,25 +251,22 @@ class L2Norm(ConvexFn):
         self.tau = float(tau)
 
     def _value(self, x):
-        return self.tau * float(np.linalg.norm(x))
+        return _out(self.tau * _norm(x))
 
     def _prox(self, gamma, x):
-        nrm = np.linalg.norm(x)
+        nrm = _norm(x)
         t = gamma * self.tau
-        if nrm <= t:
-            return np.zeros_like(x)
-        return (1.0 - t / nrm) * x
+        return np.where(nrm <= t, 0.0, (1.0 - t / np.maximum(nrm, t)) * x)
 
     def _conj(self, u):
-        if np.linalg.norm(u) <= self.tau * (1.0 + DOM_TOL) + 1e-15:
-            return 0.0
-        return INF
+        return _out(np.where(_norm(u) <= self.tau * (1.0 + DOM_TOL) + 1e-15, 0.0, INF))
 
 
 class IndicatorPoint(ConvexFn):
     """Indicator of the single point {a}; prox is constant, conjugate linear."""
 
     kind = "indicator_point"
+    _rows = ("a",)
 
     def __init__(self, a):
         a = check_vector(a, None, name="a")
@@ -254,21 +274,21 @@ class IndicatorPoint(ConvexFn):
         self.a = a
 
     def _value(self, x):
-        if np.linalg.norm(x - self.a) <= DOM_TOL * (1.0 + np.linalg.norm(self.a)):
-            return 0.0
-        return INF
+        inside = _norm(x - self.a) <= DOM_TOL * (1.0 + _norm(self.a))
+        return _out(np.where(inside, 0.0, INF))
 
     def _prox(self, gamma, x):
         return self.a.copy()
 
     def _conj(self, u):
-        return float(self.a @ u)
+        return _out(_dot(self.a, u))
 
 
 class IndicatorBox(ConvexFn):
     """Indicator of the box [lo, hi]; prox is the componentwise clip."""
 
     kind = "indicator_box"
+    _rows = ("lo", "hi")
 
     def __init__(self, lo, hi):
         lo = check_vector(lo, None, name="lo")
@@ -280,23 +300,23 @@ class IndicatorBox(ConvexFn):
         self.hi = hi
 
     def _value(self, x):
-        slack = DOM_TOL * (1.0 + np.abs(x).max())
-        if np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack):
-            return 0.0
-        return INF
+        slack = DOM_TOL * (1.0 + np.abs(x).max(-1, keepdims=True))
+        inside = ((x >= self.lo - slack) & (x <= self.hi + slack)).all(-1, keepdims=True)
+        return _out(np.where(inside, 0.0, INF))
 
     def _prox(self, gamma, x):
         return np.clip(x, self.lo, self.hi)
 
     def _conj(self, u):
         # support function of the box
-        return float(np.sum(np.where(u >= 0.0, self.hi * u, self.lo * u)))
+        return _out(np.where(u >= 0.0, self.hi * u, self.lo * u).sum(-1, keepdims=True))
 
 
 class IndicatorHyperplane(ConvexFn):
     """Indicator of {x : <a, x> = b} with a != 0; prox is the projection."""
 
     kind = "indicator_hyperplane"
+    _rows = ("a", "b", "_aa")
 
     def __init__(self, a, b):
         a = check_vector(a, None, name="a")
@@ -310,26 +330,25 @@ class IndicatorHyperplane(ConvexFn):
         self._aa = float(a @ a)
 
     def _value(self, x):
-        resid = abs(self.a @ x - self.b)
-        if resid <= DOM_TOL * (1.0 + abs(self.b) + np.linalg.norm(x)):
-            return 0.0
-        return INF
+        resid = abs(_dot(self.a, x) - self.b)
+        inside = resid <= DOM_TOL * (1.0 + abs(self.b) + _norm(x))
+        return _out(np.where(inside, 0.0, INF))
 
     def _prox(self, gamma, x):
-        return x - ((self.a @ x - self.b) / self._aa) * self.a
+        return x - ((_dot(self.a, x) - self.b) / self._aa) * self.a
 
     def _conj(self, u):
         # finite only on the span of a: u = t a gives t b
-        t = float(u @ self.a) / self._aa
-        if np.linalg.norm(u - t * self.a) <= DOM_TOL * (1.0 + np.linalg.norm(u)):
-            return t * self.b
-        return INF
+        t = _dot(u, self.a) / self._aa
+        inside = _norm(u - t * self.a) <= DOM_TOL * (1.0 + _norm(u))
+        return _out(np.where(inside, t * self.b, INF))
 
 
 class Translated(ConvexFn):
     """h(x) = base(x - shift); prox and conjugate follow by translation."""
 
     kind = "translated"
+    _rows = ("base", "shift")
 
     def __init__(self, base, shift):
         shift = check_vector(shift, base.dim, name="shift")
@@ -344,77 +363,44 @@ class Translated(ConvexFn):
         return self.shift + self.base._prox(gamma, x - self.shift)
 
     def _conj(self, u):
-        base_val = self.base._conj(u)
-        if base_val == INF:
-            return INF
-        return base_val + float(self.shift @ u)
-
-
-def _rowdot(A, B):
-    """Row-wise dot products, each rounded as the 1-D ``a @ b`` is."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
-
-
-class _StackedL1:
-    """k ``L1Norm`` blocks with per-row ``tau``, mirroring ``L1Norm``'s
-    arithmetic on a (k, n) array so that every row comes out bit for bit."""
-
-    def __init__(self, fns):
-        self.tau = np.array([[f.tau] for f in fns])
-        self.cap = self.tau[:, 0] * (1.0 + DOM_TOL) + 1e-15
-
-    def prox(self, gamma, X):
-        t = gamma * self.tau
-        return np.sign(X) * np.maximum(np.abs(X) - t, 0.0)
-
-    def values(self, X):
-        return self.tau[:, 0] * np.abs(X).sum(axis=1)
-
-    def conjs(self, U):
-        return np.where(np.abs(U).max(axis=1) <= self.cap, 0.0, INF)
-
-
-class _StackedTranslatedL1:
-    """k ``Translated(L1Norm)`` blocks with per-row ``shift``."""
-
-    def __init__(self, fns):
-        self.base = _StackedL1([f.base for f in fns])
-        self.shift = np.array([f.shift for f in fns])
-
-    def prox(self, gamma, X):
-        return self.shift + self.base.prox(gamma, X - self.shift)
-
-    def values(self, X):
-        return self.base.values(X - self.shift)
-
-    def conjs(self, U):
-        base = self.base.conjs(U)
-        return np.where(base == INF, INF, base + _rowdot(self.shift, U))
+        base = self.base._conj(u)
+        return np.where(base == INF, INF, base + _out(_dot(self.shift, u)))[()]
 
 
 class _Looped:
-    """Any other kind: the blocks' own kernels, one row at a time."""
+    """Blocks of any other kind: their own kernels, one row at a time."""
 
     def __init__(self, fns):
         self.fns = fns
 
-    def prox(self, gamma, X):
+    def _prox(self, gamma, X):
         return np.stack([f._prox(gamma, x) for f, x in zip(self.fns, X)])
 
-    def values(self, X):
+    def _value(self, X):
         return np.array([f._value(x) for f, x in zip(self.fns, X)], dtype=float)
 
-    def conjs(self, U):
+    def _conj(self, U):
         return np.array([f._conj(u) for f, u in zip(self.fns, U)], dtype=float)
 
 
-def _group(f):
-    # exact types only: a subclass may override the arithmetic
-    if type(f) is L1Norm:
-        return _StackedL1
-    if type(f) is Translated and type(f.base) is L1Norm:
-        return _StackedTranslatedL1
-    return _Looped
+def _row_kind(f):
+    # exact kinds only, as a subclass may override the arithmetic; a zero
+    # shift turns -0.0 into 0.0, so a translation keys by its base kind too
+    kind = type(f)
+    if kind is Translated:
+        base = type(f.base)
+        return (kind, base) if base is not kind and "_rows" in vars(base) else None
+    return kind if "_rows" in vars(kind) else None
+
+
+def _stack(fns):
+    """One instance of the blocks' kind with its ``_rows`` stacked."""
+    f = copy.copy(fns[0])
+    for name in f._rows:
+        values = [getattr(g, name) for g in fns]
+        setattr(f, name, _stack(values) if isinstance(values[0], ConvexFn)
+                else np.array([np.atleast_1d(v) for v in values]))
+    return f
 
 
 class SeparableSum(ConvexFn):
@@ -422,15 +408,15 @@ class SeparableSum(ConvexFn):
 
     The kernels take the stacked vector flat, of shape (m*n,), or as an
     (m, n) array whose row i belongs to block i; ``_prox`` returns its
-    input's shape.  The ``L1Norm`` blocks form one group and the
-    ``Translated(L1Norm)`` blocks another, each evaluated by a single numpy
-    expression over its rows with the blocks' parameters stacked into
-    arrays; they stay separate because adding a zero shift would turn -0.0
-    into 0.0.  Every other block keeps its own per-block calls.  Every row
-    of ``prox`` is bit for bit the block's ``prox`` of that row, and the
-    value and conjugate add the block values with ``sum_or_inf``.  The
-    stacked groups copy the blocks' parameters at construction; a block
-    changed afterwards is not seen.
+    input's shape.  The blocks are grouped by exact kind, a ``Translated``
+    block by its base's exact kind as well, and each group of a kind with
+    ``_rows`` is one instance of that kind with the blocks' parameters
+    stacked, whose own kernels evaluate the group's rows at once.  Other
+    blocks (``Quadratic``, nested compositions, every subclass) keep their
+    own per-block calls.  Every row of ``prox`` is bit for bit the block's
+    ``prox`` of that row, and the value and conjugate add the block values
+    with ``sum_or_inf``.  The stacked groups copy the blocks' parameters at
+    construction; a block changed afterwards is not seen.
     """
 
     kind = "separable_sum"
@@ -446,11 +432,9 @@ class SeparableSum(ConvexFn):
         super().__init__(self.m * self.n)
         rows = {}
         for i, f in enumerate(self.blocks):
-            rows.setdefault(_group(f), []).append(i)
-        self._groups = [
-            (np.array(idx), group([self.blocks[i] for i in idx]))
-            for group, idx in rows.items()
-        ]
+            rows.setdefault(_row_kind(f), []).append(i)
+        self._groups = [(np.array(idx), (_Looped if kind is None else _stack)(
+            [self.blocks[i] for i in idx])) for kind, idx in rows.items()]
 
     def _check(self, x):
         X = np.asarray(x, dtype=float)
@@ -462,25 +446,25 @@ class SeparableSum(ConvexFn):
         return X
 
     def _rowwise(self, method, x, *args):
-        # per-row results of one group method, in block order; the test of
+        # per-row results of one group kernel, in block order; the test of
         # ndim costs less than a reshape on the consensus loops' (m, n) input
         X = x if x.ndim == 2 else x.reshape(self.m, self.n)
         if len(self._groups) == 1:
             return getattr(self._groups[0][1], method)(*args, X)
-        out = np.empty(X.shape if method == "prox" else self.m)
+        out = np.empty(X.shape if method == "_prox" else self.m)
         for idx, group in self._groups:
             out[idx] = getattr(group, method)(*args, X[idx])
         return out
 
     def _prox(self, gamma, x):
-        out = self._rowwise("prox", x, gamma)
+        out = self._rowwise("_prox", x, gamma)
         return out if x.ndim == 2 else out.ravel()
 
     def _value(self, x):
-        return sum_or_inf(self._rowwise("values", x).tolist())
+        return sum_or_inf(self._rowwise("_value", x).tolist())
 
     def _conj(self, u):
-        return sum_or_inf(self._rowwise("conjs", u).tolist())
+        return sum_or_inf(self._rowwise("_conj", u).tolist())
 
 
 class IndicatorConsensus(ConvexFn):

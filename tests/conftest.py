@@ -83,13 +83,15 @@ class CountingL1(L1Norm):
 
 
 def mixed_blocks(n, rng, point=None):
-    """Equal-dimension blocks hitting both stacked groups and the looped kinds.
+    """Equal-dimension blocks hitting stacked groups and the looped kinds.
 
-    Two blocks each of ``L1Norm`` and ``Translated(L1Norm)`` (the stacked
-    groups) and of the other kinds with an elementwise prox, plain and
-    translated, with different parameters, and one block of each other kind,
-    in shuffled order.  With ``point`` every block's domain contains it, so
-    the consensus problem over the blocks is feasible.
+    Two blocks each of ``L1Norm``, ``Zero``, ``IndicatorPoint`` and
+    ``IndicatorBox``, plain and translated (stacked groups of two), with
+    different parameters, and one block each of the others: a ``Quadratic``,
+    an ``L2Norm`` and an ``IndicatorHyperplane`` (groups of one), a nested
+    translation and two subclass blocks (looped), in shuffled order.  With
+    ``point`` every block's domain contains it, so the consensus problem
+    over the blocks is feasible.
     """
     p = rng.standard_normal(n) if point is None else point
     fns = []

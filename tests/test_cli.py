@@ -1,8 +1,13 @@
+import errno
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import inadmm
 from inadmm.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
 from inadmm.config import ConfigError, parse_config
 
@@ -312,6 +317,46 @@ def test_sweep_bad_spec(tmp_path, capsys):
         code, out = run([cfg, "--sweep", spec])
         assert code == EXIT_INPUT and out == "", spec
         assert message in capsys.readouterr().err, spec
+
+
+def test_sweep_infeasible_row_without_lambda_grid(tmp_path):
+    # alpha 0.7 puts the file's delta 0.625 below its lower bound 1.64706
+    cfg = write(tmp_path, LASSO_CONFIG.replace("alpha 0.2", "alpha 0.2\ndelta 0.625"))
+    code, out = run([cfg, "--sweep", "alpha=0.7"])
+    assert code == EXIT_BUDGET
+    assert out.splitlines()[1].startswith("0.7 - infeasible (delta must exceed")
+    code, out = run([cfg, "--sweep", "alpha=0.7;lambda=0.25"])
+    assert out.splitlines()[1].startswith("0.7 0.25 infeasible (")
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.parametrize("argv", [[], ["--sweep", "alpha=0,0.1"], ["--compare"]],
+                         ids=["run", "sweep", "compare"])
+def test_closed_output_exits_with_one_line(tmp_path, capsys, argv):
+    code = main([write(tmp_path, LASSO_CONFIG)] + argv, out=ClosedPipe())
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert err == "cannot write output: [Errno %d] %s\n" % (
+        errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_stdout_closed_by_reader_gives_no_traceback(tmp_path):
+    # the child imports the package these tests import
+    src = os.path.dirname(os.path.dirname(inadmm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "inadmm.cli", write(tmp_path, LASSO_CONFIG)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # before the child has imported numpy
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_INPUT, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1, err
 
 
 DELTA_CONFIG = LASSO_CONFIG.replace("alpha 0.2", "alpha 0.2\ndelta 0.625\nlambda 1.0")

@@ -297,6 +297,14 @@ def _blockwise_prox(blocks, gamma, X):
     return np.stack([f.prox(gamma, x) for f, x in zip(blocks, X)])
 
 
+def _box(n, rng):
+    return IndicatorBox(-rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n))
+
+
+def _hyperplane(n, rng):
+    return IndicatorHyperplane(rng.standard_normal(n) + 0.1, float(rng.standard_normal()))
+
+
 def _stacked_input(rng, m, n):
     X = 3.0 * rng.standard_normal((m, n))
     X[rng.random((m, n)) < 0.1] = 0.0
@@ -323,7 +331,14 @@ def test_stacked_prox_matches_blockwise_bit_for_bit(rng, n, gamma):
     lambda n, rng: Translated(L1Norm(n, 0.5), rng.standard_normal(n)),
     lambda n, rng: Zero(n),
     lambda n, rng: random_quadratic(n, rng),
-], ids=["l1", "translated_l1", "zero", "quadratic"])
+    lambda n, rng: L2Norm(n, rng.uniform(0.5, 6.0)),
+    lambda n, rng: IndicatorPoint(rng.standard_normal(n)),
+    lambda n, rng: _box(n, rng),
+    lambda n, rng: _hyperplane(n, rng),
+    lambda n, rng: Translated(_box(n, rng), rng.standard_normal(n)),
+    lambda n, rng: Translated(L2Norm(n, rng.uniform(0.5, 6.0)), rng.standard_normal(n)),
+], ids=["l1", "translated_l1", "zero", "quadratic", "l2norm", "point", "box",
+        "hyperplane", "translated_box", "translated_l2norm"])
 def test_stacked_prox_single_group(rng, make):
     blocks = [make(3, rng) for _ in range(5)]
     X = _stacked_input(rng, 5, 3)
@@ -337,6 +352,52 @@ def _domain_points(blocks, rng, gamma=0.8):
     Y = _stacked_input(rng, len(blocks), blocks[0].dim)
     P = _blockwise_prox(blocks, gamma, Y)
     return P, (Y - P) / gamma
+
+
+# every kind whose kernels take stacked rows, with per-block parameters
+ROW_KINDS = {
+    "zero": lambda n, rng: Zero(n),
+    "l1": lambda n, rng: L1Norm(n, rng.uniform(0.2, 2.0)),
+    "l2norm": lambda n, rng: L2Norm(n, rng.uniform(0.5, 6.0)),
+    "point": lambda n, rng: IndicatorPoint(rng.standard_normal(n)),
+    "box": _box,
+    "hyperplane": _hyperplane,
+}
+
+
+@pytest.mark.parametrize("translated", [False, True], ids=["plain", "translated"])
+@pytest.mark.parametrize("kind", sorted(ROW_KINDS))
+def test_stacked_value_and_conj_rows_match_block_kernels_bitwise(rng, kind, translated):
+    for k, n in ((2, 1), (3, 4), (7, 10)):
+        blocks = [ROW_KINDS[kind](n, rng) for _ in range(k)]
+        if translated:
+            blocks = [Translated(g, rng.standard_normal(n)) for g in blocks]
+        f = SeparableSum(blocks)
+        # one group: an instance of the blocks' own kind
+        assert len(f._groups) == 1 and type(f._groups[0][1]) is type(blocks[0])
+        X, U = _domain_points(blocks, rng)
+        Y = _stacked_input(rng, k, n)
+        for method, rows in (("_value", X), ("_value", Y), ("_conj", U), ("_conj", Y)):
+            got = [float(v).hex() for v in f._rowwise(method, rows)]
+            want = [float(getattr(g, method)(r)).hex() for g, r in zip(blocks, rows)]
+            assert got == want, (method, k, n)
+
+
+def test_l2norm_group_makes_one_prox_call(rng, monkeypatch):
+    blocks = [L2Norm(3, tau) for tau in (0.5, 1.0, 2.0)] + [random_quadratic(3, rng)]
+    f = SeparableSum(blocks)
+    kernel = L2Norm._prox
+    shapes = []
+
+    def counting(self, gamma, x):
+        shapes.append(x.shape)
+        return kernel(self, gamma, x)
+
+    monkeypatch.setattr(L2Norm, "_prox", counting)
+    X = _stacked_input(rng, 4, 3)
+    for Xs in _shapes(X):
+        f.prox(0.7, Xs)
+    assert shapes == [(3, 3), (3, 3)]
 
 
 @pytest.mark.parametrize("n", [1, 3, 10])

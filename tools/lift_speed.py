@@ -2,15 +2,17 @@
 
     python tools/lift_speed.py [--smoke]
 
-Builds one consensus problem of 101 ``Translated(L1Norm)`` blocks on R^3
-(a median problem: the shifts are seeded standard normals) and times
-``run_sum1``, ``run_sum2`` and ``run_iadmm(lift_problem(cp))`` on it with
-gamma = 5, alpha = 0.2 and 300 iterations at tolerance 0, so every run
-takes the same number of steps.  Each solver reports the best of
+Builds two consensus problems on R^3 and times ``run_sum1``, ``run_sum2``
+and ``run_iadmm(lift_problem(cp))`` on each with gamma = 5, alpha = 0.2
+and 300 iterations at tolerance 0, so every run takes the same number of
+steps.  ``median`` has 101 ``Translated(L1Norm)`` blocks (the shifts are
+seeded standard normals).  ``mixed`` has 99 blocks of three kinds, 33 each
+of ``Translated(L2Norm)``, ``IndicatorBox`` (boxes around the origin) and
+``Translated(L1Norm)``, in seeded order.  Each solver reports the best of
 ``REPEATS`` runs in microseconds per iteration, and its ratio to
-``run_sum1``.  One BLAS thread.  ``--smoke`` runs 11 blocks on R^2 for 20
-iterations, once, which only checks that the script works.  Runs from the root
-of a checkout and imports the program from its ``src/``.
+``run_sum1``.  One BLAS thread.  ``--smoke`` runs 11 and 9 blocks on R^2
+for 20 iterations, once, which only checks that the script works.  Runs
+from the root of a checkout and imports the program from its ``src/``.
 """
 
 import os
@@ -28,8 +30,9 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
-from inadmm import (ConsensusProblem, L1Norm, Translated, default_params,
-                    lift_problem, run_iadmm, run_sum1, run_sum2)
+from inadmm import (ConsensusProblem, IndicatorBox, L1Norm, L2Norm, Translated,
+                    default_params, lift_problem, run_iadmm, run_sum1,
+                    run_sum2)
 
 REPEATS = 5  # timed runs per solver; the best one is reported
 
@@ -54,27 +57,42 @@ def best_us_per_iter(solve, iters, repeats):
     return 1e6 * best / iters
 
 
+def median_blocks(m, n, rng):
+    return [Translated(L1Norm(n, 1.0), rng.standard_normal(n)) for _ in range(m)]
+
+
+def mixed_blocks(m, n, rng):
+    blocks = []
+    for _ in range(m // 3):
+        blocks += [
+            Translated(L2Norm(n, rng.uniform(0.2, 2.0)), rng.standard_normal(n)),
+            IndicatorBox(-rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)),
+            Translated(L1Norm(n, rng.uniform(0.2, 2.0)), rng.standard_normal(n)),
+        ]
+    return [blocks[i] for i in rng.permutation(len(blocks))]
+
+
 def main(argv=None):
     args = parse_args(argv)
-    m, n, iters, repeats = (11, 2, 20, 1) if args.smoke else (101, 3, 300, REPEATS)
-    rng = np.random.default_rng(0)
-    cp = ConsensusProblem([Translated(L1Norm(n, 1.0), rng.standard_normal(n))
-                           for _ in range(m)])
+    n, iters, repeats = (2, 20, 1) if args.smoke else (3, 300, REPEATS)
     params = default_params(0.2, gamma=5.0)
-    lifted = lift_problem(cp)
-    solvers = [
-        ("run_sum1", lambda: run_sum1(cp, params, max_iters=iters, tol=0.0)),
-        ("run_sum2", lambda: run_sum2(cp, params, max_iters=iters, tol=0.0)),
-        ("lifted run_iadmm",
-         lambda: run_iadmm(lifted, params, max_iters=iters, tol=0.0)),
-    ]
-    print("%d blocks on R^%d, %d iterations, best of %d"
-          % (m, n, iters, repeats))
-    base = None
-    for name, solve in solvers:
-        us = best_us_per_iter(solve, iters, repeats)
-        base = us if base is None else base
-        print("%-18s %9.1f us/iter  %5.2fx run_sum1" % (name, us, us / base))
+    for name, make, m in (("median", median_blocks, 11 if args.smoke else 101),
+                          ("mixed", mixed_blocks, 9 if args.smoke else 99)):
+        cp = ConsensusProblem(make(m, n, np.random.default_rng(0)))
+        lifted = lift_problem(cp)
+        solvers = [
+            ("run_sum1", lambda: run_sum1(cp, params, max_iters=iters, tol=0.0)),
+            ("run_sum2", lambda: run_sum2(cp, params, max_iters=iters, tol=0.0)),
+            ("lifted run_iadmm",
+             lambda: run_iadmm(lifted, params, max_iters=iters, tol=0.0)),
+        ]
+        print("%s: %d blocks on R^%d, %d iterations, best of %d"
+              % (name, m, n, iters, repeats))
+        base = None
+        for solver, solve in solvers:
+            us = best_us_per_iter(solve, iters, repeats)
+            base = us if base is None else base
+            print("%-18s %9.1f us/iter  %5.2fx run_sum1" % (solver, us, us / base))
 
 
 if __name__ == "__main__":

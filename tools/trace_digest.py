@@ -14,7 +14,10 @@ count; each row's scalars (``TraceRow.scalars()``, read after the run, as
 hyperplane g whose first dual reads -inf), ``classical_admm`` at lambda 1
 and 1.5, ``run_idr``, ``run_sum1``, ``run_sum2``, ``run_iadmm`` on the
 lifted consensus problem, and ``boyd_consensus``, on seeded problems
-(seeds 1 to 3, 60 iterations at tolerance 0).
+(seeds 1 to 3, 60 iterations at tolerance 0).  The family
+``mixed_consensus`` runs ``run_sum1``, ``run_sum2`` and the lifted
+``run_iadmm`` on a problem with two blocks of every kind the consensus
+solvers evaluate stacked, plain and translated, and a ``Quadratic``.
 
 A CLI run hashes the exit code (or the name of an escaping exception),
 stdout, stderr and the bytes of every CSV it wrote, with the temporary
@@ -131,6 +134,30 @@ def consensus_problem(rng, n=3):
     ])
 
 
+def mixed_consensus_problem(rng, n=3):
+    p = rng.standard_normal(n)
+    blocks = [Quadratic(np.eye(n) * 1.5, rng.standard_normal(n))]
+    for _ in range(2):
+        s = rng.standard_normal(n)
+        width = rng.uniform(0.1, 1.0, n)
+        a = rng.standard_normal(n) + 0.1
+        blocks += [
+            Zero(n),
+            L1Norm(n, rng.uniform(0.2, 2.0)),
+            L2Norm(n, rng.uniform(0.2, 2.0)),
+            IndicatorPoint(p),
+            IndicatorBox(p - width, p + width),
+            IndicatorHyperplane(a, float(a @ p)),
+            Translated(Zero(n), s),
+            Translated(L1Norm(n, rng.uniform(0.2, 2.0)), s),
+            Translated(L2Norm(n, rng.uniform(0.2, 2.0)), s),
+            Translated(IndicatorPoint(p - s), s),
+            Translated(IndicatorBox(p - s - width, p - s + width), s),
+            Translated(IndicatorHyperplane(a, float(a @ (p - s))), s),
+        ]
+    return ConsensusProblem([blocks[i] for i in rng.permutation(len(blocks))])
+
+
 def solver_families(seeds, iters):
     """family name -> list of zero-argument callables returning a trace."""
     fam = {}
@@ -178,6 +205,14 @@ def solver_families(seeds, iters):
                                     max_iters=iters, tol=0.0))
         fam.setdefault("boyd_consensus", []).append(
             lambda cp=cp: boyd_consensus(cp, 0.9, max_iters=iters, tol=0.0))
+    for seed in seeds:
+        cp = mixed_consensus_problem(np.random.default_rng(seed))
+        params = default_params(0.2, gamma=1.3)
+        fam.setdefault("mixed_consensus", []).extend([
+            lambda cp=cp: run_sum1(cp, params, max_iters=iters, tol=0.0),
+            lambda cp=cp: run_sum2(cp, params, max_iters=iters, tol=0.0),
+            lambda cp=cp: run_iadmm(lift_problem(cp), params,
+                                    max_iters=iters, tol=0.0)])
     return fam
 
 
