@@ -59,7 +59,7 @@ class ProblemSpec:
             raise ValueError("f dimension does not match domain of L")
         if self.g.dim != self.L.codomain_dim:
             raise ValueError("g dimension does not match codomain of L")
-        if self.L.injectivity_modulus() <= 0.0:
+        if not self.L.is_injective():
             raise ValueError(
                 "L must have a positive injectivity modulus "
                 "(full column rank); rank-deficient operators are rejected"

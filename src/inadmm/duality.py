@@ -88,8 +88,11 @@ def kkt_residual(p, x, v, probes=50, rng=None):
 
 
 def hypothesis_check(p):
-    """Injectivity moduli (theta, theta*) of L and its adjoint."""
-    return p.L.injectivity_modulus(), p.L.adjoint().injectivity_modulus()
+    """Injectivity moduli (theta, theta*) of L and its adjoint: a square L
+    shares theta with it, and a tall L's adjoint is wide, so theta* = 0."""
+    theta, (m, n) = p.L.injectivity_modulus(), p.L.shape
+    return theta, (theta if m == n else 0.0 if m > n
+                   else p.L.adjoint().injectivity_modulus())
 
 
 @dataclass

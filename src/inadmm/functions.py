@@ -147,11 +147,11 @@ class Zero(ConvexFn):
 class Quadratic(ConvexFn):
     """f(x) = x'Qx/2 + q'x + r with Q symmetric positive semidefinite.
 
-    ``Q`` and ``q`` are read-only copies.  The factors of I + gamma Q (prox)
-    and Q + gamma L'L (x-update, resolvent) are kept, one per system, for
-    the last gamma and L.  Whether Q has an eigenvalue at or below the rank
-    tolerance is decided once, at construction: without one, the conjugate
-    skips the domain test of range(Q), which could never fail."""
+    ``Q`` and ``q`` are read-only copies, and Q is tested with ``eigvalsh``.
+    The factors of I + gamma Q (prox) and Q + gamma L.gram() (x-update,
+    resolvent) are kept, one per system, for the last gamma and L.  The first
+    conjugate computes the eigenbasis, and whether an eigenvalue is at or below
+    the rank tolerance: if none is, it skips the range(Q) test, which cannot fail."""
 
     kind = "quadratic"
 
@@ -167,20 +167,25 @@ class Quadratic(ConvexFn):
             raise ValueError("Q must be symmetric")
         super().__init__(Q.shape[0])
         q = check_vector(q, self.dim, name="q").copy()
-        scale = 1.0 + float(np.abs(Q).max(initial=0.0))
-        evals, evecs = np.linalg.eigh(Q)
-        if evals.min(initial=0.0) < -1e-12 * scale:
+        self._rank_tol = 1e-12 * (1.0 + float(np.abs(Q).max(initial=0.0)))
+        if np.linalg.eigvalsh(Q).min(initial=0.0) < -self._rank_tol:
             raise ValueError("Q must be positive semidefinite")
         Q.setflags(write=False)
         q.setflags(write=False)
         self.Q = Q
         self.q = q
         self.r = float(r)
-        self._evals = np.maximum(evals, 0.0)
-        self._evecs = evecs
-        self._rank_tol = 1e-12 * scale
-        self._full_rank = bool((self._evals > self._rank_tol).all())
         self._factors = {}  # system -> (gamma, L, solve)
+
+    @functools.cached_property
+    def _eigh(self):
+        evals, evecs = np.linalg.eigh(self.Q)
+        return np.maximum(evals, 0.0), evecs
+
+    _evals = property(lambda self: self._eigh[0])
+    _evecs = property(lambda self: self._eigh[1])
+    _full_rank = functools.cached_property(  # assignable, for tests
+        lambda self: bool((self._evals > self._rank_tol).all()))
 
     def _solver(self, gamma, L=None):
         """b -> M^{-1} b for M = I + gamma Q, or M = Q + gamma L'L given L."""
@@ -190,8 +195,7 @@ class Quadratic(ConvexFn):
             if L is None:
                 M = np.eye(self.dim) + gamma * self.Q
             else:
-                Lm = L.as_matrix()
-                M = self.Q + gamma * (Lm.T @ Lm)
+                M = self.Q + gamma * L.gram()
             entry = self._factors[system] = (gamma, L, cholesky(M))
         return entry[2]
 
@@ -203,15 +207,14 @@ class Quadratic(ConvexFn):
 
     def _conj(self, u):
         # f*(u) = (u-q)' Q^+ (u-q) / 2 - r when u - q lies in range(Q).
-        w = self._evecs.T @ (u - self.q)
+        evals, evecs = self._eigh
+        w = evecs.T @ (u - self.q)
         if self._full_rank:
-            return 0.5 * float((w ** 2 / self._evals).sum()) - self.r
-        small = self._evals <= self._rank_tol
+            return 0.5 * float((w ** 2 / evals).sum()) - self.r
+        small = evals <= self._rank_tol
         if np.any(np.abs(w[small]) > DOM_TOL * (1.0 + np.linalg.norm(u - self.q))):
             return INF
-        good = ~small
-        val = 0.5 * float(np.sum(w[good] ** 2 / self._evals[good]))
-        return val - self.r
+        return 0.5 * float(np.sum(w[~small] ** 2 / evals[~small])) - self.r
 
 
 class L1Norm(ConvexFn):

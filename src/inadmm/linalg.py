@@ -1,5 +1,6 @@
 """Dense vectors and linear operators with adjoints and injectivity moduli."""
 
+import contextlib
 import math
 import numbers
 
@@ -79,7 +80,7 @@ class LinearMap:
     Supported kinds are dense matrices, the identity, and scaled
     identities.  Values are immutable after construction; the adjoint and
     the injectivity modulus (the smallest singular value) are exact up to
-    dense linear-algebra accuracy.  Singular values are computed once.
+    dense linear-algebra accuracy.  L'L and the singular values are computed lazily.
     """
 
     def __init__(self, matrix=None, *, identity_dim=None, scale=1.0):
@@ -104,6 +105,7 @@ class LinearMap:
             self.matrix = None
             self.shape = (n, n)
         self._sv = None  # (smallest, largest) singular value of a dense map
+        self._gram = None
 
     @classmethod
     def dense(cls, matrix):
@@ -159,22 +161,44 @@ class LinearMap:
         return self.matrix.T @ y
 
     def adjoint(self):
-        """Return the adjoint operator as a new LinearMap.
-
-        L* has the singular values of L, so a dense adjoint takes the ones
-        already computed instead of running a second SVD."""
+        """The adjoint as a new LinearMap, with L's singular values if known."""
         if self.matrix is None:
             return LinearMap(identity_dim=self.shape[0], scale=self.scale)
         adj = LinearMap(matrix=self.matrix.T)
         adj._sv = self._sv
         return adj
 
+    def gram(self):
+        """L'L, read-only: ``Lm.T @ Lm`` of ``as_matrix()``, computed once."""
+        if self._gram is None:
+            Lm = self.as_matrix()
+            self._gram = Lm.T @ Lm
+            self._gram.setflags(write=False)
+        return self._gram
+
+    def is_injective(self):
+        """Whether ``injectivity_modulus() > 0``, with no SVD where a proof will do.
+
+        A tall dense map with no singular values yet is injective if G - tI has
+        a Cholesky factor, G = gram(), t = SINGULAR_TOL^2 + 4(m+n) eps trace(G):
+        t covers the rounding of G, gamma_m ||L||_F^2, and the factor's backward
+        error, gamma_{n+1} ||L||_F^2 (Golub & Van Loan, 4.2)."""
+        m, n = self.shape
+        if self.matrix is not None and m >= n > 0 and self._sv is None:
+            with np.errstate(all="ignore"):  # an overflow only fails the proof
+                G = self.gram().copy()
+                t = SINGULAR_TOL ** 2 + 4 * (m + n) * 2.0 ** -52 * np.trace(G)
+                G.flat[::n + 1] -= t
+            with contextlib.suppress(ValueError, np.linalg.LinAlgError):
+                cholesky(G)
+                return True
+        return self.injectivity_modulus() > 0.0
+
     def injectivity_modulus(self):
         """Largest theta >= 0 with ||Lx|| >= theta ||x|| for all x.
 
         The smallest singular value, 0 for a wide matrix.  Values below
-        ``SINGULAR_TOL`` are reported as 0 for every kind, which downstream
-        solvers treat as a failure of the full-column-rank hypothesis.
+        ``SINGULAR_TOL`` are reported as 0 for every kind.
         """
         if self.matrix is None:
             theta = abs(self.scale)

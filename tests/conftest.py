@@ -121,6 +121,15 @@ def mixed_blocks(n, rng, point=None):
     return [fns[i] for i in rng.permutation(len(fns))]
 
 
+def counted(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that logs each call; return the log."""
+    calls = []
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *a, **kw: calls.append(1) or original(*a, **kw))
+    return calls
+
+
 def tall_full_rank(m, n, rng):
     """Random m x n (m >= n) matrix with a comfortably positive smallest SV."""
     a = rng.standard_normal((m, n))

@@ -150,7 +150,7 @@ def test_quadratic_solve_cache_follows_problem_identity(rng):
 
 
 def test_inner_iterative_computes_operator_norm_once(rng, monkeypatch):
-    # one SVD serves the injectivity check at build and every norm read
+    # the build proves L injective with no SVD; one SVD serves every norm read
     n, m = 3, 4
     Lm = tall_full_rank(m, n, rng)
     calls = []

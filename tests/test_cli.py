@@ -272,8 +272,8 @@ def test_compare_factors_normal_matrix_once(tmp_path, monkeypatch):
 
 
 def test_run_with_dense_operator_computes_one_svd(tmp_path, monkeypatch):
-    # the diagnostics line reads theta* from the adjoint, which shares the
-    # singular values ProblemSpec already computed for L
+    # ProblemSpec proves L injective with no SVD; the diagnostics line's
+    # theta runs one, and its theta* follows from the shape of L
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd",

@@ -113,6 +113,25 @@ def test_hypothesis_check(rng):
     assert theta_star == 0.0  # wide adjoint has a kernel
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (6, 3)], ids=["square", "tall"])
+def test_hypothesis_check_builds_no_adjoint(rng, monkeypatch, shape):
+    # theta* is the adjoint's modulus, bit for bit, without the adjoint's copy
+    m, n = shape
+    maps = [LinearMap.dense(tall_full_rank(m, n, rng)), LinearMap.identity(n),
+            LinearMap.scaled_identity(n, -0.5)]
+    wants = [(L.injectivity_modulus(), L.adjoint().injectivity_modulus())
+             for L in maps]
+
+    def no_adjoint(self):
+        raise AssertionError("adjoint built")
+
+    monkeypatch.setattr(LinearMap, "adjoint", no_adjoint)
+    for L, want in zip(maps, wants):
+        p = ProblemSpec(random_quadratic(n, rng), L2Norm(L.shape[0], 1.0), L)
+        got = hypothesis_check(p)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 def test_duality_report_on_solver_output(rng):
     p = quad_pair(3, rng)
     params = default_params(0.2)

@@ -10,15 +10,17 @@ from inadmm import (
     IndicatorPoint,
     L1Norm,
     L2Norm,
+    LinearMap,
     Quadratic,
     SeparableSum,
     Translated,
     Zero,
 )
 from inadmm.functions import sum_or_inf
-from inadmm.linalg import check_vector
+from inadmm.linalg import check_vector, cholesky
 
-from conftest import CountingL1, catalog, mixed_blocks, random_quadratic
+from conftest import (CountingL1, catalog, counted, mixed_blocks,
+                      random_quadratic, tall_full_rank)
 
 INF = math.inf
 
@@ -278,6 +280,58 @@ def test_constructor_validation():
 def test_quadratic_rejects_nonfinite_data(Q, r, message):
     with pytest.raises(ValueError, match=message):
         Quadratic(Q, [0.0], r)
+
+
+# -- set-up on demand --------------------------------------------------------
+
+def test_first_conjugate_computes_the_eigenbasis_once(rng, monkeypatch):
+    n = 6
+    f0 = random_quadratic(n, rng)
+    evals, evecs = np.linalg.eigh(f0.Q)
+    u, x = rng.standard_normal(n), rng.standard_normal(n)
+    eager = f0.conj(u)
+    calls = counted(monkeypatch, np.linalg, "eigh")
+    f = Quadratic(f0.Q, f0.q, f0.r)
+    f(x), f.prox(0.7, x), f._solver(1.3, LinearMap.identity(n))
+    assert calls == []
+    assert f.conj(u) == eager
+    assert len(calls) == 1
+    f.conj(x), f._conj(u + x)
+    assert f._full_rank and len(calls) == 1
+    assert f._evecs.tobytes() == evecs.tobytes()
+    assert f._evals.tobytes() == np.maximum(evals, 0.0).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+def test_psd_test_boundary(rng, n):
+    # the construction-time test reads eigvalsh: a singular PSD Q passes,
+    # an eigenvalue of -1e-9 * scale (1000 times the tolerance) does not
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    d = rng.uniform(0.5, 2.0, n)
+    d[0] = 0.0
+    Q = (V * d) @ V.T
+    f = Quadratic(0.5 * (Q + Q.T), np.zeros(n))
+    assert not f._full_rank
+    d[0] = -1e-9 * (1.0 + np.abs(Q).max())
+    Q = (V * d) @ V.T
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        Quadratic(0.5 * (Q + Q.T), np.zeros(n))
+
+
+def test_normal_factor_reads_the_maps_gram(rng, monkeypatch):
+    # two quadratics and two gammas share one L'L product of the map, and
+    # every factor has the bits of Q + gamma L'L computed in place
+    n, m = 4, 6
+    Lm = tall_full_rank(m, n, rng)
+    L = LinearMap.dense(Lm)
+    fs = [random_quadratic(n, rng) for _ in range(2)]
+    reads = counted(monkeypatch, LinearMap, "as_matrix")
+    for f in fs:
+        for gamma in (0.7, 1.3):
+            b = rng.standard_normal(n)
+            want = cholesky(f.Q + gamma * (Lm.T @ Lm))(b)
+            assert f._solver(gamma, L)(b).tobytes() == want.tobytes()
+    assert len(reads) == 1
 
 
 @pytest.mark.parametrize("b", [np.inf, np.nan], ids=["inf", "nan"])

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from inadmm import LinearMap
-from inadmm.linalg import cholesky
+from inadmm import L1Norm, LinearMap, ProblemSpec, default_params, run_iadmm
+from inadmm.linalg import SINGULAR_TOL, cholesky
 
-from conftest import tall_full_rank
+from conftest import counted, random_quadratic, tall_full_rank
 
 
 def test_identity_apply():
@@ -149,6 +149,74 @@ def test_adjoint_shares_singular_values(rng, monkeypatch):
     assert wide.injectivity_modulus() == 0.0  # the shape rule still holds
     assert wide.norm() == tall.norm()
     assert len(calls) == 2
+
+
+# -- the Gram matrix and the rank certificate --------------------------------
+
+def test_gram_is_cached_read_only_and_not_shared_with_the_adjoint(rng):
+    Lm = rng.standard_normal((5, 3))
+    L = LinearMap.dense(Lm)
+    G = L.gram()
+    assert G is L.gram() and not G.flags.writeable
+    assert G.tobytes() == (Lm.T @ Lm).tobytes()
+    adj = L.adjoint()
+    assert adj.gram().shape == (5, 5)  # L L', not L'L
+    assert np.allclose(adj.gram(), Lm @ Lm.T, rtol=1e-14, atol=1e-14)
+    assert np.array_equal(LinearMap.scaled_identity(3, 2.0).gram(), 4.0 * np.eye(3))
+
+
+def with_singular_values(s, m, rng):
+    """An m x len(s) matrix with singular values s and random singular vectors."""
+    U = np.linalg.qr(rng.standard_normal((m, len(s))))[0]
+    V = np.linalg.qr(rng.standard_normal((len(s), len(s))))[0]
+    return (U * s) @ V.T
+
+
+def rank_cases(rng):
+    """Seeded maps around the rank decision, each with whether the
+    certificate alone must decide it: sigma_min just above and below
+    SINGULAR_TOL at norms 1e-9, 1 and 1e3, well-conditioned, exactly
+    rank-deficient, square and wide."""
+    for _ in range(30):
+        m = int(rng.integers(1, 25))
+        n = int(rng.integers(1, m + 1))
+        for top in (1e-9, 1.0, 1e3):
+            for low in (SINGULAR_TOL * (1 - 1e-3), SINGULAR_TOL * (1 + 1e-3),
+                        0.3 * top):
+                s = np.concatenate([[top], rng.uniform(low, top, max(n - 2, 0)), [low]])
+                certify = low == 0.3 * top or (top == 1e-9 and low > SINGULAR_TOL)
+                yield with_singular_values(s[-n:], m, rng), certify
+                yield with_singular_values(s[-n:], n, rng), certify  # square
+        a = rng.standard_normal((m, n))
+        a[:, -1] = a[:, 0] if n > 1 else 0.0  # a repeated or a zero column
+        yield a, False
+        if n < m:
+            yield rng.standard_normal((n, m)), False  # wide
+
+
+def test_certificate_agrees_with_the_svd_decision(rng):
+    for mat, certify in rank_cases(rng):
+        L = LinearMap.dense(mat)
+        injective = L.is_injective()
+        if certify:
+            assert injective and L._sv is None  # decided with no SVD
+        assert injective == (LinearMap.dense(mat).injectivity_modulus() > 0.0)
+
+
+@pytest.mark.parametrize("read", ["norm", "injectivity_modulus"])
+def test_problem_spec_runs_no_svd_until_the_singular_values_are_read(
+        rng, monkeypatch, read):
+    n, m = 5, 8
+    Lm = tall_full_rank(m, n, rng)
+    svds = counted(monkeypatch, np.linalg, "svd")
+    reads = counted(monkeypatch, LinearMap, "as_matrix")
+    p = ProblemSpec(random_quadratic(n, rng), L1Norm(m, 0.3), LinearMap.dense(Lm))
+    run_iadmm(p, default_params(0.2), max_iters=1)  # the first factor
+    assert svds == [] and len(reads) == 1  # one L'L for the test and factor
+    first = getattr(p.L, read)()
+    assert first > 0.0 and len(svds) == 1
+    assert p.L.norm() >= p.L.injectivity_modulus() > 0.0
+    assert getattr(p.L, read)() == first and len(svds) == 1
 
 
 @pytest.mark.parametrize("n", [1, 3, 30, 200])

@@ -1,0 +1,104 @@
+"""Direct timings of the set-up phases of a dense quadratic problem.
+
+    python tools/setup_speed.py [--smoke]
+
+Builds the problem shape of the ``dense_large`` benchmark workload, a
+quadratic f on R^1000 (Q = GG'/2 + G'G/2 + I/2 with G a seeded Gaussian
+matrix scaled by 1/sqrt(n)) and a dense 1200 x 1000 L (seeded Gaussian,
+scaled by 1/sqrt(m)), and times each set-up phase on fresh objects:
+
+- ``Quadratic.__init__``: the copies, the symmetry test and the
+  positive-semidefiniteness test;
+- the rank test that ``ProblemSpec`` runs, ``LinearMap.is_injective()``,
+  with the Gram matrix it computes;
+- for comparison, the SVD that ``injectivity_modulus()`` and ``norm()``
+  read;
+- the first x-update factor, the Cholesky of Q + gamma L'L, on a map whose
+  Gram matrix the rank test already computed;
+- the first conjugate value, which computes the eigenbasis of Q.
+
+Each phase reports the best of ``REPEATS`` runs in milliseconds.  One BLAS
+thread.  ``--smoke`` uses n = 60, m = 80 and one run, which only checks that
+the script works.  Runs from the root of a checkout and imports the program
+from its ``src/``.
+"""
+
+import os
+
+# One BLAS thread, set before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import sys
+import time
+
+import numpy as np
+import scipy.linalg.lapack  # noqa: F401  (imported here, so no phase pays for it)
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from inadmm import LinearMap, Quadratic
+
+REPEATS = 3  # timed runs per phase; the best one is reported
+
+
+def parse_args(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--smoke", action="store_true",
+                    help="n = 60, m = 80, one run")
+    return ap.parse_args(argv)
+
+
+def best_ms(make, phase, repeats):
+    """Best time of ``phase(obj)`` over fresh objects ``make()``, in ms."""
+    best = float("inf")
+    for _ in range(repeats):
+        obj = make()
+        t0 = time.perf_counter()
+        phase(obj)
+        best = min(best, time.perf_counter() - t0)
+    return 1e3 * best
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    n, m, repeats = (60, 80, 1) if args.smoke else (1000, 1200, REPEATS)
+    rng = np.random.default_rng(0)
+    G = rng.standard_normal((n, n)) / np.sqrt(n)
+    Q = G @ G.T + 0.5 * np.eye(n)
+    Q = 0.5 * (Q + Q.T)
+    q = rng.standard_normal(n)
+    Lm = rng.standard_normal((m, n)) / np.sqrt(m)
+    u = rng.standard_normal(n)
+
+    def tested_map():
+        L = LinearMap.dense(Lm)
+        if not L.is_injective():
+            sys.exit("setup_speed: the generated L is not injective")
+        return L
+
+    phases = [
+        ("Quadratic.__init__", lambda: None, lambda _: Quadratic(Q, q)),
+        ("rank test (is_injective)", lambda: LinearMap.dense(Lm),
+         lambda L: L.is_injective()),
+        ("SVD (injectivity_modulus)", lambda: LinearMap.dense(Lm),
+         lambda L: L.injectivity_modulus()),
+        ("first x-update factor", lambda: (Quadratic(Q, q), tested_map()),
+         lambda fL: fL[0]._solver(1.0, fL[1])),
+        ("first conjugate (eigh)", lambda: Quadratic(Q, q),
+         lambda f: f.conj(u)),
+    ]
+    print("set-up phases at n = %d, m = %d, best of %d, one BLAS thread"
+          % (n, m, repeats))
+    times = {}
+    for name, make, phase in phases:
+        times[name] = best_ms(make, phase, repeats)
+        print("%-26s %9.2f ms" % (name, times[name]))
+    print("SVD / rank test: %.1fx" % (times["SVD (injectivity_modulus)"]
+                                      / times["rank test (is_injective)"]))
+
+
+if __name__ == "__main__":
+    main()
