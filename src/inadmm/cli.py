@@ -1,4 +1,4 @@
-"""Batch front end: parse a problem file, run a solver, stream a CSV trace.
+"""Batch front end: parse a problem file, solve, then write the CSV trace.
 
 Exit codes: 0 converged, 3 iteration budget exhausted or non-finite
 iterates, 2 input error.
@@ -50,12 +50,13 @@ def build_parser():
     return parser
 
 
-def _run_solver(cfg, solver, params, lam, max_iters, tol):
+def _run_solver(cfg, solver, params, max_iters, tol):
     problem = cfg.problem
     if solver == "iadmm":
         return run_iadmm(problem, params, max_iters=max_iters, tol=tol)
     if solver == "classical_admm":
-        return classical_admm(problem, params.gamma, lam=lam,
+        return classical_admm(problem, params.gamma,
+                              lam=params.lambda_schedule.value,
                               max_iters=max_iters, tol=tol)
     if solver == "idr":
         A = ResolventOp.composed_conjugate(problem.f, problem.L)
@@ -100,11 +101,23 @@ def _nan0(v):
     return 0.0 if v is None or (isinstance(v, float) and np.isnan(v)) else v
 
 
+def _report_nonfinite(*traces):
+    """Report the first trace whose iterates became non-finite, if any."""
+    for trace in traces:
+        if trace.nonfinite:
+            print("iterates became non-finite at iteration %d" % trace.iterations,
+                  file=sys.stderr)
+            return True
+    return False
+
+
 def _run_compare(cfg, max_iters, tol, out):
     if not isinstance(cfg.problem, ProblemSpec):
         raise ConfigError("--compare needs a composite (f/g/L) problem")
-    trace_admm = _run_solver(cfg, "iadmm", cfg.params, None, max_iters, tol)
-    trace_dr = _run_solver(cfg, "idr", cfg.params, None, max_iters, tol)
+    trace_admm = _run_solver(cfg, "iadmm", cfg.params, max_iters, tol)
+    trace_dr = _run_solver(cfg, "idr", cfg.params, max_iters, tol)
+    if _report_nonfinite(trace_admm, trace_dr):
+        return EXIT_BUDGET
     n = min(len(trace_admm), len(trace_dr))
     worst = 0.0
     for k in range(1, n):  # compare from the second iteration on
@@ -171,7 +184,7 @@ def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
                 all_ok = False
                 continue
             lam_eff = params.lambda_schedule.value
-            trace = _run_solver(cfg, solver, params, lam_eff, max_iters, tol)
+            trace = _run_solver(cfg, solver, params, max_iters, tol)
             print(
                 "%g %g %d %s %.3g"
                 % (alpha, lam_eff, trace.iterations,
@@ -227,8 +240,7 @@ def _main(argv, out):
             _check_output(output, args.sweep)
         if args.sweep:
             return _run_sweep(cfg, solver, args.sweep, max_iters, tol, output, out)
-        trace = _run_solver(cfg, solver, cfg.params, cfg.lambda_value,
-                            max_iters, tol)
+        trace = _run_solver(cfg, solver, cfg.params, max_iters, tol)
         if output:
             trace.write_csv(output)
     except ValueError as err:
@@ -238,9 +250,7 @@ def _main(argv, out):
         print("solver error: %s" % err, file=sys.stderr)
         return EXIT_BUDGET
 
-    if trace.nonfinite:
-        print("iterates became non-finite at iteration %d" % trace.iterations,
-              file=sys.stderr)
+    if _report_nonfinite(trace):
         return EXIT_BUDGET
     _summary(cfg, solver, trace, out)
     if not trace.converged:

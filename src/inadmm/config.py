@@ -98,7 +98,6 @@ class RunConfig:
     tol: float = 1e-10
     output: str = None
     seed: int = 0
-    lambda_value: float = None  # as requested, before feasibility clamping
     delta: float = None  # as requested; None means the default
 
 
@@ -149,52 +148,59 @@ def _parse_blocks(rows):
     return top, blocks
 
 
-class _Fields:
-    """The fields of one block; every read checks presence, arity and numerals."""
+_REQUIRED = object()
 
-    def __init__(self, body, block_lineno):
+
+class _Fields:
+    """The key lines of the top level or of one block, and their types (str,
+    int, float or np.ndarray for a vector); every read checks presence,
+    arity and numerals.  A block's types are known once its kind is."""
+
+    def __init__(self, body, block_lineno=None, types=None):
         self.lines = {}
         for lineno, toks in body:
+            if types is not None and toks[0] not in types:
+                raise ConfigError("unknown key %r" % toks[0], lineno)
             if toks[0] in self.lines:
                 raise ConfigError("duplicate field %r" % toks[0], lineno)
             self.lines[toks[0]] = (lineno, toks[1:])
         self.block_lineno = block_lineno
+        self.types = types
         self.kind = None
 
-    def pop_kind(self, kinds, family, owner):
-        """Remove and return the block's kind, a key of ``kinds``, after
-        checking that the other fields are among ``kinds[kind]``."""
+    def pop_kind(self, table, family, owner, **extra):
+        """Remove the block's kind, a key of ``table``, and return its entry
+        after checking that the other fields are the kind's or ``extra``."""
         if "kind" not in self.lines:
             raise ConfigError("%s needs a kind" % owner, self.block_lineno)
         lineno, toks = self.lines.pop("kind")
         if len(toks) != 1:
             raise ConfigError("kind takes one value", lineno)
         kind = toks[0]
-        if kind not in kinds:
+        if kind not in table:
             raise ConfigError("unknown %s kind %r" % (family, kind), lineno)
-        unknown = set(self.lines) - kinds[kind]
+        self.types = {**table[kind][1], **extra}
+        unknown = set(self.lines) - set(self.types)
         if unknown:
             key = min(unknown, key=lambda k: self.lines[k][0])
             raise ConfigError("unknown field %r for kind %r" % (key, kind),
                               self.lines[key][0])
         self.kind = kind
-        return kind
+        return table[kind]
 
-    def tokens(self, key):
+    def read(self, key, default=_REQUIRED):
+        """The value of ``key``, or ``default`` when given and ``key`` is absent."""
         if key not in self.lines:
+            if default is not _REQUIRED:
+                return default
             raise ConfigError("kind %r needs field %r" % (self.kind, key),
                               self.block_lineno)
         lineno, toks = self.lines[key]
+        cast = self.types[key]
         if not toks:
             raise ConfigError("field %r needs a value" % key, lineno)
-        return lineno, toks
-
-    def vector(self, key):
-        lineno, toks = self.tokens(key)
-        return np.array(_floats(toks, lineno, key))
-
-    def scalar(self, key, cast=float):
-        lineno, toks = self.tokens(key)
+        if cast is np.ndarray:
+            return np.array(_floats(toks, lineno, key))
         if len(toks) != 1:
             raise ConfigError("%s takes one value" % key, lineno)
         if cast is float:
@@ -205,156 +211,118 @@ class _Fields:
             raise ConfigError("malformed numeral in %r" % key, lineno)
 
 
-_FN_FIELDS = {
-    "zero": {"dim"},
-    "quadratic": {"Q", "q", "r"},
-    "l1": {"dim", "tau"},
-    "l2norm": {"dim", "tau"},
-    "indicator_point": {"a"},
-    "indicator_box": {"lo", "hi"},
-    "indicator_hyperplane": {"a", "b"},
+def _in_order(make):
+    """A builder that reads a kind's fields in order and passes them to ``make``."""
+    return lambda fields, *keys: make(*map(fields.read, keys))
+
+
+def _quadratic(fields, q, Q, r):
+    # the square, row-major Q is checked before r is read
+    qv, Qv = fields.read(q), fields.read(Q)
+    n = qv.shape[0]
+    if Qv.size != n * n:
+        raise ConfigError("%s needs %d entries (row-major)" % (Q, n * n),
+                          fields.lines[Q][0])
+    return Quadratic(Qv.reshape(n, n), qv, fields.read(r, 0.0))
+
+
+def _dense(fields, rows, cols, entries):
+    m, n, values = map(fields.read, (rows, cols, entries))
+    if m < 1 or n < 1:
+        raise ConfigError("%s and %s must be at least 1" % (rows, cols),
+                          fields.block_lineno)
+    if values.size != m * n:
+        raise ConfigError("%s needs %d values (row-major)" % (entries, m * n),
+                          fields.lines[entries][0])
+    return LinearMap.dense(values.reshape(m, n))
+
+
+# kind -> (builder, its fields in reading order with their types); a
+# function block may also carry a vector ``shift``
+_FUNCTIONS = {
+    "zero": (_in_order(Zero), {"dim": int}),
+    "quadratic": (_quadratic, {"q": np.ndarray, "Q": np.ndarray, "r": float}),
+    "l1": (_in_order(L1Norm), {"dim": int, "tau": float}),
+    "l2norm": (_in_order(L2Norm), {"dim": int, "tau": float}),
+    "indicator_point": (_in_order(IndicatorPoint), {"a": np.ndarray}),
+    "indicator_box": (_in_order(IndicatorBox), {"lo": np.ndarray, "hi": np.ndarray}),
+    "indicator_hyperplane": (_in_order(IndicatorHyperplane),
+                             {"a": np.ndarray, "b": float}),
+}
+
+_OPERATORS = {
+    "identity": (_in_order(LinearMap.identity), {"dim": int}),
+    "scaled_identity": (_in_order(LinearMap.scaled_identity),
+                        {"dim": int, "scale": float}),
+    "dense": (_dense, {"rows": int, "cols": int, "entries": np.ndarray}),
 }
 
 
-_OP_FIELDS = {
-    "identity": {"dim"},
-    "scaled_identity": {"dim", "scale"},
-    "dense": {"rows", "cols", "entries"},
-}
-
-
-def _build_function(name, body, block_lineno):
+def _build(name, body, block_lineno):
+    """The function (f, g or a consensus block) or operator (L) of a block."""
     fields = _Fields(body, block_lineno)
-    kind = fields.pop_kind({k: v | {"shift"} for k, v in _FN_FIELDS.items()},
-                           "function", "block %r" % name)
+    if name == "L":
+        make, types = fields.pop_kind(_OPERATORS, "operator", "operator block")
+    else:
+        make, types = fields.pop_kind(_FUNCTIONS, "function", "block %r" % name,
+                                      shift=np.ndarray)
     try:
-        if kind == "zero":
-            fn = Zero(fields.scalar("dim", int))
-        elif kind == "quadratic":
-            q = fields.vector("q")
-            n = q.shape[0]
-            Qv = fields.vector("Q")
-            if Qv.size != n * n:
-                raise ConfigError("Q needs %d entries (row-major)" % (n * n),
-                                  fields.lines["Q"][0])
-            r = fields.scalar("r") if "r" in fields.lines else 0.0
-            fn = Quadratic(Qv.reshape(n, n), q, r)
-        elif kind in ("l1", "l2norm"):
-            dim = fields.scalar("dim", int)
-            fn = (L1Norm if kind == "l1" else L2Norm)(dim, fields.scalar("tau"))
-        elif kind == "indicator_point":
-            fn = IndicatorPoint(fields.vector("a"))
-        elif kind == "indicator_box":
-            fn = IndicatorBox(fields.vector("lo"), fields.vector("hi"))
-        else:  # indicator_hyperplane
-            fn = IndicatorHyperplane(fields.vector("a"), fields.scalar("b"))
+        built = make(fields, *types)
         if "shift" in fields.lines:
-            fn = Translated(fn, fields.vector("shift"))
+            built = Translated(built, fields.read("shift"))
     except ConfigError:
         raise
     except ValueError as err:
         raise ConfigError(str(err), block_lineno)
-    return fn
-
-
-def _build_operator(body, block_lineno):
-    fields = _Fields(body, block_lineno)
-    kind = fields.pop_kind(_OP_FIELDS, "operator", "operator block")
-    try:
-        if kind == "identity":
-            return LinearMap.identity(fields.scalar("dim", int))
-        if kind == "scaled_identity":
-            return LinearMap.scaled_identity(fields.scalar("dim", int),
-                                             fields.scalar("scale"))
-        rows = fields.scalar("rows", int)
-        cols = fields.scalar("cols", int)
-        entries = fields.vector("entries")
-        if rows < 1 or cols < 1:
-            raise ConfigError("rows and cols must be at least 1", block_lineno)
-        if entries.size != rows * cols:
-            raise ConfigError("entries needs %d values (row-major)" % (rows * cols),
-                              fields.lines["entries"][0])
-        return LinearMap.dense(entries.reshape(rows, cols))
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(str(err), block_lineno)
+    return built
 
 
 _TOP_KEYS = {
-    "solver", "gamma", "alpha", "sigma", "delta", "lambda",
-    "init_mode", "max_iters", "tol", "seed", "output",
+    "solver": str, "gamma": float, "alpha": float, "sigma": float,
+    "delta": float, "lambda": float, "init_mode": str, "max_iters": int,
+    "tol": float, "seed": int, "output": str,
 }
 
 
 def parse_config(text):
     """Parse a problem file into a RunConfig; raise ConfigError on any defect."""
     top, blocks = _parse_blocks(_tokenize(text))
+    top = _Fields(top, types=_TOP_KEYS)
+    line = {key: lineno for key, (lineno, _) in top.lines.items()}
 
-    settings = {}
-    lines = {}
-    for lineno, toks in top:
-        key = toks[0]
-        if key not in _TOP_KEYS:
-            raise ConfigError("unknown key %r" % key, lineno)
-        if key in settings:
-            raise ConfigError("duplicate key %r" % key, lineno)
-        settings[key] = toks[1:]
-        lines[key] = lineno
-
-    def scalar(key, default=None, cast=float):
-        if key not in settings:
-            return default
-        toks = settings[key]
-        if len(toks) != 1:
-            raise ConfigError("%s takes one value" % key, lines[key])
-        try:
-            return cast(toks[0])
-        except ValueError:
-            raise ConfigError("malformed numeral in %r" % key, lines[key])
-
-    def number(key, default=None):
-        value = scalar(key, default)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError("%s must be finite" % key, lines[key])
-        return value
-
-    solver = scalar("solver", cast=str)
-    if solver is None:
+    if "solver" not in line:
         raise ConfigError("missing required key 'solver'")
-    check_solver(solver, line=lines["solver"])
+    solver = top.read("solver")
+    check_solver(solver, line=line["solver"])
 
-    gamma = number("gamma", 1.0)
-    alpha = number("alpha", 0.0)
-    sigma = number("sigma", 0.01)
-    delta = number("delta")
-    lam = number("lambda")
-    init_mode = scalar("init_mode", "lambda1_alpha1_zero", cast=str)
+    gamma = top.read("gamma", 1.0)
+    alpha = top.read("alpha", 0.0)
+    sigma = top.read("sigma", 0.01)
+    delta = top.read("delta", None)
+    lam = top.read("lambda", None)
+    init_mode = top.read("init_mode", "lambda1_alpha1_zero")
     if init_mode not in ("alpha2_zero", "lambda1_alpha1_zero"):
-        raise ConfigError("unknown init_mode %r" % init_mode, lines["init_mode"])
+        raise ConfigError("unknown init_mode %r" % init_mode, line["init_mode"])
     try:
         params = constant_params(gamma, alpha, sigma, delta, lam, init_mode)
     except InfeasibleParameters as err:
         # an input the file left out is blamed on the nearest one it gave
-        at = next((lines[k] for k in (err.key, "delta", "sigma", "alpha")
-                   if k in lines), None)
+        at = next((line[k] for k in (err.key, "delta", "sigma", "alpha")
+                   if k in line), None)
         raise ConfigError(str(err), at)
 
     named = {}
     consensus_blocks = []
     for lineno, name, body in blocks:
-        if name in ("f", "g"):
-            if name in named:
-                raise ConfigError("duplicate block %r" % name, lineno)
-            named[name] = _build_function(name, body, lineno)
-        elif name == "L":
-            if name in named:
-                raise ConfigError("duplicate block 'L'", lineno)
-            named[name] = _build_operator(body, lineno)
-        elif name == "block":
-            consensus_blocks.append(_build_function("block", body, lineno))
-        else:
+        if name not in ("f", "g", "L", "block"):
             raise ConfigError("unknown block %r" % name, lineno)
+        if name in named:
+            raise ConfigError("duplicate block %r" % name, lineno)
+        built = _build(name, body, lineno)
+        if name == "block":
+            consensus_blocks.append(built)
+        else:
+            named[name] = built
 
     check_solver(solver, bool(named), bool(consensus_blocks))
     if solver in COMPOSITE_SOLVERS:
@@ -373,23 +341,19 @@ def parse_config(text):
         except ValueError as err:
             raise ConfigError(str(err))
 
-    max_iters = scalar("max_iters", 100000, cast=int)
+    max_iters = top.read("max_iters", 100000)
     if max_iters < 1:
-        raise ConfigError("max_iters must be at least 1", lines["max_iters"])
-    tol = scalar("tol", 1e-10)
-    if not tol >= 0.0:
-        raise ConfigError("tol must be a nonnegative number", lines["tol"])
-    return RunConfig(
-        solver=solver,
-        problem=problem,
-        params=params,
-        max_iters=max_iters,
-        tol=tol,
-        output=scalar("output", cast=str),
-        seed=scalar("seed", 0, cast=int),
-        lambda_value=params.lambda_schedule.value,
-        delta=delta,
-    )
+        raise ConfigError("max_iters must be at least 1", line["max_iters"])
+    tol = top.read("tol", 1e-10)
+    if tol < 0.0:
+        raise ConfigError("tol must be a nonnegative number", line["tol"])
+    output = top.read("output", None)
+    seed = top.read("seed", 0)
+    if seed < 0:
+        raise ConfigError("seed must be a nonnegative integer", line["seed"])
+    return RunConfig(solver=solver, problem=problem, params=params,
+                     max_iters=max_iters, tol=tol, output=output, seed=seed,
+                     delta=delta)
 
 
 def parse_config_file(path):

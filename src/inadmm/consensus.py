@@ -243,7 +243,7 @@ def boyd_consensus(cp, gamma, init=None, max_iters=100000, tol=1e-10):
     return trace
 
 
-def consensus_optimality_residual(x, v, cp, probes=50, rng=None):
+def consensus_optimality_residual(x, v, cp, rng=None):
     """Violation of the first-order conditions at (x, v_1..v_m).
 
     The stationarity certificate is -v_i in df_i(x) with sum_i v_i = 0;
@@ -255,7 +255,7 @@ def consensus_optimality_residual(x, v, cp, probes=50, rng=None):
     v = np.asarray(v, dtype=float)
     worst = 0.0
     for i, f in enumerate(cp.blocks):
-        worst = max(worst, subgradient_violation(f, x, -v[i], probes, rng))
+        worst = max(worst, subgradient_violation(f, x, -v[i], rng))
         if np.isinf(worst):
             return np.inf
     return worst + float(np.linalg.norm(v.sum(axis=0)))

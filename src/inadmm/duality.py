@@ -56,11 +56,11 @@ def duality_gap(primal, dual):
     return primal - dual if math.isfinite(primal) and math.isfinite(dual) else np.inf
 
 
-def subgradient_violation(f, x, u, probes=50, rng=None, scale=1.0):
+def subgradient_violation(f, x, u, rng=None):
     """Worst violation of the inequality f(y) >= f(x) + <u, y - x>.
 
-    Probes random points around x; returns +inf when f(x) itself is +inf
-    (u cannot be a subgradient outside the domain).
+    Probes 50 standard-normal points around x; returns +inf when f(x)
+    itself is +inf (u cannot be a subgradient outside the domain).
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -69,8 +69,8 @@ def subgradient_violation(f, x, u, probes=50, rng=None, scale=1.0):
     if np.isinf(fx):
         return np.inf
     worst = 0.0
-    for _ in range(probes):
-        y = x + scale * rng.standard_normal(x.shape)
+    for _ in range(50):
+        y = x + rng.standard_normal(x.shape)
         fy = f(y)
         if np.isinf(fy):
             continue
@@ -78,12 +78,12 @@ def subgradient_violation(f, x, u, probes=50, rng=None, scale=1.0):
     return worst
 
 
-def kkt_residual(p, x, v, probes=50, rng=None):
+def kkt_residual(p, x, v, rng=None):
     """Sum of the violations of -L*v in df(x) and v in dg(Lx)."""
     if rng is None:
         rng = np.random.default_rng(0)
-    r1 = subgradient_violation(p.f, x, -p.L.adjoint_apply(v), probes, rng)
-    r2 = subgradient_violation(p.g, p.L.apply(x), v, probes, rng)
+    r1 = subgradient_violation(p.f, x, -p.L.adjoint_apply(v), rng)
+    r2 = subgradient_violation(p.g, p.L.apply(x), v, rng)
     return r1 + r2
 
 
@@ -113,7 +113,7 @@ class DualityReport:
         )
 
 
-def duality_report(p, x, v, probes=50, rng=None):
+def duality_report(p, x, v, rng=None):
     pv = primal_value(p, x)
     dv = dual_value(p, v)
     theta, theta_star = hypothesis_check(p)
@@ -121,7 +121,7 @@ def duality_report(p, x, v, probes=50, rng=None):
         primal_value=pv,
         dual_value=dv,
         gap=duality_gap(pv, dv),
-        kkt_residual=kkt_residual(p, x, v, probes, rng),
+        kkt_residual=kkt_residual(p, x, v, rng),
         h_theta=theta,
         h_star_theta=theta_star,
     )

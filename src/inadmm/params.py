@@ -207,17 +207,17 @@ def constant_params(gamma, alpha, sigma, delta=None, lam=None,
     )
 
 
-def default_params(alpha, gamma=1.0, sigma=0.01, lambda_frac=0.9):
+def default_params(alpha, gamma=1.0, sigma=0.01):
     """Preset sitting strictly inside the admissible region.
 
     delta is 1.5x its lower bound (or 1.0 when the bound vanishes at
-    alpha = 0), lambda_k is a constant fraction of the admissible maximum
+    alpha = 0), lambda_k is 0.9 times the admissible maximum
     (at alpha = 0 too), and alpha_k is constant with the first iteration
     un-inertial.
     """
     delta = _default_delta(delta_lower_bound(alpha, sigma))
     return constant_params(gamma, alpha, sigma, delta,
-                           lambda_frac * max_relaxation(alpha, sigma, delta))
+                           0.9 * max_relaxation(alpha, sigma, delta))
 
 
 @dataclass

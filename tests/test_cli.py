@@ -384,7 +384,7 @@ OVERFLOW_CONFIG = LASSO_CONFIG.replace("q -1 0.5", "q 1e308 -1e308")
      "line 5: max_iters must be at least 1"),
     (LASSO_CONFIG, ["--max-iters", "0"], "max_iters must be at least 1"),
     (LASSO_CONFIG.replace("tol 1e-11", "tol nan"), [],
-     "line 6: tol must be a nonnegative number"),
+     "line 6: tol must be finite"),
     (LASSO_CONFIG, ["--solver", "consensus_sum1"],
      "solver 'consensus_sum1' takes consensus blocks, not f/g/L"),
     (CONSENSUS_CONFIG, ["--solver", "iadmm"],
@@ -412,13 +412,14 @@ OVERFLOW_CONFIG = LASSO_CONFIG.replace("q -1 0.5", "q 1e308 -1e308")
      "line 5: alpha, sigma and delta leave no admissible lambda"),
     (LASSO_CONFIG.replace("alpha 0.2", "alpha 0\ndelta 1e308\nlambda 5"), [],
      "line 5: alpha, sigma and delta leave no admissible lambda"),
+    (LASSO_CONFIG.replace("seed 0", "seed -1"), [], "line 7: seed "),
 ], ids=["config_max_iters_0", "flag_max_iters_0", "config_tol_nan",
         "consensus_solver_on_fgl_file", "composite_solver_on_block_file",
         "l1_dim_without_value", "operator_kind_without_value", "gamma_nan",
         "gamma_inf", "sigma_nan", "delta_nan", "l1_tau_nan", "l2norm_tau_nan",
         "shift_without_value", "operator_dim_not_integer",
         "blocks_of_mixed_dimension", "delta_bound_overflows",
-        "lambda_max_underflows", "lambda_max_overflows"])
+        "lambda_max_underflows", "lambda_max_overflows", "seed_negative"])
 def test_rejected_inputs_exit_with_diagnostic(tmp_path, capsys, text, argv, message):
     code, _ = run([write(tmp_path, text)] + argv)
     assert code == EXIT_INPUT
@@ -430,6 +431,13 @@ def test_nonfinite_iterates_exit_code(tmp_path, capsys):
     code, _ = run([write(tmp_path, OVERFLOW_CONFIG)])
     assert code == EXIT_BUDGET
     assert "iterates became non-finite at iteration 1" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_compare_nonfinite_iterates_exit_code(tmp_path, capsys):
+    code, out = run([write(tmp_path, OVERFLOW_CONFIG), "--compare"])
+    assert code == EXIT_BUDGET and out == ""
+    assert capsys.readouterr().err == "iterates became non-finite at iteration 1\n"
 
 
 def test_sweep_passes_lambda_without_mutating_config(monkeypatch):
@@ -447,5 +455,5 @@ def test_sweep_passes_lambda_without_mutating_config(monkeypatch):
         cli._run_sweep(cfg, "classical_admm", "alpha=0;lambda=0.7", 100, 1e-8,
                        None, io.StringIO())
     assert seen == [0.7]
-    assert cfg.lambda_value == parse_config(LASSO_CONFIG).lambda_value
+    assert cfg.params == parse_config(LASSO_CONFIG).params
 

@@ -24,7 +24,12 @@ stdout, stderr and the bytes of every CSV it wrote, with the temporary
 directory's name replaced by a placeholder.  The runs cover a run with CSV,
 a sweep with CSVs, a ``lambda`` sweep of a file that gives ``delta``, compare,
 budget exhaustion, classical, idr, the three consensus solvers and an
-``--output`` into a missing directory, in run and in sweep mode.
+``--output`` into a missing directory, in run and in sweep mode.  The
+``cli_error_*`` runs give the CLI a bad input each: the rejected inputs of
+``tests/test_cli.py``, top-level keys that are duplicated, valueless or
+unknown (also after a duplicate), ``tol inf``, ``seed -1`` and ``--compare``
+on a problem whose iterates overflow.  Warnings are silenced, since their
+text names source lines.
 
 ``--smoke`` runs seed 1 for 10 iterations, which only checks that the script
 works.  Imports the program from the ``src/`` of the checkout it sits in.
@@ -37,6 +42,7 @@ import io
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -245,6 +251,92 @@ def consensus_config(solver, rng):
     return "\n".join(lines)
 
 
+LASSO = """
+solver iadmm
+gamma 1.0
+alpha 0.2
+max_iters 50000
+tol 1e-11
+seed 0
+
+begin f
+kind quadratic
+Q 2 0 0 1
+q -1 0.5
+r 0
+end
+
+begin g
+kind l1
+dim 2
+tau 0.3
+end
+
+begin L
+kind identity
+dim 2
+end
+"""
+
+CONSENSUS = """
+solver consensus_sum1
+gamma 1.0
+alpha 0.2
+tol 1e-11
+
+begin block
+kind quadratic
+Q 1 0 0 1
+q -1 0
+end
+
+begin block
+kind quadratic
+Q 2 0 0 2
+q 0 -2
+end
+"""
+
+
+def error_runs():
+    """run name -> (config text, extra argv): inputs the CLI must refuse."""
+    lasso = LASSO.replace
+    runs = {
+        "max_iters_0": (lasso("max_iters 50000", "max_iters 0"), []),
+        "flag_max_iters_0": (LASSO, ["--max-iters", "0"]),
+        "tol_nan": (lasso("tol 1e-11", "tol nan"), []),
+        "consensus_solver_on_fgl": (LASSO, ["--solver", "consensus_sum1"]),
+        "composite_solver_on_blocks": (CONSENSUS, ["--solver", "iadmm"]),
+        "l1_dim_without_value": (lasso("kind l1\ndim 2", "kind l1\ndim"), []),
+        "operator_kind_without_value": (lasso("kind identity", "kind"), []),
+        "gamma_nan": (lasso("gamma 1.0", "gamma nan"), []),
+        "gamma_inf": (lasso("gamma 1.0", "gamma inf"), []),
+        "sigma_nan": (lasso("seed 0", "sigma nan"), []),
+        "delta_nan": (lasso("seed 0", "delta nan"), []),
+        "l1_tau_nan": (lasso("tau 0.3", "tau nan"), []),
+        "l2norm_tau_nan": (lasso("kind l1", "kind l2norm").replace(
+            "tau 0.3", "tau nan"), []),
+        "shift_without_value": (lasso("tau 0.3", "tau 0.3\nshift"), []),
+        "operator_dim_not_integer": (
+            lasso("kind identity\ndim 2", "kind identity\ndim 1.5"), []),
+        "blocks_of_mixed_dimension": (CONSENSUS.replace(
+            "Q 2 0 0 2\nq 0 -2", "Q 2 0 0 0 2 0 0 0 2\nq 0 -2 0"), []),
+        "delta_bound_overflows": (lasso("alpha 0.2", "alpha 0.9\nsigma 1e308"), []),
+        "lambda_max_underflows": (lasso("alpha 0.2", "alpha 0.5\nsigma 1e308"), []),
+        "lambda_max_overflows": (
+            lasso("alpha 0.2", "alpha 0\ndelta 1e308\nlambda 5"), []),
+        "duplicate_key": (lasso("alpha 0.2", "alpha 0.2\nalpha 0.1"), []),
+        "valueless_key": (lasso("gamma 1.0", "gamma"), []),
+        "unknown_key": (lasso("gamma 1.0", "gama 1.0"), []),
+        "duplicate_then_unknown": (
+            lasso("alpha 0.2", "alpha 0.2\nalpha 0.1\ngama 1.0"), []),
+        "tol_inf": (lasso("tol 1e-11", "tol inf"), []),
+        "seed_negative": (lasso("seed 0", "seed -1"), []),
+        "compare_overflow": (lasso("q -1 0.5", "q 1e308 -1e308"), ["--compare"]),
+    }
+    return {"cli_error_" + name: run for name, run in runs.items()}
+
+
 def cli_runs(tmp):
     """run name -> (config text, extra argv, output prefix or None)."""
     rng = np.random.default_rng(7)
@@ -265,6 +357,8 @@ def cli_runs(tmp):
         "cli_missing_output_run": (dense, ["--output", missing + ".csv"], None),
         "cli_missing_output_sweep": (
             dense, ["--sweep", "alpha=0,0.1", "--output", missing], None),
+        **{name: (text, argv, None)
+           for name, (text, argv) in error_runs().items()},
     }
 
 
@@ -277,7 +371,8 @@ def hash_cli(h, tmp, name, text, argv, output):
     if output is not None:
         argv = argv + ["--output", os.path.join(run_dir, output)]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stderr(err):
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         try:
             code = str(cli_main([cfg] + argv, out=out))
         except Exception as exc:  # a traceback at the command line
