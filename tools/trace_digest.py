@@ -25,6 +25,9 @@ directory's name replaced by a placeholder.  The runs cover a run with CSV,
 a sweep with CSVs, a ``lambda`` sweep of a file that gives ``delta``, compare,
 budget exhaustion, classical, idr, the three consensus solvers and an
 ``--output`` into a missing directory, in run and in sweep mode.  The
+``cli_sweep_*`` runs cover the sweep's other paths: an L = I file, a budget
+that one point converges within and two exhaust, a ``lambda`` grid whose last
+point is infeasible, a file whose iterates overflow, and the classical solver.  The
 ``cli_error_*`` runs give the CLI a bad input each: the rejected inputs of
 ``tests/test_cli.py``, top-level keys that are duplicated, valueless or
 unknown (also after a duplicate), ``tol inf``, ``seed -1`` and ``--compare``
@@ -354,6 +357,16 @@ def cli_runs(tmp):
         "cli_sum1": (consensus_config("consensus_sum1", rng), [], "s1.csv"),
         "cli_sum2": (consensus_config("consensus_sum2", rng), [], "s2.csv"),
         "cli_boyd": (consensus_config("boyd_consensus", rng), [], "b.csv"),
+        "cli_sweep_identity": (LASSO, ["--sweep", "alpha=0,0.1,0.2"], "si"),
+        "cli_sweep_budget": (dense, ["--sweep", "alpha=0,0.1,0.2",
+                                     "--max-iters", "150"], "sb"),
+        "cli_sweep_lambda_infeasible": (
+            dense.replace("alpha 0.2", "alpha 0.2\ndelta 0.625"),
+            ["--sweep", "lambda=0.5,1.0,1.95"], "sl"),
+        "cli_sweep_overflow": (LASSO.replace("q -1 0.5", "q 1e308 -1e308"),
+                               ["--sweep", "alpha=0,0.2"], None),
+        "cli_sweep_classical": (dense, ["--solver", "classical_admm",
+                                        "--sweep", "alpha=0,0.2"], "sc"),
         "cli_missing_output_run": (dense, ["--output", missing + ".csv"], None),
         "cli_missing_output_sweep": (
             dense, ["--sweep", "alpha=0,0.1", "--output", missing], None),
