@@ -13,17 +13,20 @@ the state it returns, and the run records both from the states so the
 correspondence can be checked externally.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .duality import _dual_value
-from .functions import Quadratic
+from .functions import IndicatorConsensus, Quadratic, SeparableSum
+from .functions import _norm as _row_norm
 from .linalg import LinearMap, _norm, check_gamma, check_vector
 from .params import require_valid
-from .trace import TraceRow, drive
+from .trace import SolveTrace, TraceRow, check_budget, drive, stops
 
 __all__ = [
     "ProblemSpec",
@@ -33,6 +36,7 @@ __all__ = [
     "x_update",
     "step",
     "run_iadmm",
+    "run_iadmm_batch",
     "classical_admm",
 ]
 
@@ -161,12 +165,16 @@ def step(state, p, params, k, strat):
 
     The new state carries x^{k+1}, z^{k+1}, y^{k+1}, v^k and w^{k+1};
     r = Lx^{k+1} - z^k.  Every shared term (dy, dz, Lx^{k+1}, r, drift =
-    dy + gamma dz, lambda_k Lx^{k+1}, (1 - lambda_k) z^k) is computed once.
+    dy + gamma dz, lambda_k Lx^{k+1}, (1 - lambda_k) z^k, ...) is computed once.
+    On (P, m) rows with (P, 1) parameter columns it advances P points, each
+    row bit for bit its own step, and ||r|| is the list of the rows' norms.
     """
     gamma = params.gamma
     a_k = params.alpha_at(k)
     a_next = params.alpha_at(k + 1)
     l_k = params.lambda_at(k)
+    m_k = 1.0 - l_k
+    ma_k = m_k * a_k
     y, z = state.y, state.z
     dy = y - state.y_prev
     dz = z - state.z_prev
@@ -177,23 +185,26 @@ def step(state, p, params, k, strat):
     drift = dy + gamma * dz
     # zbar^{k+1} = alpha_{k+1} lambda_k (Lx^{k+1} - z^k)
     #              + ((1 - lambda_k) alpha_k alpha_{k+1} / gamma) drift
-    zbar_next = a_next * l_k * r + ((1.0 - l_k) * a_k * a_next / gamma) * drift
+    zbar_next = a_next * l_k * r + (ma_k * a_next / gamma) * drift
     # z^{k+1} = -zbar^{k+1} + prox_{g/gamma}(zbar^{k+1} + lambda_k Lx^{k+1}
     #   + (1 - lambda_k) z^k + y^k / gamma + ((1 - lambda_k) alpha_k / gamma) drift)
     l_Lx = l_k * Lx
-    l_z = (1.0 - l_k) * z
-    arg = zbar_next + l_Lx + l_z + y / gamma + ((1.0 - l_k) * a_k / gamma) * drift
+    l_z = m_k * z
+    arg = zbar_next + l_Lx + l_z + y / gamma + (ma_k / gamma) * drift
     z_next = -zbar_next + p.g._prox(1.0 / gamma, arg)
     # y^{k+1} = y^k + gamma (lambda_k Lx^{k+1} + (1 - lambda_k) z^k - z^{k+1})
     #           + (1 - lambda_k) alpha_k drift
-    y_next = y + gamma * (l_Lx + l_z - z_next) + (1.0 - l_k) * a_k * drift
+    y_next = y + gamma * (l_Lx + l_z - z_next) + ma_k * drift
     # v^k = y^k - gamma z^k + gamma Lx^{k+1} - alpha_k drift, certifying
     # -L*v^k in df(x^{k+1})
     v_k = y - gamma * z + gamma * Lx - a_k * drift
     new_state = IadmmState(k=k + 1, x=x_next, z=z_next, z_prev=z,
                            zbar=zbar_next, y=y_next, y_prev=y, v=v_k,
                            w=y_next + gamma * z_next)
-    return new_state, _norm(r)
+    return new_state, _norm(r) if r.ndim == 1 else _row_norms(r)
+
+
+_row_norms = lambda a: _row_norm(a)[:, 0].tolist()  # noqa: E731
 
 
 def _iadmm_vectors(prev, new):
@@ -205,6 +216,13 @@ def _iadmm_vectors(prev, new):
 def _classical_vectors(prev, new):
     return {"x_next": new.x, "z": prev.z, "z_next": new.z, "y": prev.y,
             "y_next": new.y}
+
+
+def _iadmm_schema(p):
+    # primal f(x^{k+1}) + g(z^k + zbar^k), dual value at (v^k, y^k)
+    return (_iadmm_vectors, lambda prev, new: (
+        p.f._value(new.x) + p.g._value(prev.z + prev.zbar),
+        _dual_value(p, new.v, prev.y)))
 
 
 def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10):
@@ -223,11 +241,7 @@ def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10):
         y0 = y1 = z0 = z1 = np.zeros(m)
     else:
         y0, y1, z0, z1 = (check_vector(u, m) for u in init)
-
-    # primal f(x^{k+1}) + g(z^k + zbar^k), dual value at (v^k, y^k)
-    schema = (_iadmm_vectors, lambda prev, new: (
-        p.f._value(new.x) + p.g._value(prev.z + prev.zbar),
-        _dual_value(p, new.v, prev.y)))
+    schema = _iadmm_schema(p)
 
     def iterate(state, k):
         try:
@@ -247,6 +261,76 @@ def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10):
     trace.final = {"x": state.x, "z": state.z, "y": state.y, "v": state.v,
                    "w": state.w}
     return trace
+
+
+def _columns(rows):
+    """The schedules of P parameter sets sharing gamma as the (P, 1) columns
+    ``step`` reads, each built once; they stay constant from k = 3 (the init
+    modes) or the end of the last ramp on."""
+    steady = max([3] + [s.ramp_over for q in rows for s in (
+        q.alpha_schedule, q.lambda_schedule) if s.kind == "ramp"])
+    column = functools.lru_cache(maxsize=None)(lambda name, k: np.array(
+        [[getattr(q, name)(k)] for q in rows]))
+    return SimpleNamespace(gamma=rows[0].gamma,
+                           alpha_at=lambda k: column("alpha_at", min(k, steady)),
+                           lambda_at=lambda k: column("lambda_at", min(k, steady)))
+
+
+class _Row:
+    """Row j of a batched state, read as one point's state."""
+
+    __slots__ = ("state", "j")
+
+    def __init__(self, state, j):
+        self.state, self.j = state, j
+
+    def __getattr__(self, name):
+        return getattr(self.state, name)[self.j]
+
+
+def run_iadmm_batch(p, rows, max_iters=100000, tol=1e-10, record=True):
+    """``[run_iadmm(p, q, max_iters=max_iters, tol=tol) for q in rows]`` bit for
+    bit, as one iteration: the points, which share gamma, are the (P, m) rows
+    of one state advanced by ``step``, and a point leaves when ``drive``'s rule
+    stops it on its row.  With ``record`` false a trace keeps its last row
+    only.  An ``inner_iterative`` x-update, whose inner loop stops per point,
+    and an f or g without row kernels run serially."""
+    strat = XUpdateStrategy.automatic(p)
+    if strat.kind == "inner_iterative" or any(
+            isinstance(fn, (SeparableSum, IndicatorConsensus)) for fn in (p.f, p.g)):
+        return [run_iadmm(p, q, max_iters=max_iters, tol=tol) for q in rows]
+    for q in rows:
+        require_valid(q)
+    if len({q.gamma for q in rows}) > 1:
+        raise ValueError("a batch's parameter sets must share gamma")
+    check_budget(max_iters, tol)
+    traces, sums, live = [SolveTrace() for _ in rows], [0.0] * len(rows), []
+    if rows:
+        live, columns, schema = list(range(len(rows))), _columns(rows), _iadmm_schema(p)
+        zeros = np.zeros((len(rows), p.g.dim))  # w = y + gamma z is zero too
+        state = IadmmState(k=1, x=np.zeros((len(rows), p.f.dim)), z=zeros,
+                           z_prev=zeros, zbar=zeros, y=zeros, y_prev=zeros, w=zeros)
+    while live:
+        k, keep = state.k, []
+        new, feas = step(state, p, columns, k, strat)
+        for j, res in enumerate(zip(feas, _row_norms(new.zbar),
+                                    _row_norms(new.w - state.w))):
+            i = live[j]
+            sums[i] += res[2] * res[2]
+            stop = stops(traces[i], res, k, 2, tol) or k == max_iters
+            if record or stop:
+                traces[i].append(TraceRow(k, *res, sums[i], prev=_Row(state, j),
+                                          new=_Row(new, j), schema=schema))
+            if stop:
+                traces[i].final = {f: getattr(new, f)[j] for f in "xzyvw"}
+            else:
+                keep.append(j)
+        if 0 < len(keep) < len(live):
+            columns = _columns([rows[live[j]] for j in keep])
+            new = IadmmState(k=new.k, **{f: a[keep] for f, a in vars(new).items()
+                                         if f != "k"})
+        live, state = [live[j] for j in keep], new
+    return traces
 
 
 def classical_admm(p, gamma, init=None, lam=1.0, strat=None,

@@ -14,12 +14,14 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .admm import ProblemSpec, SubproblemError, classical_admm, run_iadmm
+from .admm import (ProblemSpec, SubproblemError, classical_admm, run_iadmm,
+                   run_iadmm_batch)
 from .config import ConfigError, check_solver, parse_config_file
 from .consensus import boyd_consensus, run_sum1, run_sum2
 from .dr import ResolventOp, run_idr
 from .duality import duality_report
 from .params import InfeasibleParameters, constant_params, validate
+from .trace import check_budget
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -167,34 +169,38 @@ def _check_output(output, sweep):
 
 
 def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
+    """Solve the feasible points, all in one ``run_iadmm_batch`` for iadmm,
+    and then print one row per point in grid order."""
     grids = _parse_sweep(sweep_spec)
-    alphas = grids.get("alpha", [cfg.params.alpha])
-    lams = grids.get("lambda", [None])
-    print("alpha lambda iterations converged final_dw", file=out)
-    all_ok = True
-    for alpha in alphas:
-        for lam in lams:
+    check_budget(max_iters, tol)
+    points = []
+    for alpha in grids.get("alpha", [cfg.params.alpha]):
+        for lam in grids.get("lambda", [None]):
             try:
                 params = constant_params(
                     cfg.params.gamma, alpha, cfg.params.sigma, cfg.delta, lam,
                     "lambda1_alpha1_zero" if alpha > 0.0 else "alpha2_zero")
             except InfeasibleParameters as err:
-                print("%g %s infeasible (%s)"
-                      % (alpha, "-" if lam is None else "%g" % lam, err), file=out)
-                all_ok = False
-                continue
-            lam_eff = params.lambda_schedule.value
-            trace = _run_solver(cfg, solver, params, max_iters, tol)
-            print(
-                "%g %g %d %s %.3g"
-                % (alpha, lam_eff, trace.iterations,
-                   "yes" if trace.converged else "no",
-                   _nan0(trace.rows[-1].dw_norm)),
-                file=out,
-            )
-            all_ok = all_ok and trace.converged
-            if output:
-                trace.write_csv("%s.alpha%g_lambda%g.csv" % (output, alpha, lam_eff))
+                params = err
+            points.append((alpha, lam, params))
+    feasible = [q for _, _, q in points if not isinstance(q, InfeasibleParameters)]
+    print("alpha lambda iterations converged final_dw", file=out)
+    traces = iter(run_iadmm_batch(cfg.problem, feasible, max_iters, tol, bool(output))
+                  if solver == "iadmm" else
+                  (_run_solver(cfg, solver, q, max_iters, tol) for q in feasible))
+    all_ok = len(feasible) == len(points)
+    for alpha, lam, params in points:
+        if isinstance(params, InfeasibleParameters):
+            print("%g %s infeasible (%s)"
+                  % (alpha, "-" if lam is None else "%g" % lam, params), file=out)
+            continue
+        trace, lam_eff = next(traces), params.lambda_schedule.value
+        print("%g %g %d %s %.3g" % (alpha, lam_eff, trace.iterations, "yes" if
+                                    trace.converged else "no",
+                                    _nan0(trace.rows[-1].dw_norm)), file=out)
+        all_ok = all_ok and trace.converged
+        if output:
+            trace.write_csv("%s.alpha%g_lambda%g.csv" % (output, alpha, lam_eff))
     return EXIT_OK if all_ok else EXIT_BUDGET
 
 

@@ -281,7 +281,7 @@ class IndicatorPoint(ConvexFn):
         return _out(np.where(inside, 0.0, INF))
 
     def _prox(self, gamma, x):
-        return self.a.copy()
+        return np.broadcast_to(self.a, x.shape).copy()
 
     def _conj(self, u):
         return _out(_dot(self.a, u))

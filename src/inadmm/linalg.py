@@ -56,7 +56,8 @@ def check_dim(n, name, least=1):
 
 def cholesky(M):
     """Factor a symmetric positive definite M (the package's only factoring
-    call) and return b -> M^{-1} b.  LAPACK potrf/potrs give the bytes of
+    call) and return b -> M^{-1} b, row by row for a (P, n) b in one potrs,
+    each row bit for bit its own solve.  LAPACK potrf/potrs give the bytes of
     scipy.linalg's Cholesky routines without their per-call wrappers.  Raises
     ValueError on a non-finite M, LinAlgError if M is not positive definite.
     """
@@ -69,7 +70,7 @@ def cholesky(M):
     potrs = lapack.dpotrs
 
     def solve(b):
-        return potrs(c, b)[0]
+        return potrs(c, b)[0] if b.ndim == 1 else potrs(c, b.T)[0].T
 
     return solve
 
@@ -148,17 +149,21 @@ class LinearMap:
         x = self._adjoint_apply(y)
         return x.copy() if x is y else x
 
-    # unchecked kernels of apply/adjoint_apply for the solver loops; the
+    # unchecked kernels of apply/adjoint_apply for the solver loops, which
+    # also map each row of a (P, n) array: a dense map by one stacked matmul
+    # whose rows are bit for bit the vector's gemv (a gemm's are not); the
     # identity returns its argument itself, which the loops never write into
     def _apply(self, x):
         if self.matrix is None:
             return x if self.kind == "identity" else self.scale * x
-        return self.matrix @ x
+        return self.matrix @ x if x.ndim == 1 else np.matmul(
+            self.matrix, x[:, :, None])[:, :, 0]
 
     def _adjoint_apply(self, y):
         if self.matrix is None:
             return y if self.kind == "identity" else self.scale * y
-        return self.matrix.T @ y
+        return self.matrix.T @ y if y.ndim == 1 else np.matmul(
+            y[:, None, :], self.matrix)[:, 0]
 
     def adjoint(self):
         """The adjoint as a new LinearMap, with L's singular values if known."""

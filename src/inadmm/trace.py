@@ -139,12 +139,7 @@ def drive(iterate, state, max_iters, tol, first_k):
     residuals and fills the row's ``dw_norm`` and ``dw_sq_sum`` (the running
     sum of dw^2).  Returns the trace of all rows and the last state.
     """
-    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral):
-        raise ValueError("max_iters must be an integer, got %r" % (max_iters,))
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1, got %r" % (max_iters,))
-    if not tol >= 0.0:
-        raise ValueError("tol must be a nonnegative number, got %r" % (tol,))
+    check_budget(max_iters, tol)
     trace = SolveTrace()
     dw_sq_sum = 0.0
     for k in range(1, max_iters + 1):
@@ -156,11 +151,30 @@ def drive(iterate, state, max_iters, tol, first_k):
             residuals += (dw,)
         state = new
         trace.append(row)
-        # checked first: max() silently drops a NaN after the first position
-        if not all(map(math.isfinite, residuals)):
-            trace.nonfinite = True
-            break
-        if k >= first_k and max(residuals) <= tol:
-            trace.converged = True
+        if stops(trace, residuals, k, first_k, tol):
             break
     return trace, state
+
+
+def check_budget(max_iters, tol):
+    """Reject a ``max_iters`` that is not an integer >= 1 or a ``tol`` that is
+    not a number >= 0."""
+    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral):
+        raise ValueError("max_iters must be an integer, got %r" % (max_iters,))
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1, got %r" % (max_iters,))
+    if not tol >= 0.0:
+        raise ValueError("tol must be a nonnegative number, got %r" % (tol,))
+
+
+def stops(trace, residuals, k, first_k, tol):
+    """``drive``'s stopping rule at iteration k: set the trace's ``nonfinite``
+    or ``converged`` flag and return True, or return False to go on."""
+    # checked first: max() silently drops a NaN after the first position
+    if not all(map(math.isfinite, residuals)):
+        trace.nonfinite = True
+        return True
+    if k >= first_k and max(residuals) <= tol:
+        trace.converged = True
+        return True
+    return False
