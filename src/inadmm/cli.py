@@ -103,12 +103,12 @@ def _nan0(v):
     return 0.0 if v is None or (isinstance(v, float) and np.isnan(v)) else v
 
 
-def _report_nonfinite(*traces):
+def _report_nonfinite(*traces, where=""):
     """Report the first trace whose iterates became non-finite, if any."""
     for trace in traces:
         if trace.nonfinite:
-            print("iterates became non-finite at iteration %d" % trace.iterations,
-                  file=sys.stderr)
+            print("iterates became non-finite at iteration %d%s"
+                  % (trace.iterations, where), file=sys.stderr)
             return True
     return False
 
@@ -195,9 +195,11 @@ def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
                   % (alpha, "-" if lam is None else "%g" % lam, params), file=out)
             continue
         trace, lam_eff = next(traces), params.lambda_schedule.value
+        dw = trace.rows[-1].dw_norm  # a non-finite point prints its own
         print("%g %g %d %s %.3g" % (alpha, lam_eff, trace.iterations, "yes" if
                                     trace.converged else "no",
-                                    _nan0(trace.rows[-1].dw_norm)), file=out)
+                                    dw if trace.nonfinite else _nan0(dw)), file=out)
+        _report_nonfinite(trace, where=" (alpha %g, lambda %g)" % (alpha, lam_eff))
         all_ok = all_ok and trace.converged
         if output:
             trace.write_csv("%s.alpha%g_lambda%g.csv" % (output, alpha, lam_eff))

@@ -440,6 +440,18 @@ def test_compare_nonfinite_iterates_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err == "iterates became non-finite at iteration 1\n"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_reports_each_nonfinite_point(tmp_path, capsys):
+    code, out = run([write(tmp_path, OVERFLOW_CONFIG), "--sweep", "alpha=0,0.2"])
+    assert code == EXIT_BUDGET
+    # each row shows the dw its point recorded: inf at alpha 0, where w
+    # overflows, and 0 at alpha 0.2, where the first step leaves w at zero
+    assert out.splitlines()[1:] == ["0 1 1 no inf", "0.2 0.455111 1 no 0"]
+    assert capsys.readouterr().err == (
+        "iterates became non-finite at iteration 1 (alpha 0, lambda 1)\n"
+        "iterates became non-finite at iteration 1 (alpha 0.2, lambda 0.455111)\n")
+
+
 def test_sweep_passes_lambda_without_mutating_config(monkeypatch):
     from inadmm import cli
 
