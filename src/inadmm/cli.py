@@ -122,11 +122,10 @@ def _run_compare(cfg, max_iters, tol, out):
         return EXIT_BUDGET
     n = min(len(trace_admm), len(trace_dr))
     worst = 0.0
-    for k in range(1, n):  # compare from the second iteration on
-        ra, rd = trace_admm[k], trace_dr[k]
-        for key in ("y", "v", "w"):
-            dev = float(np.abs(ra.vectors[key] - rd.vectors[key]).max())
-            worst = max(worst, dev)
+    for key in ("y", "v", "w"):  # one stacked difference from the second row on
+        a, d = ([row.vectors[key] for row in trace.rows[1:n]]
+                for trace in (trace_admm, trace_dr))
+        worst = max(worst, float(np.abs(np.subtract(a, d)).max(initial=0.0)))
     print("compared iterations: %d" % (n - 1), file=out)
     print("max deviation (y, v, w): %.3g" % worst, file=out)
     return EXIT_OK
@@ -225,6 +224,10 @@ def main(argv=None, out=None):
 
 def _main(argv, out):
     args = build_parser().parse_args(argv)
+    if args.compare and (args.output is not None or args.sweep is not None):
+        print("input error: --compare takes neither --output nor --sweep",
+              file=sys.stderr)
+        return EXIT_INPUT
     try:
         cfg = parse_config_file(args.config)
     except ConfigError as err:

@@ -292,6 +292,18 @@ def test_compare_rejects_consensus(tmp_path, capsys):
     assert "composite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--output", "c.csv"], ["--sweep", "alpha=0,0.1"]],
+                         ids=["output", "sweep"])
+def test_compare_refuses_flags_it_cannot_honour(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("inadmm.cli.run_iadmm", None)  # no solve may start
+    code, out = run([write(tmp_path, LASSO_CONFIG), "--compare"] + argv)
+    assert code == EXIT_INPUT and out == ""
+    assert capsys.readouterr().err == (
+        "input error: --compare takes neither --output nor --sweep\n")
+    assert sorted(os.listdir(tmp_path)) == ["problem.cfg"]
+
+
 def test_sweep_mode(tmp_path):
     cfg = write(tmp_path, LASSO_CONFIG)
     code, out = run([cfg, "--sweep", "alpha=0,0.1,0.2"])

@@ -30,8 +30,9 @@ that one point converges within and two exhaust, a ``lambda`` grid whose last
 point is infeasible, a file whose iterates overflow, and the classical solver.  The
 ``cli_error_*`` runs give the CLI a bad input each: the rejected inputs of
 ``tests/test_cli.py``, top-level keys that are duplicated, valueless or
-unknown (also after a duplicate), ``tol inf``, ``seed -1`` and ``--compare``
-on a problem whose iterates overflow.  Warnings are silenced, since their
+unknown (also after a duplicate), ``tol inf``, ``seed -1``, ``--compare``
+on a problem whose iterates overflow, and ``--compare`` with ``--output`` or
+``--sweep``.  Warnings are silenced, since their
 text names source lines.
 
 ``--smoke`` runs seed 1 for 10 iterations, which only checks that the script
@@ -336,6 +337,8 @@ def error_runs():
         "tol_inf": (lasso("tol 1e-11", "tol inf"), []),
         "seed_negative": (lasso("seed 0", "seed -1"), []),
         "compare_overflow": (lasso("q -1 0.5", "q 1e308 -1e308"), ["--compare"]),
+        "compare_output": (LASSO, ["--compare", "--output", "c.csv"]),
+        "compare_sweep": (LASSO, ["--compare", "--sweep", "alpha=0,0.1"]),
     }
     return {"cli_error_" + name: run for name, run in runs.items()}
 
