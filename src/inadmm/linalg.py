@@ -75,6 +75,19 @@ def cholesky(M):
     return solve
 
 
+def shifted_factor(M, c, floor=0.0):
+    """Whether M - tI, t = floor + c eps trace(M), has a Cholesky factor: then
+    M's eigenvalues exceed t less the factor's backward error, which is at
+    most gamma_{n+1} trace(M) (Golub & Van Loan, 4.2).  An overflow fails."""
+    with np.errstate(all="ignore"):
+        S = M.copy()
+        S.flat[::M.shape[0] + 1] -= floor + c * 2.0 ** -52 * np.trace(M)
+    with contextlib.suppress(ValueError, np.linalg.LinAlgError):
+        cholesky(S)
+        return True
+    return False
+
+
 class LinearMap:
     """A linear operator between finite-dimensional real spaces.
 
@@ -189,14 +202,9 @@ class LinearMap:
         t covers the rounding of G, gamma_m ||L||_F^2, and the factor's backward
         error, gamma_{n+1} ||L||_F^2 (Golub & Van Loan, 4.2)."""
         m, n = self.shape
-        if self.matrix is not None and m >= n > 0 and self._sv is None:
-            with np.errstate(all="ignore"):  # an overflow only fails the proof
-                G = self.gram().copy()
-                t = SINGULAR_TOL ** 2 + 4 * (m + n) * 2.0 ** -52 * np.trace(G)
-                G.flat[::n + 1] -= t
-            with contextlib.suppress(ValueError, np.linalg.LinAlgError):
-                cholesky(G)
-                return True
+        if self.matrix is not None and m >= n > 0 and self._sv is None and (
+                shifted_factor(self.gram(), 4 * (m + n), SINGULAR_TOL ** 2)):
+            return True
         return self.injectivity_modulus() > 0.0
 
     def injectivity_modulus(self):

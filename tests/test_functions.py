@@ -318,6 +318,41 @@ def test_psd_test_boundary(rng, n):
         Quadratic(0.5 * (Q + Q.T), np.zeros(n))
 
 
+def test_psd_certificate_never_accepts_what_eigvalsh_rejects():
+    # Q = V diag(d) V' with its smallest eigenvalue on either side of zero
+    # and of -rank_tol: whenever the Cholesky certificate accepts, eigvalsh
+    # accepts too, and well inside the cone the certificate alone decides
+    from inadmm.linalg import shifted_factor
+
+    accepted = 0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 5, 30, 120):
+            V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            d = rng.uniform(0.5, 2.0, n) * 10.0 ** rng.integers(-3, 4)
+            top = d.max()
+            for lo in (-1e-6, -1e-9, -1e-11, -1e-12, -1e-13, -1e-15, 0.0, 1e-15,
+                       1e-13, 1e-12, 1e-11, 1e-9, 1e-6, 1e-3):
+                d[0] = lo * top
+                Q = (V * d) @ V.T
+                Q = 0.5 * (Q + Q.T)
+                rank_tol = 1e-12 * (1.0 + np.abs(Q).max())
+                if shifted_factor(Q, 4 * (n + 1)):
+                    accepted += 1
+                    assert np.linalg.eigvalsh(Q).min() >= -rank_tol, (seed, n, lo)
+                elif lo >= 1e-6:
+                    raise AssertionError("not certified: %r" % ((seed, n, lo),))
+    assert accepted >= 8 * 5 * 2
+
+
+def test_certified_quadratic_skips_eigvalsh(rng, monkeypatch):
+    calls = counted(monkeypatch, np.linalg, "eigvalsh")
+    Quadratic(np.diag([2.0, 1.0, 3.0]), np.zeros(3))
+    assert calls == []
+    Quadratic(np.diag([2.0, 0.0, 3.0]), np.zeros(3))  # singular: eigvalsh decides
+    assert len(calls) == 1
+
+
 def test_normal_factor_reads_the_maps_gram(rng, monkeypatch):
     # two quadratics and two gammas share one L'L product of the map, and
     # every factor has the bits of Q + gamma L'L computed in place
