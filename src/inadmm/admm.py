@@ -201,10 +201,7 @@ def step(state, p, params, k, strat):
     new_state = IadmmState(k=k + 1, x=x_next, z=z_next, z_prev=z,
                            zbar=zbar_next, y=y_next, y_prev=y, v=v_k,
                            w=y_next + gamma * z_next)
-    return new_state, _norm(r) if r.ndim == 1 else _row_norms(r)
-
-
-_row_norms = lambda a: _row_norm(a)[:, 0].tolist()  # noqa: E731
+    return new_state, _norm(r) if r.ndim == 1 else _row_norm(r)[:, 0].tolist()
 
 
 def _iadmm_vectors(prev, new):
@@ -313,8 +310,8 @@ def run_iadmm_batch(p, rows, max_iters=100000, tol=1e-10, record=True):
     while live:
         k, keep = state.k, []
         new, feas = step(state, p, columns, k, strat)
-        for j, res in enumerate(zip(feas, _row_norms(new.zbar),
-                                    _row_norms(new.w - state.w))):
+        norms = _row_norm(np.concatenate((new.zbar, new.w - state.w)))[:, 0].tolist()
+        for j, res in enumerate(zip(feas, norms[:len(feas)], norms[len(feas):])):
             i = live[j]
             sums[i] += res[2] * res[2]
             stop = stops(traces[i], res, k, 2, tol) or k == max_iters
