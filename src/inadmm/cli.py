@@ -194,7 +194,7 @@ def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
                   % (alpha, "-" if lam is None else "%g" % lam, params), file=out)
             continue
         trace, lam_eff = next(traces), params.lambda_schedule.value
-        dw = trace.rows[-1].dw_norm  # a non-finite point prints its own
+        dw = trace.rows[-1].dw_norm  # a non-finite point shows the dw it recorded
         print("%g %g %d %s %.3g" % (alpha, lam_eff, trace.iterations, "yes" if
                                     trace.converged else "no",
                                     dw if trace.nonfinite else _nan0(dw)), file=out)

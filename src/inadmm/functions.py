@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import check_dim, check_gamma, check_vector, cholesky, shifted_factor
+from .linalg import check_dim, check_gamma, check_vector, cholesky, pd_after_shift
 
 __all__ = [
     "ConvexFn",
@@ -148,7 +148,7 @@ class Quadratic(ConvexFn):
     """f(x) = x'Qx/2 + q'x + r with Q symmetric positive semidefinite.
 
     ``Q`` and ``q`` are read-only copies, and Q is tested with a Cholesky
-    certificate (``shifted_factor``), then, if it fails, ``eigvalsh``.
+    certificate (``pd_after_shift``), then, if it fails, ``eigvalsh``.
     The factors of I + gamma Q (prox) and Q + gamma L.gram() (x-update,
     resolvent) are kept, one per system, for the last gamma and L.  The first
     conjugate computes the eigenbasis, and whether an eigenvalue is at or below
@@ -170,7 +170,7 @@ class Quadratic(ConvexFn):
         q = check_vector(q, self.dim, name="q").copy()
         self._rank_tol = 1e-12 * (1.0 + float(np.abs(Q).max(initial=0.0)))
         # t = 8 gamma_{n+1} trace(Q) leaves room for eigvalsh's own error
-        if not shifted_factor(Q, 4 * (self.dim + 1)) and np.linalg.eigvalsh(
+        if not pd_after_shift(Q, 4 * (self.dim + 1)) and np.linalg.eigvalsh(
                 Q).min(initial=0.0) < -self._rank_tol:
             raise ValueError("Q must be positive semidefinite")
         Q.setflags(write=False)

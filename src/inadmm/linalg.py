@@ -75,7 +75,7 @@ def cholesky(M):
     return solve
 
 
-def shifted_factor(M, c, floor=0.0):
+def pd_after_shift(M, c, floor=0.0):
     """Whether M - tI, t = floor + c eps trace(M), has a Cholesky factor: then
     M's eigenvalues exceed t less the factor's backward error, which is at
     most gamma_{n+1} trace(M) (Golub & Van Loan, 4.2).  An overflow fails."""
@@ -203,7 +203,7 @@ class LinearMap:
         error, gamma_{n+1} ||L||_F^2 (Golub & Van Loan, 4.2)."""
         m, n = self.shape
         if self.matrix is not None and m >= n > 0 and self._sv is None and (
-                shifted_factor(self.gram(), 4 * (m + n), SINGULAR_TOL ** 2)):
+                pd_after_shift(self.gram(), 4 * (m + n), SINGULAR_TOL ** 2)):
             return True
         return self.injectivity_modulus() > 0.0
 

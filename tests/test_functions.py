@@ -322,7 +322,7 @@ def test_psd_certificate_never_accepts_what_eigvalsh_rejects():
     # Q = V diag(d) V' with its smallest eigenvalue on either side of zero
     # and of -rank_tol: whenever the Cholesky certificate accepts, eigvalsh
     # accepts too, and well inside the cone the certificate alone decides
-    from inadmm.linalg import shifted_factor
+    from inadmm.linalg import pd_after_shift
 
     accepted = 0
     for seed in range(8):
@@ -337,7 +337,7 @@ def test_psd_certificate_never_accepts_what_eigvalsh_rejects():
                 Q = (V * d) @ V.T
                 Q = 0.5 * (Q + Q.T)
                 rank_tol = 1e-12 * (1.0 + np.abs(Q).max())
-                if shifted_factor(Q, 4 * (n + 1)):
+                if pd_after_shift(Q, 4 * (n + 1)):
                     accepted += 1
                     assert np.linalg.eigvalsh(Q).min() >= -rank_tol, (seed, n, lo)
                 elif lo >= 1e-6:
