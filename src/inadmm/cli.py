@@ -21,7 +21,6 @@ from .consensus import boyd_consensus, run_sum1, run_sum2
 from .dr import ResolventOp, run_idr
 from .duality import duality_report
 from .params import InfeasibleParameters, constant_params, validate
-from .trace import check_budget
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -171,7 +170,6 @@ def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
     """Solve the feasible points, all in one ``run_iadmm_batch`` for iadmm,
     and then print one row per point in grid order."""
     grids = _parse_sweep(sweep_spec)
-    check_budget(max_iters, tol)
     points = []
     for alpha in grids.get("alpha", [cfg.params.alpha]):
         for lam in grids.get("lambda", [None]):
