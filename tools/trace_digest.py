@@ -14,7 +14,11 @@ count; each row's scalars (``TraceRow.scalars()``, read after the run, as
 hyperplane g whose first dual reads -inf), ``classical_admm`` at lambda 1
 and 1.5, ``run_idr``, ``run_sum1``, ``run_sum2``, ``run_iadmm`` on the
 lifted consensus problem, and ``boyd_consensus``, on seeded problems
-(seeds 1 to 3, 60 iterations at tolerance 0).  The family
+(seeds 1 to 3, 60 iterations at tolerance 0).  The ``scaled_identity_*``
+families run ``run_iadmm``, with the strategy it picks itself, and its
+``run_idr`` twin on L = 2I and L = -0.7I, for an l1 or a quadratic f, an
+l1 or a translated l2norm g, at alpha 0 and 0.2, from a seeded nonzero
+start.  The family
 ``mixed_consensus`` runs ``run_sum1``, ``run_sum2`` and the lifted
 ``run_iadmm`` on a problem with two blocks of every kind the consensus
 solvers evaluate stacked, plain and translated, and a ``Quadratic``.
@@ -23,7 +27,7 @@ A CLI run hashes the exit code (or the name of an escaping exception),
 stdout, stderr and the bytes of every CSV it wrote, with the temporary
 directory's name replaced by a placeholder.  The runs cover a run with CSV,
 a sweep with CSVs, a ``lambda`` sweep of a file that gives ``delta``, compare,
-budget exhaustion, classical, idr, the three consensus solvers and an
+a run, a sweep and compare on a scaled identity with an l1 f, budget exhaustion, classical, idr, the three consensus solvers and an
 ``--output`` into a missing directory, in run and in sweep mode.  The
 ``cli_sweep_*`` runs cover the sweep's other paths: an L = I file, a budget
 that one point converges within and two exhaust, a ``lambda`` grid whose last
@@ -31,8 +35,10 @@ point is infeasible, a file whose iterates overflow, and the classical solver.  
 ``cli_error_*`` runs give the CLI a bad input each: the rejected inputs of
 ``tests/test_cli.py``, top-level keys that are duplicated, valueless or
 unknown (also after a duplicate), ``tol inf``, ``seed -1``, ``--compare``
-on a problem whose iterates overflow, and ``--compare`` with ``--output`` or
-``--sweep``.  Warnings are silenced, since their
+on a problem whose iterates overflow, ``--compare`` with ``--output`` or
+``--sweep``, a scale whose square overflows, an ``inner_iterative``
+x-update on a map whose squared norm overflows, and a sweep, iadmm and
+classical, with a zero budget or a NaN tolerance.  Warnings are silenced, since their
 text names source lines.
 
 ``--smoke`` runs seed 1 for 10 iterations, which only checks that the script
@@ -43,6 +49,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import sys
 import tempfile
@@ -127,6 +134,13 @@ def composite_problem(kind, rng):
                        Quadratic(np.eye(m), -rng.standard_normal(m)), L)
 
 
+def scaled_identity_problem(f_kind, g_kind, scale, rng, n=5):
+    f = L1Norm(n, 0.4) if f_kind == "l1" else random_quadratic(n, rng)
+    g = (L1Norm(n, 0.3) if g_kind == "l1" else
+         Translated(L2Norm(n, 0.5), rng.standard_normal(n)))
+    return ProblemSpec(f, g, LinearMap.scaled_identity(n, scale))
+
+
 def consensus_problem(rng, n=3):
     p = rng.standard_normal(n)
     s = rng.standard_normal(n)
@@ -193,6 +207,22 @@ def solver_families(seeds, iters):
                     ResolventOp.conjugate_subdifferential(p.g), 1.3,
                     default_params(0.2, gamma=1.3), zeros, zeros,
                     max_iters=iters, tol=0.0))
+        for f_kind, g_kind, alpha, scale in itertools.product(
+                ("l1", "quadratic"), ("l1", "translated_l2norm"), (0.0, 0.2),
+                (2.0, -0.7)):
+            rng = np.random.default_rng(seed)
+            p = scaled_identity_problem(f_kind, g_kind, scale, rng)
+            params = default_params(alpha, gamma=1.3)
+            y1, z1 = rng.standard_normal((2, p.g.dim))  # l1 + l1 moves too
+            fam.setdefault("scaled_identity_%s_%s_alpha%g" % (
+                f_kind, g_kind, alpha), []).extend([
+                    lambda p=p, params=params, y1=y1, z1=z1: run_iadmm(
+                        p, params, init=(y1, y1, z1, z1), max_iters=iters,
+                        tol=0.0),
+                    lambda p=p, params=params, w1=y1 + 1.3 * z1: run_idr(
+                        ResolventOp.composed_conjugate(p.f, p.L),
+                        ResolventOp.conjugate_subdifferential(p.g), 1.3,
+                        params, w1, w1, max_iters=iters, tol=0.0)])
         rng = np.random.default_rng(seed)
         n = 4
         a = rng.standard_normal(n) + 0.1
@@ -302,6 +332,34 @@ end
 """
 
 
+SCALED = """
+solver iadmm
+gamma 1.1
+alpha 0.2
+max_iters 5000
+tol 1e-10
+
+begin f
+kind l1
+dim 3
+tau 0.4
+end
+
+begin g
+kind l2norm
+dim 3
+tau 0.5
+shift 1 -2 0.5
+end
+
+begin L
+kind scaled_identity
+dim 3
+scale -0.7
+end
+"""
+
+
 def error_runs():
     """run name -> (config text, extra argv): inputs the CLI must refuse."""
     lasso = LASSO.replace
@@ -339,6 +397,18 @@ def error_runs():
         "compare_overflow": (lasso("q -1 0.5", "q 1e308 -1e308"), ["--compare"]),
         "compare_output": (LASSO, ["--compare", "--output", "c.csv"]),
         "compare_sweep": (LASSO, ["--compare", "--sweep", "alpha=0,0.1"]),
+        "scale_overflow": (SCALED.replace("scale -0.7", "scale 1e200"), []),
+        "scale_overflow_quadratic": (lasso(
+            "kind identity", "kind scaled_identity\nscale 1e200"), []),
+        "inner_iterative_overflow": (SCALED.replace(
+            "kind scaled_identity\ndim 3\nscale -0.7",
+            "kind dense\nrows 3\ncols 3\nentries 1e160 0 0 0 1 0 0 0 1"), []),
+        **{"sweep_%s%s" % (solver, name): (LASSO, ["--sweep", "alpha=0,0.2"]
+                                           + flags + argv)
+           for solver, flags in (("", []), ("classical_",
+                                            ["--solver", "classical_admm"]))
+           for name, argv in (("max_iters_0", ["--max-iters", "0"]),
+                              ("tol_nan", ["--tol", "nan"]))},
     }
     return {"cli_error_" + name: run for name, run in runs.items()}
 
@@ -354,6 +424,9 @@ def cli_runs(tmp):
         "cli_sweep_delta": (dense.replace("alpha 0.2", "alpha 0.2\ndelta 0.625"),
                             ["--sweep", "lambda=0.9,1.2"], "sd"),
         "cli_compare": (dense, ["--compare"], None),
+        "cli_scaled_identity": (SCALED, [], "si.csv"),
+        "cli_scaled_identity_sweep": (SCALED, ["--sweep", "alpha=0,0.2"], "ss"),
+        "cli_scaled_identity_compare": (SCALED, ["--compare"], None),
         "cli_budget": (dense, ["--max-iters", "5"], None),
         "cli_classical": (dense, ["--solver", "classical_admm"], "c.csv"),
         "cli_idr": (dense, ["--solver", "idr"], "idr.csv"),
