@@ -86,7 +86,8 @@ class IadmmState:
 class XUpdateStrategy:
     """How the x-subproblem is minimized.
 
-    - ``prox_identity``: L is the identity; one prox call, exact.
+    - ``prox_identity``: L'L = cI (``L.frame`` is c), the identity among
+      them; one prox call, exact.
     - ``quadratic_solve``: f is quadratic; one linear solve with the factor
       f keeps for (gamma, L), exact.
     - ``inner_iterative``: proximal gradient on the subproblem to a
@@ -111,15 +112,15 @@ class XUpdateStrategy:
 
     @classmethod
     def automatic(cls, p):
-        if p.L.is_identity():
+        if p.L.frame is not None:
             return cls("prox_identity")
         if isinstance(p.f, Quadratic):
             return cls("quadratic_solve")
         return cls("inner_iterative")
 
     def check(self, p):
-        if self.kind == "prox_identity" and not p.L.is_identity():
-            raise ValueError("prox_identity strategy requires L = identity")
+        if self.kind == "prox_identity" and p.L.frame is None:
+            raise ValueError("prox_identity strategy requires L'L = cI")
         if self.kind == "quadratic_solve" and not isinstance(p.f, Quadratic):
             raise ValueError("quadratic_solve strategy requires quadratic f")
 
@@ -135,9 +136,11 @@ def x_update(state, p, gamma, alpha_k, strat, dy=None, dz=None):
     if dz is None:
         dz = state.z - state.z_prev
     c = state.y - alpha_k * dy - gamma * alpha_k * dz
-    if strat.kind == "prox_identity":
-        return p.f._prox(1.0 / gamma, state.z - c / gamma)
     L = p.L
+    if strat.kind == "prox_identity":
+        # L'L = c'I, c' = L.frame: x = prox_{f/(gamma c')}(L'(z^k - c_k/gamma)/c')
+        return p.f._prox(1.0 / (gamma * L.frame),
+                         L._adjoint_apply(state.z - c / gamma) / L.frame)
     if strat.kind == "quadratic_solve":
         rhs = gamma * L._adjoint_apply(state.z) - L._adjoint_apply(c) - p.f.q
         return p.f._solver(gamma, L)(rhs)

@@ -26,8 +26,8 @@ class ResolventOp:
         the conjugate (Moreau decomposition).
       - ``composed_conjugate(f, L)``: A = d(f* o (-L*)).  The resolvent is
         computed by an inner minimization that is available in closed form
-        only for quadratic f or (scaled-)identity L; other combinations are
-        rejected at construction so the oracle stays exact.
+        only for quadratic f or L with L'L = cI (``L.frame``); other
+        combinations are rejected at construction so the oracle stays exact.
       - ``zero`` / ``point_normal_cone(a)``: convenience special cases.
     """
 
@@ -70,14 +70,12 @@ class ResolventOp:
         J_{gamma A}(u) = u + gamma L xhat with
         xhat = argmin_x { f(x) + <u, Lx> + (gamma/2) ||Lx||^2 }.
         """
-        dim = L.codomain_dim
-        if L.kind in ("identity", "scaled_identity"):
-            c = 1.0 if L.kind == "identity" else L.scale
-
+        dim, c = L.codomain_dim, L.frame
+        if c is not None:
             def resolvent(gamma, u):
-                # argmin f(x) + c<u,x> + (gamma c^2/2)||x||^2
-                xhat = f._prox(1.0 / (gamma * c * c), -u / (gamma * c))
-                return u + gamma * c * xhat
+                # argmin f(x) + <L'u,x> + (gamma c/2)||x||^2, as L'L = cI
+                xhat = f._prox(1.0 / (gamma * c), -L._adjoint_apply(u) / (gamma * c))
+                return u + gamma * L._apply(xhat)
 
             return cls._catalog("composed_conjugate", resolvent, dim)
         if isinstance(f, Quadratic):
@@ -88,7 +86,7 @@ class ResolventOp:
 
             return cls._catalog("composed_conjugate", resolvent, dim)
         raise ValueError(
-            "composed_conjugate needs quadratic f or (scaled-)identity L "
+            "composed_conjugate needs quadratic f or L'L = cI "
             "for an exact inner solve"
         )
 

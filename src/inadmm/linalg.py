@@ -94,7 +94,10 @@ class LinearMap:
     Supported kinds are dense matrices, the identity, and scaled
     identities.  Values are immutable after construction; the adjoint and
     the injectivity modulus (the smallest singular value) are exact up to
-    dense linear-algebra accuracy.  L'L and the singular values are computed lazily.
+    dense linear-algebra accuracy.  ``frame`` is the constant c with
+    L'L = cI, or None when L has no such structure (a dense map): sI has
+    c = s^2 and its singular values (|s|, |s|) from construction.  A dense
+    map computes L'L and its singular values on first read.
     """
 
     def __init__(self, matrix=None, *, identity_dim=None, scale=1.0):
@@ -110,15 +113,20 @@ class LinearMap:
             self.kind = "dense"
             self.matrix = m
             self.shape = m.shape
+            self.frame = None
+            self._sv = None  # (smallest, largest) singular value, on first read
         else:
             n = check_dim(identity_dim, "identity dimension")
-            if not math.isfinite(scale):
-                raise ValueError("scale must be finite")
-            self.kind = "identity" if scale == 1.0 else "scaled_identity"
-            self.scale = float(scale)
+            s = float(scale)
+            if not math.isfinite(s * s):
+                raise ValueError("scale must be finite, with a finite square, "
+                                 "got %r" % (scale,))
+            self.kind = "identity" if s == 1.0 else "scaled_identity"
+            self.scale = s
             self.matrix = None
             self.shape = (n, n)
-        self._sv = None  # (smallest, largest) singular value of a dense map
+            self.frame = s * s
+            self._sv = (abs(s), abs(s))
         self._gram = None
 
     @classmethod
@@ -140,9 +148,6 @@ class LinearMap:
     @property
     def codomain_dim(self):
         return self.shape[0]
-
-    def is_identity(self):
-        return self.kind == "identity"
 
     def as_matrix(self):
         """Materialize the operator as a dense matrix."""
@@ -202,7 +207,7 @@ class LinearMap:
         t covers the rounding of G, gamma_m ||L||_F^2, and the factor's backward
         error, gamma_{n+1} ||L||_F^2 (Golub & Van Loan, 4.2)."""
         m, n = self.shape
-        if self.matrix is not None and m >= n > 0 and self._sv is None and (
+        if m >= n > 0 and self._sv is None and (
                 pd_after_shift(self.gram(), 4 * (m + n), SINGULAR_TOL ** 2)):
             return True
         return self.injectivity_modulus() > 0.0
@@ -213,18 +218,11 @@ class LinearMap:
         The smallest singular value, 0 for a wide matrix.  Values below
         ``SINGULAR_TOL`` are reported as 0 for every kind.
         """
-        if self.matrix is None:
-            theta = abs(self.scale)
-        elif self.shape[0] < self.shape[1]:
-            theta = 0.0
-        else:
-            theta = self._singular_values()[0]
+        theta = 0.0 if self.shape[0] < self.shape[1] else self._singular_values()[0]
         return theta if theta >= SINGULAR_TOL else 0.0
 
     def norm(self):
         """Operator norm (largest singular value)."""
-        if self.matrix is None:
-            return abs(self.scale)
         return self._singular_values()[1]
 
     def _singular_values(self):

@@ -57,6 +57,10 @@ def test_strategy_automatic_selection(rng):
     assert XUpdateStrategy.automatic(p_q).kind == "quadratic_solve"
     p_hard = ProblemSpec(L1Norm(3, 1.0), L2Norm(4, 1.0), LinearMap.dense(Lm))
     assert XUpdateStrategy.automatic(p_hard).kind == "inner_iterative"
+    # L'L = cI is checked before f: a scaled identity takes the exact prox
+    for f in (random_quadratic(3, rng), L1Norm(3, 1.0)):
+        p_s = ProblemSpec(f, L2Norm(3, 1.0), LinearMap.scaled_identity(3, -0.5))
+        assert XUpdateStrategy.automatic(p_s).kind == "prox_identity"
 
 
 def test_strategy_check_rejects_mismatch(rng):
@@ -64,10 +68,12 @@ def test_strategy_check_rejects_mismatch(rng):
                     LinearMap.dense(tall_full_rank(3, 2, rng)))
     with pytest.raises(ValueError):
         XUpdateStrategy("quadratic_solve").check(p)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="L'L = cI"):
         XUpdateStrategy("prox_identity").check(p)
     with pytest.raises(ValueError):
         XUpdateStrategy("bogus")
+    XUpdateStrategy("prox_identity").check(ProblemSpec(
+        L1Norm(2, 1.0), L1Norm(2, 1.0), LinearMap.scaled_identity(2, 2.0)))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -94,27 +100,46 @@ def test_strategy_with_budget_one_runs(rng):
 
 
 def test_x_update_strategies_agree(rng):
-    # same subproblem through three independent routes
+    # same subproblem through independent routes, on L = I, 2I and -0.5I:
+    # the prox of the frame, the linear solve (quadratic f) and proximal
+    # gradient on the subproblem
     n = 3
-    f = random_quadratic(n, rng, ridge=1.0)
-    g = L2Norm(n, 1.0)
-    p = ProblemSpec(f, g, LinearMap.identity(n))
-    state = IadmmState(
-        k=2,
-        x=rng.standard_normal(n),
-        z=rng.standard_normal(n),
-        z_prev=rng.standard_normal(n),
-        zbar=np.zeros(n),
-        y=rng.standard_normal(n),
-        y_prev=rng.standard_normal(n),
-    )
     gamma, alpha_k = 0.8, 0.2
-    a = x_update(state, p, gamma, alpha_k, XUpdateStrategy("prox_identity"))
-    b = x_update(state, p, gamma, alpha_k, XUpdateStrategy("quadratic_solve"))
-    c = x_update(state, p, gamma, alpha_k,
-                 XUpdateStrategy("inner_iterative", eps_inner=1e-13))
-    assert np.allclose(a, b, atol=1e-12)
-    assert np.allclose(a, c, atol=1e-9)
+    for L in (LinearMap.identity(n), LinearMap.scaled_identity(n, 2.0),
+              LinearMap.scaled_identity(n, -0.5)):
+        for f in (random_quadratic(n, rng, ridge=1.0), L1Norm(n, 0.7)):
+            p = ProblemSpec(f, L2Norm(n, 1.0), L)
+            state = IadmmState(
+                k=2,
+                x=rng.standard_normal(n),
+                z=rng.standard_normal(n),
+                z_prev=rng.standard_normal(n),
+                zbar=np.zeros(n),
+                y=rng.standard_normal(n),
+                y_prev=rng.standard_normal(n),
+            )
+            a = x_update(state, p, gamma, alpha_k, XUpdateStrategy("prox_identity"))
+            c = x_update(state, p, gamma, alpha_k,
+                         XUpdateStrategy("inner_iterative", eps_inner=1e-13))
+            assert np.allclose(a, c, atol=1e-9), (L, f)
+            if isinstance(f, Quadratic):
+                b = x_update(state, p, gamma, alpha_k,
+                             XUpdateStrategy("quadratic_solve"))
+                assert np.allclose(a, b, atol=1e-12), L
+
+
+def test_scaled_identity_makes_one_prox_of_f_per_iteration(rng):
+    # the x-update is one exact prox, not an inner loop
+    n, iters = 40, 25
+    f = L1Norm(n, 1.0)
+    calls = []
+    prox = f._prox
+    f._prox = lambda t, v: calls.append(1) or prox(t, v)
+    p = ProblemSpec(f, Translated(L2Norm(n, 0.5), rng.standard_normal(n)),
+                    LinearMap.scaled_identity(n, 2.0))
+    trace = run_iadmm(p, default_params(0.2), max_iters=iters, tol=0.0)
+    assert trace.iterations == iters
+    assert len(calls) == iters
 
 
 def test_inner_iterative_budget_error(rng):

@@ -97,6 +97,8 @@ def problem(L_kind, g_kind, seed=3):
     f = Quadratic(A.T @ A + 0.5 * np.eye(n), rng.standard_normal(n))
     if L_kind == "identity":
         L = LinearMap.identity(n)
+    elif L_kind == "scaled":
+        L = LinearMap.scaled_identity(n, -0.7)
     elif L_kind == "square":
         L = LinearMap.dense(np.eye(n) + 0.3 * rng.standard_normal((n, n)))
     else:
@@ -119,7 +121,7 @@ def check_batch(p, params, tol=1e-9):
 
 
 @pytest.mark.parametrize("g_kind", sorted(G_KINDS))
-@pytest.mark.parametrize("L_kind", ["identity", "square", "tall"])
+@pytest.mark.parametrize("L_kind", ["identity", "square", "tall", "scaled"])
 def test_batch_points_are_their_serial_runs(L_kind, g_kind):
     serial = check_batch(problem(L_kind, g_kind), points())
     if g_kind != "indicator_point":  # its z is the point from k = 2 on
@@ -138,6 +140,23 @@ def test_batch_prox_identity_with_a_nonquadratic_f(f):
     p = ProblemSpec(f, Quadratic(np.eye(5), rng.standard_normal(5)),
                     LinearMap.identity(5))
     check_batch(p, points())
+
+
+@pytest.mark.parametrize("f", [L1Norm(5, 0.4), L2Norm(5, 0.7)],
+                         ids=["l1", "l2norm"])
+def test_scaled_identity_points_are_batched(f, monkeypatch):
+    # L'L = cI makes the x-update one prox: no point falls back to a serial run
+    from inadmm import admm
+
+    rng = np.random.default_rng(5)
+    p = ProblemSpec(f, Translated(L2Norm(5, 0.5), rng.standard_normal(5)),
+                    LinearMap.scaled_identity(5, 2.0))
+    serial = [run_iadmm(p, q, max_iters=300, tol=1e-9) for q in points()]
+    monkeypatch.setattr(admm, "run_iadmm", None)
+    for record in (True, False):
+        batch = run_iadmm_batch(p, points(), 300, 1e-9, record=record)
+        for b, t in zip(batch, serial):
+            assert_same(b, t, record)
 
 
 def test_nonfinite_point_leaves_while_others_run_on():

@@ -390,6 +390,33 @@ def test_sweep_keeps_the_files_delta(tmp_path):
 
 OVERFLOW_CONFIG = LASSO_CONFIG.replace("q -1 0.5", "q 1e308 -1e308")
 
+SCALED_CONFIG = """
+solver iadmm
+gamma 1.1
+alpha 0.2
+max_iters 5000
+tol 1e-10
+
+begin f
+kind l1
+dim 3
+tau 0.4
+end
+
+begin g
+kind l2norm
+dim 3
+tau 0.5
+shift 1 -2 0.5
+end
+
+begin L
+kind scaled_identity
+dim 3
+scale -0.7
+end
+"""
+
 
 @pytest.mark.parametrize("text, argv, message", [
     (LASSO_CONFIG.replace("max_iters 50000", "max_iters 0"), [],
@@ -425,13 +452,18 @@ OVERFLOW_CONFIG = LASSO_CONFIG.replace("q -1 0.5", "q 1e308 -1e308")
     (LASSO_CONFIG.replace("alpha 0.2", "alpha 0\ndelta 1e308\nlambda 5"), [],
      "line 5: alpha, sigma and delta leave no admissible lambda"),
     (LASSO_CONFIG.replace("seed 0", "seed -1"), [], "line 7: seed "),
+    (SCALED_CONFIG.replace("scale -0.7", "scale 1e200"), [],
+     "line 21: scale must be finite"),
+    (LASSO_CONFIG.replace("kind identity", "kind scaled_identity\nscale 1e200"), [],
+     "line 22: scale must be finite"),
 ], ids=["config_max_iters_0", "flag_max_iters_0", "config_tol_nan",
         "consensus_solver_on_fgl_file", "composite_solver_on_block_file",
         "l1_dim_without_value", "operator_kind_without_value", "gamma_nan",
         "gamma_inf", "sigma_nan", "delta_nan", "l1_tau_nan", "l2norm_tau_nan",
         "shift_without_value", "operator_dim_not_integer",
         "blocks_of_mixed_dimension", "delta_bound_overflows",
-        "lambda_max_underflows", "lambda_max_overflows", "seed_negative"])
+        "lambda_max_underflows", "lambda_max_overflows", "seed_negative",
+        "scale_overflow", "scale_overflow_quadratic"])
 def test_rejected_inputs_exit_with_diagnostic(tmp_path, capsys, text, argv, message):
     code, _ = run([write(tmp_path, text)] + argv)
     assert code == EXIT_INPUT

@@ -78,6 +78,27 @@ def test_scaled_identity():
     assert L.norm() == 3.0
 
 
+def test_frame_constant_and_structural_singular_values(rng, monkeypatch):
+    # L'L = cI: c = s^2 for sI, with theta and ||L|| known without an SVD
+    monkeypatch.setattr(np.linalg, "svd", None)
+    for L, c in ((LinearMap.identity(3), 1.0),
+                 (LinearMap.scaled_identity(3, -0.5), 0.25),
+                 (LinearMap.scaled_identity(3, 2.0).adjoint(), 4.0)):
+        assert L.frame == c
+        assert np.array_equal(L.gram(), c * np.eye(3))
+        assert L.norm() == L.injectivity_modulus() == np.sqrt(c)
+        assert L.is_injective()
+    assert LinearMap.dense(rng.standard_normal((3, 2))).frame is None
+
+
+@pytest.mark.parametrize("scale", [1e200, -1.4e154])
+def test_scale_with_an_overflowing_square_rejected(scale):
+    # a frame constant of inf would make every x-update return zero
+    with pytest.raises(ValueError, match="scale must be finite"):
+        LinearMap.scaled_identity(2, scale)
+    assert LinearMap.scaled_identity(2, 1.3e153).frame < np.inf
+
+
 def test_adjoint_consistency_random(rng):
     for _ in range(5):
         m, n = rng.integers(1, 7, size=2)
