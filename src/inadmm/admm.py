@@ -123,6 +123,9 @@ class XUpdateStrategy:
             raise ValueError("prox_identity strategy requires L'L = cI")
         if self.kind == "quadratic_solve" and not isinstance(p.f, Quadratic):
             raise ValueError("quadratic_solve strategy requires quadratic f")
+        if self.kind == "inner_iterative" and not math.isfinite(p.L.norm() * p.L.norm()):
+            raise ValueError("inner_iterative strategy requires a finite "
+                             "||L||^2, got ||L|| = %g" % p.L.norm())
 
 
 def x_update(state, p, gamma, alpha_k, strat, dy=None, dz=None):

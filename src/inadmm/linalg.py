@@ -195,7 +195,8 @@ class LinearMap:
         """L'L, read-only: ``Lm.T @ Lm`` of ``as_matrix()``, computed once."""
         if self._gram is None:
             Lm = self.as_matrix()
-            self._gram = Lm.T @ Lm
+            with np.errstate(over="ignore"):  # an inf fails every factor of it
+                self._gram = Lm.T @ Lm
             self._gram.setflags(write=False)
         return self._gram
 

@@ -456,6 +456,9 @@ end
      "line 21: scale must be finite"),
     (LASSO_CONFIG.replace("kind identity", "kind scaled_identity\nscale 1e200"), [],
      "line 22: scale must be finite"),
+    (SCALED_CONFIG.replace("kind scaled_identity\ndim 3\nscale -0.7", "kind dense\n"
+                           "rows 3\ncols 3\nentries 1e160 0 0 0 1 0 0 0 1"), [],
+     "input error: inner_iterative strategy requires a finite ||L||^2"),
 ], ids=["config_max_iters_0", "flag_max_iters_0", "config_tol_nan",
         "consensus_solver_on_fgl_file", "composite_solver_on_block_file",
         "l1_dim_without_value", "operator_kind_without_value", "gamma_nan",
@@ -463,11 +466,12 @@ end
         "shift_without_value", "operator_dim_not_integer",
         "blocks_of_mixed_dimension", "delta_bound_overflows",
         "lambda_max_underflows", "lambda_max_overflows", "seed_negative",
-        "scale_overflow", "scale_overflow_quadratic"])
+        "scale_overflow", "scale_overflow_quadratic", "inner_iterative_overflow"])
 def test_rejected_inputs_exit_with_diagnostic(tmp_path, capsys, text, argv, message):
     code, _ = run([write(tmp_path, text)] + argv)
+    err = capsys.readouterr().err
     assert code == EXIT_INPUT
-    assert message in capsys.readouterr().err
+    assert message in err and err.count("\n") == 1, err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
