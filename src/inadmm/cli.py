@@ -168,7 +168,8 @@ def _check_output(output, sweep):
 
 def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
     """Solve the feasible points, all in one ``run_iadmm_batch`` for iadmm,
-    and then print one row per point in grid order."""
+    and then print the header and one row per point in grid order, so that
+    an input error leaves stdout empty."""
     grids = _parse_sweep(sweep_spec)
     points = []
     for alpha in grids.get("alpha", [cfg.params.alpha]):
@@ -181,10 +182,10 @@ def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
                 params = err
             points.append((alpha, lam, params))
     feasible = [q for _, _, q in points if not isinstance(q, InfeasibleParameters)]
-    print("alpha lambda iterations converged final_dw", file=out)
     traces = iter(run_iadmm_batch(cfg.problem, feasible, max_iters, tol, bool(output))
                   if solver == "iadmm" else
-                  (_run_solver(cfg, solver, q, max_iters, tol) for q in feasible))
+                  [_run_solver(cfg, solver, q, max_iters, tol) for q in feasible])
+    print("alpha lambda iterations converged final_dw", file=out)
     all_ok = len(feasible) == len(points)
     for alpha, lam, params in points:
         if isinstance(params, InfeasibleParameters):

@@ -331,6 +331,20 @@ def test_sweep_bad_spec(tmp_path, capsys):
         assert message in capsys.readouterr().err, spec
 
 
+@pytest.mark.parametrize("solver", [[], ["--solver", "classical_admm"]],
+                         ids=["iadmm", "classical_admm"])
+@pytest.mark.parametrize("argv, message", [
+    (["--max-iters", "0"], "input error: max_iters must be at least 1"),
+    (["--tol", "nan"], "input error: tol must be a nonnegative number")],
+    ids=["max_iters_0", "tol_nan"])
+def test_sweep_input_error_prints_nothing(tmp_path, capsys, solver, argv, message):
+    # the header used to reach stdout before the solver refused the budget
+    cfg = write(tmp_path, LASSO_CONFIG)
+    code, out = run([cfg, "--sweep", "alpha=0,0.2"] + solver + argv)
+    assert code == EXIT_INPUT and out == ""
+    assert capsys.readouterr().err == message + ", got %s\n" % argv[1]
+
+
 def test_sweep_infeasible_row_without_lambda_grid(tmp_path):
     # alpha 0.7 puts the file's delta 0.625 below its lower bound 1.64706
     cfg = write(tmp_path, LASSO_CONFIG.replace("alpha 0.2", "alpha 0.2\ndelta 0.625"))
