@@ -112,11 +112,8 @@ class XUpdateStrategy:
 
     @classmethod
     def automatic(cls, p):
-        if p.L.frame is not None:
-            return cls("prox_identity")
-        if isinstance(p.f, Quadratic):
-            return cls("quadratic_solve")
-        return cls("inner_iterative")
+        return cls("prox_identity" if p.L.frame is not None else "quadratic_solve"
+                   if isinstance(p.f, Quadratic) else "inner_iterative")
 
     def check(self, p):
         if self.kind == "prox_identity" and p.L.frame is None:
@@ -124,8 +121,7 @@ class XUpdateStrategy:
         if self.kind == "quadratic_solve" and not isinstance(p.f, Quadratic):
             raise ValueError("quadratic_solve strategy requires quadratic f")
         if self.kind == "inner_iterative" and not math.isfinite(p.L.norm() * p.L.norm()):
-            raise ValueError("inner_iterative strategy requires a finite "
-                             "||L||^2, got ||L|| = %g" % p.L.norm())
+            raise ValueError("inner_iterative: ||L||^2 overflows, ||L|| = %g" % p.L.norm())
 
 
 def x_update(state, p, gamma, alpha_k, strat, dy=None, dz=None):
@@ -141,9 +137,8 @@ def x_update(state, p, gamma, alpha_k, strat, dy=None, dz=None):
     c = state.y - alpha_k * dy - gamma * alpha_k * dz
     L = p.L
     if strat.kind == "prox_identity":
-        # L'L = c'I, c' = L.frame: x = prox_{f/(gamma c')}(L'(z^k - c_k/gamma)/c')
-        return p.f._prox(1.0 / (gamma * L.frame),
-                         L._adjoint_apply(state.z - c / gamma) / L.frame)
+        # L'L = L.frame I: x = prox_{f/(gamma L.frame)}(L'(z^k - c_k/gamma) / L.frame)
+        return p.f._prox(1.0 / (gamma * L.frame), L._left_inverse(state.z - c / gamma))
     if strat.kind == "quadratic_solve":
         rhs = gamma * L._adjoint_apply(state.z) - L._adjoint_apply(c) - p.f.q
         return p.f._solver(gamma, L)(rhs)

@@ -167,9 +167,8 @@ def _check_output(output, sweep):
 
 
 def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
-    """Solve the feasible points, all in one ``run_iadmm_batch`` for iadmm,
-    and then print the header and one row per point in grid order, so that
-    an input error leaves stdout empty."""
+    """Solve the feasible points, all in one ``run_iadmm_batch`` for iadmm, and
+    only then print the header and one row per point, in grid order."""
     grids = _parse_sweep(sweep_spec)
     points = []
     for alpha in grids.get("alpha", [cfg.params.alpha]):

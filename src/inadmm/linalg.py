@@ -113,8 +113,7 @@ class LinearMap:
             self.kind = "dense"
             self.matrix = m
             self.shape = m.shape
-            self.frame = None
-            self._sv = None  # (smallest, largest) singular value, on first read
+            self.frame = self._sv = None  # _sv: (smallest, largest) singular value
         else:
             n = check_dim(identity_dim, "identity dimension")
             s = float(scale)
@@ -182,6 +181,9 @@ class LinearMap:
             return y if self.kind == "identity" else self.scale * y
         return self.matrix.T @ y if y.ndim == 1 else np.matmul(
             y[:, None, :], self.matrix)[:, 0]
+
+    def _left_inverse(self, y):  # L'y / frame, for a map with L'L = frame I
+        return y if self.kind == "identity" else y / self.scale
 
     def adjoint(self):
         """The adjoint as a new LinearMap, with L's singular values if known."""

@@ -129,16 +129,17 @@ def test_x_update_strategies_agree(rng):
 
 
 def test_scaled_identity_makes_one_prox_of_f_per_iteration(rng):
-    # the x-update is one exact prox, not an inner loop
+    # the x-update is one exact prox, not an inner loop (which took two)
     n, iters = 40, 25
-    f = L1Norm(n, 1.0)
+    f = L1Norm(n, 0.2)
     calls = []
     prox = f._prox
     f._prox = lambda t, v: calls.append(1) or prox(t, v)
-    p = ProblemSpec(f, Translated(L2Norm(n, 0.5), rng.standard_normal(n)),
+    p = ProblemSpec(f, Translated(L1Norm(n, 0.5), rng.standard_normal(n)),
                     LinearMap.scaled_identity(n, 2.0))
     trace = run_iadmm(p, default_params(0.2), max_iters=iters, tol=0.0)
     assert trace.iterations == iters
+    assert np.count_nonzero(trace.final["x"]) > n // 4  # x moves off zero
     assert len(calls) == iters
 
 
