@@ -112,8 +112,9 @@ class XUpdateStrategy:
 
     @classmethod
     def automatic(cls, p):
-        return cls("prox_identity" if p.L.frame is not None else "quadratic_solve"
-                   if isinstance(p.f, Quadratic) else "inner_iterative")
+        return cls("prox_identity" if p.L.frame is not None else
+                   "quadratic_solve" if isinstance(p.f, Quadratic) else
+                   "inner_iterative")
 
     def check(self, p):
         if self.kind == "prox_identity" and p.L.frame is None:
@@ -121,7 +122,7 @@ class XUpdateStrategy:
         if self.kind == "quadratic_solve" and not isinstance(p.f, Quadratic):
             raise ValueError("quadratic_solve strategy requires quadratic f")
         if self.kind == "inner_iterative" and not math.isfinite(p.L.norm() * p.L.norm()):
-            raise ValueError("inner_iterative: ||L||^2 overflows, ||L|| = %g" % p.L.norm())
+            raise ValueError("inner_iterative: ||L||^2 = %g^2 overflows" % p.L.norm())
 
 
 def x_update(state, p, gamma, alpha_k, strat, dy=None, dz=None):

@@ -118,8 +118,7 @@ class LinearMap:
             n = check_dim(identity_dim, "identity dimension")
             s = float(scale)
             if not math.isfinite(s * s):
-                raise ValueError("scale must be finite, with a finite square, "
-                                 "got %r" % (scale,))
+                raise ValueError("scale must be finite (its square too): %r" % scale)
             self.kind = "identity" if s == 1.0 else "scaled_identity"
             self.scale = s
             self.matrix = None

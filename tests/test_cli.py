@@ -472,7 +472,7 @@ end
      "line 22: scale must be finite"),
     (SCALED_CONFIG.replace("kind scaled_identity\ndim 3\nscale -0.7", "kind dense\n"
                            "rows 3\ncols 3\nentries 1e160 0 0 0 1 0 0 0 1"), [],
-     "input error: inner_iterative: ||L||^2 overflows, ||L|| = 1e+160"),
+     "input error: inner_iterative: ||L||^2 = 1e+160^2 overflows"),
 ], ids=["config_max_iters_0", "flag_max_iters_0", "config_tol_nan",
         "consensus_solver_on_fgl_file", "composite_solver_on_block_file",
         "l1_dim_without_value", "operator_kind_without_value", "gamma_nan",
