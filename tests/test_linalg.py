@@ -93,7 +93,7 @@ def test_frame_constant_and_structural_singular_values(rng, monkeypatch):
 
 @pytest.mark.parametrize("scale", [1e200, -1.4e154])
 def test_scale_with_an_overflowing_square_rejected(scale):
-    # a frame constant of inf would make every x-update return zero
+    # an inf frame constant would zero the prox step 1/(gamma c) of the x-update
     with pytest.raises(ValueError, match="scale must be finite"):
         LinearMap.scaled_identity(2, scale)
     assert LinearMap.scaled_identity(2, 1.3e153).frame < np.inf
