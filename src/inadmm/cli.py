@@ -6,6 +6,7 @@ iterates, 2 input error.
 
 import argparse
 import errno
+import itertools
 import math
 import os
 import sys
@@ -167,8 +168,8 @@ def _check_output(output, sweep):
 
 
 def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
-    """Solve the feasible points, all in one ``run_iadmm_batch`` for iadmm, and
-    only then print the header and one row per point, in grid order."""
+    """Solve the feasible points (in one ``run_iadmm_batch`` for iadmm) and print
+    one row per point in grid order, the header after the first solve."""
     grids = _parse_sweep(sweep_spec)
     points = []
     for alpha in grids.get("alpha", [cfg.params.alpha]):
@@ -183,7 +184,8 @@ def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
     feasible = [q for _, _, q in points if not isinstance(q, InfeasibleParameters)]
     traces = iter(run_iadmm_batch(cfg.problem, feasible, max_iters, tol, bool(output))
                   if solver == "iadmm" else
-                  [_run_solver(cfg, solver, q, max_iters, tol) for q in feasible])
+                  (_run_solver(cfg, solver, q, max_iters, tol) for q in feasible))
+    traces = itertools.chain([next(traces)] if feasible else [], traces)
     print("alpha lambda iterations converged final_dw", file=out)
     all_ok = len(feasible) == len(points)
     for alpha, lam, params in points:
