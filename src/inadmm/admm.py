@@ -24,7 +24,7 @@ import numpy as np
 from .duality import _dual_value
 from .functions import IndicatorConsensus, Quadratic, SeparableSum
 from .functions import _norm as _row_norm
-from .linalg import LinearMap, _norm, check_gamma, check_vector
+from .linalg import LinearMap, _norm, check_gamma, check_step, check_vector
 from .params import require_valid
 from .trace import SolveTrace, TraceRow, check_budget, drive, stops
 
@@ -116,13 +116,13 @@ class XUpdateStrategy:
                    "quadratic_solve" if isinstance(p.f, Quadratic) else
                    "inner_iterative")
 
-    def check(self, p):
+    def check(self, p, gamma):
         if self.kind == "prox_identity" and p.L.frame is None:
             raise ValueError("prox_identity strategy requires L'L = cI")
         if self.kind == "quadratic_solve" and not isinstance(p.f, Quadratic):
             raise ValueError("quadratic_solve strategy requires quadratic f")
-        if self.kind == "inner_iterative" and not math.isfinite(p.L.norm() * p.L.norm()):
-            raise ValueError("inner_iterative: ||L||^2 = %g^2 overflows" % p.L.norm())
+        if self.kind != "quadratic_solve":  # the x-update's step 1/(gamma ||L||^2)
+            check_step(gamma, p.L.norm() * p.L.norm())  # ||L||^2 = L.frame if set
 
 
 def x_update(state, p, gamma, alpha_k, strat, dy=None, dz=None):
@@ -233,7 +233,7 @@ def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10):
     require_valid(params)
     if strat is None:
         strat = XUpdateStrategy.automatic(p)
-    strat.check(p)
+    strat.check(p, params.gamma)
 
     m = p.g.dim
     if init is None:
@@ -300,6 +300,7 @@ def run_iadmm_batch(p, rows, max_iters=100000, tol=1e-10, record=True):
         return [run_iadmm(p, q, max_iters=max_iters, tol=tol) for q in rows]
     for q in rows:
         require_valid(q)
+        strat.check(p, q.gamma)
     if len({q.gamma for q in rows}) > 1:
         raise ValueError("a batch's parameter sets must share gamma")
     check_budget(max_iters, tol)
@@ -342,7 +343,7 @@ def classical_admm(p, gamma, init=None, lam=1.0, strat=None,
     check_gamma(gamma)
     if strat is None:
         strat = XUpdateStrategy.automatic(p)
-    strat.check(p)
+    strat.check(p, gamma)
 
     m = p.g.dim
     if init is None:

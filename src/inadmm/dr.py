@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import Quadratic
-from .linalg import _norm, check_gamma, check_vector
+from .linalg import _norm, check_gamma, check_step, check_vector
 from .params import require_valid
 from .trace import TraceRow, drive
 
@@ -70,25 +70,22 @@ class ResolventOp:
         J_{gamma A}(u) = u + gamma L xhat with
         xhat = argmin_x { f(x) + <u, Lx> + (gamma/2) ||Lx||^2 }.
         """
-        dim, c = L.codomain_dim, L.frame
-        if c is not None:
-            def resolvent(gamma, u):
+        c = L.frame
+        if c is None and not isinstance(f, Quadratic):
+            raise ValueError("composed_conjugate needs quadratic f or L'L = cI "
+                             "for an exact inner solve")
+
+        def resolvent(gamma, u):
+            if c is not None:
+                check_step(gamma, c)
                 # argmin f(x) + <L'u,x> + (gamma c/2)||x||^2, as L'L = cI
                 xhat = f._prox(1.0 / (gamma * c), -L._adjoint_apply(u) / (gamma * c))
-                return u + gamma * L._apply(xhat)
-
-            return cls._catalog("composed_conjugate", resolvent, dim)
-        if isinstance(f, Quadratic):
-            def resolvent(gamma, u):
+            else:
                 # xhat solves (Q + gamma L'L) x = -q - L'u with f's own factor
                 xhat = f._solver(gamma, L)(-f.q - L._adjoint_apply(u))
-                return u + gamma * L._apply(xhat)
+            return u + gamma * L._apply(xhat)
 
-            return cls._catalog("composed_conjugate", resolvent, dim)
-        raise ValueError(
-            "composed_conjugate needs quadratic f or L'L = cI "
-            "for an exact inner solve"
-        )
+        return cls._catalog("composed_conjugate", resolvent, L.codomain_dim)
 
     def resolvent(self, gamma, u):
         check_gamma(gamma)

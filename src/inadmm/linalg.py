@@ -6,7 +6,7 @@ import numbers
 
 import numpy as np
 
-__all__ = ["LinearMap", "check_vector", "check_gamma", "check_dim"]
+__all__ = ["LinearMap", "check_vector", "check_gamma", "check_step", "check_dim"]
 
 # Singular values below this are treated as zero when computing the
 # injectivity modulus (a strict inequality in the well-posedness hypothesis).
@@ -42,6 +42,12 @@ def check_gamma(gamma):
     if not 0.0 < gamma < np.inf:
         raise ValueError("gamma must be positive and finite, got %r" % (gamma,))
     return gamma
+
+
+def check_step(gamma, c):
+    """Reject a prox step 1/(gamma c) that is not positive and finite."""
+    if not (gamma * c > 0.0 and 0.0 < 1.0 / (gamma * c) < math.inf):
+        raise ValueError("no finite positive step 1/(gamma c) at gamma %g, c %g" % (gamma, c))
 
 
 def check_dim(n, name, least=1):

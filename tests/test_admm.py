@@ -67,13 +67,40 @@ def test_strategy_check_rejects_mismatch(rng):
     p = ProblemSpec(L1Norm(2, 1.0), L1Norm(3, 1.0),
                     LinearMap.dense(tall_full_rank(3, 2, rng)))
     with pytest.raises(ValueError):
-        XUpdateStrategy("quadratic_solve").check(p)
+        XUpdateStrategy("quadratic_solve").check(p, 1.0)
     with pytest.raises(ValueError, match="L'L = cI"):
-        XUpdateStrategy("prox_identity").check(p)
+        XUpdateStrategy("prox_identity").check(p, 1.0)
     with pytest.raises(ValueError):
         XUpdateStrategy("bogus")
     XUpdateStrategy("prox_identity").check(ProblemSpec(
-        L1Norm(2, 1.0), L1Norm(2, 1.0), LinearMap.scaled_identity(2, 2.0)))
+        L1Norm(2, 1.0), L1Norm(2, 1.0), LinearMap.scaled_identity(2, 2.0)), 1.0)
+
+
+@pytest.mark.parametrize("kind", ["prox_identity", "inner_iterative"])
+def test_strategy_check_refuses_a_step_that_is_not_finite(kind):
+    # gamma s^2 overflows at gamma 1.1, s = 1.3e154 (s^2 itself does not):
+    # the step 1/(gamma s^2) would be 0 and the prox return its argument
+    p = ProblemSpec(L1Norm(2, 1.0), L1Norm(2, 1.0),
+                    LinearMap.scaled_identity(2, 1.3e154))
+    XUpdateStrategy(kind).check(p, 1.0)
+    with pytest.raises(ValueError, match="no finite positive step"):
+        XUpdateStrategy(kind).check(p, 1.1)
+    # gamma s^2 = 1e-320 is subnormal, and 1/(gamma s^2) overflows to inf
+    with pytest.raises(ValueError, match="no finite positive step"):
+        XUpdateStrategy(kind).check(ProblemSpec(
+            L1Norm(2, 1.0), L1Norm(2, 1.0), LinearMap.scaled_identity(2, 1e-10)), 1e-300)
+
+
+def test_solvers_refuse_a_step_that_is_not_finite():
+    from inadmm.admm import run_iadmm_batch
+
+    p = ProblemSpec(random_quadratic(2, np.random.default_rng(0)), L1Norm(2, 1.0),
+                    LinearMap.scaled_identity(2, 1.3e154))
+    params = default_params(0.2, gamma=1.1)
+    for solve in (lambda: run_iadmm(p, params), lambda: classical_admm(p, 1.1),
+                  lambda: run_iadmm_batch(p, [params, params])):
+        with pytest.raises(ValueError, match="no finite positive step"):
+            solve()
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -345,6 +345,16 @@ def test_sweep_input_error_prints_nothing(tmp_path, capsys, solver, argv, messag
     assert capsys.readouterr().err == message + ", got %s\n" % argv[1]
 
 
+@pytest.mark.parametrize("solver", ["iadmm", "classical_admm", "idr"])
+def test_sweep_refused_step_prints_nothing(tmp_path, capsys, solver):
+    # gamma s^2 overflows: every point is refused, the first before the header
+    cfg = write(tmp_path, SCALED_CONFIG.replace("scale -0.7", "scale 1.3e154"))
+    code, out = run([cfg, "--sweep", "alpha=0,0.2", "--solver", solver])
+    assert code == EXIT_INPUT and out == ""
+    assert capsys.readouterr().err == (
+        "input error: no finite positive step 1/(gamma c) at gamma 1.1, c 1.69e+308\n")
+
+
 def test_sweep_infeasible_row_without_lambda_grid(tmp_path):
     # alpha 0.7 puts the file's delta 0.625 below its lower bound 1.64706
     cfg = write(tmp_path, LASSO_CONFIG.replace("alpha 0.2", "alpha 0.2\ndelta 0.625"))
@@ -472,7 +482,16 @@ end
      "line 22: scale must be finite"),
     (SCALED_CONFIG.replace("kind scaled_identity\ndim 3\nscale -0.7", "kind dense\n"
                            "rows 3\ncols 3\nentries 1e160 0 0 0 1 0 0 0 1"), [],
-     "input error: inner_iterative: ||L||^2 = 1e+160^2 overflows"),
+     "input error: no finite positive step 1/(gamma c) at gamma 1.1, c inf"),
+    (SCALED_CONFIG.replace("scale -0.7", "scale 1.3e154"), [],
+     "input error: no finite positive step 1/(gamma c) at gamma 1.1, c 1.69e+308"),
+    (LASSO_CONFIG.replace("gamma 1.0", "gamma 1.1").replace(
+        "kind identity", "kind scaled_identity\nscale 1.3e154"), [],
+     "input error: no finite positive step 1/(gamma c) at gamma 1.1, c 1.69e+308"),
+    (SCALED_CONFIG.replace("scale -0.7", "scale 1.3e154"), ["--solver", "classical_admm"],
+     "input error: no finite positive step 1/(gamma c) at gamma 1.1, c 1.69e+308"),
+    (SCALED_CONFIG.replace("scale -0.7", "scale 1.3e154"), ["--solver", "idr"],
+     "input error: no finite positive step 1/(gamma c) at gamma 1.1, c 1.69e+308"),
 ], ids=["config_max_iters_0", "flag_max_iters_0", "config_tol_nan",
         "consensus_solver_on_fgl_file", "composite_solver_on_block_file",
         "l1_dim_without_value", "operator_kind_without_value", "gamma_nan",
@@ -480,7 +499,9 @@ end
         "shift_without_value", "operator_dim_not_integer",
         "blocks_of_mixed_dimension", "delta_bound_overflows",
         "lambda_max_underflows", "lambda_max_overflows", "seed_negative",
-        "scale_overflow", "scale_overflow_quadratic", "inner_iterative_overflow"])
+        "scale_overflow", "scale_overflow_quadratic", "inner_iterative_overflow",
+        "frame_step_overflow", "frame_step_overflow_quadratic",
+        "frame_step_overflow_classical", "frame_step_overflow_idr"])
 def test_rejected_inputs_exit_with_diagnostic(tmp_path, capsys, text, argv, message):
     code, _ = run([write(tmp_path, text)] + argv)
     err = capsys.readouterr().err

@@ -81,6 +81,19 @@ def test_composed_conjugate_scaled_identity(rng):
         assert got[0] == pytest.approx(u[0] + gamma * (-2.0) * res.x, abs=1e-6)
 
 
+def test_composed_conjugate_refuses_a_step_that_is_not_finite():
+    # gamma s^2 overflows, so 1/(gamma s^2) is 0 and the prox would return
+    # its argument: the resolvent refuses it, and so does run_idr
+    L = LinearMap.scaled_identity(2, 1.3e154)
+    A = ResolventOp.composed_conjugate(L1Norm(2, 1.0), L)
+    assert np.all(np.isfinite(A.resolvent(1.0, np.ones(2))))
+    with pytest.raises(ValueError, match="no finite positive step"):
+        A.resolvent(1.1, np.ones(2))
+    with pytest.raises(ValueError, match="no finite positive step"):
+        run_idr(A, ResolventOp.conjugate_subdifferential(L1Norm(2, 1.0)), 1.1,
+                default_params(0.2, gamma=1.1), np.zeros(2), np.zeros(2))
+
+
 @pytest.mark.parametrize("scale", [2.0, -0.5, 1.7])
 @pytest.mark.parametrize("f_kind", ["l1", "l2norm"])
 def test_admm_matches_its_twin_on_a_scaled_identity(rng, f_kind, scale):

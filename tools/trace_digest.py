@@ -37,8 +37,10 @@ point is infeasible, a file whose iterates overflow, and the classical solver.  
 unknown (also after a duplicate), ``tol inf``, ``seed -1``, ``--compare``
 on a problem whose iterates overflow, ``--compare`` with ``--output`` or
 ``--sweep``, a scale whose square overflows, an ``inner_iterative``
-x-update on a map whose squared norm overflows, and a sweep, iadmm and
-classical, with a zero budget or a NaN tolerance.  Warnings are silenced, since their
+x-update on a map whose squared norm overflows, a scale s whose gamma s^2
+overflows (iadmm on an l1 and a quadratic f, idr, and a sweep, iadmm and
+classical), and a sweep, iadmm and classical, with a zero budget or a NaN
+tolerance.  Warnings are silenced, since their
 text names source lines.
 
 ``--smoke`` runs seed 1 for 10 iterations, which only checks that the script
@@ -403,6 +405,15 @@ def error_runs():
         "inner_iterative_overflow": (SCALED.replace(
             "kind scaled_identity\ndim 3\nscale -0.7",
             "kind dense\nrows 3\ncols 3\nentries 1e160 0 0 0 1 0 0 0 1"), []),
+        **{"frame_step_overflow" + name: (text, argv) for name, text, argv in (
+            ("", SCALED.replace("scale -0.7", "scale 1.3e154"), []),
+            ("_quadratic", lasso("gamma 1.0", "gamma 1.1").replace(
+                "kind identity", "kind scaled_identity\nscale 1.3e154"), []),
+            ("_idr", SCALED.replace("scale -0.7", "scale 1.3e154"), ["--solver", "idr"]),
+            ("_sweep", SCALED.replace("scale -0.7", "scale 1.3e154"),
+             ["--sweep", "alpha=0,0.2"]),
+            ("_sweep_classical", SCALED.replace("scale -0.7", "scale 1.3e154"),
+             ["--sweep", "alpha=0,0.2", "--solver", "classical_admm"]))},
         **{"sweep_%s%s" % (solver, name): (LASSO, ["--sweep", "alpha=0,0.2"]
                                            + flags + argv)
            for solver, flags in (("", []), ("classical_",
