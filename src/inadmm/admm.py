@@ -141,8 +141,9 @@ def x_update(state, p, gamma, alpha_k, strat, dy=None, dz=None):
         # L'L = L.frame I: x = prox_{f/(gamma L.frame)}(L'(z^k - c_k/gamma) / L.frame)
         return p.f._prox(1.0 / (gamma * L.frame), L._left_inverse(state.z - c / gamma))
     if strat.kind == "quadratic_solve":
-        rhs = gamma * L._adjoint_apply(state.z) - L._adjoint_apply(c) - p.f.q
-        return p.f._solver(gamma, L)(rhs)
+        # (Q + gamma L'L) x = L'(gamma z^k - c_k) - q: one L' product, two
+        # triangular solves on the factor f keeps for (gamma, L)
+        return p.f._solver(gamma, L)(L._adjoint_apply(gamma * state.z - c) - p.f.q)
     # proximal gradient on the smooth part s(x) = <c,Lx> + gamma/2 ||Lx-z||^2
     t = 1.0 / (gamma * L.norm() ** 2)
     x = state.x.copy()
@@ -169,7 +170,7 @@ def step(state, p, params, k, strat):
     r = Lx^{k+1} - z^k.  Every shared term (dy, dz, Lx^{k+1}, r, drift =
     dy + gamma dz, lambda_k Lx^{k+1}, (1 - lambda_k) z^k, ...) is computed once.
     On (P, m) rows with (P, 1) parameter columns it advances P points, each
-    row bit for bit its own step, and ||r|| is the list of the rows' norms.
+    row bit for bit its own step, and ||r|| is the array of the rows' norms.
     """
     gamma = params.gamma
     a_k = params.alpha_at(k)
@@ -203,7 +204,7 @@ def step(state, p, params, k, strat):
     new_state = IadmmState(k=k + 1, x=x_next, z=z_next, z_prev=z,
                            zbar=zbar_next, y=y_next, y_prev=y, v=v_k,
                            w=y_next + gamma * z_next)
-    return new_state, _norm(r) if r.ndim == 1 else _row_norm(r)[:, 0].tolist()
+    return new_state, _norm(r) if r.ndim == 1 else _row_norm(r)[:, 0]
 
 
 def _iadmm_vectors(prev, new):
@@ -304,32 +305,43 @@ def run_iadmm_batch(p, rows, max_iters=100000, tol=1e-10, record=True):
     if len({q.gamma for q in rows}) > 1:
         raise ValueError("a batch's parameter sets must share gamma")
     check_budget(max_iters, tol)
-    traces, sums, live = [SolveTrace() for _ in rows], [0.0] * len(rows), []
+    traces, live = [SolveTrace() for _ in rows], list(range(len(rows)))
     if rows:
-        live, columns, schema = list(range(len(rows))), _columns(rows), _iadmm_schema(p)
+        columns, schema = _columns(rows), _iadmm_schema(p)
+        sums = np.zeros(len(rows))  # the running sums of dw^2 of the live rows
         zeros = np.zeros((len(rows), p.g.dim))  # w = y + gamma z is zero too
         state = IadmmState(k=1, x=np.zeros((len(rows), p.f.dim)), z=zeros,
                            z_prev=zeros, zbar=zeros, y=zeros, y_prev=zeros, w=zeros)
     while live:
-        k, keep = state.k, []
+        k = state.k
         new, feas = step(state, p, columns, k, strat)
-        norms = _row_norm(np.concatenate((new.zbar, new.w - state.w)))[:, 0].tolist()
-        for j, res in enumerate(zip(feas, norms[:len(feas)], norms[len(feas):])):
-            i = live[j]
-            sums[i] += res[2] * res[2]
-            stop = stops(traces[i], res, k, 2, tol) or k == max_iters
-            if record or stop:
-                traces[i].append(TraceRow(k, *res, sums[i], prev=_Row(state, j),
-                                          new=_Row(new, j), schema=schema))
-            if stop:
-                traces[i].final = {f: getattr(new, f)[j] for f in "xzyvw"}
-            else:
-                keep.append(j)
-        if 0 < len(keep) < len(live):
-            columns = _columns([rows[live[j]] for j in keep])
-            new = IadmmState(k=new.k, **{f: a[keep] for f, a in vars(new).items()
-                                         if f != "k"})
-        live, state = [live[j] for j in keep], new
+        # drive's residuals, a column per row: ||r||, ||zbar^{k+1}||, ||w^{k+1} - w^k||
+        res = np.concatenate((feas, _row_norm(np.concatenate(
+            (new.zbar, new.w - state.w)))[:, 0])).reshape(3, -1)
+        sums += res[2] * res[2]
+        # whether drive's rule may stop a row (a row's peak is NaN or inf if
+        # one of its residuals is); stops() then decides row by row
+        peaks = res.max(0)
+        if record or k == max_iters or not math.isfinite(peaks.max()) or (
+                k >= 2 and peaks.min() <= tol):
+            keep = []
+            for j, (r, s) in enumerate(zip(res.T.tolist(), sums.tolist())):
+                i = live[j]
+                stop = stops(traces[i], r, k, 2, tol) or k == max_iters
+                if record or stop:
+                    traces[i].append(TraceRow(k, *r, s, prev=_Row(state, j),
+                                              new=_Row(new, j), schema=schema))
+                if stop:
+                    traces[i].final = {f: getattr(new, f)[j] for f in "xzyvw"}
+                else:
+                    keep.append(j)
+            if 0 < len(keep) < len(live):
+                columns = _columns([rows[live[j]] for j in keep])
+                new = IadmmState(k=new.k, **{f: a[keep] for f, a in vars(new).items()
+                                             if f != "k"})
+                sums = sums[keep]
+            live = [live[j] for j in keep]
+        state = new
     return traces
 
 

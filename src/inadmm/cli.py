@@ -6,6 +6,7 @@ iterates, 2 input error.
 
 import argparse
 import errno
+import functools
 import itertools
 import math
 import os
@@ -28,7 +29,10 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
+@functools.cache
 def build_parser():
+    """The command line's parser, built once per process: ``parse_args``
+    leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="inadmm",
         description="Inertial ADMM / Douglas-Rachford solver runner.",

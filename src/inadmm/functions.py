@@ -149,8 +149,11 @@ class Quadratic(ConvexFn):
 
     ``Q`` and ``q`` are read-only copies, and Q is tested with a Cholesky
     certificate (``pd_after_shift``), then, if it fails, ``eigvalsh``.
-    The factors of I + gamma Q (prox) and Q + gamma L.gram() (x-update,
-    resolvent) are kept, one per system, for the last gamma and L.  The first
+    The factors of I + gamma Q (prox, kept with gamma q) and
+    Q + gamma L.gram() (x-update, resolvent) are kept, one per system, for
+    the last gamma and L.  A ``quadratic_solve`` x-update on the second
+    costs one L' product and two triangular solves (``linalg.cholesky``
+    says why not one potrs), and the step adds one L product.  The first
     conjugate computes the eigenbasis, and whether an eigenvalue is at or below
     the rank tolerance: if none is, it skips the range(Q) test, which cannot fail."""
 
@@ -178,7 +181,7 @@ class Quadratic(ConvexFn):
         self.Q = Q
         self.q = q
         self.r = float(r)
-        self._factors = {}  # system -> (gamma, L, solve)
+        self._factors = {}  # system -> (gamma, L, solve, gamma q)
 
     @functools.cached_property
     def _eigh(self):
@@ -190,8 +193,9 @@ class Quadratic(ConvexFn):
     _full_rank = functools.cached_property(  # assignable, for tests
         lambda self: bool((self._evals > self._rank_tol).all()))
 
-    def _solver(self, gamma, L=None):
-        """b -> M^{-1} b for M = I + gamma Q, or M = Q + gamma L'L given L."""
+    def _factor(self, gamma, L=None):
+        """(gamma, L, solve, gamma q), solve being b -> M^{-1} b for
+        M = I + gamma Q, or M = Q + gamma L'L given L."""
         system = "prox" if L is None else "normal"
         entry = self._factors.get(system)
         if entry is None or entry[0] != gamma or entry[1] is not L:
@@ -199,14 +203,18 @@ class Quadratic(ConvexFn):
                 M = np.eye(self.dim) + gamma * self.Q
             else:
                 M = self.Q + gamma * L.gram()
-            entry = self._factors[system] = (gamma, L, cholesky(M))
-        return entry[2]
+            entry = self._factors[system] = (gamma, L, cholesky(M), gamma * self.q)
+        return entry
+
+    def _solver(self, gamma, L=None):
+        return self._factor(gamma, L)[2]
 
     def _value(self, x):
         return 0.5 * x @ self.Q @ x + self.q @ x + self.r
 
     def _prox(self, gamma, x):
-        return self._solver(gamma)(x - gamma * self.q)
+        _, _, solve, gq = self._factor(gamma)
+        return solve(x - gq)
 
     def _conj(self, u):
         # f*(u) = (u-q)' Q^+ (u-q) / 2 - r when u - q lies in range(Q).

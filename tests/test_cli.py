@@ -1,3 +1,4 @@
+import argparse
 import errno
 import io
 import os
@@ -8,8 +9,11 @@ import numpy as np
 import pytest
 
 import inadmm
+from inadmm import cli
 from inadmm.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
 from inadmm.config import ConfigError, parse_config
+
+from conftest import counted
 
 LASSO_CONFIG = """
 solver iadmm
@@ -156,6 +160,22 @@ def test_run_deterministic_output(tmp_path):
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
     assert open(csv1).read() == open(csv2).read()
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    # parse_args leaves the parser as it was: a later call, a usage error
+    # or --version after a run, reads the same options and prints the same
+    built = counted(monkeypatch, argparse.ArgumentParser, "__init__")
+    cli.build_parser.cache_clear()
+    cfg = write(tmp_path, LASSO_CONFIG)
+    outs = [run([cfg, "--max-iters", "3"]) for _ in range(2)]
+    assert outs[0] == outs[1] and outs[0][0] == EXIT_BUDGET
+    for argv, code in ((["--bogus"], 2), (["--version"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    assert capsys.readouterr().out == inadmm.__version__ + "\n"
+    assert len(built) == 1
 
 
 def test_csv_floats_roundtrip(tmp_path):

@@ -24,10 +24,12 @@ from inadmm import (
     default_params,
     run_iadmm,
 )
+from inadmm import admm
+from inadmm.admm import x_update
 from inadmm.functions import DOM_TOL
 from inadmm.linalg import _norm
 
-from conftest import random_quadratic, tall_full_rank
+from conftest import counted, random_quadratic, tall_full_rank
 
 ITERS = 50
 
@@ -66,7 +68,7 @@ def ref_x_update(state, p, gamma, alpha_k, strat):
         return p.f.prox(1.0 / gamma, state.z - c / gamma)
     L = p.L
     if strat.kind == "quadratic_solve":
-        rhs = gamma * ref_adjoint_apply(L, state.z) - ref_adjoint_apply(L, c) - p.f.q
+        rhs = ref_adjoint_apply(L, gamma * state.z - c) - p.f.q
         return p.f._solver(gamma, L)(rhs)
     t = 1.0 / (gamma * L.norm() ** 2)
     x = state.x.copy()
@@ -173,6 +175,50 @@ def test_run_iadmm_matches_reference_bit_for_bit(rng, kind, alpha):
             assert same_bits(row.vectors[key], vec), (row.k, key)
     assert same_bits(trace.final["x"], expected[-1][1]["x_next"])
     assert same_bits(trace.final["v"], expected[-1][1]["v"])
+
+
+# -- the quadratic x-update's right-hand side --------------------------------
+
+def two_adjoint_x_update(state, p, gamma, alpha_k, strat, dy, dz):
+    """The quadratic_solve x-update as first written: gamma L'z^k and L'c_k
+    as two products."""
+    c = state.y - alpha_k * dy - gamma * alpha_k * dz
+    rhs = gamma * p.L._adjoint_apply(state.z) - p.L._adjoint_apply(c) - p.f.q
+    return p.f._solver(gamma, p.L)(rhs)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2])
+@pytest.mark.parametrize("kind", ["quadratic_solve_dense", "quadratic_solve_scaled"])
+def test_one_adjoint_rhs_is_the_two_adjoint_form_to_rounding(rng, monkeypatch,
+                                                             kind, alpha):
+    p = problem(kind, rng)
+    params = default_params(alpha=alpha, gamma=1.3)
+    strat = XUpdateStrategy("quadratic_solve")
+    new = run_iadmm(p, params, strat=strat, max_iters=ITERS, tol=0.0)
+    monkeypatch.setattr(admm, "x_update", two_adjoint_x_update)
+    old = run_iadmm(p, params, strat=strat, max_iters=ITERS, tol=0.0)
+    assert new.iterations == old.iterations == ITERS
+    for a, b in zip(new.rows, old.rows):
+        scale = max(np.abs(v).max() for v in b.vectors.values())
+        for key, vec in b.vectors.items():
+            assert np.abs(a.vectors[key] - vec).max() <= 1e-12 * scale, (a.k, key)
+
+
+@pytest.mark.parametrize("kind", ["quadratic_solve_dense", "quadratic_solve_scaled"])
+def test_quadratic_solve_makes_one_adjoint_and_no_potrs(rng, monkeypatch, kind):
+    from scipy.linalg import lapack
+
+    p = problem(kind, rng)
+    m = p.g.dim
+    strat = XUpdateStrategy("quadratic_solve")
+    adjoints = counted(monkeypatch, LinearMap, "_adjoint_apply")
+    potrs = counted(monkeypatch, lapack, "dpotrs")
+    for _ in range(5):
+        z, y = rng.standard_normal(m), rng.standard_normal(m)
+        state = IadmmState(k=1, x=np.zeros(p.f.dim), z=z, z_prev=z.copy(),
+                           zbar=np.zeros(m), y=y, y_prev=y.copy())
+        x_update(state, p, 1.3, 0.2, strat)
+    assert len(adjoints) == 5 and not potrs
 
 
 # -- the norm kernel ---------------------------------------------------------

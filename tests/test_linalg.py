@@ -240,8 +240,10 @@ def test_problem_spec_runs_no_svd_until_the_singular_values_are_read(
     assert getattr(p.L, read)() == first and len(svds) == 1
 
 
-@pytest.mark.parametrize("n", [1, 3, 30, 200])
+@pytest.mark.parametrize("n", [1, 3, 30, 200, 1000])
 def test_cholesky_matches_scipy_bytes(rng, n):
+    # a vector solve is two triangular solves on the potrf factor, U'w = b
+    # then Ux = w, not one potrs; it stays within rounding of cho_solve
     import scipy.linalg
 
     a = rng.standard_normal((n, n))
@@ -250,7 +252,11 @@ def test_cholesky_matches_scipy_bytes(rng, n):
     fct = scipy.linalg.cho_factor(M)
     for _ in range(3):
         b = rng.standard_normal(n)
-        assert solve(b).tobytes() == scipy.linalg.cho_solve(fct, b).tobytes()
+        x = solve(b)
+        w = scipy.linalg.solve_triangular(fct[0], b, trans="T")
+        assert x.tobytes() == scipy.linalg.solve_triangular(fct[0], w).tobytes()
+        expected = scipy.linalg.cho_solve(fct, b)
+        assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_cholesky_rejects_nonfinite_and_indefinite():
