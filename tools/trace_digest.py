@@ -21,7 +21,9 @@ l1 or a translated l2norm g, at alpha 0 and 0.2, from a seeded nonzero
 start.  The family
 ``mixed_consensus`` runs ``run_sum1``, ``run_sum2`` and the lifted
 ``run_iadmm`` on a problem with two blocks of every kind the consensus
-solvers evaluate stacked, plain and translated, and a ``Quadratic``.
+solvers evaluate stacked, plain and translated, and a ``Quadratic``.  The
+``consensus_init_*`` families run ``run_sum1`` and ``run_sum2`` at alpha 0
+and 0.2 from a seeded nonzero start whose duals sum to zero across blocks.
 
 A CLI run hashes the exit code (or the name of an escaping exception),
 stdout, stderr and the bytes of every CSV it wrote, with the temporary
@@ -247,6 +249,16 @@ def solver_families(seeds, iters):
                                     max_iters=iters, tol=0.0))
         fam.setdefault("boyd_consensus", []).append(
             lambda cp=cp: boyd_consensus(cp, 0.9, max_iters=iters, tol=0.0))
+        for alpha in (0.0, 0.2):
+            rng = np.random.default_rng(seed)
+            cp = consensus_problem(rng)
+            y0, y1, z0, z1 = rng.standard_normal((4, cp.m, cp.n))
+            init = (y0 - y0.mean(axis=0), y1 - y1.mean(axis=0), z0, z1)
+            params = default_params(alpha, gamma=1.3)
+            fam.setdefault("consensus_init_alpha%g" % alpha, []).extend([
+                lambda cp=cp, params=params, init=init, run=run: run(
+                    cp, params, init=init, max_iters=iters, tol=0.0)
+                for run in (run_sum1, run_sum2)])
     for seed in seeds:
         cp = mixed_consensus_problem(np.random.default_rng(seed))
         params = default_params(0.2, gamma=1.3)
