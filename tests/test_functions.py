@@ -262,6 +262,15 @@ def test_indicator_consensus_projection():
     assert g.conj(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])) == INF
 
 
+@pytest.mark.parametrize("m, n", [(2, 1), (3, 2), (101, 3), (7, 40)])
+def test_indicator_consensus_prox_bytes(rng, m, n):
+    g = IndicatorConsensus(m, n)
+    x = rng.standard_normal(m * n) * 10.0 ** rng.integers(-8, 8, m * n)
+    want = np.tile(x.reshape(m, n).mean(0), m)
+    got = g.prox(1.0, x)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         Quadratic([[0.0, 1.0], [1.0, 0.0]], [0.0, 0.0])  # indefinite
