@@ -112,16 +112,18 @@ def pd_after_shift(M, c, floor=0.0):
 class LinearMap:
     """A linear operator between finite-dimensional real spaces.
 
-    Supported kinds are dense matrices, the identity, and scaled
-    identities.  Values are immutable after construction; the adjoint and
-    the injectivity modulus (the smallest singular value) are exact up to
-    dense linear-algebra accuracy.  ``frame`` is the constant c with
-    L'L = cI, or None when L has no such structure (a dense map): sI has
-    c = s^2 and its singular values (|s|, |s|) from construction.  A dense
-    map computes L'L and its singular values on first read.
+    Supported kinds are dense matrices, the identity, scaled identities
+    and stacked identities x -> (x, ..., x).  Values are immutable after
+    construction; the adjoint and the injectivity modulus (the smallest
+    singular value) are exact up to dense linear-algebra accuracy.
+    ``frame`` is the constant c with L'L = cI, or None when L has no such
+    structure (a dense map): sI has c = s^2 and its singular values
+    (|s|, |s|) from construction, and m stacked identities have c = m and
+    (sqrt(m), sqrt(m)).  A dense map computes L'L and its singular values
+    on first read.
     """
 
-    def __init__(self, matrix=None, *, identity_dim=None, scale=1.0):
+    def __init__(self, matrix=None, *, identity_dim=None, scale=1.0, copies=1):
         if (matrix is None) == (identity_dim is None):
             raise ValueError("pass exactly one of `matrix` or `identity_dim`")
         if matrix is not None:
@@ -137,15 +139,19 @@ class LinearMap:
             self.frame = self._sv = None  # _sv: (smallest, largest) singular value
         else:
             n = check_dim(identity_dim, "identity dimension")
+            m = self.copies = check_dim(copies, "number of copies")
             s = float(scale)
             if not math.isfinite(s * s):
                 raise ValueError("scale must be finite (its square too): %r" % scale)
-            self.kind = "identity" if s == 1.0 else "scaled_identity"
+            if m > 1 and s != 1.0:
+                raise ValueError("a stacked identity takes no scale")
+            self.kind = ("stacked_identity" if m > 1 else
+                         "identity" if s == 1.0 else "scaled_identity")
             self.scale = s
             self.matrix = None
-            self.shape = (n, n)
-            self.frame = s * s
-            self._sv = (abs(s), abs(s))
+            self.shape = (m * n, n)
+            self.frame = m * s * s
+            self._sv = (math.sqrt(m) * abs(s),) * 2
         self._gram = None
 
     @classmethod
@@ -160,6 +166,11 @@ class LinearMap:
     def scaled_identity(cls, n, c):
         return cls(identity_dim=n, scale=c)
 
+    @classmethod
+    def stacked_identity(cls, m, n):
+        """The (m n) x n map x -> (x, ..., x) of m >= 2 copies of I on R^n."""
+        return cls(identity_dim=n, copies=check_dim(m, "number of copies", 2))
+
     @property
     def domain_dim(self):
         return self.shape[1]
@@ -172,7 +183,7 @@ class LinearMap:
         """Materialize the operator as a dense matrix."""
         if self.matrix is not None:
             return self.matrix
-        return self.scale * np.eye(self.shape[0])
+        return np.tile(self.scale * np.eye(self.shape[1]), (self.copies, 1))
 
     def apply(self, x):
         """Return L x as a new array."""
@@ -189,27 +200,36 @@ class LinearMap:
     # unchecked kernels of apply/adjoint_apply for the solver loops, which
     # also map each row of a (P, n) array: a dense map by one stacked matmul
     # whose rows are bit for bit the vector's gemv (a gemm's are not); the
-    # identity returns its argument itself, which the loops never write into
+    # identity returns its argument itself, which the loops never write into;
+    # a stacked identity's adjoint adds a row's m blocks as the vector's does
     def _apply(self, x):
         if self.matrix is None:
-            return x if self.kind == "identity" else self.scale * x
+            if self.kind == "identity":
+                return x
+            return self.scale * x if self.copies == 1 else x[..., None, :].repeat(
+                self.copies, -2).reshape(x.shape[:-1] + (-1,))
         return self.matrix @ x if x.ndim == 1 else np.matmul(
             self.matrix, x[:, :, None])[:, :, 0]
 
     def _adjoint_apply(self, y):
         if self.matrix is None:
-            return y if self.kind == "identity" else self.scale * y
+            if self.kind == "identity":
+                return y
+            return self.scale * y if self.copies == 1 else y.reshape(
+                y.shape[:-1] + (self.copies, -1)).sum(-2)
         return self.matrix.T @ y if y.ndim == 1 else np.matmul(
             y[:, None, :], self.matrix)[:, 0]
 
     def _left_inverse(self, y):  # L'y / frame, for a map with L'L = frame I
-        return y if self.kind == "identity" else y / self.scale
+        if self.kind == "identity":
+            return y
+        return y / self.scale if self.copies == 1 else self._adjoint_apply(y) / self.frame
 
     def adjoint(self):
         """The adjoint as a new LinearMap, with L's singular values if known."""
-        if self.matrix is None:
+        if self.kind in ("identity", "scaled_identity"):
             return LinearMap(identity_dim=self.shape[0], scale=self.scale)
-        adj = LinearMap(matrix=self.matrix.T)
+        adj = LinearMap(matrix=self.as_matrix().T)
         adj._sv = self._sv
         return adj
 
@@ -259,4 +279,6 @@ class LinearMap:
             return "LinearMap(dense %dx%d)" % self.shape
         if self.kind == "identity":
             return "LinearMap(identity %d)" % self.shape[0]
+        if self.kind == "stacked_identity":
+            return "LinearMap(stacked identity, %d copies of %d)" % (self.copies, self.shape[1])
         return "LinearMap(scaled identity %d, c=%g)" % (self.shape[0], self.scale)

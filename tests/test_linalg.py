@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from inadmm import L1Norm, LinearMap, ProblemSpec, default_params, run_iadmm
+from inadmm import (L1Norm, LinearMap, ProblemSpec, XUpdateStrategy, Zero,
+                    default_params, run_iadmm)
 from inadmm.linalg import SINGULAR_TOL, cholesky
 
 from conftest import counted, random_quadratic, tall_full_rank
@@ -89,6 +90,70 @@ def test_frame_constant_and_structural_singular_values(rng, monkeypatch):
         assert L.norm() == L.injectivity_modulus() == np.sqrt(c)
         assert L.is_injective()
     assert LinearMap.dense(rng.standard_normal((3, 2))).frame is None
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (3, 2), (101, 3)])
+def test_stacked_identity_kernels_match_its_matrix(rng, m, n):
+    L = LinearMap.stacked_identity(m, n)
+    A = L.as_matrix()
+    assert L.shape == A.shape == (m * n, n)
+    assert np.array_equal(A, np.vstack([np.eye(n)] * m))
+    x, y = rng.standard_normal(n), rng.standard_normal(m * n)
+    X, Y = rng.standard_normal((4, n)), rng.standard_normal((4, m * n))
+    assert np.array_equal(L._apply(x), A @ x)  # sums of one entry and zeros
+    assert np.array_equal(L.apply(x), A @ x)
+    assert np.allclose(L._adjoint_apply(y), A.T @ y, rtol=1e-14, atol=1e-14)
+    assert np.allclose(L.adjoint_apply(y), A.T @ y, rtol=1e-14, atol=1e-14)
+    # L'L = mI, so L'y / m is the least-squares inverse of L
+    assert np.allclose(L._left_inverse(y), np.linalg.pinv(A) @ y,
+                       rtol=1e-13, atol=1e-14)
+    assert np.allclose(L._left_inverse(L._apply(x)), x, rtol=1e-13, atol=0.0)
+    # each row of a (P, .) stack is bit for bit the vector's
+    for kernel, rows in ((L._apply, X), (L._adjoint_apply, Y),
+                         (L._left_inverse, Y)):
+        got = kernel(rows)
+        assert got.shape == (4, kernel(rows[0]).size)
+        for j in range(4):
+            assert got[j].tobytes() == kernel(rows[j]).tobytes(), kernel
+
+
+def test_stacked_identity_structure(rng, monkeypatch):
+    # c = m and the singular values (sqrt(m), sqrt(m)) come from construction
+    monkeypatch.setattr(np.linalg, "svd", None)
+    L = LinearMap.stacked_identity(4, 3)
+    assert L.kind == "stacked_identity" and L.frame == 4.0
+    assert L.norm() == L.injectivity_modulus() == 2.0 and L.is_injective()
+    assert np.array_equal(L.gram(), 4.0 * np.eye(3))
+    adj = L.adjoint()
+    assert adj.shape == (3, 12) and adj.frame is None
+    assert np.array_equal(adj.as_matrix(), L.as_matrix().T)
+    assert adj.norm() == 2.0 and adj.injectivity_modulus() == 0.0
+    assert repr(L) == "LinearMap(stacked identity, 4 copies of 3)"
+    for f in (Zero(3), random_quadratic(3, rng), L1Norm(3, 0.5)):
+        p = ProblemSpec(f, L1Norm(12, 0.3), L)
+        assert XUpdateStrategy.automatic(p).kind == "prox_identity"
+
+
+def test_stacked_identity_rejects_one_copy_and_a_scale():
+    with pytest.raises(ValueError, match="number of copies must be >= 2"):
+        LinearMap.stacked_identity(1, 3)
+    with pytest.raises(ValueError, match="must be an integer"):
+        LinearMap.stacked_identity(2.0, 3)
+    with pytest.raises(ValueError, match="takes no scale"):
+        LinearMap(identity_dim=3, scale=2.0, copies=2)
+
+
+def test_stacked_identity_prox_x_update_is_exact(rng):
+    # on a quadratic f the exact prox x-update and the linear solve agree
+    p = ProblemSpec(random_quadratic(3, rng), L1Norm(15, 0.4),
+                    LinearMap.stacked_identity(5, 3))
+    runs = [run_iadmm(p, default_params(0.2, gamma=1.3),
+                      strat=XUpdateStrategy(kind), max_iters=60, tol=0.0)
+            for kind in ("prox_identity", "quadratic_solve")]
+    for a, b in zip(*(r.rows for r in runs)):
+        scale = 1.0 + np.abs(b.vectors["y_next"]).max()
+        for name in ("x_next", "z_next", "y_next"):
+            assert np.abs(a.vectors[name] - b.vectors[name]).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("scale", [1e200, -1.4e154])
