@@ -1,26 +1,29 @@
 """Product-space schemes for min sum_i f_i(x).
 
-Two variants: the dual-sum-zero form keeps per-block primal iterates and
-multipliers summing to zero, and aggregates a shared consensus point u.
-The interchanged form keeps one shared primal point and per-block splitting
-variables.  Both reduce to the textbook consensus ADMM when inertia is off
-and relaxation is 1.
+Both schemes run the composite solver's ``admm.step`` on a lift of the
+problem to (R^n)^m, the product-space reformulation of Boyd et al. (2011,
+7.1) and Combettes & Pesquet (2008), with flat (m n) iterates.  The
+dual-sum-zero form lifts to f = sum_i f_i, g = the indicator of the
+consensus subspace and L = I: per-block primal iterates, multipliers
+summing to zero and a shared consensus point u.  The interchanged form
+lifts to f = 0, g = sum_i f_i and L = m stacked identities: one shared
+primal point and per-block splitting variables.  Both reduce to the
+textbook consensus ADMM when inertia is off and relaxation is 1.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admm import IadmmState, ProblemSpec
+from .admm import IadmmState, ProblemSpec, XUpdateStrategy, step
 from .duality import subgradient_violation
-from .functions import IndicatorConsensus, SeparableSum
+from .functions import IndicatorConsensus, SeparableSum, Zero
 from .linalg import LinearMap, _norm, check_gamma, check_vector
 from .params import require_valid
 from .trace import TraceRow, drive
 
 __all__ = [
     "ConsensusProblem",
-    "ConsensusState",
     "sum1_step",
     "run_sum1",
     "sum2_step",
@@ -31,21 +34,29 @@ __all__ = [
 ]
 
 ZERO_SUM_TOL = 1e-12
+_EXACT = XUpdateStrategy("prox_identity")  # both lifts have L'L = cI
 
 
 @dataclass(frozen=True)
 class ConsensusProblem:
-    """min sum_i f_i(x); ``stacked`` evaluates all blocks on an (m, n) array."""
+    """min sum_i f_i(x); ``stacked`` evaluates all blocks on an (m, n) array,
+    and ``lifts`` holds the composite problems of the two schemes."""
 
     blocks: tuple  # ConvexFn, all on the same space
     stacked: SeparableSum = field(init=False, repr=False, compare=False)
+    lifts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(self.blocks)
         if len(blocks) < 2:
             raise ValueError("need at least two blocks")
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "stacked", SeparableSum(blocks))
+        stacked = SeparableSum(blocks)
+        object.__setattr__(self, "stacked", stacked)
+        object.__setattr__(self, "lifts", (  # sum1's and sum2's
+            ProblemSpec(stacked, IndicatorConsensus(self.m, self.n),
+                        LinearMap.identity(stacked.dim)),
+            ProblemSpec(Zero(self.n), stacked, LinearMap.stacked_identity(self.m, self.n))))
 
     @property
     def m(self):
@@ -54,13 +65,6 @@ class ConsensusProblem:
     @property
     def n(self):
         return self.blocks[0].dim
-
-
-@dataclass
-class ConsensusState(IadmmState):
-    """Per-block iterates as (m, n) arrays; `shared` is u or the shared x."""
-
-    shared: np.ndarray = None
 
 
 def _as_block_array(u, m, n, name):
@@ -77,125 +81,74 @@ def _check_zero_sum(y, name):
         raise ValueError("%s must sum to zero across blocks" % name)
 
 
-def _initial_state(cp, init, require_zero_sum):
-    m, n = cp.m, cp.n
-    if init is None:
-        y0 = y1 = z0 = z1 = np.zeros((m, n))
-    else:
-        y0, y1, z0, z1 = (
-            _as_block_array(u, m, n, nm)
-            for u, nm in zip(init, ("y0", "y1", "z0", "z1"))
-        )
-    if require_zero_sum:
-        _check_zero_sum(y0, "y0")
-        _check_zero_sum(y1, "y1")
-    return ConsensusState(
-        k=1,
-        x=np.zeros((m, n)),
-        z=z1,
-        z_prev=z0,
-        zbar=np.zeros((m, n)),
-        y=y1,
-        y_prev=y0,
-    )
-
-
 def sum1_step(state, cp, params, k):
-    """One step of the dual-sum-zero consensus scheme."""
-    gamma = params.gamma
-    a_k = params.alpha_at(k)
-    a_next = params.alpha_at(k + 1)
-    l_k = params.lambda_at(k)
-    m = cp.m
-
-    dy = state.y - state.y_prev
-    dz = state.z - state.z_prev
-    drift = dy + gamma * dz
-    c = state.y - a_k * dy - gamma * a_k * dz
-    x_next = cp.stacked._prox(1.0 / gamma, state.z - c / gamma)
-    zbar_next = (a_next * l_k * (x_next - state.z)
-                 + ((1.0 - l_k) * a_k * a_next / gamma) * drift)
-    u_next = (
-        (l_k * (1.0 + a_next) / m) * x_next.sum(axis=0)
-        + ((1.0 - a_next * l_k - l_k) / m) * state.z.sum(axis=0)
-        + (a_k * (1.0 - l_k) * (1.0 + a_next) / m) * dz.sum(axis=0)
-    )
-    z_next = u_next[None, :] - zbar_next
-    y_next = (state.y
-              + gamma * (l_k * x_next + (1.0 - l_k) * state.z - z_next)
-              + (1.0 - l_k) * a_k * drift)
-    # v_i^k = y_i^k - gamma z_i^k + gamma x_i^{k+1} - alpha_k drift; the
-    # per-block prox x-update certifies -v_i^k in df_i(x_i^{k+1})
-    v = state.y - gamma * state.z + gamma * x_next - a_k * drift
-    return ConsensusState(k=k + 1, x=x_next, z=z_next, z_prev=state.z,
-                          zbar=zbar_next, y=y_next, y_prev=state.y, v=v,
-                          w=y_next + gamma * z_next, shared=u_next)
+    """One step of the dual-sum-zero scheme: ``admm.step`` on its lift."""
+    return step(state, cp.lifts[0], params, k, _EXACT)
 
 
 def sum2_step(state, cp, params, k):
-    """One step of the interchanged scheme with one shared primal point."""
-    gamma = params.gamma
-    a_k = params.alpha_at(k)
-    a_next = params.alpha_at(k + 1)
-    l_k = params.lambda_at(k)
-    m = cp.m
-
-    drift = state.y - state.y_prev + gamma * (state.z - state.z_prev)
-    x_next = (state.z.sum(axis=0) / m
-              - state.y.sum(axis=0) / (m * gamma)
-              + (a_k / (m * gamma)) * drift.sum(axis=0))
-    zbar_next = (a_next * l_k * (x_next[None, :] - state.z)
-                 + ((1.0 - l_k) * a_k * a_next / gamma) * drift)
-    arg = (zbar_next + l_k * x_next[None, :] + (1.0 - l_k) * state.z
-           + state.y / gamma + ((1.0 - l_k) * a_k / gamma) * drift)
-    z_next = -zbar_next + cp.stacked._prox(1.0 / gamma, arg)
-    y_next = (state.y
-              + gamma * (l_k * x_next[None, :] + (1.0 - l_k) * state.z - z_next)
-              + (1.0 - l_k) * a_k * drift)
-    # the per-block prox sits in the z-update here, certifying
-    # y_i^{k+1} in df_i(z_i^{k+1} + zbar_i^{k+1}); same -v_i convention
-    return ConsensusState(k=k + 1, x=np.tile(x_next, (m, 1)), z=z_next,
-                          z_prev=state.z, zbar=zbar_next, y=y_next,
-                          y_prev=state.y, v=-y_next,
-                          w=y_next + gamma * z_next, shared=x_next)
+    """One step of the interchanged scheme: ``admm.step`` on its lift, with
+    v = -y^{k+1}.  The blocks' prox sits in the z-update here, certifying
+    y_i^{k+1} in df_i(z_i^{k+1} + zbar_i^{k+1})."""
+    new, r = step(state, cp.lifts[1], params, k, _EXACT)
+    new.v = -new.y
+    return new, r
 
 
-def _blockwise_vectors(prev, new):
-    return {"x": new.x, "z": new.z, "zbar": new.zbar, "y": new.y, "v": new.v,
-            "shared": new.shared, "w": prev.w, "w_next": new.w}
-
-
-def _run_blockwise(cp, params, stepper, init, require_zero_sum, max_iters,
-                   tol):
+def _run_blockwise(cp, params, lift, stepper, shared, init, require_zero_sum,
+                   max_iters, tol):
+    """Drive ``stepper`` on the flat iterates of ``lift``, given and shown as
+    (m, n) blocks; ``shared`` maps a state to its shared point."""
     require_valid(params)
+    m, n = cp.m, cp.n
+    init = [np.zeros((m, n))] * 4 if init is None else [
+        _as_block_array(u, m, n, name) for u, name in zip(init, ("y0", "y1", "z0", "z1"))]
+    if require_zero_sum:
+        _check_zero_sum(init[0], "y0")
+        _check_zero_sum(init[1], "y1")
+    y0, y1, z0, z1 = (a.ravel() for a in init)
+    blocks, Lx = (lambda a: a.reshape(m, n)), lift.L._apply
+
+    def vectors(prev, new):
+        return {"x": blocks(Lx(new.x)), "z": blocks(new.z),
+                "zbar": blocks(new.zbar), "y": blocks(new.y),
+                "v": blocks(new.v), "shared": shared(new),
+                "w": blocks(prev.w), "w_next": blocks(new.w)}
+
     # primal sum_i f_i(x_i) and dual -sum_i f_i*(-v_i)
-    schema = (_blockwise_vectors, lambda prev, new: (
-        cp.stacked._value(new.x), -cp.stacked._conj(-new.v)))
+    schema = (vectors, lambda prev, new: (
+        cp.stacked._value(Lx(new.x)), -cp.stacked._conj(-new.v)))
 
     def iterate(state, k):
-        new = stepper(state, cp, params, k)
-        feas = float(np.abs(new.x - state.z).max())
+        new, _ = stepper(state, cp, params, k)
+        feas = float(np.abs(Lx(new.x) - state.z).max())  # max |Lx^{k+1} - z^k|
         zbar_norm = _norm(new.zbar)
         row = TraceRow(k, feas, zbar_norm, prev=state, new=new, schema=schema)
         return new, row, (feas, zbar_norm)
 
-    state = _initial_state(cp, init, require_zero_sum)
-    state.w = state.y + params.gamma * state.z
+    state = IadmmState(k=1, x=np.zeros(lift.f.dim), z=z1, z_prev=z0,
+                       zbar=np.zeros(m * n), y=y1, y_prev=y0,
+                       w=y1 + params.gamma * z1)
     # first_k = 2: k = 1 can show zero residuals by construction (forced bridge step)
     trace, state = drive(iterate, state, max_iters, tol, first_k=2)
-    trace.final = {"x": state.x, "z": state.z, "y": state.y,
-                   "shared": state.shared, "v": state.v}
+    final = vectors(state, state)
+    trace.final = {name: final[name] for name in ("x", "z", "y", "shared", "v")}
     return trace
 
 
 def run_sum1(cp, params, init=None, max_iters=100000, tol=1e-10):
-    """Dual-sum-zero consensus run; initialization must have zero dual sum."""
-    return _run_blockwise(cp, params, sum1_step, init, True, max_iters, tol)
+    """Dual-sum-zero consensus run; initialization must have zero dual sum.
+    The shared point u^{k+1} is the block of z^{k+1} + zbar^{k+1}, the
+    projection onto the consensus subspace in the z-update."""
+    return _run_blockwise(cp, params, cp.lifts[0], sum1_step, lambda s: (
+        s.z + s.zbar).reshape(cp.m, cp.n).mean(axis=0), init, True, max_iters, tol)
 
 
 def run_sum2(cp, params, init=None, max_iters=100000, tol=1e-10):
-    """Interchanged consensus run (no zero-sum requirement on the duals)."""
-    return _run_blockwise(cp, params, sum2_step, init, False, max_iters, tol)
+    """Interchanged consensus run (no zero-sum requirement on the duals); its
+    shared point is x."""
+    return _run_blockwise(cp, params, cp.lifts[1], sum2_step, lambda s: s.x,
+                          init, False, max_iters, tol)
 
 
 @dataclass
@@ -262,9 +215,6 @@ def consensus_optimality_residual(x, v, cp, rng=None):
 
 
 def lift_problem(cp):
-    """The product-space composite problem equivalent to the consensus one."""
-    return ProblemSpec(
-        f=cp.stacked,
-        g=IndicatorConsensus(cp.m, cp.n),
-        L=LinearMap.identity(cp.m * cp.n),
-    )
+    """The product-space composite problem equivalent to the consensus one,
+    f = sum_i f_i, g = the consensus indicator and L = I: ``run_sum1``'s."""
+    return cp.lifts[0]

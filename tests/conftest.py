@@ -12,7 +12,6 @@ from inadmm import (
     Translated,
     Zero,
 )
-from inadmm.consensus import ConsensusState, _initial_state
 from inadmm.trace import SolveTrace, TraceRow
 
 
@@ -179,18 +178,18 @@ def run_sum1_simplified(cp, params, init=None, max_iters=1000):
         raise ValueError("simplified scheme assumes the alpha_2 = 0 init mode")
     gamma = params.gamma
     m, n = cp.m, cp.n
-    state = _initial_state(cp, init, True)
-    x_prev = None
+    y_prev, y, z_prev, z = ((np.zeros((m, n)),) * 4 if init is None else
+                            (np.asarray(u, dtype=float) for u in init))
+    x_prev = x_next = None
     trace = SolveTrace()
     for k in range(1, max_iters + 1):
         a_k = params.alpha_at(k)
         a_next = params.alpha_at(k + 1)
         if params.lambda_at(k) != 1.0:
             raise ValueError("simplified scheme requires lambda_k = 1")
-        c = (state.y - a_k * (state.y - state.y_prev)
-             - gamma * a_k * (state.z - state.z_prev))
+        c = y - a_k * (y - y_prev) - gamma * a_k * (z - z_prev)
         x_next = np.stack([
-            f.prox(1.0 / gamma, state.z[i] - c[i] / gamma)
+            f.prox(1.0 / gamma, z[i] - c[i] / gamma)
             for i, f in enumerate(cp.blocks)
         ])
         mean_next = x_next.mean(axis=0)
@@ -198,12 +197,10 @@ def run_sum1_simplified(cp, params, init=None, max_iters=1000):
             z_next = np.tile(mean_next, (m, 1))
         else:
             z_next = ((1.0 + a_next) * mean_next - a_next * x_prev.mean(axis=0)
-                      )[None, :] - a_next * (x_next - state.z)
-        y_next = state.y + gamma * (x_next - z_next)
+                      )[None, :] - a_next * (x_next - z)
+        y_next = y + gamma * (x_next - z_next)
         trace.append(TraceRow(k, vectors={"x": x_next, "z": z_next, "y": y_next}))
-        state = ConsensusState(k=k + 1, x=x_next, z=z_next, z_prev=state.z,
-                               zbar=np.zeros((m, n)), y=y_next,
-                               y_prev=state.y)
+        y_prev, y, z_prev, z = y, y_next, z, z_next
         x_prev = x_next
-    trace.final = {"x": state.x, "z": state.z, "y": state.y}
+    trace.final = {"x": x_next, "z": z, "y": y}
     return trace

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,8 @@ from inadmm import (
     run_sum2,
 )
 
-from inadmm.admm import ProblemSpec
-from inadmm.consensus import ConsensusState, sum1_step, sum2_step
+from inadmm.admm import IadmmState, ProblemSpec, XUpdateStrategy, step
+from inadmm.consensus import sum1_step, sum2_step
 from inadmm.functions import ConvexFn, sum_or_inf
 
 from conftest import mixed_blocks, run_sum1_simplified
@@ -196,8 +198,18 @@ def test_optimality_residual(rng):
 # -- stacked blocks against per-block loops ----------------------------------
 
 def _random_state(rng, m, n):
+    # x, z, z_prev, zbar, y, y_prev; the duals sum to zero across blocks, as
+    # sum1's closed form assumes
     arrays = [rng.standard_normal((m, n)) for _ in range(6)]
-    return ConsensusState(1, *arrays)
+    for y in arrays[4:]:
+        y -= y.mean(axis=0)
+    return IadmmState(1, *(a.ravel() for a in arrays))
+
+
+def _blocks_of(state, m, n):
+    """A flat state's iterates as the (m, n) arrays the loops below read."""
+    return SimpleNamespace(**{name: getattr(state, name).reshape(m, n)
+                              for name in ("y", "y_prev", "z", "z_prev")})
 
 
 def _same_bytes(a, b):
@@ -247,18 +259,65 @@ def loop_sum2_step(state, blocks, params, k):
             "v": -y, "w": y + gamma * z}
 
 
-@pytest.mark.parametrize("step, loop", [(sum1_step, loop_sum1_step),
-                                        (sum2_step, loop_sum2_step)],
+def looped_lift(cp, scheme):
+    """Lift 0 (sum1) or 1 (sum2) of ``cp`` with its blocks' sum as
+    ``LoopedSum``: one kernel call per block."""
+    p, looped = cp.lifts[scheme], LoopedSum(cp.blocks)
+    return (ProblemSpec(looped, p.g, p.L) if scheme == 0 else
+            ProblemSpec(p.f, looped, p.L))
+
+
+@pytest.mark.parametrize("scheme_step, loop", [(sum1_step, loop_sum1_step),
+                                               (sum2_step, loop_sum2_step)],
                          ids=["sum1", "sum2"])
 @pytest.mark.parametrize("n", [1, 3])
-def test_step_matches_per_block_loop_bit_for_bit(rng, step, loop, n):
+def test_step_matches_per_block_loop_bit_for_bit(rng, scheme_step, loop, n):
+    # bit for bit admm.step on the lift with the blocks looped one by one;
+    # within the acceptance gate's 1e-12 of the closed-form loop
     cp = ConsensusProblem(mixed_blocks(n, rng))
+    scheme = 0 if scheme_step is sum1_step else 1
     state = _random_state(rng, cp.m, n)
     params = default_params(0.2, gamma=1.3)
-    new = step(state, cp, params, 3)
-    want = loop(state, cp.blocks, params, 3)
-    for name, value in want.items():
-        assert _same_bytes(getattr(new, name), value), name
+    new, r = scheme_step(state, cp, params, 3)
+    want, r_want = step(state, looped_lift(cp, scheme), params, 3,
+                        XUpdateStrategy("prox_identity"))
+    if scheme == 1:
+        want.v = -want.y
+    assert r == r_want
+    for name in ("x", "z", "zbar", "y", "v", "w"):
+        assert _same_bytes(getattr(new, name), getattr(want, name)), name
+    closed = loop(_blocks_of(state, cp.m, n), cp.blocks, params, 3)
+    got = {name: getattr(new, name).reshape(cp.m, n)
+           for name in ("z", "zbar", "y", "v", "w")}
+    got["x"] = cp.lifts[scheme].L._apply(new.x).reshape(cp.m, n)
+    for name, value in got.items():
+        assert np.abs(value - closed[name]).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2])
+@pytest.mark.parametrize("run, loop", [(run_sum1, loop_sum1_step),
+                                       (run_sum2, loop_sum2_step)],
+                         ids=["sum1", "sum2"])
+def test_nonzero_start_matches_closed_form_loop(rng, run, loop, alpha):
+    cp = ConsensusProblem(mixed_blocks(3, rng, point=rng.standard_normal(3)))
+    y0, y1, z0, z1 = rng.standard_normal((4, cp.m, 3))
+    y0 -= y0.mean(axis=0)  # run_sum1 takes duals that sum to zero
+    y1 -= y1.mean(axis=0)
+    params = default_params(alpha, gamma=1.3)
+    trace = run(cp, params, init=(y0, y1, z0, z1), max_iters=40, tol=0.0)
+    assert trace.iterations == 40
+    state = SimpleNamespace(y_prev=y0, y=y1, z_prev=z0, z=z1)
+    for row in trace.rows:
+        want = loop(state, cp.blocks, params, row.k)
+        for name in ("x", "z", "y", "v", "shared"):
+            assert row.vectors[name].shape == want[name].shape
+            assert np.abs(row.vectors[name] - want[name]).max() <= 1e-12, (
+                row.k, name)
+        state = SimpleNamespace(y_prev=state.y, y=want["y"], z_prev=state.z,
+                                z=want["z"])
+    for name in ("x", "z", "y", "v", "shared"):
+        assert trace.final[name] is not None
+        assert np.array_equal(trace.final[name], trace.rows[-1].vectors[name])
 
 
 def test_boyd_iteration_matches_per_block_loop_bit_for_bit(rng):
@@ -317,19 +376,22 @@ class LoopedSum(ConvexFn):
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_lift_matches_per_block_loop_bit_for_bit(rng, n):
+    # both schemes' lifts: sum1's f and sum2's g are the stacked blocks
     cp = ConsensusProblem(mixed_blocks(n, rng, point=rng.standard_normal(n)))
-    lifted = lift_problem(cp)
-    assert lifted.f is cp.stacked
-    looped = ProblemSpec(f=LoopedSum(cp.blocks), g=lifted.g, L=lifted.L)
+    assert lift_problem(cp) is cp.lifts[0] and cp.lifts[0].f is cp.stacked
+    assert cp.lifts[1].g is cp.stacked
+    assert cp.lifts[1].L.kind == "stacked_identity"
     params = default_params(0.2, gamma=1.3)
-    got = run_iadmm(lifted, params, max_iters=60, tol=0.0)
-    want = run_iadmm(looped, params, max_iters=60, tol=0.0)
-    assert len(got.rows) == len(want.rows) == 60
-    for a, b in zip(got.rows, want.rows):
-        assert a.vectors.keys() == b.vectors.keys()
-        for name in a.vectors:
-            assert _same_bytes(a.vectors[name], b.vectors[name]), (a.k, name)
-        assert (a.primal, a.dual) == (b.primal, b.dual), a.k
+    for scheme, lifted in enumerate(cp.lifts):
+        got = run_iadmm(lifted, params, max_iters=60, tol=0.0)
+        want = run_iadmm(looped_lift(cp, scheme), params, max_iters=60, tol=0.0)
+        assert len(got.rows) == len(want.rows) == 60
+        for a, b in zip(got.rows, want.rows):
+            assert a.vectors.keys() == b.vectors.keys()
+            for name in a.vectors:
+                assert _same_bytes(a.vectors[name], b.vectors[name]), (
+                    scheme, a.k, name)
+            assert (a.primal, a.dual) == (b.primal, b.dual), (scheme, a.k)
 
 
 @pytest.mark.parametrize("run", [run_sum1, run_sum2])

@@ -105,12 +105,14 @@ def test_solvers_reject_bad_budget_and_tolerance(name, max_iters, tol):
 @pytest.mark.parametrize("name", ["iadmm", "consensus_sum1", "consensus_sum2"])
 def test_douglas_rachford_pair_is_computed_once(name):
     # w^k is the array the previous iteration stored as w^{k+1}, and the
-    # final certificate is the last row's, not a recomputed copy
+    # final certificate is the last row's, not a recomputed copy; the
+    # consensus rows show the flat states' arrays as (m, n) views
     trace = SOLVERS[name][0](30, 0.0)
     rows = trace.rows
     for prev, row in zip(rows, rows[1:]):
-        assert row.vectors["w"] is prev.vectors["w_next"]
-    assert trace.final["v"] is rows[-1].vectors["v"]
+        assert row.prev.w is prev.new.w
+        assert np.shares_memory(row.vectors["w"], prev.vectors["w_next"])
+    assert np.shares_memory(trace.final["v"], rows[-1].vectors["v"])
 
 
 @pytest.mark.parametrize("max_iters, tol, match", [
