@@ -1,18 +1,24 @@
-"""Time per iteration of the blockwise and the lifted consensus solvers.
+"""Time per iteration of the consensus solvers and of ``run_iadmm`` on their lifts.
 
     python tools/lift_speed.py [--smoke]
 
-Builds two consensus problems on R^3 and times ``run_sum1``, ``run_sum2``
-and ``run_iadmm(lift_problem(cp))`` on each with gamma = 5, alpha = 0.2
-and 300 iterations at tolerance 0, so every run takes the same number of
-steps.  ``median`` has 101 ``Translated(L1Norm)`` blocks (the shifts are
+``run_sum1`` and ``run_sum2`` run ``admm.step`` on two product-space lifts
+of the consensus problem, ``cp.lifts``: ``lift_problem(cp)`` (f = sum_i f_i,
+g = the consensus indicator, L = I) and f = 0, g = sum_i f_i, L = m stacked
+identities.  The script builds two consensus problems on R^3 and times
+``run_sum1``, ``run_sum2`` and ``run_iadmm`` on each lift with gamma = 5,
+alpha = 0.2 and 300 iterations at tolerance 0, so every run takes the same
+number of steps.  ``median`` has 101 ``Translated(L1Norm)`` blocks (the shifts are
 seeded standard normals).  ``mixed`` has 99 blocks of three kinds, 33 each
 of ``Translated(L2Norm)``, ``IndicatorBox`` (boxes around the origin) and
 ``Translated(L1Norm)``, in seeded order.  Each solver reports the best of
 ``REPEATS`` runs in microseconds per iteration, and its ratio to
-``run_sum1``.  One BLAS thread.  ``--smoke`` runs 11 and 9 blocks on R^2
-for 20 iterations, once, which only checks that the script works.  Runs
-from the root of a checkout and imports the program from its ``src/``.
+``run_sum1``.  It exits non-zero if a consensus run and ``run_iadmm`` on
+its lift differ by more than 1e-12, relative to one plus the largest entry,
+in x, z or y on any row.  One BLAS thread.  ``--smoke`` runs 11 and 9
+blocks on R^2 for 20 iterations, once, which checks that the script works
+and that the runs agree.  Runs from the root of a checkout and imports the
+program from its ``src/``.
 """
 
 import os
@@ -35,6 +41,7 @@ from inadmm import (ConsensusProblem, IndicatorBox, L1Norm, L2Norm, Translated,
                     run_sum2)
 
 REPEATS = 5  # timed runs per solver; the best one is reported
+TOL = 1e-12  # largest relative difference of a consensus run from its lift
 
 
 def parse_args(argv=None):
@@ -45,6 +52,7 @@ def parse_args(argv=None):
 
 
 def best_us_per_iter(solve, iters, repeats):
+    """The best time per iteration in microseconds, and the last trace."""
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -54,7 +62,19 @@ def best_us_per_iter(solve, iters, repeats):
             sys.exit("lift_speed: a run stopped after %d of %d iterations"
                      % (trace.iterations, iters))
         best = min(best, elapsed)
-    return 1e6 * best / iters
+    return 1e6 * best / iters, trace
+
+
+def deviation(blockwise, lifted, lift):
+    """Largest difference in x, z and y between a consensus run's rows and
+    the rows of ``run_iadmm`` on its lift, relative to 1 + the largest entry."""
+    diff = scale = 0.0
+    for a, b in zip(blockwise.rows, lifted.rows):
+        for name, flat in (("x", lift.L.apply(b.vectors["x_next"])),
+                           ("z", b.vectors["z_next"]), ("y", b.vectors["y_next"])):
+            diff = max(diff, float(np.abs(a.vectors[name].ravel() - flat).max()))
+            scale = max(scale, float(np.abs(flat).max()))
+    return diff / (1.0 + scale)
 
 
 def median_blocks(m, n, rng):
@@ -79,20 +99,29 @@ def main(argv=None):
     for name, make, m in (("median", median_blocks, 11 if args.smoke else 101),
                           ("mixed", mixed_blocks, 9 if args.smoke else 99)):
         cp = ConsensusProblem(make(m, n, np.random.default_rng(0)))
-        lifted = lift_problem(cp)
+        assert lift_problem(cp) is cp.lifts[0]
         solvers = [
             ("run_sum1", lambda: run_sum1(cp, params, max_iters=iters, tol=0.0)),
             ("run_sum2", lambda: run_sum2(cp, params, max_iters=iters, tol=0.0)),
-            ("lifted run_iadmm",
-             lambda: run_iadmm(lifted, params, max_iters=iters, tol=0.0)),
+            ("run_iadmm, lift 1",
+             lambda: run_iadmm(cp.lifts[0], params, max_iters=iters, tol=0.0)),
+            ("run_iadmm, lift 2",
+             lambda: run_iadmm(cp.lifts[1], params, max_iters=iters, tol=0.0)),
         ]
         print("%s: %d blocks on R^%d, %d iterations, best of %d"
               % (name, m, n, iters, repeats))
-        base = None
+        base, traces = None, []
         for solver, solve in solvers:
-            us = best_us_per_iter(solve, iters, repeats)
+            us, trace = best_us_per_iter(solve, iters, repeats)
             base = us if base is None else base
+            traces.append(trace)
             print("%-18s %9.1f us/iter  %5.2fx run_sum1" % (solver, us, us / base))
+        for scheme, (blockwise, lifted) in enumerate(zip(traces, traces[2:])):
+            dev = deviation(blockwise, lifted, cp.lifts[scheme])
+            print("run_sum%d against its lift: %.2g" % (scheme + 1, dev))
+            if not dev <= TOL:
+                sys.exit("lift_speed: run_sum%d differs from run_iadmm on its "
+                         "lift by %.3g > %g" % (scheme + 1, dev, TOL))
 
 
 if __name__ == "__main__":
