@@ -280,5 +280,6 @@ class LinearMap:
         if self.kind == "identity":
             return "LinearMap(identity %d)" % self.shape[0]
         if self.kind == "stacked_identity":
-            return "LinearMap(stacked identity, %d copies of %d)" % (self.copies, self.shape[1])
+            return "LinearMap(stacked identity, %d copies of %d)" % (
+                self.copies, self.shape[1])
         return "LinearMap(scaled identity %d, c=%g)" % (self.shape[0], self.scale)
