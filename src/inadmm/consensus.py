@@ -95,15 +95,15 @@ def sum2_step(state, cp, params, k):
     return new, r
 
 
-def _run_blockwise(cp, params, lift, stepper, shared, init, require_zero_sum,
-                   max_iters, tol):
-    """Drive ``stepper`` on the flat iterates of ``lift``, given and shown as
-    (m, n) blocks; ``shared`` maps a state to its shared point."""
+def _run_blockwise(cp, params, scheme, shared, init, max_iters, tol):
+    """Drive scheme 0 (sum1) or 1 (sum2) on the flat iterates of its lift,
+    given and shown as (m, n) blocks; ``shared`` maps a state to its shared point."""
     require_valid(params)
     m, n = cp.m, cp.n
+    lift, stepper = cp.lifts[scheme], (sum1_step, sum2_step)[scheme]
     init = [np.zeros((m, n))] * 4 if init is None else [
         _as_block_array(u, m, n, name) for u, name in zip(init, ("y0", "y1", "z0", "z1"))]
-    if require_zero_sum:
+    if scheme == 0:  # sum1's duals sum to zero
         _check_zero_sum(init[0], "y0")
         _check_zero_sum(init[1], "y1")
     y0, y1, z0, z1 = (a.ravel() for a in init)
@@ -140,15 +140,14 @@ def run_sum1(cp, params, init=None, max_iters=100000, tol=1e-10):
     """Dual-sum-zero consensus run; initialization must have zero dual sum.
     The shared point u^{k+1} is the block of z^{k+1} + zbar^{k+1}, the
     projection onto the consensus subspace in the z-update."""
-    return _run_blockwise(cp, params, cp.lifts[0], sum1_step, lambda s: (
-        s.z + s.zbar).reshape(cp.m, cp.n).mean(axis=0), init, True, max_iters, tol)
+    return _run_blockwise(cp, params, 0, lambda s: (s.z + s.zbar).reshape(
+        cp.m, cp.n).mean(axis=0), init, max_iters, tol)
 
 
 def run_sum2(cp, params, init=None, max_iters=100000, tol=1e-10):
     """Interchanged consensus run (no zero-sum requirement on the duals); its
     shared point is x."""
-    return _run_blockwise(cp, params, cp.lifts[1], sum2_step, lambda s: s.x,
-                          init, False, max_iters, tol)
+    return _run_blockwise(cp, params, 1, lambda s: s.x, init, max_iters, tol)
 
 
 @dataclass

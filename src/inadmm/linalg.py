@@ -123,7 +123,7 @@ class LinearMap:
     on first read.
     """
 
-    def __init__(self, matrix=None, *, identity_dim=None, scale=1.0, copies=1):
+    def __init__(self, matrix=None, *, identity_dim=None, scale=1.0):
         if (matrix is None) == (identity_dim is None):
             raise ValueError("pass exactly one of `matrix` or `identity_dim`")
         if matrix is not None:
@@ -139,19 +139,15 @@ class LinearMap:
             self.frame = self._sv = None  # _sv: (smallest, largest) singular value
         else:
             n = check_dim(identity_dim, "identity dimension")
-            m = self.copies = check_dim(copies, "number of copies")
             s = float(scale)
             if not math.isfinite(s * s):
                 raise ValueError("scale must be finite (its square too): %r" % scale)
-            if m > 1 and s != 1.0:
-                raise ValueError("a stacked identity takes no scale")
-            self.kind = ("stacked_identity" if m > 1 else
-                         "identity" if s == 1.0 else "scaled_identity")
+            self.kind = "identity" if s == 1.0 else "scaled_identity"
             self.scale = s
             self.matrix = None
-            self.shape = (m * n, n)
-            self.frame = m * s * s
-            self._sv = (math.sqrt(m) * abs(s),) * 2
+            self.shape = (n, n)
+            self.frame = s * s
+            self._sv = (abs(s), abs(s))
         self._gram = None
 
     @classmethod
@@ -169,7 +165,11 @@ class LinearMap:
     @classmethod
     def stacked_identity(cls, m, n):
         """The (m n) x n map x -> (x, ..., x) of m >= 2 copies of I on R^n."""
-        return cls(identity_dim=n, copies=check_dim(m, "number of copies", 2))
+        m = check_dim(m, "number of copies", 2)
+        L = cls(identity_dim=n)
+        L.kind, L.copies, L.shape = "stacked_identity", m, (m * L.shape[0], L.shape[0])
+        L.frame, L._sv = float(m), (math.sqrt(m),) * 2
+        return L
 
     @property
     def domain_dim(self):
@@ -183,7 +183,8 @@ class LinearMap:
         """Materialize the operator as a dense matrix."""
         if self.matrix is not None:
             return self.matrix
-        return np.tile(self.scale * np.eye(self.shape[1]), (self.copies, 1))
+        m, n = self.shape
+        return np.tile(self.scale * np.eye(n), (m // n, 1))
 
     def apply(self, x):
         """Return L x as a new array."""
@@ -206,8 +207,9 @@ class LinearMap:
         if self.matrix is None:
             if self.kind == "identity":
                 return x
-            return self.scale * x if self.copies == 1 else x[..., None, :].repeat(
-                self.copies, -2).reshape(x.shape[:-1] + (-1,))
+            if self.kind == "scaled_identity":
+                return self.scale * x
+            return x[..., None, :].repeat(self.copies, -2).reshape(x.shape[:-1] + (-1,))
         return self.matrix @ x if x.ndim == 1 else np.matmul(
             self.matrix, x[:, :, None])[:, :, 0]
 
@@ -215,15 +217,18 @@ class LinearMap:
         if self.matrix is None:
             if self.kind == "identity":
                 return y
-            return self.scale * y if self.copies == 1 else y.reshape(
-                y.shape[:-1] + (self.copies, -1)).sum(-2)
+            if self.kind == "scaled_identity":
+                return self.scale * y
+            return y.reshape(y.shape[:-1] + (self.copies, -1)).sum(-2)
         return self.matrix.T @ y if y.ndim == 1 else np.matmul(
             y[:, None, :], self.matrix)[:, 0]
 
     def _left_inverse(self, y):  # L'y / frame, for a map with L'L = frame I
         if self.kind == "identity":
             return y
-        return y / self.scale if self.copies == 1 else self._adjoint_apply(y) / self.frame
+        if self.kind == "scaled_identity":
+            return y / self.scale
+        return self._adjoint_apply(y) / self.frame
 
     def adjoint(self):
         """The adjoint as a new LinearMap, with L's singular values if known."""
@@ -280,6 +285,5 @@ class LinearMap:
         if self.kind == "identity":
             return "LinearMap(identity %d)" % self.shape[0]
         if self.kind == "stacked_identity":
-            return "LinearMap(stacked identity, %d copies of %d)" % (
-                self.copies, self.shape[1])
+            return "LinearMap(stacked identity, %d copies of %d)" % (self.copies, self.shape[1])
         return "LinearMap(scaled identity %d, c=%g)" % (self.shape[0], self.scale)

@@ -197,12 +197,13 @@ def test_optimality_residual(rng):
 
 # -- stacked blocks against per-block loops ----------------------------------
 
-def _random_state(rng, m, n):
-    # x, z, z_prev, zbar, y, y_prev; the duals sum to zero across blocks, as
-    # sum1's closed form assumes
+def _random_state(rng, m, n, zero_sum):
+    # x, z, z_prev, zbar, y, y_prev; with ``zero_sum`` the duals sum to zero
+    # across blocks, as sum1's closed form assumes (sum2's assumes nothing)
     arrays = [rng.standard_normal((m, n)) for _ in range(6)]
-    for y in arrays[4:]:
-        y -= y.mean(axis=0)
+    if zero_sum:
+        for y in arrays[4:]:
+            y -= y.mean(axis=0)
     return IadmmState(1, *(a.ravel() for a in arrays))
 
 
@@ -276,7 +277,7 @@ def test_step_matches_per_block_loop_bit_for_bit(rng, scheme_step, loop, n):
     # within the acceptance gate's 1e-12 of the closed-form loop
     cp = ConsensusProblem(mixed_blocks(n, rng))
     scheme = 0 if scheme_step is sum1_step else 1
-    state = _random_state(rng, cp.m, n)
+    state = _random_state(rng, cp.m, n, zero_sum=scheme == 0)
     params = default_params(0.2, gamma=1.3)
     new, r = scheme_step(state, cp, params, 3)
     want, r_want = step(state, looped_lift(cp, scheme), params, 3,
@@ -301,8 +302,9 @@ def test_step_matches_per_block_loop_bit_for_bit(rng, scheme_step, loop, n):
 def test_nonzero_start_matches_closed_form_loop(rng, run, loop, alpha):
     cp = ConsensusProblem(mixed_blocks(3, rng, point=rng.standard_normal(3)))
     y0, y1, z0, z1 = rng.standard_normal((4, cp.m, 3))
-    y0 -= y0.mean(axis=0)  # run_sum1 takes duals that sum to zero
-    y1 -= y1.mean(axis=0)
+    if run is run_sum1:  # which takes duals that sum to zero; run_sum2 any
+        y0 -= y0.mean(axis=0)
+        y1 -= y1.mean(axis=0)
     params = default_params(alpha, gamma=1.3)
     trace = run(cp, params, init=(y0, y1, z0, z1), max_iters=40, tol=0.0)
     assert trace.iterations == 40

@@ -134,13 +134,11 @@ def test_stacked_identity_structure(rng, monkeypatch):
         assert XUpdateStrategy.automatic(p).kind == "prox_identity"
 
 
-def test_stacked_identity_rejects_one_copy_and_a_scale():
+def test_stacked_identity_rejects_a_bad_number_of_copies():
     with pytest.raises(ValueError, match="number of copies must be >= 2"):
         LinearMap.stacked_identity(1, 3)
     with pytest.raises(ValueError, match="must be an integer"):
         LinearMap.stacked_identity(2.0, 3)
-    with pytest.raises(ValueError, match="takes no scale"):
-        LinearMap(identity_dim=3, scale=2.0, copies=2)
 
 
 def test_stacked_identity_prox_x_update_is_exact(rng):
