@@ -247,6 +247,8 @@ def _main(argv, out):
     output = args.output or cfg.output
 
     try:
+        if tol == math.inf:  # the file's rule: a tol that is not finite is refused
+            raise ValueError("tol must be finite, got inf")
         if args.compare:
             return _run_compare(cfg, max_iters, tol, out)
         composite = isinstance(cfg.problem, ProblemSpec)

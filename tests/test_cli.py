@@ -468,6 +468,7 @@ end
     (LASSO_CONFIG, ["--max-iters", "0"], "max_iters must be at least 1"),
     (LASSO_CONFIG.replace("tol 1e-11", "tol nan"), [],
      "line 6: tol must be finite"),
+    (LASSO_CONFIG, ["--tol", "inf"], "input error: tol must be finite, got inf"),
     (LASSO_CONFIG, ["--solver", "consensus_sum1"],
      "solver 'consensus_sum1' takes consensus blocks, not f/g/L"),
     (CONSENSUS_CONFIG, ["--solver", "iadmm"],
@@ -512,7 +513,7 @@ end
      "input error: no finite positive step 1/(gamma c) at gamma 1.1, c 1.69e+308"),
     (SCALED_CONFIG.replace("scale -0.7", "scale 1.3e154"), ["--solver", "idr"],
      "input error: no finite positive step 1/(gamma c) at gamma 1.1, c 1.69e+308"),
-], ids=["config_max_iters_0", "flag_max_iters_0", "config_tol_nan",
+], ids=["config_max_iters_0", "flag_max_iters_0", "config_tol_nan", "flag_tol_inf",
         "consensus_solver_on_fgl_file", "composite_solver_on_block_file",
         "l1_dim_without_value", "operator_kind_without_value", "gamma_nan",
         "gamma_inf", "sigma_nan", "delta_nan", "l1_tau_nan", "l2norm_tau_nan",
@@ -527,6 +528,16 @@ def test_rejected_inputs_exit_with_diagnostic(tmp_path, capsys, text, argv, mess
     err = capsys.readouterr().err
     assert code == EXIT_INPUT
     assert message in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("mode", [[], ["--sweep", "alpha=0,0.2"], ["--compare"]],
+                         ids=["run", "sweep", "compare"])
+@pytest.mark.parametrize("tol", ["inf", "1e400"])
+def test_flag_tol_inf_is_refused_as_in_the_file(tmp_path, capsys, mode, tol):
+    # it used to stop at iteration 2 as converged, with feas 2.57
+    code, out = run([write(tmp_path, LASSO_CONFIG), "--tol", tol] + mode)
+    assert code == EXIT_INPUT and out == ""
+    assert capsys.readouterr().err == "input error: tol must be finite, got inf\n"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+
+import inadmm
 
 from inadmm import (L1Norm, LinearMap, ProblemSpec, XUpdateStrategy, Zero,
                     default_params, run_iadmm)
@@ -327,3 +334,125 @@ def test_cholesky_rejects_nonfinite_and_indefinite():
         cholesky(np.array([[1.0, 0.0], [0.0, np.inf]]))
     with pytest.raises(np.linalg.LinAlgError):
         cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+# -- loading scipy's compiled wrappers ---------------------------------------
+# Each test runs in a fresh interpreter, since the pytest process has long
+# imported scipy.linalg.
+
+def run_fresh(*code):
+    """Run the ``code`` blocks, each dedented, in a fresh interpreter that
+    imports this package."""
+    src = os.path.dirname(os.path.dirname(inadmm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + sys.path))
+    proc = subprocess.run([sys.executable, "-c", "".join(map(textwrap.dedent, code))], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+DENSE_FILE = """
+solver iadmm
+alpha 0.2
+tol 1e-10
+begin f
+kind quadratic
+Q 2 0 0 1
+q -1 0.5
+end
+begin g
+kind l1
+dim 3
+tau 0.3
+end
+begin L
+kind dense
+rows 3
+cols 2
+entries 1 0 0 1 1 1
+end
+"""
+
+FACTORING_RUNS = {
+    "quadratic_solve": """
+        from inadmm import XUpdateStrategy, default_params, run_iadmm
+        run_iadmm(problem, default_params(0.2), strat=XUpdateStrategy("quadratic_solve"),
+                  max_iters=50, tol=0.0)
+    """,
+    "batch_sweep": """
+        from inadmm import default_params
+        from inadmm.admm import run_iadmm_batch
+        run_iadmm_batch(problem, [default_params(a) for a in (0.0, 0.1, 0.2)], 50, 0.0)
+    """,
+    "cli": """
+        import io, os, tempfile
+        from inadmm.cli import main
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "dense.cfg")
+            with open(path, "w") as fh:
+                fh.write(%r)
+            assert main([path], out=io.StringIO()) == 0
+    """ % DENSE_FILE,
+}
+
+
+@pytest.mark.parametrize("run", FACTORING_RUNS.values(), ids=FACTORING_RUNS)
+def test_factoring_leaves_scipy_linalg_unimported(run):
+    run_fresh("""
+        import sys
+        import numpy as np
+        from inadmm import L1Norm, LinearMap, ProblemSpec, Quadratic
+        from inadmm.linalg import _fortran
+        problem = ProblemSpec(Quadratic(np.diag([2.0, 1.0]), [-1.0, 0.5]),
+                              L1Norm(3, 0.3), LinearMap.dense([[1, 0], [0, 1], [1, 1]]))
+    """, run, """
+        assert _fortran.cache_info().currsize == 1, "no factor was made"
+        assert "scipy.linalg" not in sys.modules
+    """)
+
+
+@pytest.mark.parametrize("program_first", [True, False],
+                         ids=["program_first", "scipy_first"])
+def test_wrappers_are_scipy_linalgs_in_either_import_order(program_first):
+    run_fresh("""
+        import numpy as np
+        if not %r:
+            import scipy.linalg
+        from inadmm.linalg import _fortran, cholesky
+        cholesky(np.eye(2))
+        import scipy.linalg
+        import scipy.optimize
+        fblas, flapack = _fortran()
+        assert fblas.dtrsv is scipy.linalg.blas.dtrsv
+        assert flapack.dpotrf is scipy.linalg.lapack.dpotrf
+        assert scipy.linalg._fblas.dtrsv is fblas.dtrsv
+        assert scipy.optimize.minimize(lambda x: ((x - 1.0) ** 2).sum(), np.zeros(2)).success
+    """ % program_first)
+
+
+def test_wrapper_fallback_keeps_the_bytes():
+    # the finder finds no module file: the loader imports scipy.linalg instead
+    run_fresh("""
+        import sys, types
+        from importlib import machinery
+        import numpy as np
+        from inadmm import linalg
+
+        class Nothing(machinery.FileFinder):
+            def find_spec(self, fullname, target=None):
+                return None
+
+        linalg.machinery = types.SimpleNamespace(**{**vars(machinery),
+                                                    "FileFinder": Nothing})
+        rng = np.random.default_rng(5)
+        for n in (1, 3, 30, 200):
+            a = rng.standard_normal((n, n))
+            M = a @ a.T + 0.1 * np.eye(n)
+            solve = linalg.cholesky(M)
+            assert "scipy.linalg" in sys.modules
+            import scipy.linalg
+            U = scipy.linalg.cho_factor(M)[0]
+            for _ in range(3):
+                b = rng.standard_normal(n)
+                w = scipy.linalg.solve_triangular(U, b, trans="T")
+                assert solve(b).tobytes() == scipy.linalg.solve_triangular(U, w).tobytes()
+    """)

@@ -17,10 +17,14 @@ scaled by 1/sqrt(m)), and times each set-up phase on fresh objects:
   Gram matrix the rank test already computed;
 - the first conjugate value, which computes the eigenbasis of Q.
 
-Each phase reports the best of ``REPEATS`` runs in milliseconds.  One BLAS
-thread.  ``--smoke`` uses n = 60, m = 80 and one run, which only checks that
-the script works.  Runs from the root of a checkout and imports the program
-from its ``src/``.
+First it times, in a fresh interpreter with numpy already imported,
+``import inadmm`` and the first factor of a 2 x 2 quadratic, and reports
+whether that imported the ``scipy.linalg`` package: the program loads only
+scipy's compiled BLAS and LAPACK wrappers.  The phases above run after that
+load.  Each phase reports the best of ``REPEATS`` runs in milliseconds.  One
+BLAS thread.  ``--smoke`` uses n = 60, m = 80 and one run, which only checks
+that the script works.  Runs from the root of a checkout and imports the
+program from its ``src/``.
 """
 
 import os
@@ -30,18 +34,27 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import subprocess
 import sys
 import time
 
 import numpy as np
-import scipy.linalg.lapack  # noqa: F401  (imported here, so no phase pays for it)
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src"))
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
 
 from inadmm import LinearMap, Quadratic
 
 REPEATS = 3  # timed runs per phase; the best one is reported
+
+IMPORT_PHASE = """
+import sys, time
+import numpy as np
+t0 = time.perf_counter()
+import inadmm
+inadmm.Quadratic(np.diag([2.0, 1.0]), [-1.0, 0.5])._solver(1.0)
+print(1e3 * (time.perf_counter() - t0), "scipy.linalg" in sys.modules)
+"""
 
 
 def parse_args(argv=None):
@@ -60,6 +73,16 @@ def best_ms(make, phase, repeats):
         phase(obj)
         best = min(best, time.perf_counter() - t0)
     return 1e3 * best
+
+
+def import_phase(repeats):
+    """Best milliseconds of IMPORT_PHASE over fresh interpreters, and whether
+    it imported scipy.linalg."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    runs = [subprocess.run([sys.executable, "-c", IMPORT_PHASE], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+            for _ in range(repeats)]
+    return min(float(ms) for ms, _ in runs), runs[0][1] == "True"
 
 
 def main(argv=None):
@@ -90,6 +113,10 @@ def main(argv=None):
         ("first conjugate (eigh)", lambda: Quadratic(Q, q),
          lambda f: f.conj(u)),
     ]
+    ms, imported = import_phase(repeats)
+    print("import and first factor, fresh interpreter: %.1f ms, scipy.linalg "
+          "imported: %s" % (ms, "yes" if imported else "no"))
+    Quadratic(np.diag([2.0, 1.0]), [-1.0, 0.5])  # loads the wrappers
     print("set-up phases at n = %d, m = %d, best of %d, one BLAS thread"
           % (n, m, repeats))
     times = {}

@@ -36,8 +36,8 @@ that one point converges within and two exhaust, a ``lambda`` grid whose last
 point is infeasible, a file whose iterates overflow, and the classical solver.  The
 ``cli_error_*`` runs give the CLI a bad input each: the rejected inputs of
 ``tests/test_cli.py``, top-level keys that are duplicated, valueless or
-unknown (also after a duplicate), ``tol inf``, ``seed -1``, ``--compare``
-on a problem whose iterates overflow, ``--compare`` with ``--output`` or
+unknown (also after a duplicate), ``tol inf``, ``--tol inf``, ``seed -1``,
+``--compare`` on a problem whose iterates overflow, ``--compare`` with ``--output`` or
 ``--sweep``, a scale whose square overflows, an ``inner_iterative``
 x-update on a map whose squared norm overflows, a scale s whose gamma s^2
 overflows (iadmm on an l1 and a quadratic f, idr, and a sweep, iadmm and
@@ -381,6 +381,7 @@ def error_runs():
         "max_iters_0": (lasso("max_iters 50000", "max_iters 0"), []),
         "flag_max_iters_0": (LASSO, ["--max-iters", "0"]),
         "tol_nan": (lasso("tol 1e-11", "tol nan"), []),
+        "flag_tol_inf": (LASSO, ["--tol", "inf"]),
         "consensus_solver_on_fgl": (LASSO, ["--solver", "consensus_sum1"]),
         "composite_solver_on_blocks": (CONSENSUS, ["--solver", "iadmm"]),
         "l1_dim_without_value": (lasso("kind l1\ndim 2", "kind l1\ndim"), []),
