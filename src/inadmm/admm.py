@@ -163,14 +163,15 @@ def x_update(state, p, gamma, alpha_k, strat, dy=None, dz=None):
     )
 
 
-def step(state, p, params, k, strat):
-    """One full inertial ADMM iteration; returns (new_state, ||r||).
+def step(state, p, params, k, strat, norm=_norm):
+    """One full inertial ADMM iteration; returns (new_state, norm(r)).
 
     The new state carries x^{k+1}, z^{k+1}, y^{k+1}, v^k and w^{k+1};
-    r = Lx^{k+1} - z^k.  Every shared term (dy, dz, Lx^{k+1}, r, drift =
-    dy + gamma dz, lambda_k Lx^{k+1}, (1 - lambda_k) z^k, ...) is computed once.
-    On (P, m) rows with (P, 1) parameter columns it advances P points, each
-    row bit for bit its own step, and ||r|| is the array of the rows' norms.
+    r = Lx^{k+1} - z^k, and ``norm`` is the 2-norm unless the caller gives
+    another.  Every shared term (dy, dz, Lx^{k+1}, r, drift = dy + gamma dz,
+    lambda_k Lx^{k+1}, (1 - lambda_k) z^k, ...) is computed once.  On (P, m)
+    rows with (P, 1) parameter columns it advances P points, each row bit for
+    bit its own step, and norm(r) is the array of the rows' 2-norms.
     """
     gamma = params.gamma
     a_k = params.alpha_at(k)
@@ -204,7 +205,7 @@ def step(state, p, params, k, strat):
     new_state = IadmmState(k=k + 1, x=x_next, z=z_next, z_prev=z,
                            zbar=zbar_next, y=y_next, y_prev=y, v=v_k,
                            w=y_next + gamma * z_next)
-    return new_state, _norm(r) if r.ndim == 1 else _row_norm(r)[:, 0]
+    return new_state, norm(r) if r.ndim == 1 else _row_norm(r)[:, 0]
 
 
 def _iadmm_vectors(prev, new):
@@ -235,17 +236,24 @@ def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10):
     if strat is None:
         strat = XUpdateStrategy.automatic(p)
     strat.check(p, params.gamma)
+    if init is not None:
+        init = [check_vector(u, p.g.dim) for u in init]
+    trace, state = _loop(p, params, strat, init, max_iters, tol, _iadmm_schema(p))
+    trace.final = {"x": state.x, "z": state.z, "y": state.y, "v": state.v,
+                   "w": state.w}
+    return trace
 
+
+def _loop(p, params, strat, init, max_iters, tol, schema, norm=_norm):
+    """``run_iadmm``'s loop, shared by the consensus runs on their lifts, from
+    the checked ``init`` (y0, y1, z0, z1) or zeros; ``norm`` takes the norm of
+    r = Lx^{k+1} - z^k.  Returns the trace and the last state."""
     m = p.g.dim
-    if init is None:
-        y0 = y1 = z0 = z1 = np.zeros(m)
-    else:
-        y0, y1, z0, z1 = (check_vector(u, m) for u in init)
-    schema = _iadmm_schema(p)
+    y0, y1, z0, z1 = [np.zeros(m)] * 4 if init is None else init
 
     def iterate(state, k):
         try:
-            new, feas = step(state, p, params, k, strat)
+            new, feas = step(state, p, params, k, strat, norm)
         except SubproblemError as err:
             err.iteration = k
             raise
@@ -257,10 +265,7 @@ def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10):
                        zbar=np.zeros(m), y=y1, y_prev=y0,
                        w=y1 + params.gamma * z1)
     # first_k = 2: k = 1 can show zero residuals by construction (w^2 = w^1 bridge)
-    trace, state = drive(iterate, state, max_iters, tol, first_k=2)
-    trace.final = {"x": state.x, "z": state.z, "y": state.y, "v": state.v,
-                   "w": state.w}
-    return trace
+    return drive(iterate, state, max_iters, tol, first_k=2)
 
 
 def _columns(rows):

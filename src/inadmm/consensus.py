@@ -1,21 +1,21 @@
 """Product-space schemes for min sum_i f_i(x).
 
-Both schemes run the composite solver's ``admm.step`` on a lift of the
-problem to (R^n)^m, the product-space reformulation of Boyd et al. (2011,
-7.1) and Combettes & Pesquet (2008), with flat (m n) iterates.  The
-dual-sum-zero form lifts to f = sum_i f_i, g = the indicator of the
-consensus subspace and L = I: per-block primal iterates, multipliers
-summing to zero and a shared consensus point u.  The interchanged form
-lifts to f = 0, g = sum_i f_i and L = m stacked identities: one shared
-primal point and per-block splitting variables.  Both reduce to the
-textbook consensus ADMM when inertia is off and relaxation is 1.
+Both schemes run ``run_iadmm``'s own loop on a lift of the problem to
+(R^n)^m, the product-space reformulation of Boyd et al. (2011, 7.1) and
+Combettes & Pesquet (2008), with flat (m n) iterates.  The dual-sum-zero
+form lifts to f = sum_i f_i, g = the indicator of the consensus subspace
+and L = I: per-block primal iterates, multipliers summing to zero and a
+shared consensus point u.  The interchanged form lifts to f = 0, g = sum_i
+f_i and L = m stacked identities: one shared primal point and per-block
+splitting variables.  Both reduce to the textbook consensus ADMM when
+inertia is off and relaxation is 1.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admm import IadmmState, ProblemSpec, XUpdateStrategy, step
+from .admm import ProblemSpec, XUpdateStrategy, _loop, step
 from .duality import subgradient_violation
 from .functions import IndicatorConsensus, SeparableSum, Zero
 from .linalg import LinearMap, _norm, check_gamma, check_vector
@@ -88,51 +88,40 @@ def sum1_step(state, cp, params, k):
 
 def sum2_step(state, cp, params, k):
     """One step of the interchanged scheme: ``admm.step`` on its lift, with
-    v = -y^{k+1}.  The blocks' prox sits in the z-update here, certifying
-    y_i^{k+1} in df_i(z_i^{k+1} + zbar_i^{k+1})."""
+    v = -y^{k+1}, as ``run_sum2``'s rows read it.  The blocks' prox sits in
+    the z-update here, certifying y_i^{k+1} in df_i(z_i^{k+1} + zbar_i^{k+1})."""
     new, r = step(state, cp.lifts[1], params, k, _EXACT)
     new.v = -new.y
     return new, r
 
 
 def _run_blockwise(cp, params, scheme, shared, init, max_iters, tol):
-    """Drive scheme 0 (sum1) or 1 (sum2) on the flat iterates of its lift,
-    given and shown as (m, n) blocks; ``shared`` maps a state to its shared point."""
+    """``run_iadmm``'s loop on the lift of scheme 0 (sum1) or 1 (sum2), its
+    flat iterates given and shown as (m, n) blocks and its stop residual
+    max |Lx^{k+1} - z^k|; ``shared`` maps a state to its shared point."""
     require_valid(params)
-    m, n = cp.m, cp.n
-    lift, stepper = cp.lifts[scheme], (sum1_step, sum2_step)[scheme]
+    m, n, lift = cp.m, cp.n, cp.lifts[scheme]
+    _EXACT.check(lift, params.gamma)
     init = [np.zeros((m, n))] * 4 if init is None else [
         _as_block_array(u, m, n, name) for u, name in zip(init, ("y0", "y1", "z0", "z1"))]
     if scheme == 0:  # sum1's duals sum to zero
         _check_zero_sum(init[0], "y0")
         _check_zero_sum(init[1], "y1")
-    y0, y1, z0, z1 = (a.ravel() for a in init)
     blocks, Lx = (lambda a: a.reshape(m, n)), lift.L._apply
+    dual = (lambda s: s.v, lambda s: -s.y)[scheme]  # v^k: step's, or sum2's -y^{k+1}
 
     def vectors(prev, new):
         return {"x": blocks(Lx(new.x)), "z": blocks(new.z),
                 "zbar": blocks(new.zbar), "y": blocks(new.y),
-                "v": blocks(new.v), "shared": shared(new),
+                "v": blocks(dual(new)), "shared": shared(new),
                 "w": blocks(prev.w), "w_next": blocks(new.w)}
 
     # primal sum_i f_i(x_i) and dual -sum_i f_i*(-v_i)
     schema = (vectors, lambda prev, new: (
-        cp.stacked._value(Lx(new.x)), -cp.stacked._conj(-new.v)))
-
-    def iterate(state, k):
-        new, _ = stepper(state, cp, params, k)
-        feas = float(np.abs(Lx(new.x) - state.z).max())  # max |Lx^{k+1} - z^k|
-        zbar_norm = _norm(new.zbar)
-        row = TraceRow(k, feas, zbar_norm, prev=state, new=new, schema=schema)
-        return new, row, (feas, zbar_norm)
-
-    state = IadmmState(k=1, x=np.zeros(lift.f.dim), z=z1, z_prev=z0,
-                       zbar=np.zeros(m * n), y=y1, y_prev=y0,
-                       w=y1 + params.gamma * z1)
-    # first_k = 2: k = 1 can show zero residuals by construction (forced bridge step)
-    trace, state = drive(iterate, state, max_iters, tol, first_k=2)
-    final = vectors(state, state)
-    trace.final = {name: final[name] for name in ("x", "z", "y", "shared", "v")}
+        cp.stacked._value(Lx(new.x)), -cp.stacked._conj(-dual(new))))
+    trace, _ = _loop(lift, params, _EXACT, [a.ravel() for a in init],
+                     max_iters, tol, schema, lambda r: float(np.abs(r).max()))
+    trace.final = {f: trace.rows[-1].vectors[f] for f in ("x", "z", "y", "shared", "v")}
     return trace
 
 

@@ -513,6 +513,11 @@ end
      "input error: no finite positive step 1/(gamma c) at gamma 1.1, c 1.69e+308"),
     (SCALED_CONFIG.replace("scale -0.7", "scale 1.3e154"), ["--solver", "idr"],
      "input error: no finite positive step 1/(gamma c) at gamma 1.1, c 1.69e+308"),
+    # sum2's lift stacks 3 identities: 1/(3 gamma) is 0, as run_iadmm refuses it
+    ("solver consensus_sum1\ngamma 1e308\n" + "".join(
+        "begin block\nkind l1\ndim 2\ntau 1\nshift %s\nend\n" % s
+        for s in ("1 0", "0 1", "-1 -1")), ["--solver", "consensus_sum2"],
+     "input error: no finite positive step 1/(gamma c) at gamma 1e+308, c 3"),
 ], ids=["config_max_iters_0", "flag_max_iters_0", "config_tol_nan", "flag_tol_inf",
         "consensus_solver_on_fgl_file", "composite_solver_on_block_file",
         "l1_dim_without_value", "operator_kind_without_value", "gamma_nan",
@@ -522,7 +527,8 @@ end
         "lambda_max_underflows", "lambda_max_overflows", "seed_negative",
         "scale_overflow", "scale_overflow_quadratic", "inner_iterative_overflow",
         "frame_step_overflow", "frame_step_overflow_quadratic",
-        "frame_step_overflow_classical", "frame_step_overflow_idr"])
+        "frame_step_overflow_classical", "frame_step_overflow_idr",
+        "consensus_step_overflow"])
 def test_rejected_inputs_exit_with_diagnostic(tmp_path, capsys, text, argv, message):
     code, _ = run([write(tmp_path, text)] + argv)
     err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -426,3 +427,33 @@ def test_consensus_problem_blocks_are_fixed(rng):
     assert cp.stacked.m == 2
     with pytest.raises(AttributeError):
         cp.blocks = tuple(blocks)
+
+
+@pytest.mark.parametrize("run", [run_sum1, run_sum2], ids=["sum1", "sum2"])
+def test_stop_residual_is_the_max_norm_of_the_steps_r(rng, run):
+    # max |Lx^{k+1} - z^k| from the row's own states, bit for bit (a 2-norm of
+    # an r with more than one nonzero entry reads larger)
+    cp = ConsensusProblem(mixed_blocks(2, rng, point=rng.standard_normal(2)))
+    trace = run(cp, default_params(0.2, gamma=1.3), max_iters=40, tol=0.0)
+    lift = cp.lifts[0 if run is run_sum1 else 1]
+    for row in trace.rows:
+        r = lift.L.apply(row.new.x) - row.prev.z
+        assert row.feas_residual == float(np.abs(r).max()), row.k
+        if run is run_sum2:  # v = -y^{k+1}, read in the row
+            assert _same_bytes(row.vectors["v"], -row.vectors["y"]), row.k
+    assert _same_bytes(trace.final["v"], trace.rows[-1].vectors["v"])
+
+
+def test_consensus_runs_refuse_what_run_iadmm_refuses_on_the_lift():
+    # 1/(gamma ||L||^2) underflows to 0 on sum2's lift (||L||^2 = m = 3) but not
+    # on sum1's (L = I); each run follows run_iadmm on its own lift
+    cp = ConsensusProblem([Translated(L1Norm(2, 1.0), s)
+                           for s in ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])])
+    params = default_params(0.2, gamma=1e308)
+    message = "no finite positive step 1/(gamma c) at gamma 1e+308, c 3"
+    assert run_iadmm(cp.lifts[0], params, max_iters=5).iterations >= 1
+    assert run_sum1(cp, params, max_iters=5).iterations >= 1
+    for solve in (lambda: run_iadmm(cp.lifts[1], params, max_iters=5),
+                  lambda: run_sum2(cp, params, max_iters=5)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve()

@@ -44,6 +44,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 sys.path.insert(0, SRC)
 
 from inadmm import LinearMap, Quadratic
+from stdout_guard import run
 
 REPEATS = 3  # timed runs per phase; the best one is reported
 
@@ -128,4 +129,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    run(main)

@@ -42,6 +42,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 from inadmm import IadmmState, L1Norm, LinearMap, ProblemSpec, Quadratic, XUpdateStrategy
 from inadmm.admm import x_update
 from inadmm.linalg import cholesky
+from stdout_guard import run
 
 REPEATS = 7  # timed rounds per figure; the best one is reported
 ROWS = (1, 3, 9)
@@ -119,4 +120,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    run(main)

@@ -41,6 +41,7 @@ from inadmm import run_iadmm
 from inadmm.admm import run_iadmm_batch
 from inadmm.config import parse_config
 from inadmm.params import constant_params
+from stdout_guard import run
 
 REPEATS = 7  # timed runs per figure; the best one is reported
 SWEEPS = (("3 points", (0.0, 0.1, 0.2), (None,)),
@@ -127,4 +128,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    run(main)

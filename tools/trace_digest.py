@@ -41,7 +41,8 @@ unknown (also after a duplicate), ``tol inf``, ``--tol inf``, ``seed -1``,
 ``--sweep``, a scale whose square overflows, an ``inner_iterative``
 x-update on a map whose squared norm overflows, a scale s whose gamma s^2
 overflows (iadmm on an l1 and a quadratic f, idr, and a sweep, iadmm and
-classical), and a sweep, iadmm and classical, with a zero budget or a NaN
+classical), ``consensus_sum2`` on three blocks at a gamma whose 1/(3 gamma)
+is 0, and a sweep, iadmm and classical, with a zero budget or a NaN
 tolerance.  Warnings are silenced, since their
 text names source lines.
 
@@ -70,6 +71,7 @@ from inadmm import (ConsensusProblem, IndicatorBox, IndicatorHyperplane,
                     boyd_consensus, classical_admm, default_params,
                     lift_problem, run_iadmm, run_idr, run_sum1, run_sum2)
 from inadmm.cli import main as cli_main
+from stdout_guard import run
 
 STRATEGIES = ("prox_identity", "quadratic_solve", "inner_iterative")
 
@@ -427,6 +429,9 @@ def error_runs():
              ["--sweep", "alpha=0,0.2"]),
             ("_sweep_classical", SCALED.replace("scale -0.7", "scale 1.3e154"),
              ["--sweep", "alpha=0,0.2", "--solver", "classical_admm"]))},
+        "consensus_step_overflow": (consensus_config(
+            "consensus_sum2", np.random.default_rng(0)).replace(
+                "gamma 1.0", "gamma 1e308"), []),
         **{"sweep_%s%s" % (solver, name): (LASSO, ["--sweep", "alpha=0,0.2"]
                                            + flags + argv)
            for solver, flags in (("", []), ("classical_",
@@ -515,4 +520,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    run(main)
