@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .duality import _dual_value
-from .functions import IndicatorConsensus, Quadratic, SeparableSum
+from .functions import Quadratic, has_row_kernels
 from .functions import _norm as _row_norm
 from .linalg import LinearMap, _norm, check_gamma, check_step, check_vector
 from .params import require_valid
@@ -223,7 +223,11 @@ def _iadmm_schema(p):
     # primal f(x^{k+1}) + g(z^k + zbar^k), dual value at (v^k, y^k)
     return (_iadmm_vectors, lambda prev, new: (
         p.f._value(new.x) + p.g._value(prev.z + prev.zbar),
-        _dual_value(p, new.v, prev.y)))
+        _dual_value(p, new.v, prev.y)), _row_kernels(p))
+
+
+def _row_kernels(p):
+    return has_row_kernels(p.f) and has_row_kernels(p.g)
 
 
 def run_iadmm(p, params, init=None, strat=None, max_iters=100000, tol=1e-10):
@@ -299,10 +303,9 @@ def run_iadmm_batch(p, rows, max_iters=100000, tol=1e-10, record=True):
     of one state advanced by ``step``, and a point leaves when ``drive``'s rule
     stops it on its row.  With ``record`` false a trace keeps its last row
     only.  An ``inner_iterative`` x-update, whose inner loop stops per point,
-    and an f or g without row kernels run serially."""
+    and an f or g without row kernels (``has_row_kernels``) run serially."""
     strat = XUpdateStrategy.automatic(p)
-    if strat.kind == "inner_iterative" or any(
-            isinstance(fn, (SeparableSum, IndicatorConsensus)) for fn in (p.f, p.g)):
+    if strat.kind == "inner_iterative" or not _row_kernels(p):
         return [run_iadmm(p, q, max_iters=max_iters, tol=tol) for q in rows]
     for q in rows:
         require_valid(q)
@@ -374,7 +377,8 @@ def classical_admm(p, gamma, init=None, lam=1.0, strat=None,
     # r = Lx^{k+1} - z^k recomputed by the iteration's own expression
     schema = (_classical_vectors, lambda prev, new: (
         p.f._value(new.x) + p.g._value(prev.z),
-        _dual_value(p, prev.y + gamma * (p.L._apply(new.x) - prev.z), prev.y)))
+        _dual_value(p, prev.y + gamma * (p.L._apply(new.x) - prev.z), prev.y)),
+        _row_kernels(p))
 
     def iterate(state, k):
         y_k, z_k = state.y, state.z

@@ -118,7 +118,7 @@ def _run_blockwise(cp, params, scheme, shared, init, max_iters, tol):
 
     # primal sum_i f_i(x_i) and dual -sum_i f_i*(-v_i)
     schema = (vectors, lambda prev, new: (
-        cp.stacked._value(Lx(new.x)), -cp.stacked._conj(-dual(new))))
+        cp.stacked._value(Lx(new.x)), -cp.stacked._conj(-dual(new))), False)
     trace, _ = _loop(lift, params, _EXACT, [a.ravel() for a in init],
                      max_iters, tol, schema, lambda r: float(np.abs(r).max()))
     trace.final = {f: trace.rows[-1].vectors[f] for f in ("x", "z", "y", "shared", "v")}
@@ -167,7 +167,7 @@ def boyd_consensus(cp, gamma, init=None, max_iters=100000, tol=1e-10):
         xbar = check_vector(xbar, n, name="xbar")
         _check_zero_sum(y, "y0")
     stacked = cp.stacked
-    schema = (_boyd_vectors, lambda prev, new: (stacked._value(new.x), np.nan))
+    schema = (_boyd_vectors, lambda prev, new: (stacked._value(new.x), np.nan), False)
 
     def iterate(state, k):
         x = stacked._prox(1.0 / gamma, state.xbar - state.y / gamma)

@@ -137,7 +137,7 @@ def run_idr(A, B, gamma, params, w0, w1, max_iters=100000, tol=1e-10):
     def iterate(state, k):
         new = idr_step(state, A, B, gamma, params.alpha_at(k), params.lambda_at(k))
         vy = _norm(new.v - new.y)
-        row = TraceRow(k, vy, prev=state, new=new, schema=(_idr_vectors, None))
+        row = TraceRow(k, vy, prev=state, new=new, schema=(_idr_vectors, None, False))
         return new, row, (vy,)
 
     # first_k = 2: the first iteration can be a forced w^2 = w^1 bridge

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .functions import has_row_kernels
 from .linalg import check_vector
 
 __all__ = [
@@ -17,6 +18,8 @@ __all__ = [
     "hypothesis_check",
     "duality_report",
 ]
+
+PROBES = 50  # random points per subgradient_violation
 
 
 def primal_value(p, x):
@@ -41,8 +44,13 @@ def dual_value(p, v, y=None):
 
 
 def _dual_value(p, v, y):
-    # dual_value on vectors already checked, through the unchecked kernels
+    # dual_value on vectors already checked, through the unchecked kernels;
+    # on (K, m) rows of v and y (f and g with row kernels), one value per row
     a = p.f._conj(-p.L._adjoint_apply(v))
+    if v.ndim == 2:
+        b = p.g._conj(y)
+        return np.subtract(-a, b, out=np.full(len(a), -np.inf),
+                           where=~(np.isinf(a) | np.isinf(b)))
     if math.isinf(a):
         return -np.inf
     b = p.g._conj(y)
@@ -59,8 +67,11 @@ def duality_gap(primal, dual):
 def subgradient_violation(f, x, u, rng=None):
     """Worst violation of the inequality f(y) >= f(x) + <u, y - x>.
 
-    Probes 50 standard-normal points around x; returns +inf when f(x)
-    itself is +inf (u cannot be a subgradient outside the domain).
+    Probes 50 standard-normal points around x, drawn as one (50, dim) array
+    (the stream of 50 draws of one point each) and, for an f with row
+    kernels, evaluated as one stack; returns +inf when f(x) itself is +inf
+    (u cannot be a subgradient outside the domain).  Probes where f is +inf
+    are skipped, and the worst is folded in probe order.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -68,13 +79,20 @@ def subgradient_violation(f, x, u, rng=None):
     fx = f(x)
     if np.isinf(fx):
         return np.inf
+    Y = x + rng.standard_normal((PROBES,) + x.shape)
+    if has_row_kernels(f):
+        if not np.isfinite(Y).all():  # the check of f's public call
+            raise ValueError("vector entries must be finite")
+        fys = f._value(Y).tolist()
+    else:
+        fys = [f(y) for y in Y]
+    # <u, y - x> per probe, each the vector's dot
+    slopes = np.matmul(u, (Y - x)[:, :, None])[:, 0].tolist()
     worst = 0.0
-    for _ in range(50):
-        y = x + rng.standard_normal(x.shape)
-        fy = f(y)
-        if np.isinf(fy):
+    for fy, slope in zip(fys, slopes):
+        if math.isinf(fy):
             continue
-        worst = max(worst, fx + float(u @ (y - x)) - fy)
+        worst = max(worst, fx + slope - fy)
     return worst
 
 

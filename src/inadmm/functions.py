@@ -87,7 +87,8 @@ class ConvexFn:
     A kind that names its per-block parameters in ``_rows`` has kernels
     that also take (k, n) rows, one block each, when those parameters are
     stacked as (k, 1) or (k, n) arrays; every row's result is bit for bit
-    the block's own.
+    the block's own.  ``has_row_kernels`` says which functions' kernels take
+    (k, n) rows of points for one function.
     """
 
     kind = "abstract"
@@ -155,7 +156,9 @@ class Quadratic(ConvexFn):
     costs one L' product and two triangular solves (``linalg.cholesky``
     says why not one potrs), and the step adds one L product.  The first
     conjugate computes the eigenbasis, and whether an eigenvalue is at or below
-    the rank tolerance: if none is, it skips the range(Q) test, which cannot fail."""
+    the rank tolerance: if none is, it skips the range(Q) test, which cannot fail.
+    The value and the conjugate also take (k, n) rows, each row's bit for bit
+    its own: the parameters are one Q, not stacked ones."""
 
     kind = "quadratic"
 
@@ -210,22 +213,32 @@ class Quadratic(ConvexFn):
         return self._factor(gamma, L)[2]
 
     def _value(self, x):
-        return 0.5 * x @ self.Q @ x + self.q @ x + self.r
+        if x.ndim == 1:
+            return 0.5 * x @ self.Q @ x + self.q @ x + self.r
+        # rows: one stacked matmul per product, so each row is the vector's
+        # gemv and dot (as LinearMap._apply)
+        xQx = np.matmul(np.matmul((0.5 * x)[:, None, :], self.Q), x[:, :, None])
+        return xQx[:, 0, 0] + _out(_dot(self.q, x)) + self.r
 
     def _prox(self, gamma, x):
         _, _, solve, gq = self._factor(gamma)
         return solve(x - gq)
 
     def _conj(self, u):
-        # f*(u) = (u-q)' Q^+ (u-q) / 2 - r when u - q lies in range(Q).
+        # f*(u) = (u-q)' Q^+ (u-q) / 2 - r when u - q lies in range(Q); on
+        # rows, +inf for each row outside it
         evals, evecs = self._eigh
-        w = evecs.T @ (u - self.q)
+        d = u - self.q
+        w = evecs.T @ d if d.ndim == 1 else np.matmul(d[:, None, :], evecs)[:, 0]
         if self._full_rank:
-            return 0.5 * float((w ** 2 / evals).sum()) - self.r
+            return 0.5 * (w ** 2 / evals).sum(-1) - self.r
         small = evals <= self._rank_tol
-        if np.any(np.abs(w[small]) > DOM_TOL * (1.0 + np.linalg.norm(u - self.q))):
-            return INF
-        return 0.5 * float(np.sum(w[~small] ** 2 / evals[~small])) - self.r
+        outside = (np.abs(w[..., small]) > DOM_TOL * (1.0 + _norm(d))).any(-1)
+        # compress keeps each row's terms contiguous (a mask index on axis 1
+        # lays them out by column), so a row sums them as the vector does
+        kept = np.compress(~small, w, axis=-1)
+        value = 0.5 * (kept ** 2 / evals[~small]).sum(-1) - self.r
+        return np.where(outside, INF, value)[()]
 
 
 class L1Norm(ConvexFn):
@@ -379,6 +392,18 @@ class Translated(ConvexFn):
     def _conj(self, u):
         base = self.base._conj(u)
         return np.where(base == INF, INF, base + _out(_dot(self.shift, u)))[()]
+
+
+def has_row_kernels(f):
+    """Whether f's kernels also take (k, n) rows, each row's result bit for
+    bit f's own on that row: the exact catalog kinds, a translation of one
+    of them, and not ``SeparableSum`` or ``IndicatorConsensus``, whose
+    kernels read a 2-D input as their blocks.  A subclass may override the
+    arithmetic, so it keeps per-row calls."""
+    kind = type(f)
+    if kind is Translated:
+        return has_row_kernels(f.base)
+    return kind is Quadratic or "_rows" in vars(kind)
 
 
 class _Looped:

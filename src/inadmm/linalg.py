@@ -66,9 +66,15 @@ def check_dim(n, name, least=1):
 
 @functools.cache
 def _fortran():
-    """The modules whose dtrsv and dpotrf scipy.linalg.blas and .lapack export."""
-    import scipy  # cheap; on Windows it sets up the DLL search path
-    find = machinery.FileFinder(os.path.join(scipy.__path__[0], "linalg"), (
+    """The modules whose dtrsv and dpotrf scipy.linalg.blas and .lapack export.
+
+    scipy's directory comes from its import spec, without running the
+    package's init (8 to 14 ms in a fresh process), except on Windows, where
+    that init sets up the DLL search path."""
+    if os.name == "nt":
+        import scipy  # noqa: F401
+    scipy_dir = util.find_spec("scipy").submodule_search_locations[0]
+    find = machinery.FileFinder(os.path.join(scipy_dir, "linalg"), (
         machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)).find_spec
     specs = [find(name) for name in ("scipy.linalg._fblas", "scipy.linalg._flapack")]
     if "scipy.linalg" in sys.modules or None in specs:

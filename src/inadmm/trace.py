@@ -3,11 +3,17 @@
 A row holds the solver states before and after its iteration, and builds
 its ``vectors`` and objective columns (``primal``, ``dual``, ``gap``) from
 them on first read: no stopping rule reads them, so a solve whose caller
-never does pays nothing for them.  Writing into a state's array in place
+never does pays nothing for them.  ``write_csv`` and ``column`` read the
+objective columns of the rows not read yet in blocks of at most ``BLOCK``
+rows, with one call of the run's objective on the block's states stacked
+as (K, ...) arrays where the run's functions have row kernels; every row
+keeps the bits of its own read.  Writing into a state's array in place
 before that read changes the values read, and numpy floating-point warnings
-from diverging iterates appear at read time (in ``write_csv``, say).
+from diverging iterates appear at read time (in ``write_csv``, say), once
+per block.
 """
 
+import itertools
 import math
 import numbers
 
@@ -30,16 +36,26 @@ CSV_COLUMNS = (
 )
 
 
-_NO_SCHEMA = (lambda prev, new: {}, None)  # no vectors, NaN objective
+_NO_SCHEMA = (lambda prev, new: {}, None, False)  # no vectors, NaN objective
+
+# Rows whose objective columns one stacked call evaluates: the stacked
+# states of a block take O(BLOCK n) memory.
+BLOCK = 64
+
+# A CSV row: k, then seven floats at 17 significant digits.
+_CSV_ROW = "%d" + ",%.17g" * (len(CSV_COLUMNS) - 1) + "\n"
 
 
 class TraceRow:
     """One iteration's record.  Scalar columns go to CSV; vectors stay in memory.
 
-    ``schema`` is the run's pair of functions of the states ``(prev, new)``
-    before and after the iteration: ``vectors`` names the row's arrays and
-    ``objective`` (``None``: NaN, NaN) returns ``(primal, dual)``.  Each is
-    called on first read and its result kept (``vectors=`` presets it).
+    ``schema`` is the run's triple ``(vectors, objective, stacks)`` of two
+    functions of the states ``(prev, new)`` before and after the iteration
+    and a flag: ``vectors`` names the row's arrays and ``objective``
+    (``None``: NaN, NaN) returns ``(primal, dual)``.  Each is called on first
+    read and its result kept (``vectors=`` presets it).  With ``stacks`` set,
+    ``objective`` also takes the states of K rows stacked (``_Stack``) and
+    returns K values of each, every one bit for bit its row's own.
     """
 
     __slots__ = ("k", "feas_residual", "zbar_norm", "dw_norm", "dw_sq_sum",
@@ -83,10 +99,32 @@ class TraceRow:
                 self.zbar_norm, self.dw_norm, self.dw_sq_sum)
 
 
-def _fmt(value):
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.17g" % value
+class _Stack:
+    """The states of K rows read as one state of (K, ...) arrays, each
+    stacked on first read: the inverse of ``admm._Row``."""
+
+    def __init__(self, states):
+        self._states = states
+
+    def __getattr__(self, name):
+        value = np.array([getattr(state, name) for state in self._states])
+        setattr(self, name, value)
+        return value
+
+
+def _read_objectives(rows):
+    """Read the objective columns of the rows not read yet, with one call of
+    the objective per run of rows that share a schema which stacks; other
+    rows are left to their own first read."""
+    unread = [row for row in rows if row._gap is None and row._schema[2]]
+    for schema, group in itertools.groupby(unread, lambda row: row._schema):
+        group = list(group)
+        primal, dual = schema[1](_Stack([row.prev for row in group]),
+                                 _Stack([row.new for row in group]))
+        gap = np.subtract(primal, dual, out=np.full(len(group), np.inf),
+                          where=np.isfinite(primal) & np.isfinite(dual))
+        for row, p, d, g in zip(group, primal.tolist(), dual.tolist(), gap.tolist()):
+            row._primal, row._dual, row._gap = p, d, g
 
 
 class SolveTrace:
@@ -109,11 +147,20 @@ class SolveTrace:
     def __getitem__(self, i):
         return self.rows[i]
 
+    def _blocks(self):
+        """The rows in blocks of at most ``BLOCK``, objective columns read."""
+        for start in range(0, len(self.rows), BLOCK):
+            block = self.rows[start:start + BLOCK]
+            _read_objectives(block)
+            yield block
+
     def column(self, name):
         """All values of one scalar column as an array."""
         if name not in CSV_COLUMNS:
             raise ValueError("unknown trace column %r" % (name,))
-        return np.array([getattr(row, name) for row in self.rows])
+        rows = (itertools.chain.from_iterable(self._blocks())
+                if name in ("primal", "dual", "gap") else self.rows)
+        return np.array([getattr(row, name) for row in rows])
 
     def write_csv(self, path_or_file):
         """Write scalar columns; floats at 17 significant digits."""
@@ -125,8 +172,8 @@ class SolveTrace:
 
     def _write(self, fh):
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in self.rows:
-            fh.write(",".join(_fmt(v) for v in row.scalars()) + "\n")
+        for block in self._blocks():  # one write per block
+            fh.write("".join([_CSV_ROW % row.scalars() for row in block]))
 
 
 def drive(iterate, state, max_iters, tol, first_k):

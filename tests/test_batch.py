@@ -186,6 +186,19 @@ def test_inner_iterative_runs_serially():
         assert_same(b, run_iadmm(p, q, max_iters=40, tol=0.0))
 
 
+def test_subclass_runs_serially():
+    # a subclass that overrides the public prox has 1-D kernels only
+    from conftest import CountingL1
+
+    rng = np.random.default_rng(3)
+    p = ProblemSpec(Quadratic(np.diag([2.0, 1.0, 0.5]), rng.standard_normal(3)),
+                    CountingL1(3, 0.3), LinearMap.identity(3))
+    params = points()[:2]
+    batch = run_iadmm_batch(p, params, 40, 0.0)
+    for b, q in zip(batch, params):
+        assert_same(b, run_iadmm(p, q, max_iters=40, tol=0.0))
+
+
 def test_batch_needs_one_gamma_and_a_valid_budget():
     p = problem("identity", "l1")
     with pytest.raises(ValueError, match="share gamma"):

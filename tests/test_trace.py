@@ -161,27 +161,30 @@ def test_boyd_consensus_objective_columns_bit_for_bit(rng, snapshots):
 
 
 def test_objective_columns_computed_once_on_first_read(rng, monkeypatch):
-    calls = []
+    calls = []  # the rows each call of the dual value evaluates
     dual_value = admm._dual_value
 
-    def counting(*args):
-        calls.append(1)
-        return dual_value(*args)
+    def counting(p, v, y):
+        calls.append(len(v) if v.ndim == 2 else 1)
+        return dual_value(p, v, y)
 
     monkeypatch.setattr(admm, "_dual_value", counting)
     p = composite_problem("prox_identity", rng)
     trace = run_iadmm(p, default_params(0.2, gamma=1.3), max_iters=ITERS,
                       tol=0.0)
     rows = trace.rows
-    assert len(calls) == 0
+    assert sum(calls) == 0
     trace.column("dw_sq_sum")
-    assert len(calls) == 0
+    assert sum(calls) == 0
     dual = rows[-1].dual
-    assert len(calls) == 1
+    assert calls == [1]
     assert rows[-1].dual == dual and rows[-1].gap == rows[-1].primal - dual
-    assert len(calls) == 1
+    assert calls == [1]
     trace.write_csv(io.StringIO())
-    assert len(calls) == len(rows)
+    # every other row once, in one stacked call (ITERS < BLOCK)
+    assert calls == [1, len(rows) - 1]
+    trace.column("gap")
+    assert calls == [1, len(rows) - 1]
 
 
 def test_row_without_objective_reads_nan_and_infinite_gap():

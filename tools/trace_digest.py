@@ -9,7 +9,9 @@ equal bytes.
 A solver family hashes, for every run in it: the stop flags and iteration
 count; each row's scalars (``TraceRow.scalars()``, read after the run, as
 ``float.hex``) and each of its vectors (name, shape, dtype and bytes); every
-``trace.final`` entry; and the bytes of ``write_csv``.  The families are
+``trace.final`` entry; and the bytes of ``write_csv``.  The CSV is written
+first, so the scalars hashed are the objective columns that ``write_csv``
+read, in blocks where the program reads them so.  The families are
 ``run_iadmm`` with each x-update strategy at alpha 0 and 0.2 (and a
 hyperplane g whose first dual reads -inf), ``classical_admm`` at lambda 1
 and 1.5, ``run_idr``, ``run_sum1``, ``run_sum2``, ``run_iadmm`` on the
@@ -24,6 +26,11 @@ start.  The family
 solvers evaluate stacked, plain and translated, and a ``Quadratic``.  The
 ``consensus_init_*`` families run ``run_sum1`` and ``run_sum2`` at alpha 0
 and 0.2 from a seeded nonzero start whose duals sum to zero across blocks.
+The ``rank_deficient_*`` families run ``run_iadmm`` at alpha 0 and 0.2 and
+``classical_admm`` at lambda 1.5, from a seeded nonzero start, on a
+quadratic f of rank 9 on R^12 and a quadratic g of rank 10, with L = I or a
+tall dense L: their conjugates take the range(Q) branch, and the first
+row's dual reads -inf.
 
 A CLI run hashes the exit code (or the name of an escaping exception),
 stdout, stderr and the bytes of every CSV it wrote, with the temporary
@@ -100,6 +107,10 @@ def _array(h, name, value):
 
 
 def hash_trace(h, trace):
+    # the CSV first: its rows' objective columns are then write_csv's, read
+    # in blocks, and the per-row reads below find them already read
+    csv = io.StringIO()
+    trace.write_csv(csv)
     h.update(("%s %s %d\0" % (trace.converged, trace.nonfinite,
                               trace.iterations)).encode())
     for row in trace.rows:
@@ -108,8 +119,6 @@ def hash_trace(h, trace):
             _array(h, name, value)
     for name, value in trace.final.items():
         _array(h, "final." + name, value)
-    csv = io.StringIO()
-    trace.write_csv(csv)
     h.update(csv.getvalue().encode())
 
 
@@ -145,6 +154,20 @@ def scaled_identity_problem(f_kind, g_kind, scale, rng, n=5):
     g = (L1Norm(n, 0.3) if g_kind == "l1" else
          Translated(L2Norm(n, 0.5), rng.standard_normal(n)))
     return ProblemSpec(f, g, LinearMap.scaled_identity(n, scale))
+
+
+def rank_deficient_problem(dense, rng, n=12):
+    """A rank-9 quadratic f and a rank-10 quadratic g, both bounded below, on
+    L = I or a tall dense L: their conjugates are +inf off range(Q), and sum
+    at least 8 terms in range(Q), where numpy's pairwise sum unrolls."""
+    D = rng.standard_normal((9, n))
+    f = Quadratic(D.T @ D, D.T @ rng.standard_normal(9))
+    m = n + 2 if dense else n
+    E = rng.standard_normal((10, m))
+    g = Quadratic(E.T @ E, E.T @ rng.standard_normal(10))
+    L = (LinearMap.dense(tall_full_rank(m, n, rng)) if dense
+         else LinearMap.identity(n))
+    return ProblemSpec(f, g, L)
 
 
 def consensus_problem(rng, n=3):
@@ -240,6 +263,16 @@ def solver_families(seeds, iters):
             lambda p=p, y1=y1, zeros=zeros: run_iadmm(
                 p, default_params(0.2, gamma=1.1), init=(y1, y1, zeros, zeros),
                 max_iters=iters, tol=0.0))
+        for L_kind in ("identity", "dense"):
+            rng = np.random.default_rng(seed)
+            p = rank_deficient_problem(L_kind == "dense", rng)
+            y1, z1 = rng.standard_normal((2, p.g.dim))
+            fam.setdefault("rank_deficient_%s" % L_kind, []).extend([
+                *(lambda p=p, alpha=alpha, y1=y1, z1=z1: run_iadmm(
+                    p, default_params(alpha, gamma=1.3), init=(y1, y1, z1, z1),
+                    max_iters=iters, tol=0.0) for alpha in (0.0, 0.2)),
+                lambda p=p, y1=y1, z1=z1: classical_admm(
+                    p, 0.8, init=(y1, z1), lam=1.5, max_iters=iters, tol=0.0)])
         cp = consensus_problem(np.random.default_rng(seed))
         params = default_params(0.2, gamma=1.3)
         fam.setdefault("sum1", []).append(
