@@ -13,11 +13,9 @@ the state it returns, and the run records both from the states so the
 correspondence can be checked externally.
 """
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,7 +23,7 @@ from .duality import _dual_value
 from .functions import Quadratic, has_row_kernels
 from .functions import _norm as _row_norm
 from .linalg import LinearMap, _norm, check_gamma, check_step, check_vector
-from .params import require_valid
+from .params import CoefficientRow, Coefficients, require_valid
 from .trace import SolveTrace, TraceRow, check_budget, drive, stops
 
 __all__ = [
@@ -129,27 +127,33 @@ def x_update(state, p, gamma, alpha_k, strat, dy=None, dz=None):
     """Minimize f(x) + <c_k, Lx> + (gamma/2)||Lx - z^k||^2.
 
     c_k = y^k - alpha_k dy - gamma alpha_k dz with dy = y^k - y^{k-1} and
-    dz = z^k - z^{k-1}, computed here unless the caller passes them.
+    dz = z^k - z^{k-1}, computed here unless the caller passes them.  As
+    gamma, ``step`` passes its row of ``params.Coefficients``, a float equal
+    to gamma whose arrays give gamma, alpha_k and gamma alpha_k here.
     """
     if dy is None:
         dy = state.y - state.y_prev
     if dz is None:
         dz = state.z - state.z_prev
-    c = state.y - alpha_k * dy - gamma * alpha_k * dz
+    if type(gamma) is CoefficientRow:
+        g, a_k, ga_k = gamma.gamma, gamma.alpha, gamma.gamma_alpha
+    else:
+        g, a_k, ga_k = gamma, alpha_k, gamma * alpha_k
+    c = state.y - a_k * dy - ga_k * dz
     L = p.L
     if strat.kind == "prox_identity":
         # L'L = L.frame I: x = prox_{f/(gamma L.frame)}(L'(z^k - c_k/gamma) / L.frame)
-        return p.f._prox(1.0 / (gamma * L.frame), L._left_inverse(state.z - c / gamma))
+        return p.f._prox(1.0 / (gamma * L.frame), L._left_inverse(state.z - c / g))
     if strat.kind == "quadratic_solve":
         # (Q + gamma L'L) x = L'(gamma z^k - c_k) - q: one L' product, two
         # triangular solves on the factor f keeps for (gamma, L)
-        return p.f._solver(gamma, L)(L._adjoint_apply(gamma * state.z - c) - p.f.q)
+        return p.f._solver(gamma, L)(L._adjoint_apply(g * state.z - c) - p.f.q)
     # proximal gradient on the smooth part s(x) = <c,Lx> + gamma/2 ||Lx-z||^2
     t = 1.0 / (gamma * L.norm() ** 2)
     x = state.x.copy()
     Ltc = L._adjoint_apply(c)
     for _ in range(strat.budget):
-        grad = Ltc + gamma * L._adjoint_apply(L._apply(x) - state.z)
+        grad = Ltc + g * L._adjoint_apply(L._apply(x) - state.z)
         x_new = p.f._prox(t, x - t * grad)
         resid = _norm(x_new - x) / t
         x = x_new
@@ -168,40 +172,38 @@ def step(state, p, params, k, strat, norm=_norm):
 
     The new state carries x^{k+1}, z^{k+1}, y^{k+1}, v^k and w^{k+1};
     r = Lx^{k+1} - z^k, and ``norm`` is the 2-norm unless the caller gives
-    another.  Every shared term (dy, dz, Lx^{k+1}, r, drift = dy + gamma dz,
-    lambda_k Lx^{k+1}, (1 - lambda_k) z^k, ...) is computed once.  On (P, m)
-    rows with (P, 1) parameter columns it advances P points, each row bit for
-    bit its own step, and norm(r) is the array of the rows' 2-norms.
+    another.  The scalars come from ``params.coefficients`` (see
+    ``params.Coefficients``), and every shared term (dy, dz, Lx^{k+1}, r,
+    drift = dy + gamma dz, lambda_k Lx^{k+1}, (1 - lambda_k) z^k, ...) is
+    computed once.  On (P, m) rows with a batch's table of (P, 1) columns
+    it advances P points, each row bit for bit its own step, and norm(r) is
+    the array of the rows' 2-norms.
     """
-    gamma = params.gamma
-    a_k = params.alpha_at(k)
-    a_next = params.alpha_at(k + 1)
-    l_k = params.lambda_at(k)
-    m_k = 1.0 - l_k
-    ma_k = m_k * a_k
+    co = params.coefficients.at(k)
+    gamma = co.gamma
     y, z = state.y, state.z
     dy = y - state.y_prev
     dz = z - state.z_prev
 
-    x_next = x_update(state, p, gamma, a_k, strat, dy, dz)
+    x_next = x_update(state, p, co, co.alpha, strat, dy, dz)
     Lx = p.L._apply(x_next)
     r = Lx - z
     drift = dy + gamma * dz
     # zbar^{k+1} = alpha_{k+1} lambda_k (Lx^{k+1} - z^k)
     #              + ((1 - lambda_k) alpha_k alpha_{k+1} / gamma) drift
-    zbar_next = a_next * l_k * r + (ma_k * a_next / gamma) * drift
+    zbar_next = co.next_lam * r + co.zbar_drift * drift
     # z^{k+1} = -zbar^{k+1} + prox_{g/gamma}(zbar^{k+1} + lambda_k Lx^{k+1}
     #   + (1 - lambda_k) z^k + y^k / gamma + ((1 - lambda_k) alpha_k / gamma) drift)
-    l_Lx = l_k * Lx
-    l_z = m_k * z
-    arg = zbar_next + l_Lx + l_z + y / gamma + (ma_k / gamma) * drift
-    z_next = -zbar_next + p.g._prox(1.0 / gamma, arg)
+    l_Lx = co.lam * Lx
+    l_z = co.rest * z
+    arg = zbar_next + l_Lx + l_z + y / gamma + co.arg_drift * drift
+    z_next = -zbar_next + p.g._prox(co.inv_gamma, arg)
     # y^{k+1} = y^k + gamma (lambda_k Lx^{k+1} + (1 - lambda_k) z^k - z^{k+1})
     #           + (1 - lambda_k) alpha_k drift
-    y_next = y + gamma * (l_Lx + l_z - z_next) + ma_k * drift
+    y_next = y + gamma * (l_Lx + l_z - z_next) + co.rest_alpha * drift
     # v^k = y^k - gamma z^k + gamma Lx^{k+1} - alpha_k drift, certifying
     # -L*v^k in df(x^{k+1})
-    v_k = y - gamma * z + gamma * Lx - a_k * drift
+    v_k = y - gamma * z + gamma * Lx - co.alpha * drift
     new_state = IadmmState(k=k + 1, x=x_next, z=z_next, z_prev=z,
                            zbar=zbar_next, y=y_next, y_prev=y, v=v_k,
                            w=y_next + gamma * z_next)
@@ -272,19 +274,6 @@ def _loop(p, params, strat, init, max_iters, tol, schema, norm=_norm):
     return drive(iterate, state, max_iters, tol, first_k=2)
 
 
-def _columns(rows):
-    """The schedules of P parameter sets sharing gamma as the (P, 1) columns
-    ``step`` reads, each built once; they stay constant from k = 3 (the init
-    modes) or the end of the last ramp on."""
-    steady = max([3] + [s.ramp_over for q in rows for s in (
-        q.alpha_schedule, q.lambda_schedule) if s.kind == "ramp"])
-    column = functools.lru_cache(maxsize=None)(lambda name, k: np.array(
-        [[getattr(q, name)(k)] for q in rows]))
-    return SimpleNamespace(gamma=rows[0].gamma,
-                           alpha_at=lambda k: column("alpha_at", min(k, steady)),
-                           lambda_at=lambda k: column("lambda_at", min(k, steady)))
-
-
 class _Row:
     """Row j of a batched state, read as one point's state."""
 
@@ -315,14 +304,14 @@ def run_iadmm_batch(p, rows, max_iters=100000, tol=1e-10, record=True):
     check_budget(max_iters, tol)
     traces, live = [SolveTrace() for _ in rows], list(range(len(rows)))
     if rows:
-        columns, schema = _columns(rows), _iadmm_schema(p)
+        table, schema = Coefficients(rows), _iadmm_schema(p)
         sums = np.zeros(len(rows))  # the running sums of dw^2 of the live rows
         zeros = np.zeros((len(rows), p.g.dim))  # w = y + gamma z is zero too
         state = IadmmState(k=1, x=np.zeros((len(rows), p.f.dim)), z=zeros,
                            z_prev=zeros, zbar=zeros, y=zeros, y_prev=zeros, w=zeros)
     while live:
         k = state.k
-        new, feas = step(state, p, columns, k, strat)
+        new, feas = step(state, p, table, k, strat)
         # drive's residuals, a column per row: ||r||, ||zbar^{k+1}||, ||w^{k+1} - w^k||
         res = np.concatenate((feas, _row_norm(np.concatenate(
             (new.zbar, new.w - state.w)))[:, 0])).reshape(3, -1)
@@ -344,7 +333,7 @@ def run_iadmm_batch(p, rows, max_iters=100000, tol=1e-10, record=True):
                 else:
                     keep.append(j)
             if 0 < len(keep) < len(live):
-                columns = _columns([rows[live[j]] for j in keep])
+                table = Coefficients([rows[live[j]] for j in keep])
                 new = IadmmState(k=new.k, **{f: a[keep] for f, a in vars(new).items()
                                              if f != "k"})
                 sums = sums[keep]

@@ -16,6 +16,8 @@ from .trace import TraceRow, drive
 
 __all__ = ["ResolventOp", "IdrState", "idr_step", "run_idr"]
 
+_TWO = np.array(2.0)  # 0-d: numpy multiplies by it faster than by a float
+
 
 class ResolventOp:
     """A maximally monotone operator given through its (exact) resolvent.
@@ -109,7 +111,7 @@ def idr_step(state, A, B, gamma, alpha_k, lambda_k):
     """
     u = state.w + alpha_k * (state.w - state.w_prev)
     y = (B._kernel or B.resolvent)(gamma, u)
-    v = (A._kernel or A.resolvent)(gamma, 2.0 * y - u)
+    v = (A._kernel or A.resolvent)(gamma, _TWO * y - u)
     w_next = u + lambda_k * (v - y)
     return IdrState(k=state.k + 1, w_prev=state.w, w=w_next, y=y, v=v)
 
@@ -135,7 +137,8 @@ def run_idr(A, B, gamma, params, w0, w1, max_iters=100000, tol=1e-10):
         )
 
     def iterate(state, k):
-        new = idr_step(state, A, B, gamma, params.alpha_at(k), params.lambda_at(k))
+        co = params.coefficients.at(k)
+        new = idr_step(state, A, B, gamma, co.alpha, co.lam)
         vy = _norm(new.v - new.y)
         row = TraceRow(k, vy, prev=state, new=new, schema=(_idr_vectors, None, False))
         return new, row, (vy,)

@@ -6,8 +6,11 @@ depending on ``alpha`` and ``sigma``, and the relaxation factors are then
 confined to ``(0, lambda_max]`` with ``lambda_max < 2``.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .linalg import check_gamma
 
@@ -20,6 +23,7 @@ __all__ = [
     "constant_schedule",
     "ramp_schedule",
     "InertialParams",
+    "Coefficients",
     "constant_params",
     "default_params",
     "ValidationReport",
@@ -155,6 +159,90 @@ class InertialParams:
     def max_relaxation(self):
         return max_relaxation(self.alpha, self.sigma, self.delta)
 
+    @functools.cached_property
+    def coefficients(self):
+        """This parameter set's ``Coefficients``, built on first read."""
+        return Coefficients(self)
+
+
+def _steady(p):
+    """The k from which ``p.alpha_at`` and ``p.lambda_at`` are constant: the
+    init modes end at k = 3, a closed-form ramp at its ``ramp_over``.  None
+    for an ``InertialParams`` subclass or a schedule that is not a
+    ``Schedule``, which may change at any k."""
+    if type(p) is not InertialParams:
+        return None
+    schedules = (p.alpha_schedule, p.lambda_schedule)
+    if any(type(s) is not Schedule for s in schedules):
+        return None
+    return max([3] + [s.ramp_over for s in schedules if s.kind == "ramp"])
+
+
+class CoefficientRow(float):
+    """Iteration k's scalars, see ``Coefficients``.  The row is itself the
+    float gamma: ``step`` passes it to ``x_update`` as gamma, and the
+    x-update reads its arrays from it."""
+
+    __slots__ = ("gamma", "inv_gamma", "alpha", "lam", "rest", "rest_alpha",
+                 "next_lam", "zbar_drift", "arg_drift", "gamma_alpha")
+
+
+class Coefficients:
+    """The scalars ``admm.step`` and its x-update read at iteration k.
+
+    For one parameter set, or for a batch of them (a list) sharing gamma,
+    ``at(k)`` holds gamma as a 0-d array; alpha_k, lambda_k, 1 - lambda_k,
+    (1 - lambda_k) alpha_k, alpha_{k+1} lambda_k, (1 - lambda_k) alpha_k
+    alpha_{k+1} / gamma, (1 - lambda_k) alpha_k / gamma and gamma alpha_k as
+    numpy arrays, 0-d for one set and (P, 1) columns for P of them; and 1 /
+    gamma (the prox parameter) as a float.  Each is formed once, in the
+    order of the formulas that read it.  numpy 2 multiplies a vector by a
+    0-d float64 array in about two thirds of the time it takes for a Python
+    float, whose weak-scalar conversion it pays on every product; the bits
+    are the same.  Rows up to the k from which the schedules are constant
+    are built on first read and kept; schedules without that k build a row
+    per read.
+    """
+
+    def __init__(self, params):
+        self._batch = isinstance(params, list)
+        self._params = params if self._batch else [params]
+        steady = [_steady(q) for q in self._params]
+        self.steady = None if None in steady else max(steady)
+        self._rows = {}
+
+    @property
+    def coefficients(self):  # a batch's table stands in for its parameter sets
+        return self
+
+    def at(self, k):
+        if self.steady is None:
+            return self._row(k)
+        k = min(k, self.steady)
+        row = self._rows.get(k)
+        if row is None:
+            row = self._rows[k] = self._row(k)
+        return row
+
+    def _row(self, k):
+        column = lambda name, k: np.array(
+            [[getattr(q, name)(k)] for q in self._params], dtype=float)
+        alpha, alpha_next, lam = (column("alpha_at", k), column("alpha_at", k + 1),
+                                  column("lambda_at", k))
+        row = CoefficientRow(self._params[0].gamma)
+        row.inv_gamma = 1.0 / row
+        row.gamma = gamma = np.array(row, dtype=float)
+        rest = 1.0 - lam
+        rest_alpha = rest * alpha
+        for name, value in (("alpha", alpha), ("lam", lam), ("rest", rest),
+                            ("rest_alpha", rest_alpha),
+                            ("next_lam", alpha_next * lam),
+                            ("zbar_drift", rest_alpha * alpha_next / gamma),
+                            ("arg_drift", rest_alpha / gamma),
+                            ("gamma_alpha", gamma * alpha)):
+            setattr(row, name, value if self._batch else value.reshape(()))
+        return row
+
 
 def _require(ok, key, message, *args):
     if not ok:
@@ -252,11 +340,11 @@ def validate(p, horizon=1000):
     if not 0.0 < p.lambda_lo:
         report.add("lambda lower bound must be positive")
 
-    # closed-form schedules, and with them alpha_at and lambda_at, are constant
-    # from k = max(3, ramp_over) on; any other callable is walked in full
-    schedules = (p.alpha_schedule, p.lambda_schedule)
-    if type(p) is InertialParams and all(type(s) is Schedule for s in schedules):
-        horizon = min(horizon, max(3, *(s.ramp_over for s in schedules)) + 1)
+    # closed-form schedules are constant from _steady(p) on; any other
+    # callable is walked in full
+    steady = _steady(p)
+    if steady is not None:
+        horizon = min(horizon, steady + 1)
     prev_alpha = None
     for k in range(1, horizon + 1):
         a_k = p.alpha_at(k)

@@ -17,14 +17,19 @@ scaled by 1/sqrt(m)), and times each set-up phase on fresh objects:
   Gram matrix the rank test already computed;
 - the first conjugate value, which computes the eigenbasis of Q.
 
-First it times, in a fresh interpreter with numpy already imported,
-``import inadmm`` and the first factor of a 2 x 2 quadratic, and reports
-whether that imported the ``scipy.linalg`` package: the program loads only
-scipy's compiled BLAS and LAPACK wrappers.  The phases above run after that
-load.  Each phase reports the best of ``REPEATS`` runs in milliseconds.  One
-BLAS thread.  ``--smoke`` uses n = 60, m = 80 and one run, which only checks
-that the script works.  Runs from the root of a checkout and imports the
-program from its ``src/``.
+First it times a whole CLI process: the median of ``PROCESSES`` fresh
+``python -m inadmm.cli`` runs on a seeded lasso file (n = 10, f = 0.5
+||Dx - b||^2, g = tau ||.||_1, L = I), next to the median of as many
+``python -c "import numpy"`` processes, started in alternation; the
+difference is the program's own share.  Then it times, in a fresh
+interpreter with numpy already imported, ``import inadmm`` and the first
+factor of a 2 x 2 quadratic, and reports whether that imported the
+``scipy.linalg`` package: the program loads only scipy's compiled BLAS and
+LAPACK wrappers.  The phases above run after that load.  Each phase reports
+the best of ``REPEATS`` runs in milliseconds.  One BLAS thread.  ``--smoke``
+uses n = 60, m = 80, one run and one process of each kind, which only
+checks that the script works.  Runs from the root of a checkout and imports
+the program from its ``src/``.
 """
 
 import os
@@ -34,8 +39,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -47,6 +54,7 @@ from inadmm import LinearMap, Quadratic
 from stdout_guard import run
 
 REPEATS = 3  # timed runs per phase; the best one is reported
+PROCESSES = 7  # fresh processes of each kind in the whole-process phase
 
 IMPORT_PHASE = """
 import sys, time
@@ -86,6 +94,44 @@ def import_phase(repeats):
     return min(float(ms) for ms, _ in runs), runs[0][1] == "True"
 
 
+def lasso_file(path, n=10):
+    """A seeded lasso problem file for the CLI: f = 0.5 ||Dx - b||^2,
+    g = tau ||.||_1, L = I on R^n."""
+    rng = np.random.default_rng(0)
+    D = rng.standard_normal((2 * n, n))
+    b = rng.standard_normal(2 * n)
+    numerals = lambda a: " ".join(repr(float(v)) for v in np.ravel(a))
+    with open(path, "w") as fh:
+        fh.write("\n".join([
+            "solver iadmm", "alpha 0.2", "tol 1e-10", "",
+            "begin f", "kind quadratic", "Q " + numerals(D.T @ D),
+            "q " + numerals(-D.T @ b), "r %r" % (0.5 * float(b @ b)), "end", "",
+            "begin g", "kind l1", "dim %d" % n,
+            "tau %r" % (0.2 * float(np.abs(D.T @ b).max())), "end", "",
+            "begin L", "kind identity", "dim %d" % n, "end", ""]))
+
+
+def process_phase(processes):
+    """Median milliseconds of a whole ``python -m inadmm.cli`` process on a
+    small lasso file, and of a ``python -c "import numpy"`` process."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    times = {"cli": [], "numpy": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "lasso.cfg")
+        lasso_file(path)
+        commands = {"cli": [sys.executable, "-m", "inadmm.cli", path],
+                    "numpy": [sys.executable, "-c", "import numpy"]}
+        for _ in range(processes):
+            for kind, cmd in commands.items():
+                t0 = time.perf_counter()
+                proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+                times[kind].append(time.perf_counter() - t0)
+                if proc.returncode != 0:
+                    sys.exit("setup_speed: %s exited %d:\n%s"
+                             % (" ".join(cmd), proc.returncode, proc.stderr))
+    return {kind: 1e3 * statistics.median(t) for kind, t in times.items()}
+
+
 def main(argv=None):
     args = parse_args(argv)
     n, m, repeats = (60, 80, 1) if args.smoke else (1000, 1200, REPEATS)
@@ -114,6 +160,12 @@ def main(argv=None):
         ("first conjugate (eigh)", lambda: Quadratic(Q, q),
          lambda f: f.conj(u)),
     ]
+    processes = 1 if args.smoke else PROCESSES
+    whole = process_phase(processes)
+    print("whole process, median of %d: python -m inadmm.cli on a lasso file "
+          "(n = 10) %.1f ms, python -c \"import numpy\" %.1f ms, difference "
+          "%.1f ms" % (processes, whole["cli"], whole["numpy"],
+                       whole["cli"] - whole["numpy"]))
     ms, imported = import_phase(repeats)
     print("import and first factor, fresh interpreter: %.1f ms, scipy.linalg "
           "imported: %s" % (ms, "yes" if imported else "no"))
