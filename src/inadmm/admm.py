@@ -8,9 +8,10 @@ relaxation factor lambda_k.  The auxiliary sequences
     v^k = y^k - gamma z^k + gamma L x^{k+1} - alpha_k (dy + gamma dz)
 
 recombine the iterates into a Douglas-Rachford trajectory.  Each state
-carries the pair: ``step`` computes v^k and w^{k+1} once and stores them on
-the state it returns, and the run records both from the states so the
-correspondence can be checked externally.
+carries the pair: ``step`` computes w^{k+1} and stores it on the state it
+returns, which forms v^k on first read (no later iterate and no stop test
+reads it), and the run records both from the states so the correspondence
+can be checked externally.
 """
 
 import math
@@ -68,17 +69,33 @@ class ProblemSpec:
             )
 
 
-@dataclass
 class IadmmState:
-    k: int
-    x: np.ndarray
-    z: np.ndarray
-    z_prev: np.ndarray
-    zbar: np.ndarray
-    y: np.ndarray
-    y_prev: np.ndarray
-    v: np.ndarray = None  # v^k of the step that made this state
-    w: np.ndarray = None  # y + gamma z
+    """x^k, z^k, z^{k-1}, zbar^k, y^k, y^{k-1} and w^k = y^k + gamma z^k.
+
+    v^k, the certificate of the step that made the state, is formed on first
+    read by that step's expression y^{k-1} - gamma z^{k-1} + gamma L x^k -
+    alpha drift, from the ``drift`` = dy + gamma dz, the arrays ``gamma``
+    and ``alpha`` of its coefficient row and the map ``L`` the step keeps on
+    the state, and then kept; L x^k is computed again rather than kept.  It
+    is None for a state no step made; ``v=`` or an assignment sets it.
+    """
+
+    def __init__(self, k, x, z, z_prev, zbar, y, y_prev, v=None, w=None,
+                 drift=None, gamma=None, alpha=None, L=None):
+        self.k, self.x, self.z, self.z_prev, self.zbar = k, x, z, z_prev, zbar
+        self.y, self.y_prev, self._v, self.w = y, y_prev, v, w
+        self.drift, self.gamma, self.alpha, self.L = drift, gamma, alpha, L
+
+    @property
+    def v(self):
+        if self._v is None and self.drift is not None:
+            self._v = (self.y_prev - self.gamma * self.z_prev + self.gamma
+                       * self.L._apply(self.x) - self.alpha * self.drift)
+        return self._v
+
+    @v.setter
+    def v(self, value):
+        self._v = value
 
 
 class XUpdateStrategy:
@@ -170,7 +187,8 @@ def x_update(state, p, gamma, alpha_k, strat, dy=None, dz=None):
 def step(state, p, params, k, strat, norm=_norm):
     """One full inertial ADMM iteration; returns (new_state, norm(r)).
 
-    The new state carries x^{k+1}, z^{k+1}, y^{k+1}, v^k and w^{k+1};
+    The new state carries x^{k+1}, z^{k+1}, y^{k+1} and w^{k+1}, and forms
+    v^k on first read from the drift it keeps (see ``IadmmState``);
     r = Lx^{k+1} - z^k, and ``norm`` is the 2-norm unless the caller gives
     another.  The scalars come from ``params.coefficients`` (see
     ``params.Coefficients``), and every shared term (dy, dz, Lx^{k+1}, r,
@@ -202,11 +220,11 @@ def step(state, p, params, k, strat, norm=_norm):
     #           + (1 - lambda_k) alpha_k drift
     y_next = y + gamma * (l_Lx + l_z - z_next) + co.rest_alpha * drift
     # v^k = y^k - gamma z^k + gamma Lx^{k+1} - alpha_k drift, certifying
-    # -L*v^k in df(x^{k+1})
-    v_k = y - gamma * z + gamma * Lx - co.alpha * drift
+    # -L*v^k in df(x^{k+1}), is formed by the state on first read
     new_state = IadmmState(k=k + 1, x=x_next, z=z_next, z_prev=z,
-                           zbar=zbar_next, y=y_next, y_prev=y, v=v_k,
-                           w=y_next + gamma * z_next)
+                           zbar=zbar_next, y=y_next, y_prev=y,
+                           w=y_next + gamma * z_next, drift=drift, gamma=gamma,
+                           alpha=co.alpha, L=p.L)
     return new_state, norm(r) if r.ndim == 1 else _row_norm(r)[:, 0]
 
 
@@ -334,8 +352,8 @@ def run_iadmm_batch(p, rows, max_iters=100000, tol=1e-10, record=True):
                     keep.append(j)
             if 0 < len(keep) < len(live):
                 table = Coefficients([rows[live[j]] for j in keep])
-                new = IadmmState(k=new.k, **{f: a[keep] for f, a in vars(new).items()
-                                             if f != "k"})
+                new = IadmmState(k=new.k, **{f: getattr(new, f)[keep] for f in (
+                    "x", "z", "z_prev", "zbar", "y", "y_prev", "v", "w")})
                 sums = sums[keep]
             live = [live[j] for j in keep]
         state = new

@@ -5,6 +5,7 @@ equivalence test of the inertial ADMM scheme: the ADMM iterates, suitably
 recombined, follow exactly this recursion.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,38 +32,58 @@ class ResolventOp:
         only for quadratic f or L with L'L = cI (``L.frame``); other
         combinations are rejected at construction so the oracle stays exact.
       - ``zero`` / ``point_normal_cone(a)``: convenience special cases.
+
+    A kind's resolvent is bound once per gamma, as ``Quadratic`` keeps a
+    factor per gamma: ``_at(gamma)`` is u -> J_{gamma A}(u), kept for the
+    last gamma.  A catalog kind binds its unchecked kernel, with its step
+    checked once per binding and gamma (and gamma c) as 0-d arrays, which
+    numpy multiplies by faster than by a float, for the same bits; a
+    hand-built operator binds its checked ``resolvent``.
     """
 
     def __init__(self, kind, resolvent, dim):
         self.kind = kind
         self._resolvent = resolvent
         self.dim = dim
-        # what idr_step calls: set by the constructors below to their
-        # unchecked kernel; a hand-built operator keeps the checked resolvent
-        self._kernel = None
+        # set by the constructors below: gamma -> their unchecked kernel of u
+        self._bind = None
+        self._bound = None  # (gamma, u -> J_{gamma A}(u)) for the last gamma
 
     @classmethod
-    def _catalog(cls, kind, kernel, dim):
-        op = cls(kind, kernel, dim)
-        op._kernel = kernel
+    def _catalog(cls, kind, bind, dim):
+        op = cls(kind, lambda gamma, u: op._at(gamma)(u), dim)
+        op._bind = bind
         return op
+
+    def _at(self, gamma):
+        bound = self._bound
+        if bound is None or bound[0] != gamma:
+            kernel = (self._bind(gamma) if self._bind is not None else
+                      lambda u: self.resolvent(gamma, u))
+            bound = self._bound = (gamma, kernel)
+        return bound[1]
 
     @classmethod
     def subdifferential(cls, f):
-        return cls._catalog("subdifferential", f._prox, f.dim)
+        return cls._catalog("subdifferential",
+                            lambda gamma: functools.partial(f._prox, gamma), f.dim)
 
     @classmethod
     def conjugate_subdifferential(cls, g):
-        return cls._catalog("conjugate_subdifferential", g._conj_prox, g.dim)
+        def bind(gamma):  # Moreau, as ConvexFn._conj_prox
+            g_, inv = np.array(gamma, dtype=float), 1.0 / gamma
+            return lambda u: u - g_ * g._prox(inv, u / g_)
+
+        return cls._catalog("conjugate_subdifferential", bind, g.dim)
 
     @classmethod
     def zero(cls, dim):
-        return cls._catalog("zero", lambda gamma, u: u.copy(), dim)
+        return cls._catalog("zero", lambda gamma: np.ndarray.copy, dim)
 
     @classmethod
     def point_normal_cone(cls, a):
         a = check_vector(a, None, name="a")
-        return cls._catalog("point_normal_cone", lambda gamma, u: a.copy(),
+        return cls._catalog("point_normal_cone", lambda gamma: lambda u: a.copy(),
                             a.shape[0])
 
     @classmethod
@@ -77,17 +98,18 @@ class ResolventOp:
             raise ValueError("composed_conjugate needs quadratic f or L'L = cI "
                              "for an exact inner solve")
 
-        def resolvent(gamma, u):
-            if c is not None:
-                check_step(gamma, c)
-                # argmin f(x) + <L'u,x> + (gamma c/2)||x||^2, as L'L = cI
-                xhat = f._prox(1.0 / (gamma * c), -L._adjoint_apply(u) / (gamma * c))
-            else:
+        def bind(gamma):
+            g_ = np.array(gamma, dtype=float)
+            if c is None:
                 # xhat solves (Q + gamma L'L) x = -q - L'u with f's own factor
-                xhat = f._solver(gamma, L)(-f.q - L._adjoint_apply(u))
-            return u + gamma * L._apply(xhat)
+                return lambda u: u + g_ * L._apply(
+                    f._solver(gamma, L)(-f.q - L._adjoint_apply(u)))
+            check_step(gamma, c)
+            # argmin f(x) + <L'u,x> + (gamma c/2)||x||^2, as L'L = cI
+            gc, t = np.array(gamma * c, dtype=float), 1.0 / (gamma * c)
+            return lambda u: u + g_ * L._apply(f._prox(t, -L._adjoint_apply(u) / gc))
 
-        return cls._catalog("composed_conjugate", resolvent, L.codomain_dim)
+        return cls._catalog("composed_conjugate", bind, L.codomain_dim)
 
     def resolvent(self, gamma, u):
         check_gamma(gamma)
@@ -110,8 +132,8 @@ def idr_step(state, A, B, gamma, alpha_k, lambda_k):
     v = J_{gamma A}(2y - u); w_next = u + lambda_k (v - y).
     """
     u = state.w + alpha_k * (state.w - state.w_prev)
-    y = (B._kernel or B.resolvent)(gamma, u)
-    v = (A._kernel or A.resolvent)(gamma, _TWO * y - u)
+    y = B._at(gamma)(u)
+    v = A._at(gamma)(_TWO * y - u)
     w_next = u + lambda_k * (v - y)
     return IdrState(k=state.k + 1, w_prev=state.w, w=w_next, y=y, v=v)
 

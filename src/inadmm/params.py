@@ -209,7 +209,7 @@ class Coefficients:
         self._params = params if self._batch else [params]
         steady = [_steady(q) for q in self._params]
         self.steady = None if None in steady else max(steady)
-        self._rows = {}
+        self._rows, self._gamma = {}, np.array(self._params[0].gamma, dtype=float)
 
     @property
     def coefficients(self):  # a batch's table stands in for its parameter sets
@@ -231,7 +231,7 @@ class Coefficients:
                                   column("lambda_at", k))
         row = CoefficientRow(self._params[0].gamma)
         row.inv_gamma = 1.0 / row
-        row.gamma = gamma = np.array(row, dtype=float)
+        row.gamma = gamma = self._gamma  # one array for every k
         rest = 1.0 - lam
         rest_alpha = rest * alpha
         for name, value in (("alpha", alpha), ("lam", lam), ("rest", rest),

@@ -8,11 +8,12 @@ For every workload of ``BENCHMARK.json`` and every seed it runs
 seeds, once with ``--trace 1`` (per-layer metrics).  With ``--against DIR``
 it runs the same commands from the checkout at DIR as well, alternating
 which side runs first from one seed to the next, and records each pair.
-The file holds, per workload, the median and interquartile range of each
-end-to-end metric, the median of each per-layer metric, the failed and
-attempted operation counts, and for ``--against`` the pairs and how many
-of them the checkout won; plus ``wc -l src/inadmm/*.py`` and the Python,
-numpy and scipy versions.  ``--smoke`` runs the benchmark's tiny inputs,
+The file holds, per workload, the median, quartiles and runs of each
+end-to-end and each per-layer metric, the failed and attempted operation
+counts, and for ``--against`` the pairs and how many of them the checkout
+won, the traced pairs (``traced_pairs``) and how many of those it won on
+each per-layer metric (``per_layer_wins``); plus ``wc -l src/inadmm/*.py``
+and the Python, numpy and scipy versions.  ``--smoke`` runs the benchmark's tiny inputs,
 which only checks that the recorder works.
 """
 
@@ -78,9 +79,8 @@ def summarize(runs, traced):
         "correct": all(r["correct"] for r in runs),
     }
     if traced:
-        out["per_layer"] = {
-            k: statistics.median(r["metrics"][k] for r in traced)
-            for k in traced[0]["metrics"]}
+        out["per_layer"] = {k: spread([r["metrics"][k] for r in traced])
+                            for k in traced[0]["metrics"]}
     return out
 
 
@@ -123,7 +123,8 @@ def record(args):
         declared = json.load(fh)
     seconds = 0 if args.smoke else declared["run_seconds"]
     trace_seeds = args.seeds if args.trace_seeds is None else args.trace_seeds
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    better, layer_better = ({m["name"]: m["better"] for m in declared[kind]}
+                            for kind in ("end_to_end", "per_layer"))
     sides = {"change": ROOT}
     if args.against:
         sides["baseline"] = os.path.abspath(args.against)
@@ -142,7 +143,7 @@ def record(args):
     for workload in (w["name"] for w in declared["workloads"]):
         runs = {side: [] for side in sides}
         traced = {side: [] for side in sides}
-        pairs = []
+        pairs, traced_pairs = [], []
         for seed in range(1, args.seeds + 1):
             order = list(sides)
             if seed % 2 == 0:
@@ -160,11 +161,17 @@ def record(args):
                 for side in order:
                     traced[side].append(run_benchmark(
                         sides[side], workload, seed, seconds, 1, args.smoke))
+                if args.against:
+                    traced_pairs.append({"seed": seed, "first": order[0], **{
+                        side: traced[side][-1]["metrics"] for side in sides}})
         entry = summarize(runs["change"], traced["change"])
         if args.against:
             entry["baseline"] = summarize(runs["baseline"], traced["baseline"])
             entry["pairs"] = pairs
             entry["wins"] = wins(pairs, better)
+            if traced_pairs:
+                entry["traced_pairs"] = traced_pairs
+                entry["per_layer_wins"] = wins(traced_pairs, layer_better)
         report["workloads"][workload] = entry
     return report
 

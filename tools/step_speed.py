@@ -14,6 +14,8 @@ with ``default_params(0.2)``, loops of ``ITERS`` public calls of:
   ``Coefficients`` of the three sets;
 - ``dr.idr_step`` on the n = 30 lasso's twin, with alpha_k and lambda_k
   read from the table as ``run_idr`` reads them;
+- ``dr.run_idr`` on the lasso's twin at n = 10, 30 and 50, whose catalog
+  resolvents are bound once per gamma (``ResolventOp``);
 - ``consensus.sum1_step`` and ``sum2_step``, ``admm.step`` on the two
   product-space lifts of a consensus problem of 101 ``Translated(L1Norm)``
   blocks on R^3.
@@ -22,8 +24,10 @@ Each line is the best of ``REPEATS`` loops in microseconds per iteration.
 Then it checks, on each lasso and with constant and ramped schedules, that
 a loop of public ``step`` calls with an ``InertialParams`` gives the rows of
 ``run_iadmm`` with the same parameters byte for byte (x, z, zbar, y, v, w),
-and exits 1 if any differs.  One BLAS thread.  ``--smoke`` runs 20
-iterations once and 11 blocks, which checks that the script works and
+and exits 1 if any differs; and that a loop of public ``idr_step`` calls,
+fed alpha_k and lambda_k as floats, gives the rows of ``run_idr`` byte for
+byte (w, y, v), exiting 1 if any differs.  One BLAS thread.  ``--smoke``
+runs 20 iterations once and 11 blocks, which checks that the script works and
 that the loops agree.  Runs from the root of a checkout and imports the
 program from its ``src/``.
 """
@@ -46,7 +50,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 from inadmm import (ConsensusProblem, IadmmState, L1Norm, LinearMap,
                     ProblemSpec, Quadratic, ResolventOp, Translated,
-                    XUpdateStrategy, default_params, ramp_schedule, run_iadmm)
+                    XUpdateStrategy, default_params, ramp_schedule, run_iadmm,
+                    run_idr)
 from inadmm.admm import step
 from inadmm.consensus import sum1_step, sum2_step
 from inadmm.dr import IdrState, idr_step
@@ -111,6 +116,29 @@ def differing_row(p, params, iters):
     return None
 
 
+def twin(p):
+    """The DR operators (A, B) whose iteration is the lasso's ADMM."""
+    return (ResolventOp.composed_conjugate(p.f, p.L),
+            ResolventOp.conjugate_subdifferential(p.g))
+
+
+def differing_dr_row(p, params, iters):
+    """The first k at which public ``idr_step`` calls and ``run_idr`` differ,
+    or None."""
+    A, B = twin(p)
+    zeros = np.zeros(p.g.dim)
+    trace = run_idr(A, B, params.gamma, params, zeros, zeros, max_iters=iters,
+                    tol=0.0)
+    state = IdrState(k=0, w_prev=zeros, w=zeros)
+    for row in trace.rows:
+        state = idr_step(state, A, B, params.gamma, params.alpha_at(row.k),
+                         params.lambda_at(row.k))
+        for field, key in (("w", "w_next"), ("y", "y"), ("v", "v")):
+            if getattr(state, field).tobytes() != row.vectors[key].tobytes():
+                return row.k
+    return None
+
+
 def main(argv=None):
     args = parse_args(argv)
     iters, repeats, blocks = (20, 1, 11) if args.smoke else (ITERS, REPEATS, 101)
@@ -138,8 +166,7 @@ def main(argv=None):
                            best_us(loop, iters, repeats)))
 
     p = problems[30]
-    A = ResolventOp.composed_conjugate(p.f, p.L)
-    B = ResolventOp.conjugate_subdifferential(p.g)
+    A, B = twin(p)
 
     def dr_loop():
         state = IdrState(k=0, w_prev=np.zeros(30), w=np.zeros(30))
@@ -148,6 +175,11 @@ def main(argv=None):
             state = idr_step(state, A, B, params.gamma, co.alpha, co.lam)
     print("%-40s %8.1f" % ("dr.idr_step, lasso twin, n = 30",
                            best_us(dr_loop, iters, repeats)))
+    for n, p in problems.items():
+        A, B, zeros = *twin(p), np.zeros(n)
+        print("%-40s %8.1f" % ("dr.run_idr, lasso twin, n = %d" % n, best_us(
+            lambda: run_idr(A, B, params.gamma, params, zeros, zeros,
+                            max_iters=iters, tol=0.0), iters, repeats)))
 
     rng = np.random.default_rng(0)
     cp = ConsensusProblem([Translated(L1Norm(3, 1.0), rng.standard_normal(3))
@@ -170,6 +202,13 @@ def main(argv=None):
                 sys.exit("step_speed: public steps differ from run_iadmm at "
                          "k = %d (n = %d, %s schedules)" % (k, n, label))
     print("public steps = run_iadmm rows, byte for byte: yes")
+    for n, p in problems.items():
+        for label, q in (("constant", params), ("ramped", ramped)):
+            k = differing_dr_row(p, q, iters)
+            if k is not None:
+                sys.exit("step_speed: public idr_step calls differ from run_idr "
+                         "at k = %d (n = %d, %s schedules)" % (k, n, label))
+    print("public idr_step calls = run_idr rows, byte for byte: yes")
 
 
 if __name__ == "__main__":
