@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .admm import ProblemSpec, XUpdateStrategy, _loop, step
-from .duality import subgradient_violation
 from .functions import IndicatorConsensus, SeparableSum, Zero
 from .linalg import LinearMap, _norm, check_gamma, check_vector
 from .params import require_valid
@@ -29,7 +28,6 @@ __all__ = [
     "sum2_step",
     "run_sum2",
     "boyd_consensus",
-    "consensus_optimality_residual",
     "lift_problem",
 ]
 
@@ -182,24 +180,6 @@ def boyd_consensus(cp, gamma, init=None, max_iters=100000, tol=1e-10):
                          first_k=1)
     trace.final = {"x": state.x, "xbar": state.xbar, "y": state.y}
     return trace
-
-
-def consensus_optimality_residual(x, v, cp, rng=None):
-    """Violation of the first-order conditions at (x, v_1..v_m).
-
-    The stationarity certificate is -v_i in df_i(x) with sum_i v_i = 0;
-    the result sums the worst probed subgradient-inequality violation with
-    the norm of sum_i v_i.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    v = np.asarray(v, dtype=float)
-    worst = 0.0
-    for i, f in enumerate(cp.blocks):
-        worst = max(worst, subgradient_violation(f, x, -v[i], rng))
-        if np.isinf(worst):
-            return np.inf
-    return worst + float(np.linalg.norm(v.sum(axis=0)))
 
 
 def lift_problem(cp):

@@ -31,7 +31,6 @@ class ResolventOp:
         computed by an inner minimization that is available in closed form
         only for quadratic f or L with L'L = cI (``L.frame``); other
         combinations are rejected at construction so the oracle stays exact.
-      - ``zero`` / ``point_normal_cone(a)``: convenience special cases.
 
     A kind's resolvent is bound once per gamma, as ``Quadratic`` keeps a
     factor per gamma: ``_at(gamma)`` is u -> J_{gamma A}(u), kept for the
@@ -75,16 +74,6 @@ class ResolventOp:
             return lambda u: u - g_ * g._prox(inv, u / g_)
 
         return cls._catalog("conjugate_subdifferential", bind, g.dim)
-
-    @classmethod
-    def zero(cls, dim):
-        return cls._catalog("zero", lambda gamma: np.ndarray.copy, dim)
-
-    @classmethod
-    def point_normal_cone(cls, a):
-        a = check_vector(a, None, name="a")
-        return cls._catalog("point_normal_cone", lambda gamma: lambda u: a.copy(),
-                            a.shape[0])
 
     @classmethod
     def composed_conjugate(cls, f, L):

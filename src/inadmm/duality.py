@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import has_row_kernels
-from .linalg import check_vector
+from .linalg import SINGULAR_TOL, check_vector
 
 __all__ = [
     "DualityReport",
@@ -106,11 +106,13 @@ def kkt_residual(p, x, v, rng=None):
 
 
 def hypothesis_check(p):
-    """Injectivity moduli (theta, theta*) of L and its adjoint: a square L
-    shares theta with it, and a tall L's adjoint is wide, so theta* = 0."""
-    theta, (m, n) = p.L.injectivity_modulus(), p.L.shape
-    return theta, (theta if m == n else 0.0 if m > n
-                   else p.L.adjoint().injectivity_modulus())
+    """Injectivity moduli (theta, theta*) of L and its adjoint, from L's own
+    singular values: theta* is sigma_min(L), thresholded as theta is, unless
+    L is tall, when the adjoint is wide and theta* = 0."""
+    L = p.L
+    theta = L.injectivity_modulus()
+    s = 0.0 if L.shape[0] > L.shape[1] else L._singular_values()[0]
+    return theta, (s if s >= SINGULAR_TOL else 0.0)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Dense vectors and linear operators with adjoints and injectivity moduli."""
+"""Dense vectors and linear operators with adjoint actions and injectivity moduli."""
 
 import contextlib
 import functools
@@ -141,43 +141,38 @@ def pd_after_shift(M, c, floor=0.0):
 class LinearMap:
     """A linear operator between finite-dimensional real spaces.
 
-    Supported kinds are dense matrices, the identity, scaled identities
-    and stacked identities x -> (x, ..., x).  Values are immutable after
-    construction; the adjoint and the injectivity modulus (the smallest
-    singular value) are exact up to dense linear-algebra accuracy.
-    ``frame`` is the constant c with L'L = cI, or None when L has no such
-    structure (a dense map): sI has c = s^2 and its singular values
-    (|s|, |s|) from construction, and m stacked identities have c = m and
-    (sqrt(m), sqrt(m)).  A dense map computes L'L and its singular values
-    on first read.
+    A map is a dense matrix or the structured map x -> (s x, ..., s x) of
+    m copies of sI on R^n: the identity is (s, m) = (1, 1), a scaled
+    identity (s, 1) and m stacked identities (1, m).  Values are immutable
+    after construction.  ``frame`` is the constant c with L'L = cI, or None
+    for a dense map: a structured map has c = s^2 m and both singular
+    values |s| sqrt(m) from construction.  A dense map computes L'L and
+    its singular values on first read, to dense linear-algebra accuracy.
     """
 
-    def __init__(self, matrix=None, *, identity_dim=None, scale=1.0):
+    def __init__(self, matrix=None, *, identity_dim=None, scale=1.0, _copies=1):
         if (matrix is None) == (identity_dim is None):
             raise ValueError("pass exactly one of `matrix` or `identity_dim`")
-        if matrix is not None:
-            m = np.array(matrix, dtype=float)
-            if m.ndim != 2:
-                raise ValueError("matrix must be 2-D")
-            if not np.all(np.isfinite(m)):
-                raise ValueError("matrix entries must be finite")
-            m.setflags(write=False)
-            self.kind = "dense"
-            self.matrix = m
-            self.shape = m.shape
-            self.frame = self._sv = None  # _sv: (smallest, largest) singular value
-        else:
-            n = check_dim(identity_dim, "identity dimension")
-            s = float(scale)
+        self._gram = None
+        if matrix is None:
+            n, s = check_dim(identity_dim, "identity dimension"), float(scale)
             if not math.isfinite(s * s):
                 raise ValueError("scale must be finite (its square too): %r" % scale)
-            self.kind = "identity" if s == 1.0 else "scaled_identity"
-            self.scale = s
-            self.matrix = None
-            self.shape = (n, n)
-            self.frame = s * s
-            self._sv = (abs(s), abs(s))
-        self._gram = None
+            self.kind = ("stacked_identity" if _copies > 1 else
+                         "identity" if s == 1.0 else "scaled_identity")
+            self.matrix, self.scale, self.copies = None, s, _copies
+            self.shape = (_copies * n, n)
+            self.frame = s * s * _copies
+            self._sv = (abs(s) * math.sqrt(_copies),) * 2  # (smallest, largest)
+            return
+        m = np.array(matrix, dtype=float)
+        if m.ndim != 2:
+            raise ValueError("matrix must be 2-D")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix entries must be finite")
+        m.setflags(write=False)
+        self.kind, self.matrix, self.shape = "dense", m, m.shape
+        self.frame = self._sv = None
 
     @classmethod
     def dense(cls, matrix):
@@ -194,11 +189,7 @@ class LinearMap:
     @classmethod
     def stacked_identity(cls, m, n):
         """The (m n) x n map x -> (x, ..., x) of m >= 2 copies of I on R^n."""
-        m = check_dim(m, "number of copies", 2)
-        L = cls(identity_dim=n)
-        L.kind, L.copies, L.shape = "stacked_identity", m, (m * L.shape[0], L.shape[0])
-        L.frame, L._sv = float(m), (math.sqrt(m),) * 2
-        return L
+        return cls(identity_dim=n, _copies=check_dim(m, "number of copies", 2))
 
     @property
     def domain_dim(self):
@@ -212,8 +203,7 @@ class LinearMap:
         """Materialize the operator as a dense matrix."""
         if self.matrix is not None:
             return self.matrix
-        m, n = self.shape
-        return np.tile(self.scale * np.eye(n), (m // n, 1))
+        return np.tile(self.scale * np.eye(self.shape[1]), (self.copies, 1))
 
     def apply(self, x):
         """Return L x as a new array."""
@@ -231,41 +221,27 @@ class LinearMap:
     # also map each row of a (P, n) array: a dense map by one stacked matmul
     # whose rows are bit for bit the vector's gemv (a gemm's are not); the
     # identity returns its argument itself, which the loops never write into;
-    # a stacked identity's adjoint adds a row's m blocks as the vector's does
+    # a stacked map's adjoint adds a row's m blocks as the vector's does
     def _apply(self, x):
         if self.matrix is None:
-            if self.kind == "identity":
-                return x
-            if self.kind == "scaled_identity":
-                return self.scale * x
-            return x[..., None, :].repeat(self.copies, -2).reshape(x.shape[:-1] + (-1,))
+            if self.copies > 1:
+                x = x[..., None, :].repeat(self.copies, -2).reshape(x.shape[:-1] + (-1,))
+            return x if self.scale == 1.0 else self.scale * x
         return self.matrix @ x if x.ndim == 1 else np.matmul(
             self.matrix, x[:, :, None])[:, :, 0]
 
     def _adjoint_apply(self, y):
         if self.matrix is None:
-            if self.kind == "identity":
-                return y
-            if self.kind == "scaled_identity":
-                return self.scale * y
-            return y.reshape(y.shape[:-1] + (self.copies, -1)).sum(-2)
+            if self.copies > 1:
+                y = y.reshape(y.shape[:-1] + (self.copies, -1)).sum(-2)
+            return y if self.scale == 1.0 else self.scale * y
         return self.matrix.T @ y if y.ndim == 1 else np.matmul(
             y[:, None, :], self.matrix)[:, 0]
 
-    def _left_inverse(self, y):  # L'y / frame, for a map with L'L = frame I
-        if self.kind == "identity":
-            return y
-        if self.kind == "scaled_identity":
-            return y / self.scale
-        return self._adjoint_apply(y) / self.frame
-
-    def adjoint(self):
-        """The adjoint as a new LinearMap, with L's singular values if known."""
-        if self.kind in ("identity", "scaled_identity"):
-            return LinearMap(identity_dim=self.shape[0], scale=self.scale)
-        adj = LinearMap(matrix=self.as_matrix().T)
-        adj._sv = self._sv
-        return adj
+    def _left_inverse(self, y):  # L'y / frame, as L'L = frame I; sI's is y / s
+        if self.copies > 1:
+            return self._adjoint_apply(y) / self.frame
+        return y if self.scale == 1.0 else y / self.scale
 
     def gram(self):
         """L'L, read-only: ``Lm.T @ Lm`` of ``as_matrix()``, computed once."""
@@ -303,16 +279,17 @@ class LinearMap:
         return self._singular_values()[1]
 
     def _singular_values(self):
-        if self._sv is None:
-            sv = np.linalg.svd(self.matrix, compute_uv=False)
+        if self._sv is None:  # of L' if L is wide, so L and L' share the bits
+            m, n = self.shape
+            sv = np.linalg.svd(self.matrix if m >= n else self.matrix.T, compute_uv=False)
             self._sv = (float(sv[-1]), float(sv[0])) if sv.size else (0.0, 0.0)
         return self._sv
 
     def __repr__(self):
-        if self.kind == "dense":
+        if self.matrix is not None:
             return "LinearMap(dense %dx%d)" % self.shape
-        if self.kind == "identity":
-            return "LinearMap(identity %d)" % self.shape[0]
-        if self.kind == "stacked_identity":
+        if self.copies > 1:
             return "LinearMap(stacked identity, %d copies of %d)" % (self.copies, self.shape[1])
+        if self.scale == 1.0:
+            return "LinearMap(identity %d)" % self.shape[0]
         return "LinearMap(scaled identity %d, c=%g)" % (self.shape[0], self.scale)

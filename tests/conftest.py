@@ -9,9 +9,11 @@ from inadmm import (
     L2Norm,
     LinearMap,
     Quadratic,
+    ResolventOp,
     Translated,
     Zero,
 )
+from inadmm.duality import subgradient_violation
 from inadmm.trace import SolveTrace, TraceRow
 
 
@@ -135,6 +137,35 @@ def tall_full_rank(m, n, rng):
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     s = s + 0.5  # bound the spectrum away from zero
     return u @ np.diag(s) @ vt
+
+
+def zero_operator(dim):
+    """A = 0 on R^dim, hand-built: its resolvent is the identity."""
+    return ResolventOp("zero", lambda gamma, u: u.copy(), dim)
+
+
+def point_normal_cone(a):
+    """A = the normal cone of {a}, hand-built: its resolvent is the constant a."""
+    a = np.asarray(a, dtype=float)
+    return ResolventOp("point_normal_cone", lambda gamma, u: a.copy(), a.shape[0])
+
+
+def consensus_optimality_residual(x, v, cp, rng=None):
+    """Violation of the first-order conditions at (x, v_1..v_m).
+
+    The stationarity certificate is -v_i in df_i(x) with sum_i v_i = 0;
+    the result sums the worst probed subgradient-inequality violation with
+    the norm of sum_i v_i.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    v = np.asarray(v, dtype=float)
+    worst = 0.0
+    for i, f in enumerate(cp.blocks):
+        worst = max(worst, subgradient_violation(f, x, -v[i], rng))
+        if np.isinf(worst):
+            return np.inf
+    return worst + float(np.linalg.norm(v.sum(axis=0)))
 
 
 def random_composite(rng, allow_dense=True):

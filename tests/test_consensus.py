@@ -11,7 +11,6 @@ from inadmm import (
     Quadratic,
     Translated,
     boyd_consensus,
-    consensus_optimality_residual,
     constant_schedule,
     default_params,
     lift_problem,
@@ -24,7 +23,7 @@ from inadmm.admm import IadmmState, ProblemSpec, XUpdateStrategy, step
 from inadmm.consensus import sum1_step, sum2_step
 from inadmm.functions import ConvexFn, sum_or_inf
 
-from conftest import mixed_blocks, run_sum1_simplified
+from conftest import consensus_optimality_residual, mixed_blocks, run_sum1_simplified
 
 
 def quadratic_blocks(m, n, rng):

@@ -16,7 +16,7 @@ from inadmm import (
     run_idr,
 )
 
-from conftest import random_quadratic, tall_full_rank
+from conftest import point_normal_cone, random_quadratic, tall_full_rank, zero_operator
 
 
 def test_subdifferential_resolvent_is_prox(rng):
@@ -36,9 +36,9 @@ def test_conjugate_subdifferential_resolvent(rng):
 
 def test_zero_and_point_normal_cone(rng):
     u = rng.standard_normal(2)
-    assert np.allclose(ResolventOp.zero(2).resolvent(1.0, u), u)
+    assert np.allclose(zero_operator(2).resolvent(1.0, u), u)
     a = np.array([1.0, -1.0])
-    assert np.allclose(ResolventOp.point_normal_cone(a).resolvent(0.3, u), a)
+    assert np.allclose(point_normal_cone(a).resolvent(0.3, u), a)
 
 
 def test_composed_conjugate_identity_matches_coordinate_minimization(rng):
@@ -242,7 +242,7 @@ def test_run_idr_requires_matching_warm_start():
 
     f = Quadratic(np.eye(1), np.zeros(1))
     A = ResolventOp.subdifferential(f)
-    B = ResolventOp.zero(1)
+    B = zero_operator(1)
     params = InertialParams(
         gamma=1.0, alpha=0.2, sigma=0.01, delta=1.0, lambda_lo=1e-6,
         alpha_schedule=constant_schedule(0.2),
@@ -280,7 +280,7 @@ def test_run_idr_validates_params():
         alpha_schedule=constant_schedule(0.5),
         lambda_schedule=constant_schedule(0.5),
     )
-    A = ResolventOp.zero(1)
+    A = zero_operator(1)
     with pytest.raises(ValueError):
         run_idr(A, A, 1.0, bad, np.zeros(1), np.zeros(1))
 

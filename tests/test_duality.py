@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,9 @@ from inadmm import (
     run_iadmm,
 )
 from inadmm.duality import subgradient_violation
+from inadmm.linalg import SINGULAR_TOL
 
-from conftest import random_quadratic, tall_full_rank
+from conftest import counted, random_quadratic, tall_full_rank
 
 
 def quad_pair(n, rng):
@@ -113,23 +116,34 @@ def test_hypothesis_check(rng):
     assert theta_star == 0.0  # wide adjoint has a kernel
 
 
-@pytest.mark.parametrize("shape", [(4, 4), (6, 3)], ids=["square", "tall"])
+@pytest.mark.parametrize("shape", [(4, 4), (6, 3), (3, 6)], ids=["square", "tall", "wide"])
 def test_hypothesis_check_builds_no_adjoint(rng, monkeypatch, shape):
-    # theta* is the adjoint's modulus, bit for bit, without the adjoint's copy
+    # theta* is sigma_min of L' (numpy's SVD of L's matrix, transposed) when
+    # L' is not wide, read from L's own singular values with no map built:
+    # a square map's is its theta, bit for bit, and a wide map's is that SVD's
     m, n = shape
-    maps = [LinearMap.dense(tall_full_rank(m, n, rng)), LinearMap.identity(n),
-            LinearMap.scaled_identity(n, -0.5)]
-    wants = [(L.injectivity_modulus(), L.adjoint().injectivity_modulus())
-             for L in maps]
-
-    def no_adjoint(self):
-        raise AssertionError("adjoint built")
-
-    monkeypatch.setattr(LinearMap, "adjoint", no_adjoint)
-    for L, want in zip(maps, wants):
-        p = ProblemSpec(random_quadratic(n, rng), L2Norm(L.shape[0], 1.0), L)
-        got = hypothesis_check(p)
-        assert [v.hex() for v in got] == [v.hex() for v in want]
+    if m >= n:
+        maps = [LinearMap.dense(tall_full_rank(m, n, rng)), LinearMap.identity(n),
+                LinearMap.scaled_identity(n, -0.5)]
+    else:  # ProblemSpec refuses a wide L: an object with only .L reaches it
+        Lm = tall_full_rank(n, m, rng).T
+        maps = [LinearMap.dense(Lm), LinearMap.dense(np.vstack([Lm[:2], Lm[:1]]))]
+    assert not hasattr(LinearMap, "adjoint")
+    inits = counted(monkeypatch, LinearMap, "__init__")
+    for L in maps:
+        sv = np.linalg.svd(L.as_matrix().T, compute_uv=False)
+        theta, theta_star = hypothesis_check(SimpleNamespace(L=L))
+        if L.shape[0] > L.shape[1]:
+            want = 0.0  # a tall L's adjoint is wide
+        elif L.shape[0] == L.shape[1]:
+            want = theta
+            assert theta_star == pytest.approx(sv[-1], rel=1e-12)
+        else:
+            want = sv[-1] if sv[-1] >= SINGULAR_TOL else 0.0
+        assert theta_star.hex() == want.hex()
+    if m < n:  # the last wide map has rank 2: its sigma_min is below the tolerance
+        assert theta_star == 0.0 < sv[-1]
+    assert inits == []
 
 
 def test_duality_report_on_solver_output(rng):

@@ -91,7 +91,7 @@ def test_frame_constant_and_structural_singular_values(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", None)
     for L, c in ((LinearMap.identity(3), 1.0),
                  (LinearMap.scaled_identity(3, -0.5), 0.25),
-                 (LinearMap.scaled_identity(3, 2.0).adjoint(), 4.0)):
+                 (LinearMap.scaled_identity(3, 2.0), 4.0)):
         assert L.frame == c
         assert np.array_equal(L.gram(), c * np.eye(3))
         assert L.norm() == L.injectivity_modulus() == np.sqrt(c)
@@ -99,19 +99,32 @@ def test_frame_constant_and_structural_singular_values(rng, monkeypatch):
     assert LinearMap.dense(rng.standard_normal((3, 2))).frame is None
 
 
-@pytest.mark.parametrize("m, n", [(2, 1), (3, 2), (101, 3)])
-def test_stacked_identity_kernels_match_its_matrix(rng, m, n):
-    L = LinearMap.stacked_identity(m, n)
+@pytest.mark.parametrize("m, n, s", [
+    pytest.param(1, 3, 1.0, id="identity"),
+    pytest.param(1, 3, -0.7, id="scaled_negative"),
+    pytest.param(1, 4, 2.5, id="scaled_positive"),
+    pytest.param(2, 1, 1.0, id="2-1"),
+    pytest.param(3, 2, 1.0, id="3-2"),
+    pytest.param(101, 3, 1.0, id="101-3"),
+])
+def test_stacked_identity_kernels_match_its_matrix(rng, m, n, s):
+    # every structured map is x -> (s x, ..., s x), m copies of sI on R^n
+    L = LinearMap.stacked_identity(m, n) if m > 1 else LinearMap.scaled_identity(n, s)
     A = L.as_matrix()
     assert L.shape == A.shape == (m * n, n)
-    assert np.array_equal(A, np.vstack([np.eye(n)] * m))
+    assert np.array_equal(A, np.vstack([s * np.eye(n)] * m))
+    # L'L = s^2 m I, with both singular values |s| sqrt(m), in today's bits
+    assert L.frame.hex() == (s * s if m == 1 else float(m)).hex()
+    assert [v.hex() for v in L._sv] == [(abs(s) if m == 1 else np.sqrt(m)).hex()] * 2
     x, y = rng.standard_normal(n), rng.standard_normal(m * n)
     X, Y = rng.standard_normal((4, n)), rng.standard_normal((4, m * n))
     assert np.array_equal(L._apply(x), A @ x)  # sums of one entry and zeros
     assert np.array_equal(L.apply(x), A @ x)
     assert np.allclose(L._adjoint_apply(y), A.T @ y, rtol=1e-14, atol=1e-14)
     assert np.allclose(L.adjoint_apply(y), A.T @ y, rtol=1e-14, atol=1e-14)
-    # L'L = mI, so L'y / m is the least-squares inverse of L
+    # L'y / (s^2 m) is the least-squares inverse of L: y / s, or the mean block
+    want = y / s if m == 1 else y.reshape(m, n).sum(0) / m
+    assert L._left_inverse(y).tobytes() == want.tobytes()
     assert np.allclose(L._left_inverse(y), np.linalg.pinv(A) @ y,
                        rtol=1e-13, atol=1e-14)
     assert np.allclose(L._left_inverse(L._apply(x)), x, rtol=1e-13, atol=0.0)
@@ -122,6 +135,8 @@ def test_stacked_identity_kernels_match_its_matrix(rng, m, n):
         assert got.shape == (4, kernel(rows[0]).size)
         for j in range(4):
             assert got[j].tobytes() == kernel(rows[j]).tobytes(), kernel
+    if (m, s) == (1, 1.0):  # the identity's kernels return their argument
+        assert L._apply(x) is x and L._adjoint_apply(y) is y and L._left_inverse(y) is y
 
 
 def test_stacked_identity_structure(rng, monkeypatch):
@@ -131,10 +146,6 @@ def test_stacked_identity_structure(rng, monkeypatch):
     assert L.kind == "stacked_identity" and L.frame == 4.0
     assert L.norm() == L.injectivity_modulus() == 2.0 and L.is_injective()
     assert np.array_equal(L.gram(), 4.0 * np.eye(3))
-    adj = L.adjoint()
-    assert adj.shape == (3, 12) and adj.frame is None
-    assert np.array_equal(adj.as_matrix(), L.as_matrix().T)
-    assert adj.norm() == 2.0 and adj.injectivity_modulus() == 0.0
     assert repr(L) == "LinearMap(stacked identity, 4 copies of 3)"
     for f in (Zero(3), random_quadratic(3, rng), L1Norm(3, 0.5)):
         p = ProblemSpec(f, L1Norm(12, 0.3), L)
@@ -182,11 +193,6 @@ def test_adjoint_consistency_random(rng):
             assert abs(lhs - rhs) <= bound
 
 
-def test_double_adjoint_round_trip(rng):
-    L = LinearMap.dense(rng.standard_normal((3, 2)))
-    assert np.array_equal(L.adjoint().adjoint().as_matrix(), L.as_matrix())
-
-
 def test_modulus_sharpness(rng):
     for _ in range(10):
         m = int(rng.integers(2, 7))
@@ -222,37 +228,20 @@ def test_norm_and_modulus_share_one_svd(rng, monkeypatch):
     assert len(calls) == 1
     wide = LinearMap.dense(mat.T)
     assert wide.injectivity_modulus() == 0.0 and len(calls) == 1
-    assert wide.norm() == pytest.approx(sv[0], rel=1e-12)
-
-
-def test_adjoint_shares_singular_values(rng, monkeypatch):
-    square = LinearMap.dense(tall_full_rank(4, 4, rng))
-    tall = LinearMap.dense(tall_full_rank(5, 3, rng))
-    calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda *a, **kw: calls.append(1) or svd(*a, **kw))
-    theta = square.injectivity_modulus()
-    adj = square.adjoint()
-    assert adj.injectivity_modulus() == theta and adj.norm() == square.norm()
-    assert tall.injectivity_modulus() > 0.0
-    wide = tall.adjoint()
-    assert wide.injectivity_modulus() == 0.0  # the shape rule still holds
-    assert wide.norm() == tall.norm()
-    assert len(calls) == 2
+    assert wide.norm() == sv[0]  # a wide map takes the SVD of its transpose
 
 
 # -- the Gram matrix and the rank certificate --------------------------------
 
-def test_gram_is_cached_read_only_and_not_shared_with_the_adjoint(rng):
+def test_gram_is_cached_and_read_only(rng):
     Lm = rng.standard_normal((5, 3))
     L = LinearMap.dense(Lm)
     G = L.gram()
     assert G is L.gram() and not G.flags.writeable
     assert G.tobytes() == (Lm.T @ Lm).tobytes()
-    adj = L.adjoint()
-    assert adj.gram().shape == (5, 5)  # L L', not L'L
-    assert np.allclose(adj.gram(), Lm @ Lm.T, rtol=1e-14, atol=1e-14)
+    wide = LinearMap.dense(Lm.T)
+    assert wide.gram().shape == (5, 5)  # L'L of the 3 x 5 map
+    assert np.allclose(wide.gram(), Lm @ Lm.T, rtol=1e-14, atol=1e-14)
     assert np.array_equal(LinearMap.scaled_identity(3, 2.0).gram(), 4.0 * np.eye(3))
 
 
