@@ -145,18 +145,18 @@ def x_update(state, p, gamma, alpha_k, strat, dy=None, dz=None):
 
     c_k = y^k - alpha_k dy - gamma alpha_k dz with dy = y^k - y^{k-1} and
     dz = z^k - z^{k-1}, computed here unless the caller passes them.  As
-    gamma, ``step`` passes its row of ``params.Coefficients``, a float equal
-    to gamma whose arrays give gamma, alpha_k and gamma alpha_k here.
+    gamma, ``step`` passes its ``params.Coefficients`` row, a float equal to
+    gamma whose arrays and ``still`` flag (c_k = y^k) are read here.
     """
     if dy is None:
         dy = state.y - state.y_prev
     if dz is None:
         dz = state.z - state.z_prev
     if type(gamma) is CoefficientRow:
-        g, a_k, ga_k = gamma.gamma, gamma.alpha, gamma.gamma_alpha
+        g, a_k, ga_k, still = gamma.gamma, gamma.alpha, gamma.gamma_alpha, gamma.still
     else:
-        g, a_k, ga_k = gamma, alpha_k, gamma * alpha_k
-    c = state.y - a_k * dy - ga_k * dz
+        g, a_k, ga_k, still = gamma, alpha_k, gamma * alpha_k, False
+    c = state.y if still else state.y - a_k * dy - ga_k * dz
     L = p.L
     if strat.kind == "prox_identity":
         # L'L = L.frame I: x = prox_{f/(gamma L.frame)}(L'(z^k - c_k/gamma) / L.frame)
@@ -193,9 +193,11 @@ def step(state, p, params, k, strat, norm=_norm):
     another.  The scalars come from ``params.coefficients`` (see
     ``params.Coefficients``), and every shared term (dy, dz, Lx^{k+1}, r,
     drift = dy + gamma dz, lambda_k Lx^{k+1}, (1 - lambda_k) z^k, ...) is
-    computed once.  On (P, m) rows with a batch's table of (P, 1) columns
-    it advances P points, each row bit for bit its own step, and norm(r) is
-    the array of the rows' 2-norms.
+    computed once.  A ``still`` row (alpha_k = alpha_{k+1} = 0) drops the
+    zero drift terms of c_k, of the z-argument and of y^{k+1}, but forms
+    the drift, which signs zbar^{k+1}'s zeros and ends v^k.  On (P, m) rows
+    with a batch's table of (P, 1) columns it advances P points, each row
+    bit for bit its own step, and norm(r) is the array of the rows' 2-norms.
     """
     co = params.coefficients.at(k)
     gamma = co.gamma
@@ -210,15 +212,19 @@ def step(state, p, params, k, strat, norm=_norm):
     # zbar^{k+1} = alpha_{k+1} lambda_k (Lx^{k+1} - z^k)
     #              + ((1 - lambda_k) alpha_k alpha_{k+1} / gamma) drift
     zbar_next = co.next_lam * r + co.zbar_drift * drift
-    # z^{k+1} = -zbar^{k+1} + prox_{g/gamma}(zbar^{k+1} + lambda_k Lx^{k+1}
-    #   + (1 - lambda_k) z^k + y^k / gamma + ((1 - lambda_k) alpha_k / gamma) drift)
+    # z^{k+1} = prox_{g/gamma}(zbar^{k+1} + lambda_k Lx^{k+1} + (1 - lambda_k)
+    #   z^k + y^k / gamma + ((1 - lambda_k) alpha_k / gamma) drift) - zbar^{k+1}
     l_Lx = co.lam * Lx
     l_z = co.rest * z
-    arg = zbar_next + l_Lx + l_z + y / gamma + co.arg_drift * drift
-    z_next = -zbar_next + p.g._prox(co.inv_gamma, arg)
+    arg = zbar_next + l_Lx + l_z + y / gamma
+    if not co.still:  # the sum's last term, zero on a still row
+        arg += co.arg_drift * drift
+    z_next = p.g._prox(co.inv_gamma, arg) - zbar_next
     # y^{k+1} = y^k + gamma (lambda_k Lx^{k+1} + (1 - lambda_k) z^k - z^{k+1})
     #           + (1 - lambda_k) alpha_k drift
-    y_next = y + gamma * (l_Lx + l_z - z_next) + co.rest_alpha * drift
+    y_next = y + gamma * (l_Lx + l_z - z_next)
+    if not co.still:
+        y_next += co.rest_alpha * drift
     # v^k = y^k - gamma z^k + gamma Lx^{k+1} - alpha_k drift, certifying
     # -L*v^k in df(x^{k+1}), is formed by the state on first read
     new_state = IadmmState(k=k + 1, x=x_next, z=z_next, z_prev=z,

@@ -35,7 +35,7 @@ class ResolventOp:
     A kind's resolvent is bound once per gamma, as ``Quadratic`` keeps a
     factor per gamma: ``_at(gamma)`` is u -> J_{gamma A}(u), kept for the
     last gamma.  A catalog kind binds its unchecked kernel, with its step
-    checked once per binding and gamma (and gamma c) as 0-d arrays, which
+    checked once per binding and gamma (and -gamma c) as 0-d arrays, which
     numpy multiplies by faster than by a float, for the same bits; a
     hand-built operator binds its checked ``resolvent``.
     """
@@ -95,8 +95,8 @@ class ResolventOp:
                     f._solver(gamma, L)(-f.q - L._adjoint_apply(u)))
             check_step(gamma, c)
             # argmin f(x) + <L'u,x> + (gamma c/2)||x||^2, as L'L = cI
-            gc, t = np.array(gamma * c, dtype=float), 1.0 / (gamma * c)
-            return lambda u: u + g_ * L._apply(f._prox(t, -L._adjoint_apply(u) / gc))
+            neg_gc, t = np.array(-gamma * c, dtype=float), 1.0 / (gamma * c)
+            return lambda u: u + g_ * L._apply(f._prox(t, L._adjoint_apply(u) / neg_gc))
 
         return cls._catalog("composed_conjugate", bind, L.codomain_dim)
 
@@ -120,11 +120,16 @@ def idr_step(state, A, B, gamma, alpha_k, lambda_k):
     u = w + alpha_k (w - w_prev); y = J_{gamma B}(u);
     v = J_{gamma A}(2y - u); w_next = u + lambda_k (v - y).
     """
+    return _idr_step(state, A, B, gamma, alpha_k, lambda_k)[0]
+
+
+def _idr_step(state, A, B, gamma, alpha_k, lambda_k):
+    """``idr_step`` and the v - y it forms once, for w_next and the stop test."""
     u = state.w + alpha_k * (state.w - state.w_prev)
     y = B._at(gamma)(u)
     v = A._at(gamma)(_TWO * y - u)
-    w_next = u + lambda_k * (v - y)
-    return IdrState(k=state.k + 1, w_prev=state.w, w=w_next, y=y, v=v)
+    vy = v - y
+    return IdrState(k=state.k + 1, w_prev=state.w, w=u + lambda_k * vy, y=y, v=v), vy
 
 
 def _idr_vectors(prev, new):
@@ -149,10 +154,9 @@ def run_idr(A, B, gamma, params, w0, w1, max_iters=100000, tol=1e-10):
 
     def iterate(state, k):
         co = params.coefficients.at(k)
-        new = idr_step(state, A, B, gamma, co.alpha, co.lam)
-        vy = _norm(new.v - new.y)
-        row = TraceRow(k, vy, prev=state, new=new, schema=(_idr_vectors, None, False))
-        return new, row, (vy,)
+        new, vy = _idr_step(state, A, B, gamma, co.alpha, co.lam)
+        row = TraceRow(k, _norm(vy), prev=state, new=new, schema=(_idr_vectors, None, False))
+        return new, row, (row.feas_residual,)
 
     # first_k = 2: the first iteration can be a forced w^2 = w^1 bridge
     trace, state = drive(iterate, IdrState(k=0, w_prev=w0, w=w1), max_iters,

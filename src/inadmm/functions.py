@@ -254,13 +254,16 @@ class L1Norm(ConvexFn):
         if not 0.0 < tau < INF:
             raise ValueError("tau must be positive and finite")
         self.tau = float(tau)
+        self._t = (None, None, None)  # the last (gamma, tau, gamma tau as an array)
 
     def _value(self, x):
         return _out(self.tau * np.abs(x).sum(-1, keepdims=True))
 
     def _prox(self, gamma, x):
-        t = gamma * self.tau
-        return np.sign(x) * np.maximum(np.abs(x) - t, _ZERO)
+        bound = self._t
+        if bound[0] != gamma or bound[1] is not self.tau:
+            bound = self._t = (gamma, self.tau, np.asarray(gamma * self.tau, dtype=float))
+        return np.sign(x) * np.maximum(np.abs(x) - bound[2], _ZERO)
 
     def _conj(self, u):
         inside = np.abs(u).max(-1, keepdims=True) <= self.tau * (1.0 + DOM_TOL) + 1e-15

@@ -181,10 +181,10 @@ def _steady(p):
 class CoefficientRow(float):
     """Iteration k's scalars, see ``Coefficients``.  The row is itself the
     float gamma: ``step`` passes it to ``x_update`` as gamma, and the
-    x-update reads its arrays from it."""
+    x-update reads its arrays and its ``still`` flag from it."""
 
     __slots__ = ("gamma", "inv_gamma", "alpha", "lam", "rest", "rest_alpha",
-                 "next_lam", "zbar_drift", "arg_drift", "gamma_alpha")
+                 "next_lam", "zbar_drift", "arg_drift", "gamma_alpha", "still")
 
 
 class Coefficients:
@@ -201,7 +201,8 @@ class Coefficients:
     float, whose weak-scalar conversion it pays on every product; the bits
     are the same.  Rows up to the k from which the schedules are constant
     are built on first read and kept; schedules without that k build a row
-    per read.
+    per read.  A row is ``still`` when alpha_k and alpha_{k+1} are zero on
+    every row of the table, which a batch rebuilds on its live rows.
     """
 
     def __init__(self, params):
@@ -230,6 +231,7 @@ class Coefficients:
         alpha, alpha_next, lam = (column("alpha_at", k), column("alpha_at", k + 1),
                                   column("lambda_at", k))
         row = CoefficientRow(self._params[0].gamma)
+        row.still = not (alpha.any() or alpha_next.any())
         row.inv_gamma = 1.0 / row
         row.gamma = gamma = self._gamma  # one array for every k
         rest = 1.0 - lam

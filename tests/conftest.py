@@ -13,7 +13,9 @@ from inadmm import (
     Translated,
     Zero,
 )
+from inadmm import admm
 from inadmm.duality import subgradient_violation
+from inadmm.params import CoefficientRow
 from inadmm.trace import SolveTrace, TraceRow
 
 
@@ -235,3 +237,36 @@ def run_sum1_simplified(cp, params, init=None, max_iters=1000):
         x_prev = x_next
     trace.final = {"x": x_next, "z": z, "y": y}
     return trace
+
+
+def full_formula_step(state, p, params, k, strat):
+    """``admm.step`` with every term of its recurrences formed, as the step
+    was first written: c_k's two inertial products and the drift terms of
+    the z-argument and of y^{k+1} are formed and added even where alpha_k =
+    alpha_{k+1} = 0, z^{k+1} is -zbar^{k+1} + prox, and v^k is formed at
+    once.  It reads the same coefficient table as ``step``, with the row's
+    ``still`` flag cleared, so the x-update forms c_k in full.  Returns the
+    new state (x, z, zbar, y, v and w set) and r = Lx^{k+1} - z^k."""
+    co = params.coefficients.at(k)
+    full = CoefficientRow(co)
+    for name in CoefficientRow.__slots__:
+        setattr(full, name, getattr(co, name))
+    full.still = False
+    gamma = co.gamma
+    y, z = state.y, state.z
+    dy = y - state.y_prev
+    dz = z - state.z_prev
+    x_next = admm.x_update(state, p, full, co.alpha, strat, dy, dz)
+    Lx = p.L._apply(x_next)
+    r = Lx - z
+    drift = dy + gamma * dz
+    zbar_next = co.next_lam * r + co.zbar_drift * drift
+    l_Lx = co.lam * Lx
+    l_z = co.rest * z
+    arg = zbar_next + l_Lx + l_z + y / gamma + co.arg_drift * drift
+    z_next = -zbar_next + p.g._prox(co.inv_gamma, arg)
+    y_next = y + gamma * (l_Lx + l_z - z_next) + co.rest_alpha * drift
+    v = y - gamma * z + gamma * Lx - co.alpha * drift
+    new = admm.IadmmState(k=k + 1, x=x_next, z=z_next, z_prev=z, zbar=zbar_next,
+                          y=y_next, y_prev=y, v=v, w=y_next + gamma * z_next)
+    return new, r

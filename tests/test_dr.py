@@ -297,3 +297,48 @@ def test_run_idr_budget_exhaustion():
                     max_iters=3, tol=1e-14)
     assert not trace.converged
     assert trace.iterations == 3
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2])
+@pytest.mark.parametrize("twin", ["scaled_identity", "dense_quadratic"])
+def test_run_idr_rows_are_public_idr_steps_byte_for_byte(rng, twin, alpha):
+    # run_idr forms v - y once, for w_next and its stop residual; the public
+    # idr_step, fed alpha_k and lambda_k as floats, gives the same bytes
+    n = 5
+    if twin == "scaled_identity":
+        A = ResolventOp.composed_conjugate(L1Norm(n, 0.6),
+                                           LinearMap.scaled_identity(n, -1.7))
+    else:
+        A = ResolventOp.composed_conjugate(
+            random_quadratic(n, rng), LinearMap.dense(tall_full_rank(n + 2, n, rng)))
+    B = ResolventOp.conjugate_subdifferential(
+        Translated(L2Norm(A.dim, 0.4), rng.standard_normal(A.dim)))
+    params = default_params(alpha, gamma=1.3)
+    w1 = rng.standard_normal(A.dim)
+    trace = run_idr(A, B, 1.3, params, w1, w1, max_iters=40, tol=0.0)
+    assert trace.iterations == 40
+    state = IdrState(k=0, w_prev=w1, w=w1)
+    for row in trace.rows:
+        state = idr_step(state, A, B, 1.3, params.alpha_at(row.k),
+                         params.lambda_at(row.k))
+        for name, key in (("w", "w_next"), ("y", "y"), ("v", "v")):
+            assert getattr(state, name).tobytes() == row.vectors[key].tobytes()
+        assert row.feas_residual == np.linalg.norm(state.v - state.y)
+
+
+@pytest.mark.parametrize("L", [LinearMap.identity(4), LinearMap.scaled_identity(4, -0.7),
+                               LinearMap.stacked_identity(3, 4)],
+                         ids=["identity", "scaled", "stacked"])
+def test_composed_conjugate_divides_by_minus_gamma_c_for_the_bits_of_negating(rng, L):
+    # J(u) = u + gamma L prox_{f/(gamma c)}(-L'u / (gamma c)); L'u / (-gamma c)
+    # is -L'u / (gamma c) in IEEE arithmetic, signed zeros included
+    f = L1Norm(4, 0.3)
+    A = ResolventOp.composed_conjugate(f, L)
+    c = L.frame
+    for gamma in (0.9, 2.0):
+        for _ in range(5):
+            u = rng.standard_normal(L.codomain_dim)
+            u[:2] = (0.0, -0.0)
+            want = u + gamma * L.apply(f.prox(1.0 / (gamma * c),
+                                              -L.adjoint_apply(u) / (gamma * c)))
+            assert A.resolvent(gamma, u).tobytes() == want.tobytes()

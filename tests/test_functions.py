@@ -599,3 +599,42 @@ def test_dimension_arguments_accept_integers():
         IndicatorConsensus(1, 2)
     with pytest.raises(ValueError, match="block dimension must be >= 1"):
         IndicatorConsensus(2, 0)
+
+
+def test_l1_prox_keeps_its_threshold_per_gamma_with_the_bits_of_gamma_tau(rng):
+    # the threshold gamma tau is kept as a 0-d array for the last gamma; the
+    # soft threshold keeps the bits of the float formula
+    f = L1Norm(30, 0.37)
+    x = 3.0 * rng.standard_normal(30)
+    x[:3] = (0.0, -0.0, 0.37 * 0.7)  # zeros and an entry at the threshold
+    for gamma in (0.7, 0.7, 1.9, 0.3, 0.7):
+        got = f._prox(gamma, x)
+        want = np.sign(x) * np.maximum(np.abs(x) - gamma * 0.37, 0.0)
+        assert got.tobytes() == want.tobytes(), gamma
+        assert f._t[0] == gamma and f._t[2].shape == ()  # rebound to this gamma
+        assert f._t[2].tobytes() == np.float64(gamma * 0.37).tobytes()
+    kept = f._t[2]
+    f._prox(0.7, x)
+    assert f._t[2] is kept  # the same gamma binds nothing
+    f.tau = 2.5  # a new tau rebinds too
+    assert f._prox(0.7, x).tobytes() == (np.sign(x) * np.maximum(
+        np.abs(x) - 0.7 * 2.5, 0.0)).tobytes()
+
+
+def test_stacked_l1_threshold_is_a_column_and_not_a_blocks_own(rng):
+    # a block that bound its scalar threshold before it was stacked: the
+    # stacked copy binds its own (k, 1) column of gamma tau_i
+    blocks = [L1Norm(3, 0.5), L1Norm(3, 2.0), Translated(L1Norm(3, 1.5), np.ones(3))]
+    X = 3.0 * rng.standard_normal((3, 3))
+    for f, x in zip(blocks, X):
+        f.prox(0.8, x)
+    stacked = SeparableSum(blocks[:2])
+    for gamma in (0.8, 1.3):
+        out = stacked.prox(gamma, X[:2])
+        assert stacked._groups[0][1]._t[2].shape == (2, 1)
+        for i in range(2):
+            assert out[i].tobytes() == blocks[i].prox(gamma, X[i]).tobytes(), (gamma, i)
+    translated = SeparableSum([blocks[2], Translated(L1Norm(3, 0.25), -np.ones(3))])
+    out = translated.prox(0.8, X[1:])
+    assert out[0].tobytes() == blocks[2].prox(0.8, X[1]).tobytes()
+    assert translated._groups[0][1].base._t[2].shape == (2, 1)

@@ -21,15 +21,30 @@ with ``default_params(0.2)``, loops of ``ITERS`` public calls of:
   blocks on R^3.
 
 Each line is the best of ``REPEATS`` loops in microseconds per iteration.
-Then it checks, on each lasso and with constant and ramped schedules, that
-a loop of public ``step`` calls with an ``InertialParams`` gives the rows of
-``run_iadmm`` with the same parameters byte for byte (x, z, zbar, y, v, w),
-and exits 1 if any differs; and that a loop of public ``idr_step`` calls,
-fed alpha_k and lambda_k as floats, gives the rows of ``run_idr`` byte for
-byte (w, y, v), exiting 1 if any differs.  One BLAS thread.  ``--smoke``
-runs 20 iterations once and 11 blocks, which checks that the script works and
-that the loops agree.  Runs from the root of a checkout and imports the
-program from its ``src/``.
+
+At alpha = 0 and lambda = 1 the paper's scheme is classical ADMM, and its
+steps are ``still`` (``params.Coefficients``): they skip the terms the zero
+alpha leaves out.  The script then prints two ratios of whole runs (
+``RATIO_ITERS`` iterations at tolerance 0, the same count for both), each
+the median and quartiles over ``PAIRS`` interleaved pairs of runs, in
+alternating order:
+
+- ``run_iadmm`` at alpha = 0, lambda = 1 over ``classical_admm`` on the
+  lasso, at n = 10 and 200;
+- ``run_sum1`` at alpha = 0, lambda = 1 (``alpha2_zero``, so lambda_1 = 1
+  too) over ``boyd_consensus``, the textbook scheme it reduces to, at m =
+  101 and 1001 ``Translated(L1Norm)`` blocks on R^3, gamma = 5.
+
+Then it checks, on each lasso and with constant, ramped, alpha = 0 and
+``alpha2_zero`` schedules, that a loop of public ``step`` calls with an
+``InertialParams`` gives the rows of ``run_iadmm`` with the same parameters
+byte for byte (x, z, zbar, y, v, w), and exits 1 if any differs; and that a
+loop of public ``idr_step`` calls, fed alpha_k and lambda_k as floats, gives
+the rows of ``run_idr`` byte for byte (w, y, v), exiting 1 if any differs.
+One BLAS thread.  ``--smoke`` runs 20 iterations once, 11 blocks, and one
+pair of 20-iteration runs per ratio at n = 10 and m = 11, which checks that
+the script works and that the loops agree.  Runs from the root of a
+checkout and imports the program from its ``src/``.
 """
 
 import os
@@ -50,17 +65,19 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 from inadmm import (ConsensusProblem, IadmmState, L1Norm, LinearMap,
                     ProblemSpec, Quadratic, ResolventOp, Translated,
-                    XUpdateStrategy, default_params, ramp_schedule, run_iadmm,
-                    run_idr)
+                    XUpdateStrategy, boyd_consensus, classical_admm,
+                    default_params, ramp_schedule, run_iadmm, run_idr, run_sum1)
 from inadmm.admm import step
 from inadmm.consensus import sum1_step, sum2_step
 from inadmm.dr import IdrState, idr_step
-from inadmm.params import Coefficients
+from inadmm.params import Coefficients, constant_params
 from stdout_guard import run
 
 ITERS = 500  # steps per timed loop
 REPEATS = 7  # timed loops per case; the best one is reported
 SIZES = (10, 30, 50)
+RATIO_ITERS = 300  # iterations per run of a ratio's pair
+PAIRS = 9  # interleaved pairs of runs per ratio
 FIELDS = ("x", "z", "zbar", "y", "v", "w")  # a state's arrays, as a row names them
 ROW_KEYS = ("x_next", "z_next", "zbar_next", "y_next", "v", "w_next")
 
@@ -68,7 +85,7 @@ ROW_KEYS = ("x_next", "z_next", "zbar_next", "y_next", "v", "w_next")
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--smoke", action="store_true",
-                    help="20 iterations, one loop, 11 consensus blocks")
+                    help="20 iterations, one loop, 11 consensus blocks, one ratio pair")
     return ap.parse_args(argv)
 
 
@@ -116,6 +133,25 @@ def differing_row(p, params, iters):
     return None
 
 
+def ratio_quartiles(solve, reference, pairs):
+    """Median and quartiles of time(solve) / time(reference) over ``pairs``
+    pairs of runs, the order alternating from pair to pair.  Exits 1 if the
+    two runs take different numbers of iterations."""
+    ratios = []
+    for i in range(pairs):
+        timed = {}
+        for name, fn in ((("a", solve), ("b", reference)) if i % 2 == 0 else
+                         (("b", reference), ("a", solve))):
+            t0 = time.perf_counter()
+            trace = fn()
+            timed[name] = (time.perf_counter() - t0, trace.iterations)
+        if timed["a"][1] != timed["b"][1]:
+            sys.exit("step_speed: a ratio's runs took %d and %d iterations"
+                     % (timed["a"][1], timed["b"][1]))
+        ratios.append(timed["a"][0] / timed["b"][0])
+    return np.percentile(ratios, [50, 25, 75])
+
+
 def twin(p):
     """The DR operators (A, B) whose iteration is the lasso's ADMM."""
     return (ResolventOp.composed_conjugate(p.f, p.L),
@@ -142,6 +178,9 @@ def differing_dr_row(p, params, iters):
 def main(argv=None):
     args = parse_args(argv)
     iters, repeats, blocks = (20, 1, 11) if args.smoke else (ITERS, REPEATS, 101)
+    ratio_iters, pairs, ratio_sizes, ratio_blocks = (
+        (20, 1, (10,), (11,)) if args.smoke else
+        (RATIO_ITERS, PAIRS, (10, 200), (101, 1001)))
     params = default_params(0.2)
     print("us per iteration, best of %d loops of %d steps, one BLAS thread"
           % (repeats, iters))
@@ -194,9 +233,33 @@ def main(argv=None):
         print("%-40s %8.1f" % ("consensus.%s, %d blocks on R^3" % (name, blocks),
                                best_us(lift_loop, iters, repeats)))
 
+    print("ratio of whole runs at alpha = 0, lambda = 1: median [quartiles] "
+          "over %d interleaved pairs" % pairs)
+    still = constant_params(1.0, 0.0, 0.01, lam=1.0)
+    for n in ratio_sizes:
+        p = lasso(n, np.random.default_rng([0, n]))
+        print("%-40s %6.3f [%.3f, %.3f]" % (
+            ("run_iadmm / classical_admm, n = %d" % n,) + tuple(ratio_quartiles(
+                lambda: run_iadmm(p, still, max_iters=ratio_iters, tol=0.0),
+                lambda: classical_admm(p, 1.0, max_iters=ratio_iters, tol=0.0),
+                pairs))))
+    boyd = constant_params(5.0, 0.0, 0.01, lam=1.0, init_mode="alpha2_zero")
+    for m in ratio_blocks:
+        rng = np.random.default_rng([1, m])
+        cp = ConsensusProblem([Translated(L1Norm(3, 1.0), rng.standard_normal(3))
+                               for _ in range(m)])
+        print("%-40s %6.3f [%.3f, %.3f]" % (
+            ("run_sum1 / boyd_consensus, m = %d" % m,) + tuple(ratio_quartiles(
+                lambda: run_sum1(cp, boyd, max_iters=ratio_iters, tol=0.0),
+                lambda: boyd_consensus(cp, 5.0, max_iters=ratio_iters, tol=0.0),
+                pairs))))
+
     ramped = dataclasses.replace(params, alpha_schedule=ramp_schedule(0.2, 0.0, 10))
+    schedules = (("constant", params), ("ramped", ramped),
+                 ("alpha 0", default_params(0.0)),
+                 ("alpha2_zero", dataclasses.replace(params, init_mode="alpha2_zero")))
     for n, p in problems.items():
-        for label, q in (("constant", params), ("ramped", ramped)):
+        for label, q in schedules:
             k = differing_row(p, q, iters)
             if k is not None:
                 sys.exit("step_speed: public steps differ from run_iadmm at "
