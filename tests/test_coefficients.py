@@ -118,10 +118,21 @@ def test_batch_with_ramps_retiring_apart_matches_reference(rng, kind):
         assert_rows_match_reference(trace, p, q, strat)
 
 
-def test_public_step_with_params_is_the_run_loop(rng):
-    p = problem("quadratic_solve_dense", rng)
-    strat = XUpdateStrategy("quadratic_solve")
-    q = ramped("lambda1_alpha1_zero")
+SCHEDULES = {
+    "constant": default_params(0.2, gamma=1.3),
+    "ramped": ramped("lambda1_alpha1_zero"),
+    "alpha_zero": default_params(0.0, gamma=1.3),
+    "alpha2_zero": dataclasses.replace(default_params(0.2, gamma=1.3),
+                                       init_mode="alpha2_zero"),
+}
+
+
+@pytest.mark.parametrize("kind", ["prox_identity", "quadratic_solve_dense"])
+@pytest.mark.parametrize("schedule", list(SCHEDULES))
+def test_public_step_with_params_is_the_run_loop(rng, schedule, kind):
+    p = problem(kind, rng)
+    strat = XUpdateStrategy(kind.replace("_dense", ""))
+    q = SCHEDULES[schedule]
     trace = run_iadmm(p, q, strat=strat, max_iters=ITERS, tol=0.0)
     m = p.g.dim
     state = IadmmState(k=1, x=np.zeros(p.f.dim), z=np.zeros(m),

@@ -169,19 +169,24 @@ def test_simplified_scheme_guards(rng):
         run_sum1_simplified(cp, bad, max_iters=5)
 
 
-def test_product_space_lift_matches_sum1(rng):
-    cp = ConsensusProblem(quadratic_blocks(3, 2, rng))
-    m, n = cp.m, cp.n
+@pytest.mark.parametrize("blocks", ["quadratic", "mixed"])
+@pytest.mark.parametrize("scheme", [0, 1], ids=["sum1", "sum2"])
+def test_product_space_lift_matches_sum1(rng, scheme, blocks):
+    # each consensus run is run_iadmm's loop on its lift: x, z and y agree by
+    # bytes on every row (x as the lift's Lx, one copy per block)
+    fns = quadratic_blocks(3, 2, rng) if blocks == "quadratic" else mixed_blocks(2, rng)
+    cp = ConsensusProblem(fns)
+    lift = cp.lifts[scheme]
+    if scheme == 0:
+        assert lift_problem(cp) is lift
     params = default_params(0.25, gamma=1.1)
-    blockwise = run_sum1(cp, params, max_iters=40, tol=0.0)
-    lifted = run_iadmm(lift_problem(cp), params, max_iters=40, tol=0.0)
+    blockwise = (run_sum1, run_sum2)[scheme](cp, params, max_iters=40, tol=0.0)
+    lifted = run_iadmm(lift, params, max_iters=40, tol=0.0)
+    assert blockwise.iterations == lifted.iterations == 40
     for a, b in zip(blockwise.rows, lifted.rows):
-        assert np.abs(a.vectors["x"].ravel()
-                      - b.vectors["x_next"]).max() <= 1e-12
-        assert np.abs(a.vectors["z"].ravel()
-                      - b.vectors["z_next"]).max() <= 1e-12
-        assert np.abs(a.vectors["y"].ravel()
-                      - b.vectors["y_next"]).max() <= 1e-12
+        for name, flat in (("x", lift.L.apply(b.vectors["x_next"])),
+                           ("z", b.vectors["z_next"]), ("y", b.vectors["y_next"])):
+            assert a.vectors[name].ravel().tobytes() == flat.tobytes(), (a.k, name)
 
 
 def test_optimality_residual(rng):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from inadmm import (
     default_params,
     idr_step,
     IdrState,
+    ramp_schedule,
     run_iadmm,
     run_idr,
 )
@@ -299,7 +302,7 @@ def test_run_idr_budget_exhaustion():
     assert trace.iterations == 3
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.2])
+@pytest.mark.parametrize("alpha", [0.0, 0.2, "ramped"])
 @pytest.mark.parametrize("twin", ["scaled_identity", "dense_quadratic"])
 def test_run_idr_rows_are_public_idr_steps_byte_for_byte(rng, twin, alpha):
     # run_idr forms v - y once, for w_next and its stop residual; the public
@@ -313,7 +316,11 @@ def test_run_idr_rows_are_public_idr_steps_byte_for_byte(rng, twin, alpha):
             random_quadratic(n, rng), LinearMap.dense(tall_full_rank(n + 2, n, rng)))
     B = ResolventOp.conjugate_subdifferential(
         Translated(L2Norm(A.dim, 0.4), rng.standard_normal(A.dim)))
-    params = default_params(alpha, gamma=1.3)
+    params = default_params(0.2 if alpha == "ramped" else alpha, gamma=1.3)
+    if alpha == "ramped":  # alpha_k and lambda_k change up to k = 10
+        params = dataclasses.replace(
+            params, alpha_schedule=ramp_schedule(0.2, 0.0, 10),
+            lambda_schedule=ramp_schedule(params.lambda_schedule.value, 0.5, 10))
     w1 = rng.standard_normal(A.dim)
     trace = run_idr(A, B, 1.3, params, w1, w1, max_iters=40, tol=0.0)
     assert trace.iterations == 40

@@ -3,7 +3,7 @@
     python tools/cli_speed.py [--smoke]
 
 Writes problem files shaped like the benchmark's ``cli_batch`` files
-(``sweep_speed.problem_file``: dense Q and L, an l1 g, alpha 0.2, tol 1e-9)
+(``speed.problem_file``: dense Q and L, an l1 g, alpha 0.2, tol 1e-9)
 at n = 30, 40 and 50, with seeded G, and times on each, in milliseconds:
 
 - ``parse``: ``parse_config_file``;
@@ -43,7 +43,7 @@ from inadmm.cli import _summary, main as cli_main
 from inadmm.config import parse_config_file
 from inadmm.trace import CSV_COLUMNS
 from stdout_guard import run
-from sweep_speed import problem_file
+from speed import problem_file
 
 REPEATS = 7  # timed rounds per figure; the best one is reported
 

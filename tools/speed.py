@@ -1,0 +1,350 @@
+"""Time per iteration, per call or per run of the solvers, steps and solves.
+
+    python tools/speed.py [--smoke]
+
+Each row times one callable ``PAIRS`` times, or, with a reference, the two
+in ``PAIRS`` interleaved pairs, the order alternating from pair to pair.  It
+prints the median [quartiles] of its time, of the ratio to its reference
+over the pairs, and the iteration counts of the traces it returns.  Units:
+``us/iter`` (a run or a loop of steps over its iterations), ``us/call``
+(a loop of calls) and ``ms/run``.  One BLAS thread.  The rows, from zeros:
+
+- loops of ``ITERS`` public calls, ``default_params(0.2)``: ``admm.step`` on
+  a lasso (f = 0.5 ||Dx - b||^2, D a seeded 2n x n Gaussian, g = tau
+  ||.||_1, L = I) at n = 10, 30, 50, and on a batch of P = 3 parameter sets
+  (alpha 0, 0.1, 0.2) with a dense L at n = 30; ``dr.idr_step`` on the n =
+  30 lasso's Douglas-Rachford twin and ``dr.run_idr`` on each twin;
+  ``consensus.sum1_step`` and ``sum2_step`` on 101 seeded
+  ``Translated(L1Norm)`` blocks on R^3 (gamma 5);
+- at alpha = 0 and lambda = 1, ``RUN_ITERS`` iterations at tolerance 0:
+  ``run_iadmm`` over ``classical_admm`` on the lasso at n = 10 and 200, and
+  ``run_sum1`` over ``boyd_consensus`` at m = 101 and 1001 blocks.
+  ``classical_admm`` calls ``x_update`` with a plain float alpha, so it
+  still forms c_k's two zero products (y - 0 dy - 0 dz), which
+  ``run_iadmm``'s still rows skip: a ratio below 1 there is that, not a
+  scheme beating textbook ADMM;
+- ``run_sum1``, and ``run_sum2`` and ``run_iadmm`` on each of ``cp.lifts``
+  over it, alpha 0.2, gamma 5, on those 101 blocks (``median``) and on 99
+  (``mixed``: ``Translated(L2Norm)``, ``IndicatorBox``,
+  ``Translated(L1Norm)``);
+- on ``problem_file``s (shaped like the benchmark's ``cli_batch`` files) at
+  n = 30, 50 and 200, as the CLI solves them without ``--output``: one
+  ``run_iadmm``, the sweep ``alpha=0,0.1,0.2`` (and ``;lambda=0.3,0.4,0.5``)
+  point by point, and ``run_iadmm_batch`` over serial and over one run;
+- at n = 30, 200 and 1000, on M = Q + L'L (L dense, 1.2n x n): LAPACK
+  ``dpotrs`` on M's factor, ``linalg.cholesky``'s solve (two BLAS ``trsv``)
+  of a vector and of P = 1, 3, 9 rows, one ``quadratic_solve`` x-update.
+
+It exits 1 if a ``us/iter`` row's run or reference stops short of the
+row's iterations, or if a row and its reference that return as many traces
+stop differently, trace for trace (iterations, converged, non-finite), as
+a batched sweep against its serial points.  ``--smoke`` runs 20
+iterations, 11 and 9 blocks, n = 6 and one pair: it checks that the script
+works and that its runs agree.  Runs from the root of a checkout and
+imports the program from its ``src/``.
+"""
+
+import os
+
+# One BLAS thread, set before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import collections
+import functools
+import sys
+import time
+
+import numpy as np
+from scipy.linalg import lapack
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from inadmm import (ConsensusProblem, IadmmState, IndicatorBox, L1Norm, L2Norm,
+                    LinearMap, ProblemSpec, Quadratic, ResolventOp, Translated,
+                    XUpdateStrategy, boyd_consensus, classical_admm,
+                    default_params, run_iadmm, run_idr, run_sum1, run_sum2)
+from inadmm.admm import run_iadmm_batch, step, x_update
+from inadmm.config import parse_config
+from inadmm.consensus import sum1_step, sum2_step
+from inadmm.dr import IdrState, idr_step
+from inadmm.linalg import cholesky
+from inadmm.params import Coefficients, constant_params
+from stdout_guard import run
+
+ITERS = 500  # steps per timed loop
+RUN_ITERS = 300  # iterations per timed run at tolerance 0
+PAIRS = 9  # timed runs, or interleaved pairs of runs, per row
+SWEEPS = (("3 points", (0.0, 0.1, 0.2), (None,)),
+          ("9 points", (0.0, 0.1, 0.2), (0.3, 0.4, 0.5)))
+
+# ``run``'s time counts ``per`` units; ``over`` is a reference's (label, callable)
+Row = collections.namedtuple("Row", "label unit per run over", defaults=(None,))
+Scale = collections.namedtuple(
+    "Scale", "iters run_iters pairs ratio_sizes ratio_blocks lift_blocks "
+    "cli_sizes solve_sizes")
+FULL = Scale(ITERS, RUN_ITERS, PAIRS, (10, 200), (101, 1001), (101, 99),
+             (30, 50, 200), (30, 200, 1000))
+SMOKE = Scale(20, 20, 1, (10,), (11,), (11, 9), (6,), (6,))
+
+
+def parse_args(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--smoke", action="store_true",
+                    help="20 iterations, 11 and 9 blocks, n = 6, one pair")
+    return ap.parse_args(argv)
+
+
+def stops(result):
+    """(iterations, converged, nonfinite) of each trace a run returned."""
+    traces = [] if result is None else result if isinstance(result, list) else [result]
+    return [(t.iterations, t.converged, t.nonfinite) for t in traces]
+
+
+def check(row, result, reference=None):
+    """Exit 1 unless a pair's runs stop as the module docstring says."""
+    got, want = stops(result), stops(reference)
+    if row.unit == "us/iter" and any(s[0] != row.per for s in got + want):
+        sys.exit("speed: %s: runs stopped at %s and %s, not at %d iterations"
+                 % (row.label, got, want, row.per))
+    if want and len(got) == len(want) and got != want:
+        sys.exit("speed: %s: runs stopped at %s, their reference at %s"
+                 % (row.label, got, want))
+
+
+def measure(row, pairs):
+    """Seconds of each run of ``row.run`` (column 0) and of its reference
+    (column 1) over ``pairs`` runs or interleaved pairs, the order
+    alternating, and the last result of ``row.run``."""
+    calls = (row.run,) if row.over is None else (row.run, row.over[1])
+    seconds = np.empty((pairs, len(calls)))
+    for i in range(pairs):
+        results = [None] * len(calls)
+        for j in range(len(calls))[::1 if i % 2 == 0 else -1]:
+            t0 = time.perf_counter()
+            results[j] = calls[j]()
+            seconds[i, j] = time.perf_counter() - t0
+        check(row, *results)
+    return seconds, results[0]
+
+
+def show(row, seconds, result):
+    scale = (1e3 if row.unit.startswith("ms") else 1e6) / row.per
+    line = "%-46s %9.1f [%.1f, %.1f] %s" % (
+        row.label, *np.percentile(seconds[:, 0], [50, 25, 75]) * scale, row.unit)
+    if row.over is not None:
+        line += "  %.3f [%.3f, %.3f] x %s" % (
+            *np.percentile(seconds[:, 0] / seconds[:, 1], [50, 25, 75]), row.over[0])
+    if stops(result):
+        line += "  iterations " + " ".join(str(s[0]) for s in stops(result))
+    print(line)
+
+
+def stepping(scheme_step, p, table, iters, spec, rows=(), *tail):
+    """A loop of ``iters`` calls of ``scheme_step(state, p, table, k, *tail)``
+    from the zero state of ``spec``'s dimensions, ``rows`` stacked."""
+    def loop():
+        zeros = np.zeros(rows + (spec.g.dim,))
+        state = IadmmState(k=1, x=np.zeros(rows + (spec.f.dim,)), z=zeros,
+                           z_prev=zeros, zbar=zeros, y=zeros, y_prev=zeros, w=zeros)
+        for k in range(1, iters + 1):
+            state, _ = scheme_step(state, p, table, k, *tail)
+    return loop
+
+
+def repeat(call, times, *args):
+    """A loop of ``times`` calls of ``call(*args)``."""
+    def loop():
+        for _ in range(times):
+            call(*args)
+    return loop
+
+
+def lasso(n, rng):
+    D = rng.standard_normal((2 * n, n))
+    b = rng.standard_normal(2 * n)
+    f = Quadratic(D.T @ D, -D.T @ b, 0.5 * float(b @ b))
+    tau = 0.2 * float(np.abs(D.T @ b).max())
+    return ProblemSpec(f, L1Norm(n, tau), LinearMap.identity(n))
+
+
+def twin(p):
+    """The DR operators (A, B) whose iteration is the lasso's ADMM."""
+    return (ResolventOp.composed_conjugate(p.f, p.L),
+            ResolventOp.conjugate_subdifferential(p.g))
+
+
+def median_blocks(m, rng):
+    return [Translated(L1Norm(3, 1.0), rng.standard_normal(3)) for _ in range(m)]
+
+
+def mixed_blocks(m, rng):
+    blocks = []
+    for _ in range(m // 3):
+        blocks += [
+            Translated(L2Norm(3, rng.uniform(0.2, 2.0)), rng.standard_normal(3)),
+            IndicatorBox(-rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 3)),
+            Translated(L1Norm(3, rng.uniform(0.2, 2.0)), rng.standard_normal(3)),
+        ]
+    return [blocks[i] for i in rng.permutation(len(blocks))]
+
+
+def _numerals(a):
+    return " ".join(repr(float(v)) for v in np.ravel(a))
+
+
+def problem_file(n, rng):
+    """A problem file shaped like the benchmark's ``cli_batch`` files: dense
+    Q = G G'/n + I/2 and L = I + 0.3 G'/sqrt(n), an l1 g with tau 0.3,
+    gamma 1, alpha 0.2, tol 1e-9."""
+    G = rng.standard_normal((n, n)) / np.sqrt(n)
+    Q = G @ G.T + 0.5 * np.eye(n)
+    Q = 0.5 * (Q + Q.T)
+    Lm = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    return "\n".join([
+        "solver iadmm", "gamma 1.0", "alpha 0.2", "tol 1e-9",
+        "max_iters 20000", "",
+        "begin f", "kind quadratic", "Q " + _numerals(Q),
+        "q " + _numerals(rng.standard_normal(n)), "end", "",
+        "begin g", "kind l1", "dim %d" % n, "tau 0.3", "end", "",
+        "begin L", "kind dense", "rows %d" % n, "cols %d" % n,
+        "entries " + _numerals(Lm), "end", "",
+    ])
+
+
+def sweep_points(cfg, alphas, lams):
+    """The sweep's parameter sets, as the CLI builds them."""
+    return [constant_params(cfg.params.gamma, a, cfg.params.sigma, cfg.delta,
+                            lam, "lambda1_alpha1_zero" if a > 0.0 else "alpha2_zero")
+            for a in alphas for lam in lams]
+
+
+def serial(p, points, max_iters, tol):
+    return [run_iadmm(p, q, max_iters=max_iters, tol=tol) for q in points]
+
+
+def solve_problem(n, rng):
+    m = (6 * n) // 5
+    G = rng.standard_normal((n, n))
+    Q = G @ G.T / n + 0.5 * np.eye(n)
+    f = Quadratic(0.5 * (Q + Q.T), rng.standard_normal(n))
+    L = LinearMap.dense(rng.standard_normal((m, n)) / np.sqrt(m))
+    return ProblemSpec(f, L1Norm(m, 0.05), L)
+
+
+def cases(s):
+    """The rows, in print order, at the scale ``s``."""
+    params, iters = default_params(0.2), s.iters
+    lassos = {n: lasso(n, np.random.default_rng([0, n])) for n in (10, 30, 50)}
+    for n, p in lassos.items():
+        yield Row("admm.step, lasso L = I, n = %d" % n, "us/iter", iters, stepping(
+            step, p, params, iters, p, (), XUpdateStrategy.automatic(p)))
+
+    n, rng = 30, np.random.default_rng(1)
+    G = rng.standard_normal((n, n)) / np.sqrt(n)
+    Lm = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    p = ProblemSpec(Quadratic(G @ G.T + 0.5 * np.eye(n), rng.standard_normal(n)),
+                    L1Norm(n, 0.3), LinearMap.dense(Lm))
+    table = Coefficients([default_params(a) for a in (0.0, 0.1, 0.2)])
+    yield Row("admm.step, batch P = 3, dense L, n = 30", "us/iter", iters, stepping(
+        step, p, table, iters, p, (3,), XUpdateStrategy.automatic(p)))
+
+    A, B = twin(lassos[30])
+
+    def idr_loop():
+        state = IdrState(k=0, w_prev=np.zeros(30), w=np.zeros(30))
+        for k in range(1, iters + 1):
+            co = params.coefficients.at(k)
+            state = idr_step(state, A, B, params.gamma, co.alpha, co.lam)
+    yield Row("dr.idr_step, lasso twin, n = 30", "us/iter", iters, idr_loop)
+    for n, p in lassos.items():
+        yield Row("dr.run_idr, lasso twin, n = %d" % n, "us/iter", iters,
+                  functools.partial(run_idr, *twin(p), params.gamma, params,
+                                    np.zeros(n), np.zeros(n), max_iters=iters,
+                                    tol=0.0))
+
+    lifted = default_params(0.2, gamma=5.0)
+    median = ConsensusProblem(median_blocks(s.lift_blocks[0], np.random.default_rng(0)))
+    for name, scheme_step, lift in (("sum1_step", sum1_step, median.lifts[0]),
+                                    ("sum2_step", sum2_step, median.lifts[1])):
+        yield Row("consensus.%s, %d blocks on R^3" % (name, median.m), "us/iter",
+                  iters, stepping(scheme_step, median, lifted, iters, lift))
+
+    runs = s.run_iters
+    still = constant_params(1.0, 0.0, 0.01, lam=1.0)
+    for n in s.ratio_sizes:
+        p = lasso(n, np.random.default_rng([0, n]))
+        yield Row("run_iadmm, alpha = 0, lambda = 1, n = %d" % n, "us/iter", runs,
+                  functools.partial(run_iadmm, p, still, max_iters=runs, tol=0.0),
+                  ("classical_admm", functools.partial(
+                      classical_admm, p, 1.0, max_iters=runs, tol=0.0)))
+    boyd = constant_params(5.0, 0.0, 0.01, lam=1.0, init_mode="alpha2_zero")
+    for m in s.ratio_blocks:
+        cp = ConsensusProblem(median_blocks(m, np.random.default_rng([1, m])))
+        yield Row("run_sum1, alpha = 0, lambda = 1, m = %d" % m, "us/iter", runs,
+                  functools.partial(run_sum1, cp, boyd, max_iters=runs, tol=0.0),
+                  ("boyd_consensus", functools.partial(
+                      boyd_consensus, cp, 5.0, max_iters=runs, tol=0.0)))
+
+    mixed = ConsensusProblem(mixed_blocks(s.lift_blocks[1], np.random.default_rng(0)))
+    for name, cp in (("median", median), ("mixed", mixed)):
+        where = "%s, %d blocks" % (name, cp.m)
+        sum1 = functools.partial(run_sum1, cp, lifted, max_iters=runs, tol=0.0)
+        yield Row("run_sum1, " + where, "us/iter", runs, sum1)
+        for label, solve, problem in (("run_sum2", run_sum2, cp),
+                                      ("run_iadmm on lift 1", run_iadmm, cp.lifts[0]),
+                                      ("run_iadmm on lift 2", run_iadmm, cp.lifts[1])):
+            yield Row("%s, %s" % (label, where), "us/iter", runs, functools.partial(
+                solve, problem, lifted, max_iters=runs, tol=0.0), ("run_sum1", sum1))
+
+    rng = np.random.default_rng(2015)
+    for n in s.cli_sizes:
+        cfg = parse_config(problem_file(n, rng))
+        p, tol, budget = cfg.problem, cfg.tol, cfg.max_iters
+        one = functools.partial(run_iadmm, p, cfg.params, max_iters=budget, tol=tol)
+        yield Row("run_iadmm, cli_batch file, n = %d" % n, "ms/run", 1, one)
+        for name, alphas, lams in SWEEPS:
+            points = sweep_points(cfg, alphas, lams)
+            one_by_one = functools.partial(serial, p, points, budget, tol)
+            batched = functools.partial(run_iadmm_batch, p, points, budget, tol,
+                                        record=False)
+            yield Row("serial sweep, %s, n = %d" % (name, n), "ms/run", 1, one_by_one)
+            for over in (("serial", one_by_one), ("one run", one)):
+                yield Row("batched sweep, %s, n = %d" % (name, n), "ms/run", 1,
+                          batched, over)
+
+    rng = np.random.default_rng(2014)
+    for n in s.solve_sizes:
+        calls, p = max(5, 20000 // n), solve_problem(n, rng)
+        M = p.f.Q + p.L.gram()
+        solve, factor = cholesky(M), lapack.dpotrf(M, clean=False)[0]
+        b = rng.standard_normal(n)
+        yield Row("lapack dpotrs, n = %d" % n, "us/call", calls,
+                  repeat(lapack.dpotrs, calls, factor, b))
+        yield Row("linalg.cholesky solve, n = %d" % n, "us/call", calls,
+                  repeat(solve, calls, b))
+        for P in (1, 3, 9):
+            yield Row("linalg.cholesky solve, P = %d rows, n = %d" % (P, n), "us/call",
+                      calls, repeat(solve, calls, rng.standard_normal((P, n))))
+        m = p.g.dim
+        z, y = rng.standard_normal(m), rng.standard_normal(m)
+        state = IadmmState(k=2, x=np.zeros(n), z=z, z_prev=0.9 * z,
+                           zbar=np.zeros(m), y=y, y_prev=0.9 * y)
+        strat = XUpdateStrategy("quadratic_solve")
+        x_update(state, p, 1.0, 0.2, strat)  # makes the factor
+        yield Row("admm.x_update, quadratic_solve, n = %d" % n, "us/call", calls,
+                  repeat(x_update, calls, state, p, 1.0, 0.2, strat))
+
+
+def main(argv=None):
+    s = SMOKE if parse_args(argv).smoke else FULL
+    print("median [quartiles] over %d runs, or over %d interleaved pairs with "
+          "the ratio to a reference; one BLAS thread" % (s.pairs, s.pairs))
+    for row in cases(s):
+        show(row, *measure(row, s.pairs))
+
+
+if __name__ == "__main__":
+    run(main)
