@@ -15,7 +15,6 @@ can be checked externally.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .duality import _dual_value
 from .functions import Quadratic, has_row_kernels
 from .functions import _norm as _row_norm
-from .linalg import LinearMap, _norm, check_gamma, check_step, check_vector
+from .linalg import LinearMap, _norm, check_dim, check_gamma, check_step, check_vector
 from .params import CoefficientRow, Coefficients, require_valid
 from .trace import SolveTrace, TraceRow, check_budget, drive, stops
 
@@ -116,8 +115,7 @@ class XUpdateStrategy:
     def __init__(self, kind, eps_inner=1e-12, budget=10000):
         if kind not in ("prox_identity", "quadratic_solve", "inner_iterative"):
             raise ValueError("unknown x-update strategy %r" % (kind,))
-        if not (isinstance(budget, numbers.Integral) and budget >= 1):
-            raise ValueError("budget must be an integer >= 1, got %r" % (budget,))
+        budget = check_dim(budget, "budget")
         if not 0.0 <= eps_inner < math.inf:
             raise ValueError("eps_inner must be finite and >= 0, got %r"
                              % (eps_inner,))
@@ -146,7 +144,8 @@ def x_update(state, p, gamma, alpha_k, strat, dy=None, dz=None):
     c_k = y^k - alpha_k dy - gamma alpha_k dz with dy = y^k - y^{k-1} and
     dz = z^k - z^{k-1}, computed here unless the caller passes them.  As
     gamma, ``step`` passes its ``params.Coefficients`` row, a float equal to
-    gamma whose arrays and ``still`` flag (c_k = y^k) are read here.
+    gamma whose arrays and ``still`` flag (c_k = y^k) are read here; with a
+    plain float gamma, alpha_k = 0 is still.
     """
     if dy is None:
         dy = state.y - state.y_prev
@@ -155,7 +154,7 @@ def x_update(state, p, gamma, alpha_k, strat, dy=None, dz=None):
     if type(gamma) is CoefficientRow:
         g, a_k, ga_k, still = gamma.gamma, gamma.alpha, gamma.gamma_alpha, gamma.still
     else:
-        g, a_k, ga_k, still = gamma, alpha_k, gamma * alpha_k, False
+        g, a_k, ga_k, still = gamma, alpha_k, gamma * alpha_k, alpha_k == 0.0
     c = state.y if still else state.y - a_k * dy - ga_k * dz
     L = p.L
     if strat.kind == "prox_identity":

@@ -104,14 +104,15 @@ def test_solvers_refuse_a_step_that_is_not_finite():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"budget": 0}, {"budget": -3}, {"budget": 2.5},
+    {"budget": 0}, {"budget": -3}, {"budget": 2.5}, {"budget": True},
     {"eps_inner": float("nan")}, {"eps_inner": -1e-12},
     {"eps_inner": float("inf")}],
-    ids=["budget_0", "budget_negative", "budget_float",
+    ids=["budget_0", "budget_negative", "budget_float", "budget_bool",
          "eps_nan", "eps_negative", "eps_inf"])
 def test_strategy_rejects_bad_inner_budget(kwargs):
     # budget 0 used to end the run in an UnboundLocalError, and a NaN or
-    # negative eps_inner burned the whole budget before SubproblemError
+    # negative eps_inner burned the whole budget before SubproblemError; a
+    # bool budget is refused as check_budget refuses a bool max_iters
     with pytest.raises(ValueError):
         XUpdateStrategy("inner_iterative", **kwargs)
 

@@ -30,6 +30,7 @@ from inadmm import (
     run_iadmm,
 )
 from inadmm import admm
+from inadmm.config import parse_config
 from inadmm.duality import _dual_value, subgradient_violation
 from inadmm.functions import DOM_TOL, Translated, has_row_kernels
 from inadmm.trace import BLOCK, CSV_COLUMNS
@@ -137,6 +138,23 @@ def iadmm_on(p):
                              max_iters=2 * BLOCK + 1, tol=0.0)
 
 
+def cli_batch_file(n, rng):
+    """A problem file shaped like the benchmark's ``cli_batch`` files: dense
+    Q and L, an l1 g, alpha 0.2, run to 2 BLOCK + 1 iterations."""
+    def numerals(a):
+        return " ".join(repr(float(v)) for v in np.ravel(a))
+    G = rng.standard_normal((n, n)) / np.sqrt(n)
+    Q = G @ G.T + 0.5 * np.eye(n)
+    return "\n".join([
+        "solver iadmm", "gamma 1.0", "alpha 0.2", "tol 0",
+        "max_iters %d" % (2 * BLOCK + 1),
+        "begin f", "kind quadratic", "Q " + numerals(0.5 * (Q + Q.T)),
+        "q " + numerals(rng.standard_normal(n)), "end",
+        "begin g", "kind l1", "dim %d" % n, "tau 0.3", "end",
+        "begin L", "kind dense", "rows %d" % n, "cols %d" % n,
+        "entries " + numerals(np.eye(n) + 0.3 * G.T), "end"])
+
+
 def traced_runs(rng):
     n = 5
     D = tall_full_rank(2 * n, n, rng)
@@ -146,6 +164,7 @@ def traced_runs(rng):
     deficient = ProblemSpec(rank_deficient_quadratic(n, 2, rng),
                             rank_deficient_quadratic(m, 3, rng),
                             LinearMap.dense(tall_full_rank(m, n, rng)))
+    cfg = parse_config(cli_batch_file(n, rng))
     return {
         "iadmm_lasso": iadmm_on(lasso),
         "iadmm_rank_deficient": iadmm_on(deficient),
@@ -153,11 +172,14 @@ def traced_runs(rng):
             deficient, 0.8, lam=1.5, max_iters=2 * BLOCK + 1, tol=0.0),
         # a subclass g keeps per-row reads
         "iadmm_subclass": iadmm_on(ProblemSpec(lasso.f, CountingL1(n, 0.3), lasso.L)),
+        "iadmm_cli_batch": lambda: run_iadmm(cfg.problem, cfg.params,
+                                             max_iters=cfg.max_iters, tol=cfg.tol),
     }
 
 
 @pytest.mark.parametrize("name", ["iadmm_lasso", "iadmm_rank_deficient",
-                                  "classical_rank_deficient", "iadmm_subclass"])
+                                  "classical_rank_deficient", "iadmm_subclass",
+                                  "iadmm_cli_batch"])
 def test_csv_of_blocks_is_the_rows_own_reads(rng, monkeypatch, name):
     run = traced_runs(rng)[name]
     want = csv_of_row_reads(run())

@@ -181,6 +181,25 @@ def test_negative_zero_y_differs_from_the_full_step_in_signed_zeros_only(rng):
     assert np.signbit(want.x[[0, 3]]).all() and not np.signbit(new.x[[0, 3]]).any()
 
 
+def test_plain_float_alpha_zero_x_update_is_the_still_rows(rng):
+    # classical_admm calls x_update with a plain float alpha_k = 0, which
+    # forms c_k = y^k as a still row does: in the case above, y^k = -0.0
+    # with dy < 0 and z^k = -0.0, x^{k+1} is the still row's +0.0, not the
+    # full formula's -0.0
+    n = 4
+    p = ProblemSpec(Zero(n), Zero(n), LinearMap.identity(n))
+    strat = XUpdateStrategy("prox_identity")
+    init = (np.array([1.0, -2.0, 0.5, 3.0]), np.array([-0.0, -0.0, 1.0, -0.0]),
+            np.array([2.0, 1.0, 0.0, -1.0]), np.array([-0.0, 0.0, -0.0, -0.0]))
+    state = start(p, rng, init)
+    params = default_params(0.0, gamma=1.3)
+    co = params.coefficients.at(1)
+    x = admm.x_update(state, p, 1.3, 0.0, strat)
+    assert co.still and same_bits(x, admm.x_update(state, p, co, co.alpha, strat))
+    full = full_formula_step(state, p, params, 1, strat)[0].x
+    assert np.signbit(full[[0, 3]]).all() and not np.signbit(x[[0, 3]]).any()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("kind", ["prox_identity", "quadratic_solve_dense"])
 @pytest.mark.parametrize("overflows", ["dy", "dz", "drift"])

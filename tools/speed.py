@@ -1,13 +1,15 @@
-"""Time per iteration, per call or per run of the solvers, steps and solves.
+"""Time per iteration, per call, per run or per process of every layer.
 
     python tools/speed.py [--smoke]
 
 Each row times one callable ``PAIRS`` times, or, with a reference, the two
 in ``PAIRS`` interleaved pairs, the order alternating from pair to pair.  It
 prints the median [quartiles] of its time, of the ratio to its reference
-over the pairs, and the iteration counts of the traces it returns.  Units:
-``us/iter`` (a run or a loop of steps over its iterations), ``us/call``
-(a loop of calls) and ``ms/run``.  One BLAS thread.  The rows, from zeros:
+over the pairs, and the iteration counts of the traces it returns; a
+process row adds the median paired difference, the program's own share.
+Units: ``us/iter`` (a run or a loop of steps over its iterations),
+``us/call``, ``ms/run`` and ``ms/process``.  Fresh objects a call needs are
+made before its clock starts.  One BLAS thread.  The rows, from zeros:
 
 - loops of ``ITERS`` public calls, ``default_params(0.2)``: ``admm.step`` on
   a lasso (f = 0.5 ||Dx - b||^2, D a seeded 2n x n Gaussian, g = tau
@@ -18,30 +20,36 @@ over the pairs, and the iteration counts of the traces it returns.  Units:
   ``Translated(L1Norm)`` blocks on R^3 (gamma 5);
 - at alpha = 0 and lambda = 1, ``RUN_ITERS`` iterations at tolerance 0:
   ``run_iadmm`` over ``classical_admm`` on the lasso at n = 10 and 200, and
-  ``run_sum1`` over ``boyd_consensus`` at m = 101 and 1001 blocks.
-  ``classical_admm`` calls ``x_update`` with a plain float alpha, so it
-  still forms c_k's two zero products (y - 0 dy - 0 dz), which
-  ``run_iadmm``'s still rows skip: a ratio below 1 there is that, not a
-  scheme beating textbook ADMM;
+  ``run_sum1`` over ``boyd_consensus`` at m = 101 and 1001 blocks;
 - ``run_sum1``, and ``run_sum2`` and ``run_iadmm`` on each of ``cp.lifts``
   over it, alpha 0.2, gamma 5, on those 101 blocks (``median``) and on 99
   (``mixed``: ``Translated(L2Norm)``, ``IndicatorBox``,
   ``Translated(L1Norm)``);
 - on ``problem_file``s (shaped like the benchmark's ``cli_batch`` files) at
-  n = 30, 50 and 200, as the CLI solves them without ``--output``: one
-  ``run_iadmm``, the sweep ``alpha=0,0.1,0.2`` (and ``;lambda=0.3,0.4,0.5``)
-  point by point, and ``run_iadmm_batch`` over serial and over one run;
+  n = 30, 50 and 200: ``parse_config_file``, ``run_iadmm``, ``write_csv``
+  and ``cli._summary`` of a fresh trace, ``kkt_residual``, ``cli.main``, and
+  ``main --output`` over it; the sweep ``alpha=0,0.1,0.2`` (and
+  ``;lambda=0.3,0.4,0.5``) point by point, and ``run_iadmm_batch`` over
+  serial and over one run;
 - at n = 30, 200 and 1000, on M = Q + L'L (L dense, 1.2n x n): LAPACK
   ``dpotrs`` on M's factor, ``linalg.cholesky``'s solve (two BLAS ``trsv``)
-  of a vector and of P = 1, 3, 9 rows, one ``quadratic_solve`` x-update.
+  of a vector and of P = 1, 3, 9 rows, one ``quadratic_solve`` x-update;
+- the set-up of a problem shaped like ``dense_large``'s (a dense quadratic
+  f on R^1000, a dense 1200 x 1000 L): ``Quadratic.__init__``, the rank
+  test ``is_injective``, the SVD of ``injectivity_modulus`` over it, the
+  first x-update factor and the first conjugate (``eigh``);
+- fresh processes over ``python -c "import numpy"``: ``python -m
+  inadmm.cli`` on the n = 10 lasso's file, and ``import inadmm`` with a
+  first factor.
 
 It exits 1 if a ``us/iter`` row's run or reference stops short of the
-row's iterations, or if a row and its reference that return as many traces
+row's iterations, if a row and its reference that return as many traces
 stop differently, trace for trace (iterations, converged, non-finite), as
-a batched sweep against its serial points.  ``--smoke`` runs 20
-iterations, 11 and 9 blocks, n = 6 and one pair: it checks that the script
-works and that its runs agree.  Runs from the root of a checkout and
-imports the program from its ``src/``.
+a batched sweep against its serial points, if a child process or ``main``
+exits non-zero, or if the set-up's L is not injective.  ``--smoke`` runs 20
+iterations, 11 and 9 blocks, n = 6, a set-up at n = 60, m = 80, and one
+pair: it checks that the script works and that its runs agree.  Runs from
+the root of a checkout and imports the program from its ``src/``.
 """
 
 import os
@@ -53,21 +61,26 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import collections
 import functools
+import io
+import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 from scipy.linalg import lapack
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src"))
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
 
 from inadmm import (ConsensusProblem, IadmmState, IndicatorBox, L1Norm, L2Norm,
-                    LinearMap, ProblemSpec, Quadratic, ResolventOp, Translated,
-                    XUpdateStrategy, boyd_consensus, classical_admm,
-                    default_params, run_iadmm, run_idr, run_sum1, run_sum2)
+                    LinearMap, ProblemSpec, Quadratic, ResolventOp, SolveTrace,
+                    Translated, XUpdateStrategy, boyd_consensus, classical_admm,
+                    default_params, kkt_residual, run_iadmm, run_idr, run_sum1,
+                    run_sum2)
 from inadmm.admm import run_iadmm_batch, step, x_update
-from inadmm.config import parse_config
+from inadmm.cli import _summary, main as cli_main
+from inadmm.config import parse_config_file
 from inadmm.consensus import sum1_step, sum2_step
 from inadmm.dr import IdrState, idr_step
 from inadmm.linalg import cholesky
@@ -79,15 +92,19 @@ RUN_ITERS = 300  # iterations per timed run at tolerance 0
 PAIRS = 9  # timed runs, or interleaved pairs of runs, per row
 SWEEPS = (("3 points", (0.0, 0.1, 0.2), (None,)),
           ("9 points", (0.0, 0.1, 0.2), (0.3, 0.4, 0.5)))
+FIRST_FACTOR = ("import numpy, inadmm; "
+                "inadmm.Quadratic(numpy.diag([2.0, 1.0]), [-1.0, 0.5])._solver(1.0)")
 
-# ``run``'s time counts ``per`` units; ``over`` is a reference's (label, callable)
-Row = collections.namedtuple("Row", "label unit per run over", defaults=(None,))
+# ``run``'s time counts ``per`` units; ``over`` is a reference's (label,
+# callable); with ``make``, each call takes a fresh ``make()``
+Row = collections.namedtuple("Row", "label unit per run over make",
+                             defaults=(None, None))
 Scale = collections.namedtuple(
     "Scale", "iters run_iters pairs ratio_sizes ratio_blocks lift_blocks "
-    "cli_sizes solve_sizes")
+    "cli_sizes solve_sizes setup_dims")
 FULL = Scale(ITERS, RUN_ITERS, PAIRS, (10, 200), (101, 1001), (101, 99),
-             (30, 50, 200), (30, 200, 1000))
-SMOKE = Scale(20, 20, 1, (10,), (11,), (11, 9), (6,), (6,))
+             (30, 50, 200), (30, 200, 1000), (1000, 1200))
+SMOKE = Scale(20, 20, 1, (10,), (11,), (11, 9), (6,), (6,), (60, 80))
 
 
 def parse_args(argv=None):
@@ -99,8 +116,9 @@ def parse_args(argv=None):
 
 def stops(result):
     """(iterations, converged, nonfinite) of each trace a run returned."""
-    traces = [] if result is None else result if isinstance(result, list) else [result]
-    return [(t.iterations, t.converged, t.nonfinite) for t in traces]
+    traces = result if isinstance(result, list) else [result]
+    return [(t.iterations, t.converged, t.nonfinite) for t in traces
+            if isinstance(t, SolveTrace)]
 
 
 def check(row, result, reference=None):
@@ -123,8 +141,9 @@ def measure(row, pairs):
     for i in range(pairs):
         results = [None] * len(calls)
         for j in range(len(calls))[::1 if i % 2 == 0 else -1]:
+            args = () if row.make is None else (row.make(),)
             t0 = time.perf_counter()
-            results[j] = calls[j]()
+            results[j] = calls[j](*args)
             seconds[i, j] = time.perf_counter() - t0
         check(row, *results)
     return seconds, results[0]
@@ -137,6 +156,8 @@ def show(row, seconds, result):
     if row.over is not None:
         line += "  %.3f [%.3f, %.3f] x %s" % (
             *np.percentile(seconds[:, 0] / seconds[:, 1], [50, 25, 75]), row.over[0])
+    if row.unit == "ms/process":
+        line += "  difference %.1f ms" % (1e3 * np.median(np.subtract(*seconds.T)))
     if stops(result):
         line += "  iterations " + " ".join(str(s[0]) for s in stops(result))
     print(line)
@@ -191,27 +212,57 @@ def mixed_blocks(m, rng):
     return [blocks[i] for i in rng.permutation(len(blocks))]
 
 
-def _numerals(a):
-    return " ".join(repr(float(v)) for v in np.ravel(a))
+def spec_file(path, p, *top):
+    """Write the problem file of ``p`` (quadratic f, l1 g, identity or dense
+    L) with the ``top`` lines to ``path``; return ``path``."""
+    def numerals(a):
+        return " ".join(repr(float(v)) for v in np.ravel(a))
+    rows, cols = p.L.shape
+    L = (["kind identity", "dim %d" % cols] if p.L.kind == "identity" else
+         ["kind dense", "rows %d" % rows, "cols %d" % cols,
+          "entries " + numerals(p.L.matrix)])
+    with open(path, "w") as fh:
+        fh.write("\n".join([
+            *top, "",
+            "begin f", "kind quadratic", "Q " + numerals(p.f.Q),
+            "q " + numerals(p.f.q), "r %r" % p.f.r, "end", "",
+            "begin g", "kind l1", "dim %d" % rows, "tau %r" % p.g.tau, "end", "",
+            "begin L", *L, "end", ""]))
+    return path
 
 
-def problem_file(n, rng):
-    """A problem file shaped like the benchmark's ``cli_batch`` files: dense
-    Q = G G'/n + I/2 and L = I + 0.3 G'/sqrt(n), an l1 g with tau 0.3,
-    gamma 1, alpha 0.2, tol 1e-9."""
+def problem_file(path, n, rng):
+    """A problem file at ``path`` shaped like the benchmark's ``cli_batch``
+    files: dense Q = G G'/n + I/2 and L = I + 0.3 G'/sqrt(n), an l1 g with
+    tau 0.3, gamma 1, alpha 0.2, tol 1e-9."""
     G = rng.standard_normal((n, n)) / np.sqrt(n)
     Q = G @ G.T + 0.5 * np.eye(n)
-    Q = 0.5 * (Q + Q.T)
     Lm = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
-    return "\n".join([
-        "solver iadmm", "gamma 1.0", "alpha 0.2", "tol 1e-9",
-        "max_iters 20000", "",
-        "begin f", "kind quadratic", "Q " + _numerals(Q),
-        "q " + _numerals(rng.standard_normal(n)), "end", "",
-        "begin g", "kind l1", "dim %d" % n, "tau 0.3", "end", "",
-        "begin L", "kind dense", "rows %d" % n, "cols %d" % n,
-        "entries " + _numerals(Lm), "end", "",
-    ])
+    p = ProblemSpec(Quadratic(0.5 * (Q + Q.T), rng.standard_normal(n)),
+                    L1Norm(n, 0.3), LinearMap.dense(Lm))
+    return spec_file(path, p, "solver iadmm", "gamma 1.0", "alpha 0.2", "tol 1e-9",
+                     "max_iters 20000")
+
+
+def cli(*argv):
+    """An in-process CLI run of ``argv``; exits 1 if ``main`` returns non-zero."""
+    def call():
+        code = cli_main(list(argv), out=io.StringIO())
+        if code != 0:
+            sys.exit("speed: inadmm %s exited %d" % (" ".join(argv), code))
+    return call
+
+
+def process(*argv):
+    """A fresh ``python argv`` process, the program on its path; exits 1 if
+    the process exits non-zero."""
+    def call():
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        if proc.returncode != 0:
+            sys.exit("speed: python %s exited %d:\n%s"
+                     % (" ".join(argv), proc.returncode, proc.stderr))
+    return call
 
 
 def sweep_points(cfg, alphas, lams):
@@ -225,6 +276,35 @@ def serial(p, points, max_iters, tol):
     return [run_iadmm(p, q, max_iters=max_iters, tol=tol) for q in points]
 
 
+def cli_rows(path, n):
+    """The rows of the CLI's phases and sweeps on the problem file at ``path``."""
+    cfg = parse_config_file(path)
+    p, tol, budget, where = cfg.problem, cfg.tol, cfg.max_iters, ", n = %d" % n
+    one = functools.partial(run_iadmm, p, cfg.params, max_iters=budget, tol=tol)
+    final = one().final
+    yield Row("parse_config_file" + where, "us/call", 1,
+              functools.partial(parse_config_file, path))
+    yield Row("run_iadmm, cli_batch file" + where, "ms/run", 1, one)
+    yield Row("write_csv, fresh trace" + where, "us/call", 1,
+              lambda trace: trace.write_csv(io.StringIO()), make=one)
+    yield Row("cli._summary, fresh trace" + where, "us/call", 1,
+              lambda trace: _summary(cfg, "iadmm", trace, io.StringIO()), make=one)
+    yield Row("kkt_residual" + where, "us/call", 1, lambda: kkt_residual(
+        p, final["x"], final["v"], np.random.default_rng(cfg.seed)))
+    main = cli(path)
+    yield Row("cli.main" + where, "ms/run", 1, main)
+    yield Row("cli.main --output" + where, "ms/run", 1,
+              cli(path, "--output", path + ".csv"), ("main", main))
+    for name, alphas, lams in SWEEPS:
+        points = sweep_points(cfg, alphas, lams)
+        one_by_one = functools.partial(serial, p, points, budget, tol)
+        batched = functools.partial(run_iadmm_batch, p, points, budget, tol,
+                                    record=False)
+        yield Row("serial sweep, %s%s" % (name, where), "ms/run", 1, one_by_one)
+        for over in (("serial", one_by_one), ("one run", one)):
+            yield Row("batched sweep, %s%s" % (name, where), "ms/run", 1, batched, over)
+
+
 def solve_problem(n, rng):
     m = (6 * n) // 5
     G = rng.standard_normal((n, n))
@@ -234,8 +314,9 @@ def solve_problem(n, rng):
     return ProblemSpec(f, L1Norm(m, 0.05), L)
 
 
-def cases(s):
-    """The rows, in print order, at the scale ``s``."""
+def cases(s, tmp):
+    """The rows, in print order, at the scale ``s``; problem files go to the
+    directory ``tmp``."""
     params, iters = default_params(0.2), s.iters
     lassos = {n: lasso(n, np.random.default_rng([0, n])) for n in (10, 30, 50)}
     for n, p in lassos.items():
@@ -301,19 +382,8 @@ def cases(s):
 
     rng = np.random.default_rng(2015)
     for n in s.cli_sizes:
-        cfg = parse_config(problem_file(n, rng))
-        p, tol, budget = cfg.problem, cfg.tol, cfg.max_iters
-        one = functools.partial(run_iadmm, p, cfg.params, max_iters=budget, tol=tol)
-        yield Row("run_iadmm, cli_batch file, n = %d" % n, "ms/run", 1, one)
-        for name, alphas, lams in SWEEPS:
-            points = sweep_points(cfg, alphas, lams)
-            one_by_one = functools.partial(serial, p, points, budget, tol)
-            batched = functools.partial(run_iadmm_batch, p, points, budget, tol,
-                                        record=False)
-            yield Row("serial sweep, %s, n = %d" % (name, n), "ms/run", 1, one_by_one)
-            for over in (("serial", one_by_one), ("one run", one)):
-                yield Row("batched sweep, %s, n = %d" % (name, n), "ms/run", 1,
-                          batched, over)
+        yield from cli_rows(problem_file(
+            os.path.join(tmp, "cli_batch_%d.cfg" % n), n, rng), n)
 
     rng = np.random.default_rng(2014)
     for n in s.solve_sizes:
@@ -337,13 +407,44 @@ def cases(s):
         yield Row("admm.x_update, quadratic_solve, n = %d" % n, "us/call", calls,
                   repeat(x_update, calls, state, p, 1.0, 0.2, strat))
 
+    n, m = s.setup_dims
+    rng = np.random.default_rng(0)
+    G = rng.standard_normal((n, n)) / np.sqrt(n)
+    Q, q = G @ G.T + 0.5 * np.eye(n), rng.standard_normal(n)
+    fresh_f = functools.partial(Quadratic, 0.5 * (Q + Q.T), q)
+    Lm = rng.standard_normal((m, n)) / np.sqrt(m)
+    fresh_L = functools.partial(LinearMap.dense, Lm)
+    u, where = rng.standard_normal(n), ", n = %d, m = %d" % (n, m)
+    rank_test = ("rank test", LinearMap.is_injective)
+    yield Row("Quadratic.__init__" + where, "ms/run", 1, fresh_f)
+    yield Row("rank test (is_injective)" + where, "ms/run", 1, rank_test[1],
+              make=fresh_L)
+    yield Row("SVD (injectivity_modulus)" + where, "ms/run", 1,
+              LinearMap.injectivity_modulus, rank_test, make=fresh_L)
+    # ProblemSpec runs the rank test (which forms L's Gram matrix) and
+    # refuses an L that is not injective
+    yield Row("first x-update factor" + where, "ms/run", 1,
+              lambda p: p.f._solver(1.0, p.L),
+              make=lambda: ProblemSpec(fresh_f(), L1Norm(m, 1.0), fresh_L()))
+    yield Row("first conjugate (eigh)" + where, "ms/run", 1, lambda f: f.conj(u),
+              make=fresh_f)
+
+    numpy = ("import numpy", process("-c", "import numpy"))
+    path = spec_file(os.path.join(tmp, "lasso.cfg"), lassos[10], "solver iadmm",
+                     "alpha 0.2", "tol 1e-10")
+    yield Row("python -m inadmm.cli, lasso file, n = 10", "ms/process", 1,
+              process("-m", "inadmm.cli", path), numpy)
+    yield Row("python: import inadmm, first factor", "ms/process", 1,
+              process("-c", FIRST_FACTOR), numpy)
+
 
 def main(argv=None):
     s = SMOKE if parse_args(argv).smoke else FULL
     print("median [quartiles] over %d runs, or over %d interleaved pairs with "
           "the ratio to a reference; one BLAS thread" % (s.pairs, s.pairs))
-    for row in cases(s):
-        show(row, *measure(row, s.pairs))
+    with tempfile.TemporaryDirectory() as tmp:
+        for row in cases(s, tmp):
+            show(row, *measure(row, s.pairs))
 
 
 if __name__ == "__main__":
