@@ -18,7 +18,6 @@ from .admm import (
 from .consensus import (
     ConsensusProblem,
     boyd_consensus,
-    lift_problem,
     run_sum1,
     run_sum2,
 )

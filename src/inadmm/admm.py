@@ -138,24 +138,14 @@ class XUpdateStrategy:
             check_step(gamma, p.L.norm() * p.L.norm())  # ||L||^2 = L.frame if set
 
 
-def x_update(state, p, gamma, alpha_k, strat, dy=None, dz=None):
-    """Minimize f(x) + <c_k, Lx> + (gamma/2)||Lx - z^k||^2.
+def x_update(state, p, gamma, c, strat):
+    """Minimize f(x) + <c, Lx> + (gamma/2)||Lx - z^k||^2 for the caller's c.
 
-    c_k = y^k - alpha_k dy - gamma alpha_k dz with dy = y^k - y^{k-1} and
-    dz = z^k - z^{k-1}, computed here unless the caller passes them.  As
-    gamma, ``step`` passes its ``params.Coefficients`` row, a float equal to
-    gamma whose arrays and ``still`` flag (c_k = y^k) are read here; with a
-    plain float gamma, alpha_k = 0 is still.
+    ``step`` passes c_k = y^k - alpha_k dy - gamma alpha_k dz, and as gamma
+    its ``params.Coefficients`` row, a float equal to gamma whose 0-d
+    ``gamma`` array the products read; ``classical_admm`` passes c = y^k.
     """
-    if dy is None:
-        dy = state.y - state.y_prev
-    if dz is None:
-        dz = state.z - state.z_prev
-    if type(gamma) is CoefficientRow:
-        g, a_k, ga_k, still = gamma.gamma, gamma.alpha, gamma.gamma_alpha, gamma.still
-    else:
-        g, a_k, ga_k, still = gamma, alpha_k, gamma * alpha_k, alpha_k == 0.0
-    c = state.y if still else state.y - a_k * dy - ga_k * dz
+    g = gamma.gamma if type(gamma) is CoefficientRow else gamma
     L = p.L
     if strat.kind == "prox_identity":
         # L'L = L.frame I: x = prox_{f/(gamma L.frame)}(L'(z^k - c_k/gamma) / L.frame)
@@ -204,7 +194,8 @@ def step(state, p, params, k, strat, norm=_norm):
     dy = y - state.y_prev
     dz = z - state.z_prev
 
-    x_next = x_update(state, p, co, co.alpha, strat, dy, dz)
+    c = y if co.still else y - co.alpha * dy - co.gamma_alpha * dz
+    x_next = x_update(state, p, co, c, strat)
     Lx = p.L._apply(x_next)
     r = Lx - z
     drift = dy + gamma * dz
@@ -394,7 +385,7 @@ def classical_admm(p, gamma, init=None, lam=1.0, strat=None,
 
     def iterate(state, k):
         y_k, z_k = state.y, state.z
-        x_next = x_update(state, p, gamma, 0.0, strat)
+        x_next = x_update(state, p, gamma, y_k, strat)
         Lx = p.L._apply(x_next)
         relaxed = lam * Lx + (1.0 - lam) * z_k
         z_next = p.g._prox(1.0 / gamma, relaxed + y_k / gamma)

@@ -28,7 +28,6 @@ __all__ = [
     "sum2_step",
     "run_sum2",
     "boyd_consensus",
-    "lift_problem",
 ]
 
 ZERO_SUM_TOL = 1e-12
@@ -180,9 +179,3 @@ def boyd_consensus(cp, gamma, init=None, max_iters=100000, tol=1e-10):
                          first_k=1)
     trace.final = {"x": state.x, "xbar": state.xbar, "y": state.y}
     return trace
-
-
-def lift_problem(cp):
-    """The product-space composite problem equivalent to the consensus one,
-    f = sum_i f_i, g = the consensus indicator and L = I: ``run_sum1``'s."""
-    return cp.lifts[0]

@@ -115,21 +115,17 @@ class IdrState:
 
 
 def idr_step(state, A, B, gamma, alpha_k, lambda_k):
-    """One inertial Douglas-Rachford step.
+    """One inertial Douglas-Rachford step; returns (new_state, ||v - y||).
 
     u = w + alpha_k (w - w_prev); y = J_{gamma B}(u);
     v = J_{gamma A}(2y - u); w_next = u + lambda_k (v - y).
     """
-    return _idr_step(state, A, B, gamma, alpha_k, lambda_k)[0]
-
-
-def _idr_step(state, A, B, gamma, alpha_k, lambda_k):
-    """``idr_step`` and the v - y it forms once, for w_next and the stop test."""
     u = state.w + alpha_k * (state.w - state.w_prev)
     y = B._at(gamma)(u)
     v = A._at(gamma)(_TWO * y - u)
     vy = v - y
-    return IdrState(k=state.k + 1, w_prev=state.w, w=u + lambda_k * vy, y=y, v=v), vy
+    return (IdrState(k=state.k + 1, w_prev=state.w, w=u + lambda_k * vy, y=y, v=v),
+            _norm(vy))
 
 
 def _idr_vectors(prev, new):
@@ -154,9 +150,9 @@ def run_idr(A, B, gamma, params, w0, w1, max_iters=100000, tol=1e-10):
 
     def iterate(state, k):
         co = params.coefficients.at(k)
-        new, vy = _idr_step(state, A, B, gamma, co.alpha, co.lam)
-        row = TraceRow(k, _norm(vy), prev=state, new=new, schema=(_idr_vectors, None, False))
-        return new, row, (row.feas_residual,)
+        new, feas = idr_step(state, A, B, gamma, co.alpha, co.lam)
+        row = TraceRow(k, feas, prev=state, new=new, schema=(_idr_vectors, None, False))
+        return new, row, (feas,)
 
     # first_k = 2: the first iteration can be a forced w^2 = w^1 bridge
     trace, state = drive(iterate, IdrState(k=0, w_prev=w0, w=w1), max_iters,

@@ -193,10 +193,8 @@ class Quadratic(ConvexFn):
         evals, evecs = np.linalg.eigh(self.Q)
         return np.maximum(evals, 0.0), evecs
 
-    _evals = property(lambda self: self._eigh[0])
-    _evecs = property(lambda self: self._eigh[1])
     _full_rank = functools.cached_property(  # assignable, for tests
-        lambda self: bool((self._evals > self._rank_tol).all()))
+        lambda self: bool((self._eigh[0] > self._rank_tol).all()))
 
     def _factor(self, gamma, L=None):
         """(gamma, L, solve, gamma q), solve being b -> M^{-1} b for

@@ -181,7 +181,7 @@ def _steady(p):
 class CoefficientRow(float):
     """Iteration k's scalars, see ``Coefficients``.  The row is itself the
     float gamma: ``step`` passes it to ``x_update`` as gamma, and the
-    x-update reads its arrays and its ``still`` flag from it."""
+    x-update reads its ``gamma`` array from it."""
 
     __slots__ = ("gamma", "inv_gamma", "alpha", "lam", "rest", "rest_alpha",
                  "next_lam", "zbar_drift", "arg_drift", "gamma_alpha", "still")

@@ -15,7 +15,6 @@ from inadmm import (
 )
 from inadmm import admm
 from inadmm.duality import subgradient_violation
-from inadmm.params import CoefficientRow
 from inadmm.trace import SolveTrace, TraceRow
 
 
@@ -244,19 +243,16 @@ def full_formula_step(state, p, params, k, strat):
     was first written: c_k's two inertial products and the drift terms of
     the z-argument and of y^{k+1} are formed and added even where alpha_k =
     alpha_{k+1} = 0, z^{k+1} is -zbar^{k+1} + prox, and v^k is formed at
-    once.  It reads the same coefficient table as ``step``, with the row's
-    ``still`` flag cleared, so the x-update forms c_k in full.  Returns the
-    new state (x, z, zbar, y, v and w set) and r = Lx^{k+1} - z^k."""
+    once.  It reads the same coefficient table as ``step`` and ignores the
+    row's ``still`` flag.  Returns the new state (x, z, zbar, y, v and w
+    set) and r = Lx^{k+1} - z^k."""
     co = params.coefficients.at(k)
-    full = CoefficientRow(co)
-    for name in CoefficientRow.__slots__:
-        setattr(full, name, getattr(co, name))
-    full.still = False
     gamma = co.gamma
     y, z = state.y, state.z
     dy = y - state.y_prev
     dz = z - state.z_prev
-    x_next = admm.x_update(state, p, full, co.alpha, strat, dy, dz)
+    c = y - co.alpha * dy - co.gamma_alpha * dz
+    x_next = admm.x_update(state, p, co, c, strat)
     Lx = p.L._apply(x_next)
     r = Lx - z
     drift = dy + gamma * dz

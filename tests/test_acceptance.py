@@ -24,7 +24,6 @@ from inadmm import (
     delta_lower_bound,
     delta_roots,
     kkt_residual,
-    lift_problem,
     max_relaxation,
     run_iadmm,
     run_idr,
@@ -280,7 +279,7 @@ def test_consensus_suite(rng):
 
     # product-space lift runs the same trajectory
     blockwise = run_sum1(cp, params, max_iters=40, tol=0.0)
-    lifted = run_iadmm(lift_problem(cp), params, max_iters=40, tol=0.0)
+    lifted = run_iadmm(cp.lifts[0], params, max_iters=40, tol=0.0)
     for a, b in zip(blockwise.rows, lifted.rows):
         assert np.abs(a.vectors["x"].ravel()
                       - b.vectors["x_next"]).max() <= 1e-12

@@ -15,6 +15,7 @@ from inadmm import (
     default_params,
     run_iadmm,
 )
+from inadmm import admm
 from inadmm.admm import x_update
 
 from conftest import random_quadratic, tall_full_rank
@@ -128,9 +129,9 @@ def test_strategy_with_budget_one_runs(rng):
 
 
 def test_x_update_strategies_agree(rng):
-    # same subproblem through independent routes, on L = I, 2I and -0.5I:
-    # the prox of the frame, the linear solve (quadratic f) and proximal
-    # gradient on the subproblem
+    # same subproblem at one c_k through independent routes, on L = I, 2I
+    # and -0.5I: the prox of the frame, the linear solve (quadratic f) and
+    # proximal gradient on the subproblem
     n = 3
     gamma, alpha_k = 0.8, 0.2
     for L in (LinearMap.identity(n), LinearMap.scaled_identity(n, 2.0),
@@ -146,12 +147,14 @@ def test_x_update_strategies_agree(rng):
                 y=rng.standard_normal(n),
                 y_prev=rng.standard_normal(n),
             )
-            a = x_update(state, p, gamma, alpha_k, XUpdateStrategy("prox_identity"))
-            c = x_update(state, p, gamma, alpha_k,
+            c_k = (state.y - alpha_k * (state.y - state.y_prev)
+                   - gamma * alpha_k * (state.z - state.z_prev))
+            a = x_update(state, p, gamma, c_k, XUpdateStrategy("prox_identity"))
+            c = x_update(state, p, gamma, c_k,
                          XUpdateStrategy("inner_iterative", eps_inner=1e-13))
             assert np.allclose(a, c, atol=1e-9), (L, f)
             if isinstance(f, Quadratic):
-                b = x_update(state, p, gamma, alpha_k,
+                b = x_update(state, p, gamma, c_k,
                              XUpdateStrategy("quadratic_solve"))
                 assert np.allclose(a, b, atol=1e-12), L
 
@@ -179,7 +182,7 @@ def test_inner_iterative_budget_error(rng):
                        z_prev=np.zeros(m), zbar=np.zeros(m),
                        y=rng.standard_normal(m), y_prev=np.zeros(m))
     with pytest.raises(SubproblemError) as exc:
-        x_update(state, p, 1.0, 0.0,
+        x_update(state, p, 1.0, state.y,
                  XUpdateStrategy("inner_iterative", eps_inner=1e-16, budget=1))
     assert exc.value.residual is not None
 
@@ -196,7 +199,7 @@ def test_quadratic_solve_cache_follows_problem_identity(rng):
         z, y = rng.standard_normal(m), rng.standard_normal(m)
         state = IadmmState(k=1, x=np.zeros(n), z=z, z_prev=z, zbar=np.zeros(m),
                            y=y, y_prev=y)
-        x = x_update(state, p, gamma, 0.0, strat)
+        x = x_update(state, p, gamma, y, strat)
         expected = np.linalg.solve(p.f.Q + gamma * Lm.T @ Lm,
                                    gamma * Lm.T @ z - Lm.T @ y - p.f.q)
         assert np.allclose(x, expected, rtol=1e-9, atol=1e-9)
@@ -236,7 +239,7 @@ def test_shared_quadratic_solves_follow_gamma_and_operator(rng):
         else:
             state = IadmmState(k=1, x=np.zeros(n), z=z, z_prev=z,
                                zbar=np.zeros(m), y=y, y_prev=y)
-            x = x_update(state, p, gamma, 0.0, strat)
+            x = x_update(state, p, gamma, y, strat)
             expected = np.linalg.solve(f.Q + gamma * Lm.T @ Lm,
                                        gamma * Lm.T @ z - Lm.T @ y - f.q)
         assert np.allclose(x, expected, rtol=1e-9, atol=1e-9)
@@ -270,6 +273,22 @@ def test_classical_admm_matches_hand_iteration(rng):
         assert np.allclose(row.vectors["x_next"], x, atol=1e-12)
         assert np.allclose(row.vectors["z_next"], z, atol=1e-12)
         assert np.allclose(row.vectors["y_next"], y, atol=1e-12)
+
+
+def test_classical_admm_hands_x_update_its_own_y_as_c(rng, monkeypatch):
+    # classical ADMM's x-subproblem is the inertial one at c = y^k: no
+    # inertial products are formed for it
+    calls = []
+    original = admm.x_update
+
+    def spy(state, p, gamma, c, strat):
+        assert c is state.y
+        calls.append(state.k)
+        return original(state, p, gamma, c, strat)
+
+    monkeypatch.setattr(admm, "x_update", spy)
+    trace = classical_admm(make_lasso(3, rng), 0.9, max_iters=5, tol=0.0)
+    assert trace.iterations == 5 and calls == [1, 2, 3, 4, 5]
 
 
 def test_inertial_reduces_to_classical(rng):

@@ -147,7 +147,8 @@ def test_public_step_with_params_is_the_run_loop(rng, schedule, kind):
 
 
 def test_public_x_update_with_numbers_is_the_step_row(rng):
-    # step passes its row as gamma; a caller's plain numbers give the same bits
+    # step passes its row as gamma; a caller's plain gamma at the same c_k
+    # gives the same bits
     for kind in ("prox_identity", "quadratic_solve_dense", "inner_iterative"):
         p = problem(kind, rng)
         strat = XUpdateStrategy(kind.replace("_dense", ""))
@@ -158,8 +159,10 @@ def test_public_x_update_with_numbers_is_the_step_row(rng):
                            y_prev=rng.standard_normal(m))
         q = ramped("raw")
         co = q.coefficients.at(4)
-        assert same_bits(x_update(state, p, co, co.alpha, strat),
-                         x_update(state, p, q.gamma, q.alpha_at(4), strat)), kind
+        c = (state.y - co.alpha * (state.y - state.y_prev)
+             - co.gamma_alpha * (state.z - state.z_prev))
+        assert same_bits(x_update(state, p, co, c, strat),
+                         x_update(state, p, q.gamma, c, strat)), kind
 
 
 def test_batch_table_holds_columns():
@@ -217,8 +220,9 @@ def test_ramped_idr_reads_the_table_bit_for_bit(rng, mode):
     trace = run_idr(A, B, q.gamma, q, w0, w0, max_iters=ITERS, tol=0.0)
     state = IdrState(k=0, w_prev=w0, w=w0)
     for row in trace.rows:
-        state = idr_step(state, A, B, q.gamma, q.alpha_at(row.k),
-                         q.lambda_at(row.k))
+        state, feas = idr_step(state, A, B, q.gamma, q.alpha_at(row.k),
+                               q.lambda_at(row.k))
+        assert same_bits(feas, row.feas_residual), row.k
         for key, name in (("w_next", "w"), ("y", "y"), ("v", "v")):
             assert same_bits(getattr(state, name), row.vectors[key]), (row.k, key)
 

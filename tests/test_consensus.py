@@ -13,7 +13,6 @@ from inadmm import (
     boyd_consensus,
     constant_schedule,
     default_params,
-    lift_problem,
     run_iadmm,
     run_sum1,
     run_sum2,
@@ -177,8 +176,6 @@ def test_product_space_lift_matches_sum1(rng, scheme, blocks):
     fns = quadratic_blocks(3, 2, rng) if blocks == "quadratic" else mixed_blocks(2, rng)
     cp = ConsensusProblem(fns)
     lift = cp.lifts[scheme]
-    if scheme == 0:
-        assert lift_problem(cp) is lift
     params = default_params(0.25, gamma=1.1)
     blockwise = (run_sum1, run_sum2)[scheme](cp, params, max_iters=40, tol=0.0)
     lifted = run_iadmm(lift, params, max_iters=40, tol=0.0)
@@ -384,7 +381,7 @@ class LoopedSum(ConvexFn):
 def test_lift_matches_per_block_loop_bit_for_bit(rng, n):
     # both schemes' lifts: sum1's f and sum2's g are the stacked blocks
     cp = ConsensusProblem(mixed_blocks(n, rng, point=rng.standard_normal(n)))
-    assert lift_problem(cp) is cp.lifts[0] and cp.lifts[0].f is cp.stacked
+    assert cp.lifts[0].f is cp.stacked
     assert cp.lifts[1].g is cp.stacked
     assert cp.lifts[1].L.kind == "stacked_identity"
     params = default_params(0.2, gamma=1.3)

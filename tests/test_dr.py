@@ -18,6 +18,7 @@ from inadmm import (
     run_iadmm,
     run_idr,
 )
+from inadmm import dr
 
 from conftest import point_normal_cone, random_quadratic, tall_full_rank, zero_operator
 
@@ -192,11 +193,12 @@ def test_idr_step_formula(rng):
     w_prev = rng.standard_normal(2)
     w = rng.standard_normal(2)
     state = IdrState(k=3, w_prev=w_prev, w=w)
-    out = idr_step(state, A, B, gamma, alpha_k, lambda_k)
+    out, res = idr_step(state, A, B, gamma, alpha_k, lambda_k)
     u = w + alpha_k * (w - w_prev)
     y = g.prox(gamma, u)
     v = f.prox(gamma, 2.0 * y - u)
     assert out.k == 4
+    assert np.isclose(res, np.linalg.norm(v - y))
     assert np.allclose(out.y, y)
     assert np.allclose(out.v, v)
     assert np.allclose(out.w, u + lambda_k * (v - y))
@@ -305,8 +307,8 @@ def test_run_idr_budget_exhaustion():
 @pytest.mark.parametrize("alpha", [0.0, 0.2, "ramped"])
 @pytest.mark.parametrize("twin", ["scaled_identity", "dense_quadratic"])
 def test_run_idr_rows_are_public_idr_steps_byte_for_byte(rng, twin, alpha):
-    # run_idr forms v - y once, for w_next and its stop residual; the public
-    # idr_step, fed alpha_k and lambda_k as floats, gives the same bytes
+    # idr_step forms v - y once, for w_next and its stop residual; fed
+    # alpha_k and lambda_k as floats, it gives run_idr's bytes
     n = 5
     if twin == "scaled_identity":
         A = ResolventOp.composed_conjugate(L1Norm(n, 0.6),
@@ -326,11 +328,35 @@ def test_run_idr_rows_are_public_idr_steps_byte_for_byte(rng, twin, alpha):
     assert trace.iterations == 40
     state = IdrState(k=0, w_prev=w1, w=w1)
     for row in trace.rows:
-        state = idr_step(state, A, B, 1.3, params.alpha_at(row.k),
-                         params.lambda_at(row.k))
+        state, feas = idr_step(state, A, B, 1.3, params.alpha_at(row.k),
+                               params.lambda_at(row.k))
         for name, key in (("w", "w_next"), ("y", "y"), ("v", "v")):
             assert getattr(state, name).tobytes() == row.vectors[key].tobytes()
-        assert row.feas_residual == np.linalg.norm(state.v - state.y)
+        assert row.feas_residual == feas == np.linalg.norm(state.v - state.y)
+
+
+def test_run_idr_calls_the_module_idr_step_and_keeps_its_norm(rng, monkeypatch):
+    # a profiler that replaces dr.idr_step sees every iteration of run_idr,
+    # and each row's stop residual is the ||v - y|| that idr_step returned
+    calls = []
+    original = dr.idr_step
+
+    def recording(*args):
+        new, feas = original(*args)
+        calls.append((args[0].k, feas))
+        return new, feas
+
+    monkeypatch.setattr(dr, "idr_step", recording)
+    n = 5
+    A = ResolventOp.composed_conjugate(L1Norm(n, 0.6), LinearMap.scaled_identity(n, -1.7))
+    B = ResolventOp.conjugate_subdifferential(
+        Translated(L2Norm(n, 0.4), rng.standard_normal(n)))
+    w1 = rng.standard_normal(n)
+    trace = run_idr(A, B, 1.3, default_params(0.2, gamma=1.3), w1, w1,
+                    max_iters=12, tol=0.0)
+    assert trace.iterations == 12 and [k for k, _ in calls] == list(range(12))
+    for row, (_, feas) in zip(trace.rows, calls):
+        assert np.float64(row.feas_residual).tobytes() == np.float64(feas).tobytes()
 
 
 @pytest.mark.parametrize("L", [LinearMap.identity(4), LinearMap.scaled_identity(4, -0.7),

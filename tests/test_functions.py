@@ -307,8 +307,8 @@ def test_first_conjugate_computes_the_eigenbasis_once(rng, monkeypatch):
     assert len(calls) == 1
     f.conj(x), f._conj(u + x)
     assert f._full_rank and len(calls) == 1
-    assert f._evecs.tobytes() == evecs.tobytes()
-    assert f._evals.tobytes() == np.maximum(evals, 0.0).tobytes()
+    assert f._eigh[1].tobytes() == evecs.tobytes()
+    assert f._eigh[0].tobytes() == np.maximum(evals, 0.0).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 5, 40])

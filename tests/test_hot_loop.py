@@ -52,12 +52,13 @@ def ref_adjoint_apply(L, y):
 def ref_conj(f, u):
     if not isinstance(f, Quadratic):
         return f.conj(u)
-    w = f._evecs.T @ (u - f.q)
-    small = f._evals <= f._rank_tol
+    evals, evecs = f._eigh
+    w = evecs.T @ (u - f.q)
+    small = evals <= f._rank_tol
     if np.any(np.abs(w[small]) > DOM_TOL * (1.0 + np.linalg.norm(u - f.q))):
         return np.inf
     good = ~small
-    val = 0.5 * float(np.sum(w[good] ** 2 / f._evals[good]))
+    val = 0.5 * float(np.sum(w[good] ** 2 / evals[good]))
     return val - f.r
 
 
@@ -179,10 +180,9 @@ def test_run_iadmm_matches_reference_bit_for_bit(rng, kind, alpha):
 
 # -- the quadratic x-update's right-hand side --------------------------------
 
-def two_adjoint_x_update(state, p, gamma, alpha_k, strat, dy, dz):
+def two_adjoint_x_update(state, p, gamma, c, strat):
     """The quadratic_solve x-update as first written: gamma L'z^k and L'c_k
     as two products."""
-    c = state.y - alpha_k * dy - gamma * alpha_k * dz
     rhs = gamma * p.L._adjoint_apply(state.z) - p.L._adjoint_apply(c) - p.f.q
     return p.f._solver(gamma, p.L)(rhs)
 
@@ -218,7 +218,7 @@ def test_quadratic_solve_makes_one_adjoint_and_no_potrs(rng, monkeypatch, kind):
         z, y = rng.standard_normal(m), rng.standard_normal(m)
         state = IadmmState(k=1, x=np.zeros(p.f.dim), z=z, z_prev=z.copy(),
                            zbar=np.zeros(m), y=y, y_prev=y.copy())
-        x_update(state, p, 1.3, 0.2, strat)
+        x_update(state, p, 1.3, y, strat)
     assert len(adjoints) == 5 and not potrs
 
 

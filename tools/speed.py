@@ -33,7 +33,8 @@ made before its clock starts.  One BLAS thread.  The rows, from zeros:
   serial and over one run;
 - at n = 30, 200 and 1000, on M = Q + L'L (L dense, 1.2n x n): LAPACK
   ``dpotrs`` on M's factor, ``linalg.cholesky``'s solve (two BLAS ``trsv``)
-  of a vector and of P = 1, 3, 9 rows, one ``quadratic_solve`` x-update;
+  of a vector and of P = 1, 3, 9 rows, and the ``quadratic_solve``
+  x-update's subproblem for a given c (alpha 0.2's c_k, formed untimed);
 - the set-up of a problem shaped like ``dense_large``'s (a dense quadratic
   f on R^1000, a dense 1200 x 1000 L): ``Quadratic.__init__``, the rank
   test ``is_injective``, the SVD of ``injectivity_modulus`` over it, the
@@ -338,7 +339,7 @@ def cases(s, tmp):
         state = IdrState(k=0, w_prev=np.zeros(30), w=np.zeros(30))
         for k in range(1, iters + 1):
             co = params.coefficients.at(k)
-            state = idr_step(state, A, B, params.gamma, co.alpha, co.lam)
+            state, _ = idr_step(state, A, B, params.gamma, co.alpha, co.lam)
     yield Row("dr.idr_step, lasso twin, n = 30", "us/iter", iters, idr_loop)
     for n, p in lassos.items():
         yield Row("dr.run_idr, lasso twin, n = %d" % n, "us/iter", iters,
@@ -403,9 +404,10 @@ def cases(s, tmp):
         state = IadmmState(k=2, x=np.zeros(n), z=z, z_prev=0.9 * z,
                            zbar=np.zeros(m), y=y, y_prev=0.9 * y)
         strat = XUpdateStrategy("quadratic_solve")
-        x_update(state, p, 1.0, 0.2, strat)  # makes the factor
+        c = y - 0.2 * (y - state.y_prev) - 0.2 * (z - state.z_prev)
+        x_update(state, p, 1.0, c, strat)  # makes the factor
         yield Row("admm.x_update, quadratic_solve, n = %d" % n, "us/call", calls,
-                  repeat(x_update, calls, state, p, 1.0, 0.2, strat))
+                  repeat(x_update, calls, state, p, 1.0, c, strat))
 
     n, m = s.setup_dims
     rng = np.random.default_rng(0)

@@ -76,7 +76,7 @@ from inadmm import (ConsensusProblem, IndicatorBox, IndicatorHyperplane,
                     IndicatorPoint, L1Norm, L2Norm, LinearMap, ProblemSpec,
                     Quadratic, ResolventOp, Translated, XUpdateStrategy, Zero,
                     boyd_consensus, classical_admm, default_params,
-                    lift_problem, run_iadmm, run_idr, run_sum1, run_sum2)
+                    run_iadmm, run_idr, run_sum1, run_sum2)
 from inadmm.cli import main as cli_main
 from stdout_guard import run
 
@@ -280,7 +280,7 @@ def solver_families(seeds, iters):
         fam.setdefault("sum2", []).append(
             lambda cp=cp: run_sum2(cp, params, max_iters=iters, tol=0.0))
         fam.setdefault("lifted_iadmm", []).append(
-            lambda cp=cp: run_iadmm(lift_problem(cp), params,
+            lambda cp=cp: run_iadmm(cp.lifts[0], params,
                                     max_iters=iters, tol=0.0))
         fam.setdefault("boyd_consensus", []).append(
             lambda cp=cp: boyd_consensus(cp, 0.9, max_iters=iters, tol=0.0))
@@ -300,7 +300,7 @@ def solver_families(seeds, iters):
         fam.setdefault("mixed_consensus", []).extend([
             lambda cp=cp: run_sum1(cp, params, max_iters=iters, tol=0.0),
             lambda cp=cp: run_sum2(cp, params, max_iters=iters, tol=0.0),
-            lambda cp=cp: run_iadmm(lift_problem(cp), params,
+            lambda cp=cp: run_iadmm(cp.lifts[0], params,
                                     max_iters=iters, tol=0.0)])
     return fam
 
