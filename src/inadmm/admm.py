@@ -79,6 +79,9 @@ class IadmmState:
     is None for a state no step made; ``v=`` or an assignment sets it.
     """
 
+    __slots__ = ("k", "x", "z", "z_prev", "zbar", "y", "y_prev", "_v", "w",
+                 "drift", "gamma", "alpha", "L")
+
     def __init__(self, k, x, z, z_prev, zbar, y, y_prev, v=None, w=None,
                  drift=None, gamma=None, alpha=None, L=None):
         self.k, self.x, self.z, self.z_prev, self.zbar = k, x, z, z_prev, zbar
@@ -184,7 +187,8 @@ def step(state, p, params, k, strat, norm=_norm):
     drift = dy + gamma dz, lambda_k Lx^{k+1}, (1 - lambda_k) z^k, ...) is
     computed once.  A ``still`` row (alpha_k = alpha_{k+1} = 0) drops the
     zero drift terms of c_k, of the z-argument and of y^{k+1}, but forms
-    the drift, which signs zbar^{k+1}'s zeros and ends v^k.  On (P, m) rows
+    the drift, which signs zbar^{k+1}'s zeros and ends v^k; a row with
+    lambda_k = 1 drops the (1 - lambda_k) z^k terms.  On (P, m) rows
     with a batch's table of (P, 1) columns it advances P points, each row
     bit for bit its own step, and norm(r) is the array of the rows' 2-norms.
     """
@@ -205,22 +209,24 @@ def step(state, p, params, k, strat, norm=_norm):
     # z^{k+1} = prox_{g/gamma}(zbar^{k+1} + lambda_k Lx^{k+1} + (1 - lambda_k)
     #   z^k + y^k / gamma + ((1 - lambda_k) alpha_k / gamma) drift) - zbar^{k+1}
     l_Lx = co.lam * Lx
-    l_z = co.rest * z
-    arg = zbar_next + l_Lx + l_z + y / gamma
+    arg = zbar_next + l_Lx
+    if co.relaxed:  # (1 - lambda_k) z^k, zero on a row with lambda_k = 1
+        l_z = co.rest * z
+        arg += l_z
+        l_Lx += l_z
+    arg += y / gamma
     if not co.still:  # the sum's last term, zero on a still row
         arg += co.arg_drift * drift
     z_next = p.g._prox(co.inv_gamma, arg) - zbar_next
     # y^{k+1} = y^k + gamma (lambda_k Lx^{k+1} + (1 - lambda_k) z^k - z^{k+1})
     #           + (1 - lambda_k) alpha_k drift
-    y_next = y + gamma * (l_Lx + l_z - z_next)
+    y_next = y + gamma * (l_Lx - z_next)
     if not co.still:
         y_next += co.rest_alpha * drift
     # v^k = y^k - gamma z^k + gamma Lx^{k+1} - alpha_k drift, certifying
     # -L*v^k in df(x^{k+1}), is formed by the state on first read
-    new_state = IadmmState(k=k + 1, x=x_next, z=z_next, z_prev=z,
-                           zbar=zbar_next, y=y_next, y_prev=y,
-                           w=y_next + gamma * z_next, drift=drift, gamma=gamma,
-                           alpha=co.alpha, L=p.L)
+    new_state = IadmmState(k + 1, x_next, z_next, z, zbar_next, y_next, y, None,
+                           y_next + gamma * z_next, drift, gamma, co.alpha, p.L)
     return new_state, norm(r) if r.ndim == 1 else _row_norm(r)[:, 0]
 
 
@@ -278,7 +284,8 @@ def _loop(p, params, strat, init, max_iters, tol, schema, norm=_norm):
             err.iteration = k
             raise
         zbar_norm = _norm(new.zbar)
-        row = TraceRow(k, feas, zbar_norm, prev=state, new=new, schema=schema)
+        # positional, for speed; drive fills dw_norm and dw_sq_sum
+        row = TraceRow(k, feas, zbar_norm, np.nan, np.nan, None, state, new, schema)
         return new, row, (feas, zbar_norm)
 
     state = IadmmState(k=1, x=np.zeros(p.f.dim), z=z1, z_prev=z0,

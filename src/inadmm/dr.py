@@ -105,7 +105,7 @@ class ResolventOp:
         return self._resolvent(gamma, check_vector(u, self.dim))
 
 
-@dataclass
+@dataclass(slots=True)
 class IdrState:
     k: int
     w_prev: np.ndarray
@@ -124,12 +124,15 @@ def idr_step(state, A, B, gamma, alpha_k, lambda_k):
     y = B._at(gamma)(u)
     v = A._at(gamma)(_TWO * y - u)
     vy = v - y
-    return (IdrState(k=state.k + 1, w_prev=state.w, w=u + lambda_k * vy, y=y, v=v),
-            _norm(vy))
+    return IdrState(state.k + 1, state.w, u + lambda_k * vy, y, v), _norm(vy)
 
 
 def _idr_vectors(prev, new):
     return {"w": prev.w, "w_next": new.w, "y": new.y, "v": new.v}
+
+
+# no objective columns; drive fills a row's dw_norm and dw_sq_sum
+_IDR_SCHEMA = (_idr_vectors, None, False)
 
 
 def run_idr(A, B, gamma, params, w0, w1, max_iters=100000, tol=1e-10):
@@ -151,7 +154,7 @@ def run_idr(A, B, gamma, params, w0, w1, max_iters=100000, tol=1e-10):
     def iterate(state, k):
         co = params.coefficients.at(k)
         new, feas = idr_step(state, A, B, gamma, co.alpha, co.lam)
-        row = TraceRow(k, feas, prev=state, new=new, schema=(_idr_vectors, None, False))
+        row = TraceRow(k, feas, np.nan, np.nan, np.nan, None, state, new, _IDR_SCHEMA)
         return new, row, (feas,)
 
     # first_k = 2: the first iteration can be a forced w^2 = w^1 bridge

@@ -221,7 +221,8 @@ class Quadratic(ConvexFn):
         return xQx[:, 0, 0] + _out(_dot(self.q, x)) + self.r
 
     def _prox(self, gamma, x):
-        _, _, solve, gq = self._factor(gamma)
+        entry = self._factors.get("prox")  # the kept entry, if still for gamma
+        _, _, solve, gq = entry if entry and entry[0] == gamma else self._factor(gamma)
         return solve(x - gq)
 
     def _conj(self, u):

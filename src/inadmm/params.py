@@ -183,8 +183,8 @@ class CoefficientRow(float):
     float gamma: ``step`` passes it to ``x_update`` as gamma, and the
     x-update reads its ``gamma`` array from it."""
 
-    __slots__ = ("gamma", "inv_gamma", "alpha", "lam", "rest", "rest_alpha",
-                 "next_lam", "zbar_drift", "arg_drift", "gamma_alpha", "still")
+    __slots__ = ("gamma", "inv_gamma", "alpha", "lam", "rest", "rest_alpha", "next_lam",
+                 "zbar_drift", "arg_drift", "gamma_alpha", "still", "relaxed")
 
 
 class Coefficients:
@@ -200,9 +200,11 @@ class Coefficients:
     0-d float64 array in about two thirds of the time it takes for a Python
     float, whose weak-scalar conversion it pays on every product; the bits
     are the same.  Rows up to the k from which the schedules are constant
-    are built on first read and kept; schedules without that k build a row
-    per read.  A row is ``still`` when alpha_k and alpha_{k+1} are zero on
-    every row of the table, which a batch rebuilds on its live rows.
+    are built on first read and kept; every later k reads the last.  Other
+    schedules build a row per read, but one with the bits of the last row
+    built reads that row.  A row is ``still`` when alpha_k and alpha_{k+1}
+    are zero, and ``relaxed`` unless lambda_k = 1, on every row of the
+    table, which a batch rebuilds on its live rows.
     """
 
     def __init__(self, params):
@@ -211,18 +213,23 @@ class Coefficients:
         steady = [_steady(q) for q in self._params]
         self.steady = None if None in steady else max(steady)
         self._rows, self._gamma = {}, np.array(self._params[0].gamma, dtype=float)
+        self._from, self._built = math.inf, (None, None)  # see at, _row
 
     @property
     def coefficients(self):  # a batch's table stands in for its parameter sets
         return self
 
     def at(self, k):
+        if k >= self._from:  # the steady k's row, once built
+            return self._last
         if self.steady is None:
             return self._row(k)
         k = min(k, self.steady)
         row = self._rows.get(k)
         if row is None:
             row = self._rows[k] = self._row(k)
+        if k == self.steady:
+            self._from, self._last = k, row
         return row
 
     def _row(self, k):
@@ -230,11 +237,15 @@ class Coefficients:
             [[getattr(q, name)(k)] for q in self._params], dtype=float)
         alpha, alpha_next, lam = (column("alpha_at", k), column("alpha_at", k + 1),
                                   column("lambda_at", k))
+        key = alpha.tobytes() + alpha_next.tobytes() + lam.tobytes()
+        if key == self._built[0]:  # the (key, row) last built
+            return self._built[1]
         row = CoefficientRow(self._params[0].gamma)
         row.still = not (alpha.any() or alpha_next.any())
         row.inv_gamma = 1.0 / row
         row.gamma = gamma = self._gamma  # one array for every k
         rest = 1.0 - lam
+        row.relaxed = bool(rest.any())
         rest_alpha = rest * alpha
         for name, value in (("alpha", alpha), ("lam", lam), ("rest", rest),
                             ("rest_alpha", rest_alpha),
@@ -243,6 +254,7 @@ class Coefficients:
                             ("arg_drift", rest_alpha / gamma),
                             ("gamma_alpha", gamma * alpha)):
             setattr(row, name, value if self._batch else value.reshape(()))
+        self._built = key, row
         return row
 
 

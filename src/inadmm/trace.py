@@ -182,16 +182,18 @@ def drive(iterate, state, max_iters, tol, first_k):
     Every solver's loop.  It stops converged at the first k >= first_k with
     max(residuals) <= tol, unconverged (``nonfinite`` set) as soon as a
     residual is NaN or infinite, and otherwise after ``max_iters``
-    iterations.  For states with a ``w``, dw = ||w^{k+1} - w^k|| joins the
+    iterations.  When the initial state has a ``w`` that is not None, so
+    has every state of the run, and dw = ||w^{k+1} - w^k|| joins the
     residuals and fills the row's ``dw_norm`` and ``dw_sq_sum`` (the running
     sum of dw^2).  Returns the trace of all rows and the last state.
     """
     check_budget(max_iters, tol)
     trace = SolveTrace()
     dw_sq_sum = 0.0
+    watch_w = getattr(state, "w", None) is not None
     for k in range(1, max_iters + 1):
         new, row, residuals = iterate(state, k)
-        if getattr(new, "w", None) is not None:
+        if watch_w:
             dw = row.dw_norm = _norm(new.w - state.w)
             dw_sq_sum += dw * dw
             row.dw_sq_sum = dw_sq_sum

@@ -9,12 +9,17 @@ iteration, which reads ``alpha_at`` and ``lambda_at`` itself at every k.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from inadmm import (
     IadmmState,
+    L1Norm,
+    LinearMap,
+    ProblemSpec,
+    Quadratic,
     ResolventOp,
     XUpdateStrategy,
     default_params,
@@ -93,7 +98,8 @@ def test_ramped_run_matches_reference_bit_for_bit(rng, kind, mode):
 
 def test_schedule_without_steady_k_matches_reference(rng):
     # a callable schedule may change at any k: the table builds each row
-    # when read and keeps none
+    # when read and keeps none by k, but a row with the values of the last
+    # row built is that row
     p = problem("prox_identity", rng)
     base = default_params(0.2, gamma=1.3)
     q = dataclasses.replace(base, alpha_schedule=lambda k: 0.1 if k < 17 else 0.2)
@@ -102,6 +108,38 @@ def test_schedule_without_steady_k_matches_reference(rng):
                       max_iters=ITERS, tol=0.0)
     assert_rows_match_reference(trace, p, q, XUpdateStrategy("prox_identity"))
     assert not q.coefficients._rows
+    table = q.coefficients
+    assert table.at(5) is table.at(6) and table.at(20) is table.at(21)
+    assert table.at(16) is not table.at(17) is table.at(18)
+
+
+def _held_bytes_per_row(p, q, iters):
+    """The final arrays of a run and the bytes its trace holds per row."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_iadmm(p, q, max_iters=iters, tol=0.0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return {key: value.tobytes() for key, value in trace.final.items()}, held / iters
+
+
+def test_callable_constant_schedule_holds_what_the_closed_form_holds(rng):
+    # each state keeps its row's alpha_k array, so a schedule without a
+    # steady k whose values repeat must share its rows to hold no more
+    n = 30
+    D = rng.standard_normal((2 * n, n))
+    b = rng.standard_normal(2 * n)
+    p = ProblemSpec(Quadratic(D.T @ D, -D.T @ b), L1Norm(n, 0.3), LinearMap.identity(n))
+    run_iadmm(p, default_params(0.2, gamma=1.3), max_iters=2)  # p's own caches
+    closed = default_params(0.2, gamma=1.3)
+    called = dataclasses.replace(closed, alpha_schedule=lambda k: 0.2)
+    assert called.alpha_at(5) == closed.alpha_at(5) and called.coefficients.steady is None
+    final, per_row = _held_bytes_per_row(p, called, 300)
+    want_final, want_per_row = _held_bytes_per_row(p, closed, 300)
+    assert final == want_final
+    assert per_row <= want_per_row + 64, (per_row, want_per_row)
 
 
 @pytest.mark.parametrize("kind", ["prox_identity", "quadratic_solve_dense"])

@@ -236,3 +236,27 @@ def test_assigned_row_vector_sticks_on_deep_copy(name, read_first):
     assert row.vectors["w_next"] is twin.rows[len(twin.rows) // 2 + 1].vectors["w"]
     original = trace.rows[len(trace.rows) // 2].vectors["w"]
     assert not np.array_equal(original, moved)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_w_step_columns_of_each_solver(name):
+    # drive fills dw_norm and dw_sq_sum for the runs whose states carry w;
+    # classical_admm and boyd_consensus fill dw_norm themselves (the w and
+    # the y step) and leave the running sum NaN
+    trace = SOLVERS[name][0](20, 0.0)
+    assert trace.iterations == 20
+    dw_sq_sum = 0.0
+    for row in trace.rows:
+        if name == "classical_admm":
+            v = row.vectors
+            dw = _norm(v["y_next"] + GAMMA * v["z_next"], v["y"] + GAMMA * v["z"])
+            assert row.dw_norm.hex() == dw.hex(), row.k
+            assert math.isnan(row.dw_sq_sum)
+        elif name == "boyd_consensus":
+            assert row.dw_norm.hex() == _norm(row.new.y, row.prev.y).hex()
+            assert math.isnan(row.dw_sq_sum) and math.isnan(row.zbar_norm)
+        else:
+            dw = _norm(row.new.w, row.prev.w)
+            dw_sq_sum += dw * dw
+            assert row.dw_norm.hex() == dw.hex(), row.k
+            assert row.dw_sq_sum.hex() == dw_sq_sum.hex(), row.k

@@ -13,7 +13,9 @@ made before its clock starts.  One BLAS thread.  The rows, from zeros:
 
 - loops of ``ITERS`` public calls, ``default_params(0.2)``: ``admm.step`` on
   a lasso (f = 0.5 ||Dx - b||^2, D a seeded 2n x n Gaussian, g = tau
-  ||.||_1, L = I) at n = 10, 30, 50, and on a batch of P = 3 parameter sets
+  ||.||_1, L = I) at n = 10, 30, 50, each followed by ``run_iadmm`` on the
+  lasso over it (its ratio is the run's own share: ``drive``, the trace
+  rows and the stop test), and on a batch of P = 3 parameter sets
   (alpha 0, 0.1, 0.2) with a dense L at n = 30; ``dr.idr_step`` on the n =
   30 lasso's Douglas-Rachford twin and ``dr.run_idr`` on each twin;
   ``consensus.sum1_step`` and ``sum2_step`` on 101 seeded
@@ -321,8 +323,11 @@ def cases(s, tmp):
     params, iters = default_params(0.2), s.iters
     lassos = {n: lasso(n, np.random.default_rng([0, n])) for n in (10, 30, 50)}
     for n, p in lassos.items():
-        yield Row("admm.step, lasso L = I, n = %d" % n, "us/iter", iters, stepping(
-            step, p, params, iters, p, (), XUpdateStrategy.automatic(p)))
+        loop = stepping(step, p, params, iters, p, (), XUpdateStrategy.automatic(p))
+        yield Row("admm.step, lasso L = I, n = %d" % n, "us/iter", iters, loop)
+        yield Row("run_iadmm, lasso L = I, alpha 0.2, n = %d" % n, "us/iter", iters,
+                  functools.partial(run_iadmm, p, params, max_iters=iters, tol=0.0),
+                  ("admm.step", loop))
 
     n, rng = 30, np.random.default_rng(1)
     G = rng.standard_normal((n, n)) / np.sqrt(n)
