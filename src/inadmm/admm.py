@@ -189,8 +189,8 @@ def step(state, p, params, k, strat, norm=_norm):
     zero drift terms of c_k, of the z-argument and of y^{k+1}, but forms
     the drift, which signs zbar^{k+1}'s zeros and ends v^k; a row with
     lambda_k = 1 drops the (1 - lambda_k) z^k terms.  On (P, m) rows
-    with a batch's table of (P, 1) columns it advances P points, each row
-    bit for bit its own step, and norm(r) is the array of the rows' 2-norms.
+    with a batch's table it advances P points, each row bit for bit its own
+    step; the default norm(r) is then the array of the rows' 2-norms.
     """
     co = params.coefficients.at(k)
     gamma = co.gamma
@@ -227,7 +227,8 @@ def step(state, p, params, k, strat, norm=_norm):
     # -L*v^k in df(x^{k+1}), is formed by the state on first read
     new_state = IadmmState(k + 1, x_next, z_next, z, zbar_next, y_next, y, None,
                            y_next + gamma * z_next, drift, gamma, co.alpha, p.L)
-    return new_state, norm(r) if r.ndim == 1 else _row_norm(r)[:, 0]
+    return new_state, (norm(r) if r.ndim == 1 or norm is not _norm
+                       else _row_norm(r)[:, 0])
 
 
 def _iadmm_vectors(prev, new):
@@ -325,42 +326,50 @@ def run_iadmm_batch(p, rows, max_iters=100000, tol=1e-10, record=True):
     check_budget(max_iters, tol)
     traces, live = [SolveTrace() for _ in rows], list(range(len(rows)))
     if rows:
-        table, schema = Coefficients(rows), _iadmm_schema(p)
-        sums = np.zeros(len(rows))  # the running sums of dw^2 of the live rows
+        table, schema = Coefficients.batch(rows, p.g.dim), _iadmm_schema(p)
+        sums = [0.0] * len(rows)  # the running sums of dw^2 of the live rows
         zeros = np.zeros((len(rows), p.g.dim))  # w = y + gamma z is zero too
         state = IadmmState(k=1, x=np.zeros((len(rows), p.f.dim)), z=zeros,
                            z_prev=zeros, zbar=zeros, y=zeros, y_prev=zeros, w=zeros)
     while live:
         k = state.k
-        new, feas = step(state, p, table, k, strat)
-        # drive's residuals, a column per row: ||r||, ||zbar^{k+1}||, ||w^{k+1} - w^k||
-        res = np.concatenate((feas, _row_norm(np.concatenate(
-            (new.zbar, new.w - state.w)))[:, 0])).reshape(3, -1)
-        sums += res[2] * res[2]
-        # whether drive's rule may stop a row (a row's peak is NaN or inf if
-        # one of its residuals is); stops() then decides row by row
-        peaks = res.max(0)
-        if record or k == max_iters or not math.isfinite(peaks.max()) or (
-                k >= 2 and peaks.min() <= tol):
+        new, r = step(state, p, table, k, strat, _keep_r)
+        # drive's residuals of every row: ||r||, then ||zbar^{k+1}||, then
+        # ||w^{k+1} - w^k||, read as floats in one norm
+        res = _row_norm(np.concatenate((r, new.zbar, new.w - state.w))).ravel().tolist()
+        P = len(live)
+        feas, zbar, dw = res[:P], res[P:2 * P], res[2 * P:]
+        sums = [s + d * d for s, d in zip(sums, dw)]
+        # whether drive's rule may stop a row: a residual that is not finite
+        # (their sum is not then), or a row whose residuals are all <= tol;
+        # stops() then decides row by row
+        if record or k == max_iters or not math.isfinite(sum(res)) or (
+                k >= 2 and min(map(max, feas, zbar, dw)) <= tol):
             keep = []
-            for j, (r, s) in enumerate(zip(res.T.tolist(), sums.tolist())):
+            for j, residuals in enumerate(zip(feas, zbar, dw)):
                 i = live[j]
-                stop = stops(traces[i], r, k, 2, tol) or k == max_iters
+                stop = stops(traces[i], residuals, k, 2, tol) or k == max_iters
                 if record or stop:
-                    traces[i].append(TraceRow(k, *r, s, prev=_Row(state, j),
-                                              new=_Row(new, j), schema=schema))
+                    traces[i].append(TraceRow(k, *residuals, sums[j],
+                                              prev=_Row(state, j), new=_Row(new, j),
+                                              schema=schema))
                 if stop:
                     traces[i].final = {f: getattr(new, f)[j] for f in "xzyvw"}
                 else:
                     keep.append(j)
             if 0 < len(keep) < len(live):
-                table = Coefficients([rows[live[j]] for j in keep])
+                table = Coefficients.batch([rows[live[j]] for j in keep], p.g.dim)
                 new = IadmmState(k=new.k, **{f: getattr(new, f)[keep] for f in (
                     "x", "z", "z_prev", "zbar", "y", "y_prev", "v", "w")})
-                sums = sums[keep]
+                sums = [sums[j] for j in keep]
             live = [live[j] for j in keep]
         state = new
     return traces
+
+
+def _keep_r(r):
+    """The batch's ``norm`` hook: ``step`` hands back r itself."""
+    return r
 
 
 def classical_admm(p, gamma, init=None, lam=1.0, strat=None,

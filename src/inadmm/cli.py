@@ -186,6 +186,8 @@ def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
                 params = err
             points.append((alpha, lam, params))
     feasible = [q for _, _, q in points if not isinstance(q, InfeasibleParameters)]
+    if output:
+        _check_csv_names(output, points)
     traces = iter(run_iadmm_batch(cfg.problem, feasible, max_iters, tol, bool(output))
                   if solver == "iadmm" else
                   (_run_solver(cfg, solver, q, max_iters, tol) for q in feasible))
@@ -205,8 +207,28 @@ def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
         _report_nonfinite(trace, where=" (alpha %g, lambda %g)" % (alpha, lam_eff))
         all_ok = all_ok and trace.converged
         if output:
-            trace.write_csv("%s.alpha%g_lambda%g.csv" % (output, alpha, lam_eff))
+            trace.write_csv(_csv_name(output, alpha, lam_eff))
     return EXIT_OK if all_ok else EXIT_BUDGET
+
+
+def _csv_name(output, alpha, lam):
+    return "%s.alpha%g_lambda%g.csv" % (output, alpha, lam)
+
+
+def _check_csv_names(output, points):
+    """Refuse, before any solve, two distinct feasible sweep points whose
+    CSVs would have one name: their alpha and lambda agree to ``%g``."""
+    named = {}
+    for alpha, _, params in points:
+        if isinstance(params, InfeasibleParameters):
+            continue
+        point = (alpha, params.lambda_schedule.value)
+        name = _csv_name(output, *point)
+        first = named.setdefault(name, point)
+        if first != point:
+            raise ConfigError("sweep points (alpha %r, lambda %r) and (alpha %r, "
+                              "lambda %r) would share the CSV %s"
+                              % (*first, *point, name))
 
 
 def main(argv=None, out=None):

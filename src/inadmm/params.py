@@ -190,21 +190,27 @@ class CoefficientRow(float):
 class Coefficients:
     """The scalars ``admm.step`` and its x-update read at iteration k.
 
-    For one parameter set, or for a batch of them (a list) sharing gamma,
-    ``at(k)`` holds gamma as a 0-d array; alpha_k, lambda_k, 1 - lambda_k,
-    (1 - lambda_k) alpha_k, alpha_{k+1} lambda_k, (1 - lambda_k) alpha_k
-    alpha_{k+1} / gamma, (1 - lambda_k) alpha_k / gamma and gamma alpha_k as
-    numpy arrays, 0-d for one set and (P, 1) columns for P of them; and 1 /
-    gamma (the prox parameter) as a float.  Each is formed once, in the
-    order of the formulas that read it.  numpy 2 multiplies a vector by a
-    0-d float64 array in about two thirds of the time it takes for a Python
-    float, whose weak-scalar conversion it pays on every product; the bits
-    are the same.  Rows up to the k from which the schedules are constant
-    are built on first read and kept; every later k reads the last.  Other
-    schedules build a row per read, but one with the bits of the last row
-    built reads that row.  A row is ``still`` when alpha_k and alpha_{k+1}
-    are zero, and ``relaxed`` unless lambda_k = 1, on every row of the
-    table, which a batch rebuilds on its live rows.
+    For one parameter set, or for a batch of P of them (a list) sharing
+    gamma, ``at(k)`` holds gamma as a 0-d array; alpha_k, lambda_k, 1 -
+    lambda_k, (1 - lambda_k) alpha_k, alpha_{k+1} lambda_k, (1 - lambda_k)
+    alpha_k alpha_{k+1} / gamma, (1 - lambda_k) alpha_k / gamma and gamma
+    alpha_k as numpy arrays: 0-d for one set, and for a batch (P, width)
+    arrays whose row i repeats point i's value, width 1 unless ``batch``
+    sets the width of the rows the table multiplies; and 1 / gamma (the prox
+    parameter) as a float.  Each is formed once, in the order of the
+    formulas that read it.  numpy 2 multiplies a vector by a 0-d float64
+    array in about two thirds of the time it takes for a Python float, whose
+    weak-scalar conversion it pays on every product, and (P, m) rows by a
+    (P, m) array in about half the time of a (P, 1) column, which it
+    broadcasts; the bits are the same.  Rows up to the k from which the
+    schedules are constant are built on first read and kept (a batch, which
+    reads each k once, keeps the last only); every later k reads the last.
+    Other schedules build a row per read, but one with the values of the
+    last row built reads that row.  Each schedule is called once per k when
+    rows are read in order: alpha_k is the alpha_{k+1} of the row read last.
+    A row is ``still`` when alpha_k and alpha_{k+1} are zero, and
+    ``relaxed`` unless lambda_k = 1, on every row of the table, which a
+    batch rebuilds on its live rows.
     """
 
     def __init__(self, params):
@@ -214,6 +220,14 @@ class Coefficients:
         self.steady = None if None in steady else max(steady)
         self._rows, self._gamma = {}, np.array(self._params[0].gamma, dtype=float)
         self._from, self._built = math.inf, (None, None)  # see at, _row
+        self._width, self._next = 1, (None, None)
+
+    @classmethod
+    def batch(cls, params, width):
+        """The table of the list ``params`` for (P, ``width``) rows."""
+        table = cls(params)
+        table._width = width
+        return table
 
     @property
     def coefficients(self):  # a batch's table stands in for its parameter sets
@@ -227,20 +241,32 @@ class Coefficients:
         k = min(k, self.steady)
         row = self._rows.get(k)
         if row is None:
-            row = self._rows[k] = self._row(k)
-        if k == self.steady:
-            self._from, self._last = k, row
+            row = self._row(k)
+            if k == self.steady:
+                self._from, self._last = k, row
+            elif not self._batch:
+                self._rows[k] = row
         return row
 
     def _row(self, k):
-        column = lambda name, k: np.array(
-            [[getattr(q, name)(k)] for q in self._params], dtype=float)
-        alpha, alpha_next, lam = (column("alpha_at", k), column("alpha_at", k + 1),
-                                  column("lambda_at", k))
-        key = alpha.tobytes() + alpha_next.tobytes() + lam.tobytes()
-        if key == self._built[0]:  # the (key, row) last built
-            return self._built[1]
-        row = CoefficientRow(self._params[0].gamma)
+        params = self._params
+        after, alpha = self._next  # (k + 1, alpha_{k+1}) of the row read last
+        if self._batch:
+            if after != k:
+                alpha = [q.alpha_at(k) for q in params]
+            alpha_next = [q.alpha_at(k + 1) for q in params]
+            values = [*alpha, *alpha_next, *[q.lambda_at(k) for q in params]]
+        else:  # the same reads, of floats, without the comprehensions' frames
+            q = params[0]
+            alpha_next = q.alpha_at(k + 1)
+            values = [alpha if after == k else q.alpha_at(k), alpha_next,
+                      q.lambda_at(k)]
+        self._next = k + 1, alpha_next
+        built, row = self._built  # the values and the row built last
+        if values == built and (0.0 not in values or _same_signs(values, built)):
+            return row
+        alpha, alpha_next, lam = np.array(values, dtype=float).reshape(3, -1, 1)
+        row = CoefficientRow(params[0].gamma)
         row.still = not (alpha.any() or alpha_next.any())
         row.inv_gamma = 1.0 / row
         row.gamma = gamma = self._gamma  # one array for every k
@@ -253,9 +279,15 @@ class Coefficients:
                             ("zbar_drift", rest_alpha * alpha_next / gamma),
                             ("arg_drift", rest_alpha / gamma),
                             ("gamma_alpha", gamma * alpha)):
-            setattr(row, name, value if self._batch else value.reshape(()))
-        self._built = key, row
+            setattr(row, name, np.repeat(value, self._width, 1) if self._batch
+                    else value.reshape(()))
+        self._built = values, row
         return row
+
+
+def _same_signs(a, b):
+    """Whether no zero of the list a is signed unlike b's (0.0 == -0.0)."""
+    return all(math.copysign(1.0, x) == math.copysign(1.0, y) for x, y in zip(a, b))
 
 
 def _require(ok, key, message, *args):

@@ -31,7 +31,7 @@ from inadmm import (
 )
 from inadmm.admm import run_iadmm_batch
 from inadmm.linalg import cholesky
-from inadmm.params import constant_params
+from inadmm.params import Coefficients, constant_params
 
 GAMMA = 1.3
 
@@ -237,3 +237,92 @@ def test_indicator_point_prox_keeps_the_row_shape():
     assert out.shape == (4, 3) and (out == a).all()
     out[0, 0] = 7.0
     assert a[0] == 1.0
+
+
+# -- the full-width table and the stacked stop test ----------------------------
+
+def sweep_points(gamma=GAMMA):
+    """An alpha = 0 point, whose rows are still, that leaves first, a lambda = 1
+    point, both init modes and a callable alpha schedule (no steady k)."""
+    called = dataclasses.replace(constant_params(gamma, 0.2, 0.01),
+                                 alpha_schedule=lambda k: min(0.2, 0.03 * k))
+    return [
+        constant_params(gamma, 0.0, 0.01, None, 1.5, "alpha2_zero"),
+        constant_params(gamma, 0.05, 0.01, 1.0, 1.0, "alpha2_zero"),
+        constant_params(gamma, 0.1, 0.01, None, 0.4),
+        called,
+    ]
+
+
+@pytest.mark.parametrize("L_kind", ["scaled", "square", "tall"])
+def test_full_width_rows_are_their_serial_runs(L_kind):
+    p = problem(L_kind, "l1")
+    params = sweep_points()
+    assert params[-1].coefficients.steady is None
+    serial = [run_iadmm(p, q, max_iters=400, tol=1e-9) for q in params]
+    stops = [t.iterations for t in serial]
+    assert stops[0] < min(stops[1:]) and all(t.converged for t in serial), stops
+    for record in (True, False):
+        batch = run_iadmm_batch(p, params, 400, 1e-9, record=record)
+        for b, s in zip(batch, serial):
+            assert_same(b, s, record)
+
+
+def test_batch_table_columns_have_the_state_shape(monkeypatch):
+    from inadmm import admm
+
+    shapes = []
+    original = admm.step
+
+    def spy(state, p, table, k, *rest):
+        co = table.coefficients.at(k)
+        shapes.append({name: getattr(co, name).shape for name in (
+            "alpha", "lam", "rest", "rest_alpha", "next_lam", "zbar_drift",
+            "arg_drift", "gamma_alpha")} | {"y": state.y.shape})
+        assert co.gamma.shape == ()
+        return original(state, p, table, k, *rest)
+
+    monkeypatch.setattr(admm, "step", spy)
+    p = problem("tall", "l1")
+    run_iadmm_batch(p, sweep_points(), 400, 1e-9, record=False)
+    assert {len(set(s.values())) for s in shapes} == {1}  # every column is y's shape
+    assert {s["y"] for s in shapes} >= {(4, 8), (3, 8)}  # and follows the live rows
+
+
+def test_batch_table_rows_repeat_each_points_value():
+    rows = sweep_points()
+    table = Coefficients.batch(rows, 6)
+    for k in (1, 2, 3, 4, 9, 30):
+        co = table.at(k)
+        for name in ("alpha", "lam", "rest", "rest_alpha", "next_lam",
+                     "zbar_drift", "arg_drift", "gamma_alpha"):
+            got = getattr(co, name)
+            assert got.shape == (4, 6) and got.flags.c_contiguous, name
+            want = [getattr(q.coefficients.at(k), name) for q in rows]
+            assert _bits(got) == _bits(np.repeat(want, 6).reshape(4, 6)), (k, name)
+
+
+def test_step_returns_each_rows_norm_or_hands_r_to_its_hook():
+    from inadmm.admm import IadmmState, XUpdateStrategy, step
+    from inadmm.linalg import _norm
+
+    p = problem("tall", "l1")
+    rows, m = sweep_points(), p.g.dim
+    rng = np.random.default_rng(11)
+    y, y_prev, z, z_prev = rng.standard_normal((4, len(rows), m))
+    strat = XUpdateStrategy.automatic(p)
+    state = IadmmState(k=4, x=np.zeros((len(rows), p.f.dim)), z=z, z_prev=z_prev,
+                       zbar=np.zeros_like(z), y=y, y_prev=y_prev)
+    table = Coefficients.batch(rows, m)
+    new, feas = step(state, p, table, 4, strat)
+    _, r = step(state, p, table, 4, strat, lambda r: r)
+    assert feas.shape == (len(rows),) and r.shape == (len(rows), m)
+    for j, q in enumerate(rows):
+        one = IadmmState(k=4, x=np.zeros(p.f.dim), z=z[j], z_prev=z_prev[j],
+                         zbar=np.zeros(m), y=y[j], y_prev=y_prev[j])
+        new_j, feas_j = step(one, p, q, 4, strat)
+        _, r_j = step(one, p, q, 4, strat, lambda r: r)
+        assert _bits(feas[j]) == _bits(feas_j) == _bits(_norm(r_j))
+        assert _bits(r[j]) == _bits(r_j)
+        for name in ("x", "z", "zbar", "y", "w", "v"):
+            assert _bits(getattr(new, name)[j]) == _bits(getattr(new_j, name)), name

@@ -333,6 +333,42 @@ def test_sweep_mode(tmp_path):
     assert len(lines) == 4
 
 
+def test_sweep_writes_one_csv_per_point(tmp_path):
+    cfg = write(tmp_path, LASSO_CONFIG)
+    prefix = str(tmp_path / "sw")
+    code, out = run([cfg, "--sweep", "alpha=0,0.1,0.2;lambda=0.5", "--output", prefix])
+    assert code == EXIT_OK and len(out.splitlines()) == 4
+    assert sorted(os.listdir(tmp_path)) == [
+        "problem.cfg", "sw.alpha0.1_lambda0.5.csv", "sw.alpha0.2_lambda0.5.csv",
+        "sw.alpha0_lambda0.5.csv"]
+
+
+@pytest.mark.parametrize("spec, points, name", [
+    ("alpha=0.1,0.1000000001;lambda=0.5",
+     "(alpha 0.1, lambda 0.5) and (alpha 0.1000000001, lambda 0.5)",
+     "alpha0.1_lambda0.5"),
+    ("alpha=0.2;lambda=0.5,0.5000000001",
+     "(alpha 0.2, lambda 0.5) and (alpha 0.2, lambda 0.5000000001)",
+     "alpha0.2_lambda0.5")], ids=["alpha", "lambda"])
+def test_sweep_refuses_points_that_would_share_a_csv(tmp_path, capsys, monkeypatch,
+                                                     spec, points, name):
+    # alike at %g: the second point's CSV used to overwrite the first's; the
+    # sweep is refused before it solves anything
+    cfg = write(tmp_path, LASSO_CONFIG)
+    prefix = str(tmp_path / "out")
+    monkeypatch.setattr(cli, "run_iadmm_batch", None)
+    code, out = run([cfg, "--sweep", spec, "--output", prefix])
+    monkeypatch.undo()
+    assert code == EXIT_INPUT and out == ""
+    assert capsys.readouterr().err == (
+        "input error: sweep points %s would share the CSV %s.%s.csv\n"
+        % (points, prefix, name))
+    assert sorted(os.listdir(tmp_path)) == ["problem.cfg"]
+    # without --output no CSV is written, and both points are solved
+    code, out = run([cfg, "--sweep", spec])
+    assert code == EXIT_OK and len(out.splitlines()) == 3
+
+
 def test_sweep_reports_infeasible(tmp_path):
     cfg = write(tmp_path, LASSO_CONFIG)
     code, out = run([cfg, "--sweep", "alpha=0.2;lambda=0.5,1.95"])

@@ -3,7 +3,7 @@
 ``params.Coefficients`` holds, for each k up to the one from which the
 schedules are constant, gamma, alpha_k, lambda_k and the products ``step``
 and its x-update derive from them, as 0-d arrays (one parameter set) or
-(P, 1) columns (a batch).  The runs below cross that k with ramps and every
+(P, width) arrays (a batch).  The runs below cross that k with ramps and every
 init mode, and are compared bit for bit with ``test_hot_loop``'s reference
 iteration, which reads ``alpha_at`` and ``lambda_at`` itself at every k.
 """
@@ -111,6 +111,51 @@ def test_schedule_without_steady_k_matches_reference(rng):
     table = q.coefficients
     assert table.at(5) is table.at(6) and table.at(20) is table.at(21)
     assert table.at(16) is not table.at(17) is table.at(18)
+
+
+def assert_row_is_the_formulas(co, q, k):
+    for name, want in parent_scalars(q, k).items():
+        assert same_bits(getattr(co, name), want), (k, name)
+
+
+def test_callable_schedules_are_called_once_per_k():
+    # read in order, a row's alpha_k is the alpha_{k+1} of the row before it
+    calls = []
+
+    def counted(name, schedule):
+        return lambda k: calls.append((name, k)) or schedule(k)
+
+    base = ramped("raw")
+    alpha, lam = (lambda k: 0.1 if k < 17 else 0.2), base.lambda_schedule
+    plain = dataclasses.replace(base, alpha_schedule=alpha)
+    q = dataclasses.replace(base, alpha_schedule=counted("alpha", alpha),
+                            lambda_schedule=counted("lambda", lam))
+    table = q.coefficients
+    assert table.steady is None
+    rows = [table.at(k) for k in range(1, ITERS + 1)]
+    assert sorted(calls) == sorted([("alpha", k) for k in range(1, ITERS + 2)]
+                                   + [("lambda", k) for k in range(1, ITERS + 1)])
+    for k, co in enumerate(rows, 1):
+        assert_row_is_the_formulas(co, plain, k)
+    # lambda is constant from k = 10 and alpha_k = alpha_{k+1} up to k = 15
+    assert all(rows[k - 1] is rows[9] for k in range(10, 16))
+    assert rows[15] is not rows[14] and rows[16] is not rows[15]
+    # out of order, a row reads its three values afresh
+    calls.clear()
+    assert_row_is_the_formulas(table.at(5), plain, 5)
+    assert sorted(calls) == [("alpha", 5), ("alpha", 6), ("lambda", 5)]
+
+
+def test_rows_with_zeros_of_other_signs_are_not_shared():
+    # 0.0 == -0.0, but -0.0 * lambda_k keeps its sign in next_lam
+    q = dataclasses.replace(ramped("raw"), lambda_schedule=lambda k: 0.5,
+                            alpha_schedule=lambda k: -0.0 if k % 2 else 0.0)
+    table = q.coefficients
+    rows = [table.at(k) for k in range(1, 7)]
+    for k, co in enumerate(rows, 1):
+        assert_row_is_the_formulas(co, q, k)
+    assert len({id(co) for co in rows}) == 6
+    assert [np.signbit(co.next_lam) for co in rows] == [False, True] * 3
 
 
 def _held_bytes_per_row(p, q, iters):

@@ -15,9 +15,12 @@ made before its clock starts.  One BLAS thread.  The rows, from zeros:
   a lasso (f = 0.5 ||Dx - b||^2, D a seeded 2n x n Gaussian, g = tau
   ||.||_1, L = I) at n = 10, 30, 50, each followed by ``run_iadmm`` on the
   lasso over it (its ratio is the run's own share: ``drive``, the trace
-  rows and the stop test), and on a batch of P = 3 parameter sets
-  (alpha 0, 0.1, 0.2) with a dense L at n = 30; ``dr.idr_step`` on the n =
-  30 lasso's Douglas-Rachford twin and ``dr.run_idr`` on each twin;
+  rows and the stop test), then ``run_iadmm`` at n = 30 with a callable
+  constant alpha schedule over the closed form, and ``admm.step`` on a
+  batch of P = 3 parameter sets (alpha 0, 0.1, 0.2) with a dense L at n =
+  30, through the full-width table ``run_iadmm_batch`` builds;
+  ``dr.idr_step`` on the n = 30 lasso's Douglas-Rachford twin and
+  ``dr.run_idr`` on each twin;
   ``consensus.sum1_step`` and ``sum2_step`` on 101 seeded
   ``Translated(L1Norm)`` blocks on R^3 (gamma 5);
 - at alpha = 0 and lambda = 1, ``RUN_ITERS`` iterations at tolerance 0:
@@ -63,6 +66,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import collections
+import dataclasses
 import functools
 import io
 import subprocess
@@ -328,13 +332,19 @@ def cases(s, tmp):
         yield Row("run_iadmm, lasso L = I, alpha 0.2, n = %d" % n, "us/iter", iters,
                   functools.partial(run_iadmm, p, params, max_iters=iters, tol=0.0),
                   ("admm.step", loop))
+    # alpha_k from a callable, which has no steady k, against the closed form
+    called = dataclasses.replace(params, alpha_schedule=lambda k: 0.2)
+    run_30 = functools.partial(run_iadmm, lassos[30], max_iters=iters, tol=0.0)
+    yield Row("run_iadmm, callable alpha schedule, n = 30", "us/iter", iters,
+              functools.partial(run_30, called),
+              ("closed form", functools.partial(run_30, params)))
 
     n, rng = 30, np.random.default_rng(1)
     G = rng.standard_normal((n, n)) / np.sqrt(n)
     Lm = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
     p = ProblemSpec(Quadratic(G @ G.T + 0.5 * np.eye(n), rng.standard_normal(n)),
                     L1Norm(n, 0.3), LinearMap.dense(Lm))
-    table = Coefficients([default_params(a) for a in (0.0, 0.1, 0.2)])
+    table = Coefficients.batch([default_params(a) for a in (0.0, 0.1, 0.2)], n)
     yield Row("admm.step, batch P = 3, dense L, n = 30", "us/iter", iters, stepping(
         step, p, table, iters, p, (3,), XUpdateStrategy.automatic(p)))
 
