@@ -326,7 +326,7 @@ def run_iadmm_batch(p, rows, max_iters=100000, tol=1e-10, record=True):
     check_budget(max_iters, tol)
     traces, live = [SolveTrace() for _ in rows], list(range(len(rows)))
     if rows:
-        table, schema = Coefficients.batch(rows, p.g.dim), _iadmm_schema(p)
+        table, schema = _batch_table(rows, p.g.dim), _iadmm_schema(p)
         sums = [0.0] * len(rows)  # the running sums of dw^2 of the live rows
         zeros = np.zeros((len(rows), p.g.dim))  # w = y + gamma z is zero too
         state = IadmmState(k=1, x=np.zeros((len(rows), p.f.dim)), z=zeros,
@@ -335,8 +335,9 @@ def run_iadmm_batch(p, rows, max_iters=100000, tol=1e-10, record=True):
         k = state.k
         new, r = step(state, p, table, k, strat, _keep_r)
         # drive's residuals of every row: ||r||, then ||zbar^{k+1}||, then
-        # ||w^{k+1} - w^k||, read as floats in one norm
-        res = _row_norm(np.concatenate((r, new.zbar, new.w - state.w))).ravel().tolist()
+        # ||w^{k+1} - w^k||
+        res = _row_norms(r, new.zbar, new.w - state.w)
+        del r  # not held through the next step
         P = len(live)
         feas, zbar, dw = res[:P], res[P:2 * P], res[2 * P:]
         sums = [s + d * d for s, d in zip(sums, dw)]
@@ -358,13 +359,40 @@ def run_iadmm_batch(p, rows, max_iters=100000, tol=1e-10, record=True):
                 else:
                     keep.append(j)
             if 0 < len(keep) < len(live):
-                table = Coefficients.batch([rows[live[j]] for j in keep], p.g.dim)
+                table = _batch_table([rows[live[j]] for j in keep], p.g.dim)
                 new = IadmmState(k=new.k, **{f: getattr(new, f)[keep] for f in (
                     "x", "z", "z_prev", "zbar", "y", "y_prev", "v", "w")})
                 sums = [sums[j] for j in keep]
             live = [live[j] for j in keep]
         state = new
     return traces
+
+
+# numpy 2 multiplies (P, m) rows by a (P, m) array in about half the time
+# it broadcasts a (P, 1) column over them while m <= 4096, and in 1.7 to 2.4
+# times that time beyond, where the column takes a faster loop and the full
+# array costs a second operand's reads (and memory: 8 (P, m) arrays a table)
+FULL_WIDTH_MAX = 4096
+# one norm of the stop test's three stacked (P, m) blocks saves two calls:
+# a batch run takes 0.89x the time of a norm per block at P m = 90, 0.93x
+# at 270 and 1.00x at 1800; beyond about 2000 the (3P, m) copy costs more
+# than the calls, and its memory
+STACKED_MAX = 2048
+
+
+def _batch_table(rows, m):
+    """The coefficient table of the parameter sets ``rows`` for (P, m) rows:
+    full-width columns up to m = FULL_WIDTH_MAX, (P, 1) columns beyond."""
+    return Coefficients((rows, m if m <= FULL_WIDTH_MAX else 1))
+
+
+def _row_norms(*blocks):
+    """The 2-norms of the rows of the (P, m) ``blocks``, block after block,
+    as floats: one norm of the stacked blocks up to STACKED_MAX entries a
+    block, else a norm per block."""
+    if blocks[0].size <= STACKED_MAX:
+        return _row_norm(np.concatenate(blocks)).ravel().tolist()
+    return [x for b in blocks for x in _row_norm(b).ravel().tolist()]
 
 
 def _keep_r(r):

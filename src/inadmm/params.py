@@ -190,44 +190,36 @@ class CoefficientRow(float):
 class Coefficients:
     """The scalars ``admm.step`` and its x-update read at iteration k.
 
-    For one parameter set, or for a batch of P of them (a list) sharing
-    gamma, ``at(k)`` holds gamma as a 0-d array; alpha_k, lambda_k, 1 -
-    lambda_k, (1 - lambda_k) alpha_k, alpha_{k+1} lambda_k, (1 - lambda_k)
-    alpha_k alpha_{k+1} / gamma, (1 - lambda_k) alpha_k / gamma and gamma
-    alpha_k as numpy arrays: 0-d for one set, and for a batch (P, width)
-    arrays whose row i repeats point i's value, width 1 unless ``batch``
-    sets the width of the rows the table multiplies; and 1 / gamma (the prox
-    parameter) as a float.  Each is formed once, in the order of the
-    formulas that read it.  numpy 2 multiplies a vector by a 0-d float64
-    array in about two thirds of the time it takes for a Python float, whose
-    weak-scalar conversion it pays on every product, and (P, m) rows by a
-    (P, m) array in about half the time of a (P, 1) column, which it
-    broadcasts; the bits are the same.  Rows up to the k from which the
-    schedules are constant are built on first read and kept (a batch, which
-    reads each k once, keeps the last only); every later k reads the last.
-    Other schedules build a row per read, but one with the values of the
-    last row built reads that row.  Each schedule is called once per k when
-    rows are read in order: alpha_k is the alpha_{k+1} of the row read last.
-    A row is ``still`` when alpha_k and alpha_{k+1} are zero, and
-    ``relaxed`` unless lambda_k = 1, on every row of the table, which a
-    batch rebuilds on its live rows.
+    ``params`` is one parameter set, or a batch: the pair (a list of P sets
+    sharing gamma, a width).  ``at(k)`` holds gamma as a 0-d array;
+    alpha_k, lambda_k, 1 - lambda_k, (1 - lambda_k) alpha_k, alpha_{k+1}
+    lambda_k, (1 - lambda_k) alpha_k alpha_{k+1} / gamma, (1 - lambda_k)
+    alpha_k / gamma and gamma alpha_k as numpy arrays: 0-d for one set, and
+    for a batch (P, width) arrays whose row i repeats point i's value
+    (``admm.run_iadmm_batch`` chooses the width from its rows' length); and
+    1 / gamma (the prox parameter) as a float.  Each is formed once, in the
+    order of the formulas that read it.  numpy 2 multiplies a vector by a
+    0-d float64 array in about two thirds of the time it takes for a Python
+    float, whose weak-scalar conversion it pays on every product; the bits
+    are the same.  Rows up to the k from which the schedules are constant
+    are built on first read and kept (a batch, which reads each k once,
+    keeps the last only); every later k reads the last.  Other schedules
+    build a row per read, but one with the values of the last row built
+    reads that row.  Each schedule is called once per k when rows are read
+    in order: alpha_k is the alpha_{k+1} of the row read last.  A row is
+    ``still`` when alpha_k and alpha_{k+1} are zero, and ``relaxed`` unless
+    lambda_k = 1, on every row of the table, which a batch rebuilds on its
+    live rows.
     """
 
     def __init__(self, params):
-        self._batch = isinstance(params, list)
-        self._params = params if self._batch else [params]
+        self._batch = isinstance(params, tuple)
+        self._params, self._width = params if self._batch else ([params], None)
         steady = [_steady(q) for q in self._params]
         self.steady = None if None in steady else max(steady)
         self._rows, self._gamma = {}, np.array(self._params[0].gamma, dtype=float)
         self._from, self._built = math.inf, (None, None)  # see at, _row
-        self._width, self._next = 1, (None, None)
-
-    @classmethod
-    def batch(cls, params, width):
-        """The table of the list ``params`` for (P, ``width``) rows."""
-        table = cls(params)
-        table._width = width
-        return table
+        self._next = None, None
 
     @property
     def coefficients(self):  # a batch's table stands in for its parameter sets
@@ -256,7 +248,9 @@ class Coefficients:
                 alpha = [q.alpha_at(k) for q in params]
             alpha_next = [q.alpha_at(k + 1) for q in params]
             values = [*alpha, *alpha_next, *[q.lambda_at(k) for q in params]]
-        else:  # the same reads, of floats, without the comprehensions' frames
+        else:  # the same reads on floats, without the comprehensions: the
+            # callable-schedule row of tools/speed.py reads 1.10x its closed
+            # form with this branch and 1.14x without it
             q = params[0]
             alpha_next = q.alpha_at(k + 1)
             values = [alpha if after == k else q.alpha_at(k), alpha_next,

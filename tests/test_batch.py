@@ -254,8 +254,21 @@ def sweep_points(gamma=GAMMA):
     ]
 
 
+@pytest.fixture(params=["short", "long"])
+def rows_are(request, monkeypatch):
+    """The batch as on short rows (full-width columns, one stacked norm), or
+    as on rows longer than ``admm.FULL_WIDTH_MAX`` ((P, 1) columns) whose
+    blocks exceed ``admm.STACKED_MAX`` (a norm per block)."""
+    from inadmm import admm
+
+    if request.param == "long":
+        monkeypatch.setattr(admm, "FULL_WIDTH_MAX", 0)
+        monkeypatch.setattr(admm, "STACKED_MAX", 0)
+    return request.param
+
+
 @pytest.mark.parametrize("L_kind", ["scaled", "square", "tall"])
-def test_full_width_rows_are_their_serial_runs(L_kind):
+def test_batch_rows_are_their_serial_runs(L_kind, rows_are):
     p = problem(L_kind, "l1")
     params = sweep_points()
     assert params[-1].coefficients.steady is None
@@ -268,7 +281,7 @@ def test_full_width_rows_are_their_serial_runs(L_kind):
             assert_same(b, s, record)
 
 
-def test_batch_table_columns_have_the_state_shape(monkeypatch):
+def test_batch_table_columns_have_the_state_shape(monkeypatch, rows_are):
     from inadmm import admm
 
     shapes = []
@@ -285,13 +298,24 @@ def test_batch_table_columns_have_the_state_shape(monkeypatch):
     monkeypatch.setattr(admm, "step", spy)
     p = problem("tall", "l1")
     run_iadmm_batch(p, sweep_points(), 400, 1e-9, record=False)
-    assert {len(set(s.values())) for s in shapes} == {1}  # every column is y's shape
-    assert {s["y"] for s in shapes} >= {(4, 8), (3, 8)}  # and follows the live rows
+    ys = [s.pop("y") for s in shapes]
+    for s, y in zip(shapes, ys):  # every column is y's shape, or a (P, 1) column
+        assert set(s.values()) == {y if rows_are == "short" else (y[0], 1)}, s
+    assert set(ys) >= {(4, 8), (3, 8)}  # and follows the live rows
+
+
+def test_batch_width_follows_the_row_length():
+    from inadmm.admm import FULL_WIDTH_MAX, _batch_table
+
+    rows = sweep_points()
+    for m, width in ((6, 6), (FULL_WIDTH_MAX, FULL_WIDTH_MAX), (FULL_WIDTH_MAX + 1, 1)):
+        co = _batch_table(rows, m).at(1)
+        assert co.alpha.shape == co.gamma_alpha.shape == (len(rows), width), m
 
 
 def test_batch_table_rows_repeat_each_points_value():
     rows = sweep_points()
-    table = Coefficients.batch(rows, 6)
+    table = Coefficients((rows, 6))
     for k in (1, 2, 3, 4, 9, 30):
         co = table.at(k)
         for name in ("alpha", "lam", "rest", "rest_alpha", "next_lam",
@@ -313,10 +337,13 @@ def test_step_returns_each_rows_norm_or_hands_r_to_its_hook():
     strat = XUpdateStrategy.automatic(p)
     state = IadmmState(k=4, x=np.zeros((len(rows), p.f.dim)), z=z, z_prev=z_prev,
                        zbar=np.zeros_like(z), y=y, y_prev=y_prev)
-    table = Coefficients.batch(rows, m)
-    new, feas = step(state, p, table, 4, strat)
-    _, r = step(state, p, table, 4, strat, lambda r: r)
+    new, feas = step(state, p, Coefficients((rows, m)), 4, strat)
+    _, r = step(state, p, Coefficients((rows, m)), 4, strat, lambda r: r)
     assert feas.shape == (len(rows),) and r.shape == (len(rows), m)
+    column, feas_column = step(state, p, Coefficients((rows, 1)), 4, strat)
+    assert _bits(feas_column) == _bits(feas)
+    for name in ("x", "z", "zbar", "y", "w", "v"):
+        assert _bits(getattr(column, name)) == _bits(getattr(new, name)), name
     for j, q in enumerate(rows):
         one = IadmmState(k=4, x=np.zeros(p.f.dim), z=z[j], z_prev=z_prev[j],
                          zbar=np.zeros(m), y=y[j], y_prev=y_prev[j])

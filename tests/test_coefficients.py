@@ -250,7 +250,7 @@ def test_public_x_update_with_numbers_is_the_step_row(rng):
 
 def test_batch_table_holds_columns():
     rows = [ramped("raw", 4), ramped("alpha2_zero", 12)]
-    table = Coefficients(rows)
+    table = Coefficients((rows, 3))
     assert table.coefficients is table and table.steady == 12
     for k in (1, 2, 5, 12, 40):
         co = table.at(k)
@@ -259,8 +259,9 @@ def test_batch_table_holds_columns():
             if name in ("gamma", "inv_gamma"):
                 continue
             got = getattr(co, name)
-            assert got.shape == (2, 1), name
-            assert same_bits(got[:, 0], [parent_scalars(q, k)[name] for q in rows])
+            assert got.shape == (2, 3), name
+            for column in got.T:
+                assert same_bits(column, [parent_scalars(q, k)[name] for q in rows])
 
 
 def test_table_is_built_once_per_parameter_set(rng, monkeypatch):

@@ -104,10 +104,10 @@ def test_still_flag_reads_alpha_k_and_alpha_k_plus_1():
     q = constant_params(1.0, 0.2, 0.01, init_mode="alpha2_zero").coefficients
     assert [q.at(k).still for k in (1, 2, 3)] == [True, False, False]
     # a batch is still only where every row is
-    batch = Coefficients([default_params(0.0), default_params(0.2)])
+    batch = Coefficients(([default_params(0.0), default_params(0.2)], 1))
     assert not any(batch.at(k).still for k in (1, 2, 3))
-    assert Coefficients([default_params(0.0), constant_params(
-        1.0, 0.0, 0.01, lam=0.5)]).at(1).still is True
+    assert Coefficients(([default_params(0.0), constant_params(
+        1.0, 0.0, 0.01, lam=0.5)], 1)).at(1).still is True
 
 
 # -- step against the full formulas --------------------------------------------

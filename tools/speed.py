@@ -17,8 +17,12 @@ made before its clock starts.  One BLAS thread.  The rows, from zeros:
   lasso over it (its ratio is the run's own share: ``drive``, the trace
   rows and the stop test), then ``run_iadmm`` at n = 30 with a callable
   constant alpha schedule over the closed form, and ``admm.step`` on a
-  batch of P = 3 parameter sets (alpha 0, 0.1, 0.2) with a dense L at n =
-  30, through the full-width table ``run_iadmm_batch`` builds;
+  batch of P = 3 parameter sets (alpha 0, 0.1, 0.2), through the table
+  ``run_iadmm_batch`` builds: with a dense L at n = 30 (full-width
+  columns) over a table of (P, 1) columns, and with f =
+  ``Translated(L1Norm)`` and L = I at n = 2 ``FULL_WIDTH_MAX`` ((P, 1)
+  columns) over a full-width table, then ``run_iadmm_batch`` there over
+  that step loop (a norm per residual block in its stop test);
   ``dr.idr_step`` on the n = 30 lasso's Douglas-Rachford twin and
   ``dr.run_idr`` on each twin;
   ``consensus.sum1_step`` and ``sum2_step`` on 101 seeded
@@ -85,7 +89,7 @@ from inadmm import (ConsensusProblem, IadmmState, IndicatorBox, L1Norm, L2Norm,
                     Translated, XUpdateStrategy, boyd_consensus, classical_admm,
                     default_params, kkt_residual, run_iadmm, run_idr, run_sum1,
                     run_sum2)
-from inadmm.admm import run_iadmm_batch, step, x_update
+from inadmm.admm import FULL_WIDTH_MAX, _batch_table, run_iadmm_batch, step, x_update
 from inadmm.cli import _summary, main as cli_main
 from inadmm.config import parse_config_file
 from inadmm.consensus import sum1_step, sum2_step
@@ -344,9 +348,23 @@ def cases(s, tmp):
     Lm = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
     p = ProblemSpec(Quadratic(G @ G.T + 0.5 * np.eye(n), rng.standard_normal(n)),
                     L1Norm(n, 0.3), LinearMap.dense(Lm))
-    table = Coefficients.batch([default_params(a) for a in (0.0, 0.1, 0.2)], n)
-    yield Row("admm.step, batch P = 3, dense L, n = 30", "us/iter", iters, stepping(
-        step, p, table, iters, p, (3,), XUpdateStrategy.automatic(p)))
+    points = [default_params(a) for a in (0.0, 0.1, 0.2)]
+    strat = XUpdateStrategy.automatic(p)
+    yield Row("admm.step, batch P = 3, dense L, n = 30", "us/iter", iters,
+              stepping(step, p, _batch_table(points, n), iters, p, (3,), strat),
+              ("(P, 1) columns", stepping(step, p, Coefficients((points, 1)), iters,
+                                          p, (3,), strat)))
+    n = 2 * FULL_WIDTH_MAX  # rows the batch multiplies by (P, 1) columns
+    p = ProblemSpec(Translated(L1Norm(n, 1.0), rng.standard_normal(n)),
+                    L1Norm(n, 0.3), LinearMap.identity(n))
+    strat = XUpdateStrategy.automatic(p)
+    loop = stepping(step, p, _batch_table(points, n), iters, p, (3,), strat)
+    yield Row("admm.step, batch P = 3, L = I, n = %d" % n, "us/iter", iters, loop,
+              ("full width", stepping(step, p, Coefficients((points, n)), iters,
+                                      p, (3,), strat)))
+    yield Row("run_iadmm_batch, P = 3, L = I, n = %d" % n, "us/iter", iters,
+              functools.partial(run_iadmm_batch, p, points, iters, 0.0, record=False),
+              ("admm.step", loop))
 
     A, B = twin(lassos[30])
 
