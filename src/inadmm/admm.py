@@ -15,14 +15,13 @@ can be checked externally.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .duality import _dual_value
 from .functions import Quadratic, has_row_kernels
 from .functions import _norm as _row_norm
-from .linalg import LinearMap, _norm, check_dim, check_gamma, check_step, check_vector
+from .linalg import LinearMap, Record, _norm, check_dim, check_gamma, check_step, check_vector
 from .params import CoefficientRow, Coefficients, require_valid
 from .trace import SolveTrace, TraceRow, check_budget, drive, stops
 
@@ -48,24 +47,22 @@ class SubproblemError(RuntimeError):
         self.iteration = iteration
 
 
-@dataclass
-class ProblemSpec:
+class ProblemSpec(Record):
     """min f(x) + g(Lx) with L injective (positive injectivity modulus)."""
 
-    f: object
-    g: object
-    L: LinearMap
+    _fields = ("f", "g", "L")
 
-    def __post_init__(self):
-        if self.f.dim != self.L.domain_dim:
+    def __init__(self, f, g, L):
+        if f.dim != L.domain_dim:
             raise ValueError("f dimension does not match domain of L")
-        if self.g.dim != self.L.codomain_dim:
+        if g.dim != L.codomain_dim:
             raise ValueError("g dimension does not match codomain of L")
-        if not self.L.is_injective():
+        if not L.is_injective():
             raise ValueError(
                 "L must have a positive injectivity modulus "
                 "(full column rank); rank-deficient operators are rejected"
             )
+        self.f, self.g, self.L = f, g, L
 
 
 class IadmmState:

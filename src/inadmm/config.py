@@ -33,7 +33,6 @@ number.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,8 +48,8 @@ from .functions import (
     Translated,
     Zero,
 )
-from .linalg import LinearMap
-from .params import InertialParams, InfeasibleParameters, constant_params
+from .linalg import LinearMap, Record
+from .params import InfeasibleParameters, constant_params
 
 __all__ = ["ConfigError", "RunConfig", "check_solver", "parse_config",
            "parse_config_file"]
@@ -89,16 +88,17 @@ def check_solver(solver, fgl=False, blocks=False, line=None):
         raise ConfigError("solver %r takes consensus blocks, not f/g/L" % solver)
 
 
-@dataclass
-class RunConfig:
-    solver: str
-    problem: object  # ProblemSpec or ConsensusProblem
-    params: InertialParams
-    max_iters: int = 100000
-    tol: float = 1e-10
-    output: str = None
-    seed: int = 0
-    delta: float = None  # as requested; None means the default
+class RunConfig(Record):
+    """A parsed run: ``problem`` is a ProblemSpec or a ConsensusProblem, and
+    ``delta`` is the delta as requested, None meaning the default."""
+
+    _fields = ("solver", "problem", "params", "max_iters", "tol", "output", "seed", "delta")
+
+    def __init__(self, solver, problem, params, max_iters=100000, tol=1e-10, output=None,
+                 seed=0, delta=None):
+        self.solver, self.problem, self.params = solver, problem, params
+        self.max_iters, self.tol, self.output, self.seed, self.delta = (
+            max_iters, tol, output, seed, delta)
 
 
 def _tokenize(text):

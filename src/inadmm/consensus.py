@@ -11,13 +11,11 @@ splitting variables.  Both reduce to the textbook consensus ADMM when
 inertia is off and relaxation is 1.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .admm import ProblemSpec, XUpdateStrategy, _loop, step
 from .functions import IndicatorConsensus, SeparableSum, Zero
-from .linalg import LinearMap, _norm, check_gamma, check_vector
+from .linalg import FrozenRecord, LinearMap, Record, _norm, check_gamma, check_vector
 from .params import require_valid
 from .trace import TraceRow, drive
 
@@ -34,26 +32,20 @@ ZERO_SUM_TOL = 1e-12
 _EXACT = XUpdateStrategy("prox_identity")  # both lifts have L'L = cI
 
 
-@dataclass(frozen=True)
-class ConsensusProblem:
+class ConsensusProblem(FrozenRecord):
     """min sum_i f_i(x); ``stacked`` evaluates all blocks on an (m, n) array,
     and ``lifts`` holds the composite problems of the two schemes."""
 
-    blocks: tuple  # ConvexFn, all on the same space
-    stacked: SeparableSum = field(init=False, repr=False, compare=False)
-    lifts: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("blocks",)  # ConvexFn, all on the same space
 
-    def __post_init__(self):
-        blocks = tuple(self.blocks)
+    def __init__(self, blocks):
+        blocks = tuple(blocks)
         if len(blocks) < 2:
             raise ValueError("need at least two blocks")
-        object.__setattr__(self, "blocks", blocks)
-        stacked = SeparableSum(blocks)
-        object.__setattr__(self, "stacked", stacked)
-        object.__setattr__(self, "lifts", (  # sum1's and sum2's
-            ProblemSpec(stacked, IndicatorConsensus(self.m, self.n),
-                        LinearMap.identity(stacked.dim)),
-            ProblemSpec(Zero(self.n), stacked, LinearMap.stacked_identity(self.m, self.n))))
+        m, n, stacked = len(blocks), blocks[0].dim, SeparableSum(blocks)
+        self.__dict__.update(blocks=blocks, stacked=stacked, lifts=(  # sum1's and sum2's
+            ProblemSpec(stacked, IndicatorConsensus(m, n), LinearMap.identity(stacked.dim)),
+            ProblemSpec(Zero(n), stacked, LinearMap.stacked_identity(m, n))))
 
     @property
     def m(self):
@@ -136,11 +128,11 @@ def run_sum2(cp, params, init=None, max_iters=100000, tol=1e-10):
     return _run_blockwise(cp, params, 1, lambda s: s.x, init, max_iters, tol)
 
 
-@dataclass
-class _BoydState:
-    x: np.ndarray  # the per-block prox of the step that made this state
-    xbar: np.ndarray
-    y: np.ndarray
+class _BoydState(Record):
+    __slots__ = _fields = ("x", "xbar", "y")  # x: the per-block prox of the step that made it
+
+    def __init__(self, x, xbar, y):
+        self.x, self.xbar, self.y = x, xbar, y
 
 
 def _boyd_vectors(prev, new):

@@ -6,12 +6,11 @@ recombined, follow exactly this recursion.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .functions import Quadratic
-from .linalg import _norm, check_gamma, check_step, check_vector
+from .linalg import Record, _norm, check_gamma, check_step, check_vector
 from .params import require_valid
 from .trace import TraceRow, drive
 
@@ -105,13 +104,15 @@ class ResolventOp:
         return self._resolvent(gamma, check_vector(u, self.dim))
 
 
-@dataclass(slots=True)
-class IdrState:
-    k: int
-    w_prev: np.ndarray
-    w: np.ndarray
-    y: np.ndarray = None
-    v: np.ndarray = None
+class IdrState(Record):
+    __slots__ = _fields = ("k", "w_prev", "w", "y", "v")
+
+    def __init__(self, k, w_prev, w, y=None, v=None):  # once per DR step: a store per field
+        self.k = k
+        self.w_prev = w_prev
+        self.w = w
+        self.y = y
+        self.v = v
 
 
 def idr_step(state, A, B, gamma, alpha_k, lambda_k):

@@ -1,12 +1,11 @@
 """Primal/dual objective values, Fenchel gap, and optimality residuals."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .functions import has_row_kernels
-from .linalg import SINGULAR_TOL, check_vector
+from .linalg import SINGULAR_TOL, Record, check_vector
 
 __all__ = [
     "DualityReport",
@@ -115,14 +114,12 @@ def hypothesis_check(p):
     return theta, (s if s >= SINGULAR_TOL else 0.0)
 
 
-@dataclass
-class DualityReport:
-    primal_value: float
-    dual_value: float
-    gap: float
-    kkt_residual: float
-    h_theta: float
-    h_star_theta: float
+class DualityReport(Record):
+    _fields = ("primal_value", "dual_value", "gap", "kkt_residual", "h_theta", "h_star_theta")
+
+    def __init__(self, primal_value, dual_value, gap, kkt_residual, h_theta, h_star_theta):
+        self.primal_value, self.dual_value, self.gap = primal_value, dual_value, gap
+        self.kkt_residual, self.h_theta, self.h_star_theta = kkt_residual, h_theta, h_star_theta
 
     def __str__(self):
         return (

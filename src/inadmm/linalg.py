@@ -64,6 +64,41 @@ def check_dim(n, name, least=1):
     return int(n)
 
 
+class Record:
+    """Dataclass-style ``repr`` and ``==`` over the fields named in
+    ``_fields``, which a subclass's own ``__init__`` sets: a record equals
+    one of its own type with equal fields.  Unhashable, as it is mutable."""
+
+    __slots__ = _fields = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            ["%s=%r" % (name, getattr(self, name)) for name in self._fields]))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+
+class FrozenRecord(Record):
+    """A ``Record`` that refuses assignment and hashes by its fields; its
+    ``__init__`` writes them into ``__dict__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to %r of a frozen %s" % (name, type(self).__name__))
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self._values())
+
+
 @functools.cache
 def _fortran():
     """The modules whose dtrsv and dpotrf scipy.linalg.blas and .lapack export.

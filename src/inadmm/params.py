@@ -8,11 +8,10 @@ confined to ``(0, lambda_max]`` with ``lambda_max < 2``.
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_gamma
+from .linalg import FrozenRecord, Record, check_gamma
 
 __all__ = [
     "InfeasibleParameters",
@@ -95,14 +94,13 @@ def delta_roots(target, alpha, sigma):
     return d1, d2
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(FrozenRecord):
     """Closed-form per-iteration schedule: constant or a linear ramp."""
 
-    kind: str  # "constant" | "ramp"
-    value: float
-    start: float = 0.0
-    ramp_over: int = 1
+    _fields = ("kind", "value", "start", "ramp_over")
+
+    def __init__(self, kind, value, start=0.0, ramp_over=1):  # kind: "constant" | "ramp"
+        self.__dict__.update(kind=kind, value=value, start=start, ramp_over=ramp_over)
 
     def __call__(self, k):
         if self.kind == "constant":
@@ -122,25 +120,26 @@ def ramp_schedule(value, start=0.0, over=10):
     return Schedule("ramp", float(value), float(start), int(over))
 
 
-@dataclass(frozen=True)
-class InertialParams:
+class InertialParams(FrozenRecord):
     """Step parameter, inertia cap, region constants, and schedules."""
 
-    gamma: float
-    alpha: float
-    sigma: float
-    delta: float
-    lambda_lo: float
-    alpha_schedule: Schedule
-    lambda_schedule: Schedule
-    init_mode: str = "lambda1_alpha1_zero"  # or "alpha2_zero" / "raw"
+    _fields = ("gamma", "alpha", "sigma", "delta", "lambda_lo", "alpha_schedule",
+               "lambda_schedule", "init_mode")
 
-    def __post_init__(self):
-        check_gamma(self.gamma)
-        if not 0.0 <= self.alpha < 1.0:
+    def __init__(self, gamma, alpha, sigma, delta, lambda_lo, alpha_schedule,
+                 lambda_schedule, init_mode="lambda1_alpha1_zero"):  # or "alpha2_zero" / "raw"
+        check_gamma(gamma)
+        if not 0.0 <= alpha < 1.0:
             raise ValueError("alpha must lie in [0,1)")
-        if self.init_mode not in ("alpha2_zero", "lambda1_alpha1_zero", "raw"):
-            raise ValueError("unknown init_mode %r" % (self.init_mode,))
+        if init_mode not in ("alpha2_zero", "lambda1_alpha1_zero", "raw"):
+            raise ValueError("unknown init_mode %r" % (init_mode,))
+        self.__dict__.update(zip(self._fields, (gamma, alpha, sigma, delta, lambda_lo,
+                                                alpha_schedule, lambda_schedule, init_mode)))
+
+    def replace(self, **changes):
+        """This parameter set with ``changes`` to its fields, checked as the
+        constructor checks them."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
 
     def alpha_at(self, k):
         """Effective inertia factor at iteration k >= 1 (init mode applied)."""
@@ -348,9 +347,11 @@ def default_params(alpha, gamma=1.0, sigma=0.01):
                            0.9 * max_relaxation(alpha, sigma, delta))
 
 
-@dataclass
-class ValidationReport:
-    violations: list = field(default_factory=list)
+class ValidationReport(Record):
+    _fields = ("violations",)
+
+    def __init__(self, violations=None):
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self):

@@ -9,7 +9,6 @@ per-row gemv (a gemm's are not), and a multi-RHS Cholesky solve's rows are
 the per-row solves.
 """
 
-import dataclasses
 import io
 import warnings
 
@@ -71,7 +70,7 @@ def points(gamma=GAMMA):
         constant_params(gamma, 0.0, 0.01, None, 1.0, "alpha2_zero"),
         constant_params(gamma, 0.0, 0.01, None, 1.6, "alpha2_zero"),
         constant_params(gamma, 0.1, 0.01),
-        dataclasses.replace(ramped, alpha_schedule=ramp_schedule(0.2, 0.05, 7)),
+        ramped.replace(alpha_schedule=ramp_schedule(0.2, 0.05, 7)),
     ]
 
 
@@ -244,8 +243,8 @@ def test_indicator_point_prox_keeps_the_row_shape():
 def sweep_points(gamma=GAMMA):
     """An alpha = 0 point, whose rows are still, that leaves first, a lambda = 1
     point, both init modes and a callable alpha schedule (no steady k)."""
-    called = dataclasses.replace(constant_params(gamma, 0.2, 0.01),
-                                 alpha_schedule=lambda k: min(0.2, 0.03 * k))
+    called = constant_params(gamma, 0.2, 0.01).replace(
+        alpha_schedule=lambda k: min(0.2, 0.03 * k))
     return [
         constant_params(gamma, 0.0, 0.01, None, 1.5, "alpha2_zero"),
         constant_params(gamma, 0.05, 0.01, 1.0, 1.0, "alpha2_zero"),

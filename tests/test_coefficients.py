@@ -8,7 +8,6 @@ init mode, and are compared bit for bit with ``test_hot_loop``'s reference
 iteration, which reads ``alpha_at`` and ``lambda_at`` itself at every k.
 """
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -43,8 +42,8 @@ def ramped(mode, over=10, gamma=1.3):
     both start at 0, so raw mode has lambda_1 = alpha_1 = 0."""
     base = default_params(0.2, gamma=gamma)
     lam = base.lambda_schedule.value
-    return dataclasses.replace(
-        base, init_mode=mode,
+    return base.replace(
+        init_mode=mode,
         alpha_schedule=ramp_schedule(0.2, 0.0, over),
         lambda_schedule=ramp_schedule(lam, 0.0 if mode == "raw" else 0.5, over))
 
@@ -102,7 +101,7 @@ def test_schedule_without_steady_k_matches_reference(rng):
     # row built is that row
     p = problem("prox_identity", rng)
     base = default_params(0.2, gamma=1.3)
-    q = dataclasses.replace(base, alpha_schedule=lambda k: 0.1 if k < 17 else 0.2)
+    q = base.replace(alpha_schedule=lambda k: 0.1 if k < 17 else 0.2)
     assert q.coefficients.steady is None
     trace = run_iadmm(p, q, strat=XUpdateStrategy("prox_identity"),
                       max_iters=ITERS, tol=0.0)
@@ -127,9 +126,9 @@ def test_callable_schedules_are_called_once_per_k():
 
     base = ramped("raw")
     alpha, lam = (lambda k: 0.1 if k < 17 else 0.2), base.lambda_schedule
-    plain = dataclasses.replace(base, alpha_schedule=alpha)
-    q = dataclasses.replace(base, alpha_schedule=counted("alpha", alpha),
-                            lambda_schedule=counted("lambda", lam))
+    plain = base.replace(alpha_schedule=alpha)
+    q = base.replace(alpha_schedule=counted("alpha", alpha),
+                     lambda_schedule=counted("lambda", lam))
     table = q.coefficients
     assert table.steady is None
     rows = [table.at(k) for k in range(1, ITERS + 1)]
@@ -148,8 +147,8 @@ def test_callable_schedules_are_called_once_per_k():
 
 def test_rows_with_zeros_of_other_signs_are_not_shared():
     # 0.0 == -0.0, but -0.0 * lambda_k keeps its sign in next_lam
-    q = dataclasses.replace(ramped("raw"), lambda_schedule=lambda k: 0.5,
-                            alpha_schedule=lambda k: -0.0 if k % 2 else 0.0)
+    q = ramped("raw").replace(lambda_schedule=lambda k: 0.5,
+                              alpha_schedule=lambda k: -0.0 if k % 2 else 0.0)
     table = q.coefficients
     rows = [table.at(k) for k in range(1, 7)]
     for k, co in enumerate(rows, 1):
@@ -179,7 +178,7 @@ def test_callable_constant_schedule_holds_what_the_closed_form_holds(rng):
     p = ProblemSpec(Quadratic(D.T @ D, -D.T @ b), L1Norm(n, 0.3), LinearMap.identity(n))
     run_iadmm(p, default_params(0.2, gamma=1.3), max_iters=2)  # p's own caches
     closed = default_params(0.2, gamma=1.3)
-    called = dataclasses.replace(closed, alpha_schedule=lambda k: 0.2)
+    called = closed.replace(alpha_schedule=lambda k: 0.2)
     assert called.alpha_at(5) == closed.alpha_at(5) and called.coefficients.steady is None
     final, per_row = _held_bytes_per_row(p, called, 300)
     want_final, want_per_row = _held_bytes_per_row(p, closed, 300)
@@ -205,8 +204,7 @@ SCHEDULES = {
     "constant": default_params(0.2, gamma=1.3),
     "ramped": ramped("lambda1_alpha1_zero"),
     "alpha_zero": default_params(0.0, gamma=1.3),
-    "alpha2_zero": dataclasses.replace(default_params(0.2, gamma=1.3),
-                                       init_mode="alpha2_zero"),
+    "alpha2_zero": default_params(0.2, gamma=1.3).replace(init_mode="alpha2_zero"),
 }
 
 
@@ -329,5 +327,5 @@ def test_steady_k_is_shared_with_validate():
     for over in (1, 2, 3, 10, 999):
         q = ramped("lambda1_alpha1_zero", over)
         assert params_module._steady(q) == q.coefficients.steady == max(3, over)
-    assert params_module._steady(dataclasses.replace(
-        default_params(0.2), lambda_schedule=lambda k: 1.0)) is None
+    assert params_module._steady(default_params(0.2).replace(
+        lambda_schedule=lambda k: 1.0)) is None

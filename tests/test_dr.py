@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -320,8 +318,8 @@ def test_run_idr_rows_are_public_idr_steps_byte_for_byte(rng, twin, alpha):
         Translated(L2Norm(A.dim, 0.4), rng.standard_normal(A.dim)))
     params = default_params(0.2 if alpha == "ramped" else alpha, gamma=1.3)
     if alpha == "ramped":  # alpha_k and lambda_k change up to k = 10
-        params = dataclasses.replace(
-            params, alpha_schedule=ramp_schedule(0.2, 0.0, 10),
+        params = params.replace(
+            alpha_schedule=ramp_schedule(0.2, 0.0, 10),
             lambda_schedule=ramp_schedule(params.lambda_schedule.value, 0.5, 10))
     w1 = rng.standard_normal(A.dim)
     trace = run_idr(A, B, 1.3, params, w1, w1, max_iters=40, tol=0.0)

@@ -49,8 +49,9 @@ made before its clock starts.  One BLAS thread.  The rows, from zeros:
   test ``is_injective``, the SVD of ``injectivity_modulus`` over it, the
   first x-update factor and the first conjugate (``eigh``);
 - fresh processes over ``python -c "import numpy"``: ``python -m
-  inadmm.cli`` on the n = 10 lasso's file, and ``import inadmm`` with a
-  first factor.
+  inadmm.cli`` on the n = 10 lasso's file, ``import inadmm, inadmm.cli``
+  (no factor, so no scipy wrappers), and ``import inadmm`` with a first
+  factor.
 
 It exits 1 if a ``us/iter`` row's run or reference stops short of the
 row's iterations, if a row and its reference that return as many traces
@@ -70,7 +71,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import collections
-import dataclasses
 import functools
 import io
 import subprocess
@@ -337,7 +337,7 @@ def cases(s, tmp):
                   functools.partial(run_iadmm, p, params, max_iters=iters, tol=0.0),
                   ("admm.step", loop))
     # alpha_k from a callable, which has no steady k, against the closed form
-    called = dataclasses.replace(params, alpha_schedule=lambda k: 0.2)
+    called = params.replace(alpha_schedule=lambda k: 0.2)
     run_30 = functools.partial(run_iadmm, lassos[30], max_iters=iters, tol=0.0)
     yield Row("run_iadmm, callable alpha schedule, n = 30", "us/iter", iters,
               functools.partial(run_30, called),
@@ -469,6 +469,8 @@ def cases(s, tmp):
                      "alpha 0.2", "tol 1e-10")
     yield Row("python -m inadmm.cli, lasso file, n = 10", "ms/process", 1,
               process("-m", "inadmm.cli", path), numpy)
+    yield Row("python: import inadmm, inadmm.cli", "ms/process", 1,
+              process("-c", "import inadmm, inadmm.cli"), numpy)
     yield Row("python: import inadmm, first factor", "ms/process", 1,
               process("-c", FIRST_FACTOR), numpy)
 
