@@ -81,9 +81,19 @@ class IadmmState:
 
     def __init__(self, k, x, z, z_prev, zbar, y, y_prev, v=None, w=None,
                  drift=None, gamma=None, alpha=None, L=None):
-        self.k, self.x, self.z, self.z_prev, self.zbar = k, x, z, z_prev, zbar
-        self.y, self.y_prev, self._v, self.w = y, y_prev, v, w
-        self.drift, self.gamma, self.alpha, self.L = drift, gamma, alpha, L
+        self.k = k  # once per step: a store per field, no tuple to unpack
+        self.x = x
+        self.z = z
+        self.z_prev = z_prev
+        self.zbar = zbar
+        self.y = y
+        self.y_prev = y_prev
+        self._v = v
+        self.w = w
+        self.drift = drift
+        self.gamma = gamma
+        self.alpha = alpha
+        self.L = L
 
     @property
     def v(self):

@@ -172,13 +172,16 @@ class Quadratic(ConvexFn):
             raise ValueError("Q entries must be finite")
         if not math.isfinite(r):
             raise ValueError("r must be finite")
-        if not np.allclose(Q, Q.T, atol=1e-12):
+        exact = np.array_equal(Q, Q.T)  # one pass; allclose makes four n x n arrays
+        if not (exact or np.allclose(Q, Q.T, atol=1e-12)):
             raise ValueError("Q must be symmetric")
         super().__init__(Q.shape[0])
         q = check_vector(q, self.dim, name="q").copy()
-        self._rank_tol = 1e-12 * (1.0 + float(np.abs(Q).max(initial=0.0)))
+        # max|Q_ij| without an n x n |Q|
+        self._rank_tol = 1e-12 * (1.0 + float(max(Q.max(initial=0.0), -Q.min(initial=0.0))))
+        self._Qf = Q.T if exact else Q  # Q's bits, Fortran-ordered if Q = Q' exactly
         # t = 8 gamma_{n+1} trace(Q) leaves room for eigvalsh's own error
-        if not pd_after_shift(Q, 4 * (self.dim + 1)) and np.linalg.eigvalsh(
+        if not pd_after_shift(self._Qf, 4 * (self.dim + 1)) and np.linalg.eigvalsh(
                 Q).min(initial=0.0) < -self._rank_tol:
             raise ValueError("Q must be positive semidefinite")
         Q.setflags(write=False)
@@ -198,15 +201,20 @@ class Quadratic(ConvexFn):
 
     def _factor(self, gamma, L=None):
         """(gamma, L, solve, gamma q), solve being b -> M^{-1} b for
-        M = I + gamma Q, or M = Q + gamma L'L given L."""
+        M = I + gamma Q, or M = Q + gamma L'L given L, formed once in Fortran
+        order and factored in place; products and sums commute, and gamma Q
+        + 0 turns a -0.0 into +0.0 as 0 + gamma Q does, so the bits hold."""
         system = "prox" if L is None else "normal"
         entry = self._factors.get(system)
         if entry is None or entry[0] != gamma or entry[1] is not L:
+            M = np.multiply(gamma, self._Qf if L is None else L.gram(), order="F")
             if L is None:
-                M = np.eye(self.dim) + gamma * self.Q
+                M += 0.0
+                M.flat[::self.dim + 1] += 1.0
             else:
-                M = self.Q + gamma * L.gram()
-            entry = self._factors[system] = (gamma, L, cholesky(M), gamma * self.q)
+                M += self._Qf
+            entry = self._factors[system] = (gamma, L, cholesky(M, overwrite=True),
+                                             gamma * self.q)
         return entry
 
     def _solver(self, gamma, L=None):

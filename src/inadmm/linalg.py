@@ -123,9 +123,12 @@ def _fortran():
     return mods
 
 
-def cholesky(M):
+def cholesky(M, overwrite=False):
     """Factor a symmetric positive definite M (the package's only factoring
     call) with LAPACK potrf, M = U'U, and return b -> M^{-1} b.
+
+    With ``overwrite``, potrf factors a Fortran-ordered float M in place, so
+    the caller must own M and not read it again; f2py copies any other M.
 
     A vector takes two level-2 triangular solves (BLAS trsv), U'w = b and
     then Ux = w, with the bytes of two scipy.linalg.solve_triangular calls on
@@ -139,7 +142,8 @@ def cholesky(M):
     0.26 -> 0.06 s, peak memory 78 -> 60 MB (lasso_small, BENCH_20.json).
     """
     fblas, flapack = _fortran()
-    c, info = flapack.dpotrf(np.asarray_chkfinite(M, dtype=float), clean=False)
+    c, info = flapack.dpotrf(np.asarray_chkfinite(M, dtype=float), clean=False,
+                             overwrite_a=overwrite)
     if info:
         raise np.linalg.LinAlgError(
             "%d-th leading minor of the matrix is not positive definite" % info)
@@ -163,12 +167,13 @@ def cholesky(M):
 def pd_after_shift(M, c, floor=0.0):
     """Whether M - tI, t = floor + c eps trace(M), has a Cholesky factor: then
     M's eigenvalues exceed t less the factor's backward error, which is at
-    most gamma_{n+1} trace(M) (Golub & Van Loan, 4.2).  An overflow fails."""
+    most gamma_{n+1} trace(M) (Golub & Van Loan, 4.2).  An overflow fails.
+    The one copy of M is Fortran-ordered, and potrf factors it in place."""
     with np.errstate(all="ignore"):
-        S = M.copy()
+        S = np.array(M, order="F")
         S.flat[::M.shape[0] + 1] -= floor + c * 2.0 ** -52 * np.trace(M)
     with contextlib.suppress(ValueError, np.linalg.LinAlgError):
-        cholesky(S)
+        cholesky(S, overwrite=True)
         return True
     return False
 
@@ -279,11 +284,14 @@ class LinearMap:
         return y if self.scale == 1.0 else y / self.scale
 
     def gram(self):
-        """L'L, read-only: ``Lm.T @ Lm`` of ``as_matrix()``, computed once."""
+        """L'L, read-only: ``Lm.T @ Lm`` of ``as_matrix()``, computed once.
+        numpy makes it exactly symmetric, and then its transpose, which has
+        its bits, is kept: the Fortran order every factor copies it to."""
         if self._gram is None:
             Lm = self.as_matrix()
             with np.errstate(over="ignore"):  # an inf fails every factor of it
-                self._gram = Lm.T @ Lm
+                G = Lm.T @ Lm
+            self._gram = G.T if np.array_equal(G, G.T) else G
             self._gram.setflags(write=False)
         return self._gram
 

@@ -412,7 +412,10 @@ def validate(p, horizon=1000):
 
 
 def require_valid(p):
-    """``validate``, raising ValueError with the report when it fails."""
-    report = validate(p)
-    if not report.ok:
-        raise ValueError(str(report))
+    """``validate``, raising ValueError with the report when it fails.  A pass
+    is kept on ``p``, as its ``coefficients`` are, so a set is walked once."""
+    if not p.__dict__.get("_valid"):
+        report = validate(p)
+        if not report.ok:
+            raise ValueError(str(report))
+        p.__dict__["_valid"] = True

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,17 @@ def counted(monkeypatch, owner, name):
     monkeypatch.setattr(owner, name,
                         lambda *a, **kw: calls.append(1) or original(*a, **kw))
     return calls
+
+
+def traced_peak(call):
+    """(the traced peak above the start of ``call()``, in bytes, its result)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - start, result
+    finally:
+        tracemalloc.stop()
 
 
 def tall_full_rank(m, n, rng):

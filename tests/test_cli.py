@@ -280,7 +280,7 @@ def test_compare_factors_normal_matrix_once(tmp_path, monkeypatch):
     factored = []
     cholesky = functions.cholesky
     monkeypatch.setattr(functions, "cholesky",
-                        lambda M: factored.append(M.shape) or cholesky(M))
+                        lambda M, **kw: factored.append(M.shape) or cholesky(M, **kw))
     dense = LASSO_CONFIG.replace("dim 2\ntau", "dim 3\ntau").replace(
         "kind identity\ndim 2",
         "kind dense\nrows 3\ncols 2\nentries 1 0.5 0 1 0.3 0.2")

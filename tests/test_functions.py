@@ -19,8 +19,8 @@ from inadmm import (
 from inadmm.functions import sum_or_inf
 from inadmm.linalg import check_vector, cholesky
 
-from conftest import (CountingL1, catalog, counted, mixed_blocks,
-                      random_quadratic, tall_full_rank)
+from conftest import (CountingL1, catalog, counted, mixed_blocks, random_psd,
+                      random_quadratic, tall_full_rank, traced_peak)
 
 INF = math.inf
 
@@ -376,6 +376,65 @@ def test_normal_factor_reads_the_maps_gram(rng, monkeypatch):
             want = cholesky(f.Q + gamma * (Lm.T @ Lm))(b)
             assert f._solver(gamma, L)(b).tobytes() == want.tobytes()
     assert len(reads) == 1
+
+
+def test_dense_setup_allocates_each_square_matrix_once(rng):
+    # at n = 200: the constructor holds its copies of Q and q, and at its
+    # peak one n x n float array (the certificate's) and one boolean one (a
+    # finiteness or symmetry test); each first factor holds its system and
+    # potrf's finiteness test; the slack is a few n-vectors
+    n = 200
+    floats, bools, slack = 8 * n * n, n * n, 4 * 8 * n
+    Q, q = random_psd(n, rng, 0.5), rng.standard_normal(n)
+    Quadratic(np.eye(2), np.zeros(2))._solver(1.0)  # loads LAPACK's wrappers
+    peak, f = traced_peak(lambda: Quadratic(Q, q))
+    assert peak <= f.Q.nbytes + f.q.nbytes + floats + bools + slack
+    L = LinearMap.dense(tall_full_rank(n + 40, n, rng))
+    L.gram()
+    for first in (lambda: f._solver(1.3, L), lambda: f._solver(0.7)):
+        assert traced_peak(first)[0] <= floats + bools + slack
+
+
+def test_dense_setup_leaves_its_inputs_as_they_were(rng):
+    # L.gram() keeps the bits of Lm.T @ Lm, in whichever order it is kept
+    n, m = 5, 7
+    Lm = tall_full_rank(m, n, rng)
+    Q, L = random_psd(n, rng, 0.5), LinearMap.dense(Lm)
+    Q0, G0 = Q.copy(), Lm.T @ Lm
+    f = Quadratic(Q, np.zeros(n))
+    f._solver(0.7, L), f._solver(1.3), f._solver(0.2, L)
+    assert Q.tobytes() == Q0.tobytes() and f.Q.tobytes() == Q0.tobytes()
+    assert L.gram().tobytes() == G0.tobytes() and not L.gram().flags.writeable
+
+
+@pytest.mark.parametrize("off", [0.0, 1e-15], ids=["exact", "rounding"])
+def test_factors_have_the_bits_of_their_c_ordered_systems(rng, off):
+    # a Q symmetric only up to rounding takes the allclose branch; both
+    # factors read the upper triangle of Q itself, as potrf on
+    # I + gamma Q and Q + gamma L'L does
+    n, m = 6, 9
+    Q = random_psd(n, rng, 0.5)
+    Q[0, 1] *= 1.0 + off
+    assert np.array_equal(Q, Q.T) == (off == 0.0)
+    f = Quadratic(Q, rng.standard_normal(n))
+    L = LinearMap.dense(tall_full_rank(m, n, rng))
+    for gamma in (0.7, 1.3):
+        b = rng.standard_normal(n)
+        want = cholesky(f.Q + gamma * L.gram())(b)
+        assert f._solver(gamma, L)(b).tobytes() == want.tobytes()
+        want = cholesky(np.eye(n) + gamma * f.Q)(b)
+        assert f._solver(gamma)(b).tobytes() == want.tobytes()
+    Q[0, 1] += 1e-3 * (1.0 + abs(Q[0, 1]))  # outside allclose's tolerance
+    with pytest.raises(ValueError, match="Q must be symmetric"):
+        Quadratic(Q, np.zeros(n))
+
+
+def test_prox_factor_turns_negative_zeros_positive():
+    # 0 + gamma Q_ij is +0.0 for Q_ij = -0.0, and the sign reaches the solve
+    Q, b = np.array([[2.0, -0.0], [-0.0, 1.0]]), np.array([-0.0, 1.0])
+    want = cholesky(np.eye(2) + Q)(b)
+    assert Quadratic(Q, np.zeros(2))._solver(1.0)(b).tobytes() == want.tobytes()
+    assert cholesky(np.array([[3.0, -0.0], [-0.0, 2.0]]))(b).tobytes() != want.tobytes()
 
 
 @pytest.mark.parametrize("b", [np.inf, np.nan], ids=["inf", "nan"])

@@ -10,9 +10,9 @@ import inadmm
 
 from inadmm import (L1Norm, LinearMap, ProblemSpec, XUpdateStrategy, Zero,
                     default_params, run_iadmm)
-from inadmm.linalg import SINGULAR_TOL, cholesky
+from inadmm.linalg import SINGULAR_TOL, cholesky, pd_after_shift
 
-from conftest import counted, random_quadratic, tall_full_rank
+from conftest import counted, random_quadratic, tall_full_rank, traced_peak
 
 
 def test_identity_apply():
@@ -323,6 +323,44 @@ def test_cholesky_rejects_nonfinite_and_indefinite():
         cholesky(np.array([[1.0, 0.0], [0.0, np.inf]]))
     with pytest.raises(np.linalg.LinAlgError):
         cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_cholesky_overwrite_factors_a_fortran_matrix_in_place(rng):
+    # the solve keeps its bits; a C-ordered M, or one without overwrite, is
+    # left as it was (f2py factors a Fortran copy)
+    n = 7
+    a = rng.standard_normal((n, n))
+    M, b = a @ a.T + 0.1 * np.eye(n), rng.standard_normal(n)
+    want = cholesky(M)(b).tobytes()
+    for order, overwrite in (("C", True), ("F", False)):
+        A = np.array(M, order=order)
+        assert cholesky(A, overwrite=overwrite)(b).tobytes() == want
+        assert A.tobytes(order="C") == M.tobytes()
+    A = np.array(M, order="F")
+    assert cholesky(A, overwrite=True)(b).tobytes() == want
+    assert A.tobytes(order="C") != M.tobytes()  # A holds the factor
+
+
+def test_pd_after_shift_leaves_its_argument_as_it_was(rng):
+    n = 6
+    a = rng.standard_normal((n, n))
+    for M in (a @ a.T, -(a @ a.T)):
+        M.setflags(write=False)
+        before = M.tobytes()
+        assert pd_after_shift(M, 4 * (n + 1)) == (M[0, 0] > 0)
+        assert M.tobytes() == before
+
+
+def test_rank_test_holds_the_gram_and_one_shifted_copy(rng):
+    # at n = 200, a fresh tall map's is_injective peaks at its Gram matrix,
+    # the certificate's Fortran-ordered copy and potrf's finiteness test
+    n = 200
+    L = LinearMap.dense(tall_full_rank(n + 40, n, rng))
+    cholesky(np.eye(2))  # loads LAPACK's wrappers
+    peak, injective = traced_peak(L.is_injective)
+    assert injective and L._sv is None
+    assert peak <= L.gram().nbytes + 8 * n * n + n * n + 4 * 8 * n
+    assert not L.gram().flags.writeable
 
 
 # -- loading scipy's compiled wrappers ---------------------------------------

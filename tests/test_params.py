@@ -308,3 +308,29 @@ def test_validate_walks_other_schedules_in_full():
     late = InertialParams(p.gamma, p.alpha, p.sigma, p.delta, p.lambda_lo,
                           lambda k: 0.2 if k < 900 else 0.5, p.lambda_schedule)
     assert validate(late).violations == [("alpha_k must lie in [0, alpha]", 900)]
+
+
+def test_a_passing_set_is_walked_once():
+    # require_valid keeps a pass on the set, as it keeps its coefficients;
+    # k = 1000 is read only by validate's walk (the runs stop at k = 4)
+    from inadmm import L1Norm, LinearMap, ProblemSpec, Quadratic, run_iadmm
+
+    walked = []
+
+    def alpha(k):
+        walked.extend([k] if k == 1000 else [])
+        return 0.2
+
+    p = ProblemSpec(Quadratic(np.eye(2), [1.0, -1.0]), L1Norm(2, 0.5),
+                    LinearMap.identity(2))
+    q = default_params(0.2).replace(alpha_schedule=alpha)
+    first, second = (run_iadmm(p, q, max_iters=3, tol=0.0) for _ in range(2))
+    assert walked == [1000]
+    assert first.final["x"].tobytes() == second.final["x"].tobytes()
+    assert validate(q).ok and walked == [1000, 1000]  # validate itself walks
+    run_iadmm(p, q.replace(), max_iters=3, tol=0.0)  # a new set is walked
+    assert walked == [1000] * 3
+    bad = q.replace(alpha_schedule=lambda k: 0.5)
+    for _ in range(2):  # a failing set raises on every call
+        with pytest.raises(ValueError, match="alpha_k must lie"):
+            run_iadmm(p, bad, max_iters=3, tol=0.0)

@@ -45,9 +45,11 @@ made before its clock starts.  One BLAS thread.  The rows, from zeros:
   of a vector and of P = 1, 3, 9 rows, and the ``quadratic_solve``
   x-update's subproblem for a given c (alpha 0.2's c_k, formed untimed);
 - the set-up of a problem shaped like ``dense_large``'s (a dense quadratic
-  f on R^1000, a dense 1200 x 1000 L): ``Quadratic.__init__``, the rank
-  test ``is_injective``, the SVD of ``injectivity_modulus`` over it, the
-  first x-update factor and the first conjugate (``eigh``);
+  f on R^1000, a dense 1200 x 1000 L): ``Quadratic.__init__``, and over it
+  the same on a Q symmetric only up to rounding (``Q ~ Q'``, where
+  ``np.allclose`` decides, not the exact test), the rank test
+  ``is_injective``, the SVD of ``injectivity_modulus`` over it, the first
+  x-update factor and the first conjugate (``eigh``);
 - fresh processes over ``python -c "import numpy"``: ``python -m
   inadmm.cli`` on the n = 10 lasso's file, ``import inadmm, inadmm.cli``
   (no factor, so no scipy wrappers), and ``import inadmm`` with a first
@@ -452,6 +454,10 @@ def cases(s, tmp):
     u, where = rng.standard_normal(n), ", n = %d, m = %d" % (n, m)
     rank_test = ("rank test", LinearMap.is_injective)
     yield Row("Quadratic.__init__" + where, "ms/run", 1, fresh_f)
+    rounded = 0.5 * (Q + Q.T)
+    rounded[0, 1] *= 1.0 + 1e-15  # one pair off by rounding
+    yield Row("Quadratic.__init__, Q ~ Q'" + where, "ms/run", 1,
+              functools.partial(Quadratic, rounded, q), ("exact", fresh_f))
     yield Row("rank test (is_injective)" + where, "ms/run", 1, rank_test[1],
               make=fresh_L)
     yield Row("SVD (injectivity_modulus)" + where, "ms/run", 1,
