@@ -96,9 +96,7 @@ def _summary(cfg, solver, trace, out):
     if isinstance(cfg.problem, ProblemSpec) and solver in ("iadmm", "classical_admm"):
         x = trace.final["x"]
         v = trace.final.get("v", trace.final["y"])
-        rng = np.random.default_rng(cfg.seed)
-        print("diagnostics: %s" % duality_report(cfg.problem, x, v, rng=rng),
-              file=out)
+        print("diagnostics: %s" % duality_report(cfg.problem, x, v), file=out)
     report = validate(cfg.params)
     print("parameters: %s" % report, file=out)
 

@@ -29,7 +29,7 @@ A config is a sequence of `key value...` lines with nested blocks:
 
 Consensus problems use repeated `begin block ... end` sections instead of
 f/g/L.  `#` starts a comment.  Unknown keys are rejected with the line
-number.
+number.  `seed` is accepted, and refused when negative, but no run reads it.
 """
 
 import math

@@ -16,7 +16,7 @@ from inadmm import (
     Zero,
 )
 from inadmm import admm
-from inadmm.duality import subgradient_violation
+from inadmm.duality import prox_residual
 from inadmm.trace import SolveTrace, TraceRow
 
 
@@ -164,21 +164,16 @@ def point_normal_cone(a):
     return ResolventOp("point_normal_cone", lambda gamma, u: a.copy(), a.shape[0])
 
 
-def consensus_optimality_residual(x, v, cp, rng=None):
+def consensus_optimality_residual(x, v, cp):
     """Violation of the first-order conditions at (x, v_1..v_m).
 
     The stationarity certificate is -v_i in df_i(x) with sum_i v_i = 0;
-    the result sums the worst probed subgradient-inequality violation with
-    the norm of sum_i v_i.
+    the result sums the worst block's fixed-point residual
+    (``duality.prox_residual``) with the norm of sum_i v_i.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
+    x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    worst = 0.0
-    for i, f in enumerate(cp.blocks):
-        worst = max(worst, subgradient_violation(f, x, -v[i], rng))
-        if np.isinf(worst):
-            return np.inf
+    worst = max(prox_residual(f, x, -v[i]) for i, f in enumerate(cp.blocks))
     return worst + float(np.linalg.norm(v.sum(axis=0)))
 
 

@@ -14,6 +14,7 @@ from inadmm.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
 from inadmm.config import ConfigError, parse_config
 
 from conftest import counted
+from test_linalg import run_fresh
 
 LASSO_CONFIG = """
 solver iadmm
@@ -160,6 +161,23 @@ def test_run_deterministic_output(tmp_path):
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
     assert open(csv1).read() == open(csv2).read()
+
+
+def test_seed_is_accepted_and_changes_nothing(tmp_path):
+    # the diagnostics are deterministic, so no run reads the seed
+    runs = [run([write(tmp_path, LASSO_CONFIG.replace("seed 0", "seed %d" % seed),
+                       "seed%d.cfg" % seed)]) for seed in (0, 7)]
+    assert runs[0][0] == EXIT_OK
+    assert runs[0] == runs[1]
+
+
+def test_a_plain_run_imports_no_numpy_random(tmp_path):
+    run_fresh("""
+        import io, sys
+        from inadmm.cli import main
+        code = main([%r], out=io.StringIO())
+        sys.exit(code != 0 or 'numpy.random' in sys.modules)
+    """ % write(tmp_path, LASSO_CONFIG))
 
 
 def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):

@@ -5,11 +5,17 @@ import pytest
 
 from inadmm import (
     IndicatorBox,
+    IndicatorConsensus,
+    IndicatorHyperplane,
+    IndicatorPoint,
     L1Norm,
     L2Norm,
     LinearMap,
     ProblemSpec,
     Quadratic,
+    SeparableSum,
+    Translated,
+    Zero,
     default_params,
     dual_value,
     duality_report,
@@ -18,7 +24,7 @@ from inadmm import (
     primal_value,
     run_iadmm,
 )
-from inadmm.duality import subgradient_violation
+from inadmm.duality import prox_residual
 from inadmm.linalg import SINGULAR_TOL
 
 from conftest import counted, random_quadratic, tall_full_rank
@@ -71,8 +77,6 @@ def test_strong_duality_at_optimum():
     # analytic: F(x) = 0.5 x^2 + |x-1|; for x<1 derivative x-1 <0 until x=1;
     # at x=1 subdifferential [1-1, 1+1] contains 0 -> x* = 1? No: check
     # x=1: 0 in 1 + [-1,1] -> yes. F* = 0.5.
-    from inadmm import Translated
-
     f = Quadratic(np.eye(1), np.zeros(1))
     g = Translated(L1Norm(1, 1.0), np.array([1.0]))
     p = ProblemSpec(f, g, LinearMap.identity(1))
@@ -83,15 +87,88 @@ def test_strong_duality_at_optimum():
     assert kkt_residual(p, x_star, v_star) <= 1e-12
 
 
-def test_subgradient_violation(rng):
-    f = L1Norm(2, 1.0)
-    x = np.array([2.0, -3.0])
-    good = np.array([1.0, -1.0])
-    bad = np.array([1.0, 1.0])
-    assert subgradient_violation(f, x, good, rng=rng) <= 1e-12
-    assert subgradient_violation(f, x, bad, rng=rng) > 0.1
-    box = IndicatorBox([-1.0, -1.0], [1.0, 1.0])
-    assert subgradient_violation(box, np.array([2.0, 0.0]), good) == np.inf
+# s in dh(u) exactly when u = prox_h(u + s) at step 1 (Parikh & Boyd 2014,
+# sec. 2.3), or, for a quadratic, when Qu + q = s.  On an analytic pair the
+# residual is rounding only: at most ROUND (1 + ||u|| + ||s||).
+ROUND = 1e-14
+
+
+def subgradient_pairs(n, rng):
+    """(h, u, s, u', s') per catalog kind: s in dh(u) analytically, and the
+    perturbed pair (u', s') outside the graph of dh.  Every s is in the normal
+    cone of a point, so the point's pair moves u instead."""
+    u = rng.standard_normal(n)
+    u[0] = 0.0  # a kink of the norms
+    sign = np.sign(u)
+    bump = np.zeros(n)
+    bump[-1] = 0.1
+    tau = 0.7
+    l1 = tau * sign
+    l1[0] = 0.3  # inside [-tau, tau] where u is 0
+    Q = random_quadratic(n, rng)
+    D = rng.standard_normal((2, n))
+    Qdef = Quadratic(D.T @ D, rng.standard_normal(n))  # rank 2
+    a = rng.standard_normal(n) + 0.1
+    on_plane = u - ((a @ u - 0.4) / (a @ a)) * a
+    lo, hi = u - 1.0, u + 1.0
+    lo[0] = u[0]  # u on the box's lower face in coordinate 0
+    box_s = np.zeros(n)
+    box_s[0] = -2.0  # the face's outward normal
+    shift = rng.standard_normal(n)
+    pairs = [
+        (Zero(n), u, np.zeros(n), u, bump),
+        (Q, u, Q.Q @ u + Q.q, u, Q.Q @ u + Q.q + bump),
+        (Qdef, u, Qdef.Q @ u + Qdef.q, u, Qdef.Q @ u + Qdef.q + bump),
+        (L1Norm(n, tau), u, l1, u, l1 + bump),
+        (L2Norm(n, tau), u, tau * u / np.linalg.norm(u), u, tau * u / np.linalg.norm(u) + bump),
+        (L2Norm(n, tau), np.zeros(n), 0.5 * tau * bump / 0.1, np.zeros(n), 20.0 * bump),
+        (IndicatorPoint(u), u, rng.standard_normal(n), u + bump, np.zeros(n)),
+        (IndicatorBox(lo, hi), u, box_s, u, box_s + bump),
+        (IndicatorHyperplane(a, 0.4), on_plane, -1.5 * a, on_plane,
+         -1.5 * a + bump - (bump @ a) / (a @ a) * a),
+        (Translated(L1Norm(n, tau), shift), u + shift, l1, u + shift, l1 + bump),
+    ]
+    blocks = [(h, hu, hs) for h, hu, hs, _, _ in pairs if isinstance(h, (L1Norm, L2Norm))]
+    pairs.append((SeparableSum([h for h, _, _ in blocks]),
+                  np.concatenate([hu for _, hu, _ in blocks]),
+                  np.concatenate([hs for _, _, hs in blocks]),
+                  np.concatenate([hu for _, hu, _ in blocks]),
+                  np.concatenate([hs for _, _, hs in blocks]) + np.tile(bump, len(blocks))))
+    w = rng.standard_normal((3, n))
+    w -= w.mean(axis=0)  # blocks summing to zero: the complement of the diagonal
+    pairs.append((IndicatorConsensus(3, n), np.tile(u, 3), w.ravel(), np.tile(u, 3),
+                  w.ravel() + np.tile(bump, 3)))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_prox_residual_is_zero_on_subgradients_and_positive_off_them(rng, n):
+    kinds = set()
+    for h, u, s, u_bad, s_bad in subgradient_pairs(n, rng):
+        assert prox_residual(h, u, s) <= ROUND * (1.0 + np.linalg.norm(u) + np.linalg.norm(s)), h
+        assert prox_residual(h, u_bad, s_bad) > 1e-3, h
+        kinds.add(type(h))
+    assert len(kinds) == 10
+
+
+def test_prox_residual_of_a_quadratic_forms_no_factor(rng):
+    f = random_quadratic(3, rng)
+    u, s = rng.standard_normal((2, 3))
+    assert prox_residual(f, u, s) == pytest.approx(np.linalg.norm(f.Q @ u + f.q - s))
+    assert f._factors == {}
+
+
+def test_kkt_residual_is_finite_outside_the_domain_of_g():
+    # Lx = (2, 0) lies outside the box; the old random probes read +inf here
+    p = ProblemSpec(Quadratic(np.eye(2), np.zeros(2)),
+                    IndicatorBox([-1.0, -1.0], [1.0, 1.0]), LinearMap.identity(2))
+    x, v = np.array([2.0, 0.0]), np.array([-2.0, 0.0])
+    assert primal_value(p, x) == np.inf
+    assert 0.0 < kkt_residual(p, x, v) < np.inf
+    # f's term is ||x + L*v|| = 0, g's is ||x - clip(x + v)|| = ||x||
+    assert kkt_residual(p, x, v) == 2.0
+    # the rng is accepted and unused
+    assert kkt_residual(p, x, v, rng=object()) == kkt_residual(p, x, v)
 
 
 def test_kkt_residual_detects_suboptimality(rng):

@@ -1,11 +1,8 @@
-"""Objective columns and KKT probes evaluated over stacked rows.
+"""Objective columns evaluated over stacked rows.
 
 The trace reads the objective columns of its unread rows in blocks, with one
-call of the run's objective on the block's stacked states, and
-``subgradient_violation`` evaluates its 50 probes as one stack.  Each row of
-such a call must keep the bits of its own 1-D call: the tests compare them,
-and compare the probes with a copy of the loop that drew and evaluated them
-one at a time.
+call of the run's objective on the block's stacked states.  Each row of such
+a call must keep the bits of its own 1-D call: the tests compare them.
 """
 
 import io
@@ -15,10 +12,8 @@ import numpy as np
 import pytest
 
 from inadmm import (
-    IndicatorBox,
     IndicatorConsensus,
     IndicatorHyperplane,
-    IndicatorPoint,
     L1Norm,
     LinearMap,
     ProblemSpec,
@@ -26,12 +21,11 @@ from inadmm import (
     SeparableSum,
     classical_admm,
     default_params,
-    kkt_residual,
     run_iadmm,
 )
 from inadmm import admm
 from inadmm.config import parse_config
-from inadmm.duality import _dual_value, subgradient_violation
+from inadmm.duality import _dual_value
 from inadmm.functions import DOM_TOL, Translated, has_row_kernels
 from inadmm.trace import BLOCK, CSV_COLUMNS
 
@@ -222,84 +216,3 @@ def test_row_kernel_predicate(rng):
     assert not has_row_kernels(Translated(SeparableSum([L1Norm(n, 1.0)] * 2), np.ones(2 * n)))
     assert not has_row_kernels(CountingL1(n, 1.0))
     assert not has_row_kernels(Translated(CountingL1(n, 1.0), np.ones(n)))
-
-
-def looped_violation(f, x, u, rng):
-    """``subgradient_violation`` as it was written before it stacked its probes."""
-    x = np.asarray(x, dtype=float)
-    fx = f(x)
-    if np.isinf(fx):
-        return np.inf
-    worst = 0.0
-    for _ in range(50):
-        y = x + rng.standard_normal(x.shape)
-        fy = f(y)
-        if np.isinf(fy):
-            continue
-        worst = max(worst, fx + float(u @ (y - x)) - fy)
-    return worst
-
-
-def probed_functions(n, rng):
-    """Every catalog kind, with a point of its domain: indicators whose probes
-    read +inf (all of them for the point and the hyperplane, some for the
-    box), and the two block compositions, which keep per-probe calls."""
-    p = rng.standard_normal(n)
-    a = rng.standard_normal(n) + 0.1
-    fns = [(f, rng.standard_normal(n)) for f in catalog(n, rng)
-           if not isinstance(f, (IndicatorPoint, IndicatorBox, IndicatorHyperplane))]
-    fns += [
-        (IndicatorPoint(p), p),
-        (IndicatorBox(p - 1.5, p + 1.5), p),
-        (IndicatorHyperplane(a, float(a @ p)), p),
-        (rank_deficient_quadratic(n, 1, rng), p),
-        (SeparableSum([L1Norm(1, 0.5)] * n), p),
-    ]
-    if n > 1:
-        fns.append((IndicatorConsensus(n, 1), np.ones(n)))
-    return fns
-
-
-@pytest.mark.parametrize("n", [1, 3, 8])
-def test_subgradient_violation_is_the_probe_loop(rng, n):
-    seen = set()
-    for f, x in probed_functions(n, rng):
-        for u in (rng.standard_normal(n), np.zeros(n), 1e3 * rng.standard_normal(n)):
-            ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
-            got = subgradient_violation(f, x, u, ours)
-            assert float(got).hex() == float(looped_violation(f, x, u, theirs)).hex(), f
-            assert ours.standard_normal() == theirs.standard_normal()  # same draws
-            seen.add(got > 0.0)
-    assert seen == {True, False}
-
-
-def test_subgradient_violation_outside_the_domain_draws_nothing(rng):
-    box = IndicatorBox([-1.0, -1.0], [1.0, 1.0])
-    ours = np.random.default_rng(3)
-    assert subgradient_violation(box, [2.0, 0.0], np.ones(2), ours) == np.inf
-    assert ours.standard_normal() == np.random.default_rng(3).standard_normal()
-
-
-class InfiniteDraws:
-    """A generator whose normal draws are all +inf."""
-
-    def standard_normal(self, shape):
-        return np.full(shape, np.inf)
-
-
-@pytest.mark.parametrize("f", [L1Norm(2, 1.0), SeparableSum([L1Norm(1, 1.0)] * 2)],
-                         ids=["rows", "per_probe"])
-def test_subgradient_violation_keeps_the_finiteness_check(f):
-    # a probe that is not finite fails f's public check, as each f(y) did
-    with pytest.raises(ValueError, match="finite"):
-        subgradient_violation(f, [1.0, 2.0], np.ones(2), InfiniteDraws())
-
-
-@pytest.mark.parametrize("which", [0, 1], ids=["identity", "dense"])
-def test_kkt_residual_is_the_two_probe_loops(rng, which):
-    p = list(dual_problems(rng))[which]
-    x, v = rng.standard_normal(p.f.dim), 0.1 * rng.standard_normal(p.g.dim)
-    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
-    want = (looped_violation(p.f, x, -p.L.adjoint_apply(v), theirs)
-            + looped_violation(p.g, p.L.apply(x), v, theirs))
-    assert float(kkt_residual(p, x, v, ours)).hex() == float(want).hex()
