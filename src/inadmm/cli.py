@@ -153,6 +153,8 @@ def _parse_sweep(spec):
             raise ConfigError("malformed numeral in sweep %r" % name)
         if not grids[name]:
             raise ConfigError("sweep %r has no values" % name)
+        if not all(map(math.isfinite, grids[name])):
+            raise ConfigError("sweep %r must be finite" % name)
     if not grids:
         raise ConfigError("empty sweep specification")
     return grids
@@ -171,7 +173,8 @@ def _check_output(output, sweep):
 
 def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
     """Solve the feasible points (in one ``run_iadmm_batch`` for iadmm) and print
-    one row per point in grid order, the header after the first solve."""
+    one row per point in grid order, the header after the first solve.  A point
+    takes the file's ``init_mode``, or without one the alpha rule below."""
     grids = _parse_sweep(sweep_spec)
     points = []
     for alpha in grids.get("alpha", [cfg.params.alpha]):
@@ -179,7 +182,7 @@ def _run_sweep(cfg, solver, sweep_spec, max_iters, tol, output, out):
             try:
                 params = constant_params(
                     cfg.params.gamma, alpha, cfg.params.sigma, cfg.delta, lam,
-                    "lambda1_alpha1_zero" if alpha > 0.0 else "alpha2_zero")
+                    cfg.init_mode or ("lambda1_alpha1_zero" if alpha else "alpha2_zero"))
             except InfeasibleParameters as err:
                 params = err
             points.append((alpha, lam, params))

@@ -90,15 +90,16 @@ def check_solver(solver, fgl=False, blocks=False, line=None):
 
 class RunConfig(Record):
     """A parsed run: ``problem`` is a ProblemSpec or a ConsensusProblem, and
-    ``delta`` is the delta as requested, None meaning the default."""
+    ``delta`` and ``init_mode`` are as requested, None meaning the default."""
 
-    _fields = ("solver", "problem", "params", "max_iters", "tol", "output", "seed", "delta")
+    _fields = ("solver", "problem", "params", "max_iters", "tol", "output", "seed", "delta",
+               "init_mode")
 
     def __init__(self, solver, problem, params, max_iters=100000, tol=1e-10, output=None,
-                 seed=0, delta=None):
+                 seed=0, delta=None, init_mode=None):
         self.solver, self.problem, self.params = solver, problem, params
-        self.max_iters, self.tol, self.output, self.seed, self.delta = (
-            max_iters, tol, output, seed, delta)
+        self.max_iters, self.tol, self.output = max_iters, tol, output
+        self.seed, self.delta, self.init_mode = seed, delta, init_mode
 
 
 def _tokenize(text):
@@ -300,11 +301,12 @@ def parse_config(text):
     sigma = top.read("sigma", 0.01)
     delta = top.read("delta", None)
     lam = top.read("lambda", None)
-    init_mode = top.read("init_mode", "lambda1_alpha1_zero")
-    if init_mode not in ("alpha2_zero", "lambda1_alpha1_zero"):
+    init_mode = top.read("init_mode", None)
+    if init_mode not in (None, "alpha2_zero", "lambda1_alpha1_zero"):
         raise ConfigError("unknown init_mode %r" % init_mode, line["init_mode"])
     try:
-        params = constant_params(gamma, alpha, sigma, delta, lam, init_mode)
+        params = constant_params(gamma, alpha, sigma, delta, lam,
+                                 init_mode or "lambda1_alpha1_zero")
     except InfeasibleParameters as err:
         # an input the file left out is blamed on the nearest one it gave
         at = next((line[k] for k in (err.key, "delta", "sigma", "alpha")
@@ -353,7 +355,7 @@ def parse_config(text):
         raise ConfigError("seed must be a nonnegative integer", line["seed"])
     return RunConfig(solver=solver, problem=problem, params=params,
                      max_iters=max_iters, tol=tol, output=output, seed=seed,
-                     delta=delta)
+                     delta=delta, init_mode=init_mode)
 
 
 def parse_config_file(path):

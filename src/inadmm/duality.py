@@ -42,18 +42,11 @@ def dual_value(p, v, y=None):
 
 def _dual_value(p, v, y):
     # dual_value on vectors already checked, through the unchecked kernels;
-    # on (K, m) rows of v and y (f and g with row kernels), one value per row
-    a = p.f._conj(-p.L._adjoint_apply(v))
-    if v.ndim == 2:
-        b = p.g._conj(y)
-        return np.subtract(-a, b, out=np.full(len(a), -np.inf),
-                           where=~(np.isinf(a) | np.isinf(b)))
-    if math.isinf(a):
-        return -np.inf
-    b = p.g._conj(y)
-    if math.isinf(b):
-        return -np.inf
-    return -a - b
+    # on (K, m) rows of v and y (f and g with row kernels), one value per row,
+    # a vector being the one-row case
+    a, b = p.f._conj(-p.L._adjoint_apply(v)), p.g._conj(y)
+    return np.subtract(-a, b, out=np.full(np.shape(a), -np.inf),
+                       where=~(np.isinf(a) | np.isinf(b)))[()]
 
 
 def duality_gap(primal, dual):

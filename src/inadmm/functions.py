@@ -93,8 +93,6 @@ class ConvexFn:
     (k, n) rows of points for one function.
     """
 
-    kind = "abstract"
-
     def __init__(self, dim):
         self.dim = check_dim(dim, "dimension")
 
@@ -134,7 +132,6 @@ class ConvexFn:
 class Zero(ConvexFn):
     """The zero function; its conjugate is the indicator of the origin."""
 
-    kind = "zero"
     _rows = ()
 
     def _value(self, x):
@@ -151,18 +148,17 @@ class Quadratic(ConvexFn):
     """f(x) = x'Qx/2 + q'x + r with Q symmetric positive semidefinite.
 
     ``Q`` and ``q`` are read-only copies, and Q is tested with a Cholesky
-    certificate (``pd_after_shift``), then, if it fails, ``eigvalsh``.
-    The factors of I + gamma Q (prox, kept with gamma q) and
-    Q + gamma L.gram() (x-update, resolvent) are kept, one per system, for
-    the last gamma and L.  A ``quadratic_solve`` x-update on the second
-    costs one L' product and two triangular solves (``linalg.cholesky``
-    says why not one potrs), and the step adds one L product.  The first
-    conjugate computes the eigenbasis, and whether an eigenvalue is at or below
-    the rank tolerance: if none is, it skips the range(Q) test, which cannot fail.
-    The value and the conjugate also take (k, n) rows, each row's bit for bit
-    its own: the parameters are one Q, not stacked ones."""
-
-    kind = "quadratic"
+    certificate (``pd_after_shift``), then, if it fails, by the spectrum
+    (``eigh``) the conjugate reads.  The factors of I + gamma Q (prox, kept
+    with gamma q) and Q + gamma L.gram() (x-update, resolvent) are kept, one
+    per system, for the last gamma and L.  A ``quadratic_solve`` x-update on
+    the second costs one L' product and two triangular solves
+    (``linalg.cholesky`` says why not one potrs), and the step adds one L
+    product.  The conjugate computes the spectrum if the test did not, and
+    whether an eigenvalue is at or below the rank tolerance: if none is, it
+    skips the range(Q) test, which cannot fail.  The value and the conjugate
+    take (k, n) rows in the form they take a vector, its one-row case, each
+    row's bits its own: the parameters are one Q, not stacked ones."""
 
     def __init__(self, Q, q, r=0.0):
         Q = np.array(Q, dtype=float)
@@ -180,21 +176,19 @@ class Quadratic(ConvexFn):
         # max|Q_ij| without an n x n |Q|
         self._rank_tol = 1e-12 * (1.0 + float(max(Q.max(initial=0.0), -Q.min(initial=0.0))))
         self._Qf = Q.T if exact else Q  # Q's bits, Fortran-ordered if Q = Q' exactly
-        # t = 8 gamma_{n+1} trace(Q) leaves room for eigvalsh's own error
-        if not pd_after_shift(self._Qf, 4 * (self.dim + 1)) and np.linalg.eigvalsh(
-                Q).min(initial=0.0) < -self._rank_tol:
-            raise ValueError("Q must be positive semidefinite")
         Q.setflags(write=False)
         q.setflags(write=False)
         self.Q = Q
         self.q = q
         self.r = float(r)
         self._factors = {}  # system -> (gamma, L, solve, gamma q)
+        # t = 8 gamma_{n+1} trace(Q) leaves room for eigh's own error
+        if not pd_after_shift(self._Qf, 4 * (self.dim + 1)) and self._eigh[0].min(
+                initial=0.0) < -self._rank_tol:
+            raise ValueError("Q must be positive semidefinite")
 
-    @functools.cached_property
-    def _eigh(self):
-        evals, evecs = np.linalg.eigh(self.Q)
-        return np.maximum(evals, 0.0), evecs
+    # numpy's eigenvalues, unclamped: every reader compares them with _rank_tol
+    _eigh = functools.cached_property(lambda self: np.linalg.eigh(self.Q))
 
     _full_rank = functools.cached_property(  # assignable, for tests
         lambda self: bool((self._eigh[0] > self._rank_tol).all()))
@@ -221,12 +215,9 @@ class Quadratic(ConvexFn):
         return self._factor(gamma, L)[2]
 
     def _value(self, x):
-        if x.ndim == 1:
-            return 0.5 * x @ self.Q @ x + self.q @ x + self.r
-        # rows: one stacked matmul per product, so each row is the vector's
-        # gemv and dot (as LinearMap._apply)
-        xQx = np.matmul(np.matmul((0.5 * x)[:, None, :], self.Q), x[:, :, None])
-        return xQx[:, 0, 0] + _out(_dot(self.q, x)) + self.r
+        # one stacked matmul per product: each row is a gemv and a dot
+        xQx = np.matmul(np.matmul((0.5 * x)[..., None, :], self.Q), x[..., :, None])
+        return xQx[..., 0, 0] + _out(_dot(self.q, x)) + self.r
 
     def _prox(self, gamma, x):
         entry = self._factors.get("prox")  # the kept entry, if still for gamma
@@ -238,7 +229,7 @@ class Quadratic(ConvexFn):
         # rows, +inf for each row outside it
         evals, evecs = self._eigh
         d = u - self.q
-        w = evecs.T @ d if d.ndim == 1 else np.matmul(d[:, None, :], evecs)[:, 0]
+        w = np.matmul(d[..., None, :], evecs)[..., 0, :]
         if self._full_rank:
             return 0.5 * (w ** 2 / evals).sum(-1) - self.r
         small = evals <= self._rank_tol
@@ -253,7 +244,6 @@ class Quadratic(ConvexFn):
 class L1Norm(ConvexFn):
     """f(x) = tau * ||x||_1; conjugate is the indicator of [-tau, tau]^n."""
 
-    kind = "l1"
     _rows = ("tau",)
 
     def __init__(self, dim, tau):
@@ -280,7 +270,6 @@ class L1Norm(ConvexFn):
 class L2Norm(ConvexFn):
     """f(x) = tau * ||x||_2; conjugate is the indicator of the tau-ball."""
 
-    kind = "l2norm"
     _rows = ("tau",)
 
     def __init__(self, dim, tau):
@@ -304,7 +293,6 @@ class L2Norm(ConvexFn):
 class IndicatorPoint(ConvexFn):
     """Indicator of the single point {a}; prox is constant, conjugate linear."""
 
-    kind = "indicator_point"
     _rows = ("a",)
 
     def __init__(self, a):
@@ -326,7 +314,6 @@ class IndicatorPoint(ConvexFn):
 class IndicatorBox(ConvexFn):
     """Indicator of the box [lo, hi]; prox is the componentwise clip."""
 
-    kind = "indicator_box"
     _rows = ("lo", "hi")
 
     def __init__(self, lo, hi):
@@ -354,7 +341,6 @@ class IndicatorBox(ConvexFn):
 class IndicatorHyperplane(ConvexFn):
     """Indicator of {x : <a, x> = b} with a != 0; prox is the projection."""
 
-    kind = "indicator_hyperplane"
     _rows = ("a", "b", "_aa")
 
     def __init__(self, a, b):
@@ -386,7 +372,6 @@ class IndicatorHyperplane(ConvexFn):
 class Translated(ConvexFn):
     """h(x) = base(x - shift); prox and conjugate follow by translation."""
 
-    kind = "translated"
     _rows = ("base", "shift")
 
     def __init__(self, base, shift):
@@ -470,8 +455,6 @@ class SeparableSum(ConvexFn):
     construction; a block changed afterwards is not seen.
     """
 
-    kind = "separable_sum"
-
     def __init__(self, blocks):
         self.blocks = tuple(blocks)
         if not self.blocks:
@@ -525,8 +508,6 @@ class IndicatorConsensus(ConvexFn):
     subspace); the conjugate is the indicator of the orthogonal complement,
     the blocks summing to zero.
     """
-
-    kind = "indicator_consensus"
 
     def __init__(self, m, n):
         self.m = check_dim(m, "number of blocks", 2)

@@ -486,6 +486,29 @@ def test_sweep_keeps_the_files_delta(tmp_path):
     assert rows[1][:2] == ["0.2", "1.2"] and rows[1][3] == "yes"
 
 
+def test_sweep_keeps_the_files_init_mode(tmp_path):
+    # the sweep used to replace alpha2_zero by its own rule: 66 iterations
+    cfg = write(tmp_path, LASSO_CONFIG.replace("tol 1e-11", "tol 1e-10").replace(
+        "alpha 0.2", "alpha 0.2\ninit_mode alpha2_zero"))
+    code, out = run([cfg])
+    assert code == EXIT_OK
+    assert out.splitlines()[1] == "iterations: 65"
+    dw = out.splitlines()[3].split("dw=")[1]
+    code, out = run([cfg, "--sweep", "alpha=0.2"])
+    assert code == EXIT_OK
+    assert out.splitlines()[1].split() == ["0.2", "0.455111", "65", "yes", dw]
+
+
+@pytest.mark.parametrize("spec, name", [("alpha=nan", "alpha"), ("alpha=0,inf", "alpha"),
+                                        ("alpha=0;lambda=1,-inf", "lambda"),
+                                        ("lambda=nan", "lambda")])
+def test_sweep_refuses_values_that_are_not_finite(tmp_path, capsys, spec, name):
+    # a file's alpha nan is refused; the sweep's used to print infeasible rows
+    code, out = run([write(tmp_path, LASSO_CONFIG), "--sweep", spec])
+    assert code == EXIT_INPUT and out == ""
+    assert capsys.readouterr().err == "input error: sweep %r must be finite\n" % name
+
+
 OVERFLOW_CONFIG = LASSO_CONFIG.replace("q -1 0.5", "q 1e308 -1e308")
 
 SCALED_CONFIG = """

@@ -313,7 +313,7 @@ def test_first_conjugate_computes_the_eigenbasis_once(rng, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 5, 40])
 def test_psd_test_boundary(rng, n):
-    # the construction-time test reads eigvalsh: a singular PSD Q passes,
+    # the construction-time test reads the eigenvalues: a singular PSD Q passes,
     # an eigenvalue of -1e-9 * scale (1000 times the tolerance) does not
     V = np.linalg.qr(rng.standard_normal((n, n)))[0]
     d = rng.uniform(0.5, 2.0, n)
@@ -355,11 +355,16 @@ def test_psd_certificate_never_accepts_what_eigvalsh_rejects():
 
 
 def test_certified_quadratic_skips_eigvalsh(rng, monkeypatch):
-    calls = counted(monkeypatch, np.linalg, "eigvalsh")
+    # no spectrum for a certified Q; a singular Q's one eigh decides and
+    # its first conjugate reuses it
+    calls = counted(monkeypatch, np.linalg, "eigh")
+    eigvalsh_calls = counted(monkeypatch, np.linalg, "eigvalsh")
     Quadratic(np.diag([2.0, 1.0, 3.0]), np.zeros(3))
     assert calls == []
-    Quadratic(np.diag([2.0, 0.0, 3.0]), np.zeros(3))  # singular: eigvalsh decides
+    f = Quadratic(np.diag([2.0, 0.0, 3.0]), np.zeros(3))  # singular: eigh decides
     assert len(calls) == 1
+    assert f.conj(np.array([2.0, 0.0, 3.0])) == 2.5  # (4/2 + 9/3) / 2
+    assert len(calls) == 1 and eigvalsh_calls == []
 
 
 def test_normal_factor_reads_the_maps_gram(rng, monkeypatch):

@@ -96,11 +96,12 @@ CASES = {
     "RunConfig": (
         lambda: RunConfig("iadmm", SPEC, PARAMS),
         lambda: RunConfig(solver="iadmm", problem=SPEC, params=PARAMS, max_iters=100000,
-                          tol=1e-10, output=None, seed=0, delta=None),
-        lambda: RunConfig("iadmm", SPEC, PARAMS, 100000, 1e-10, None, 0, None),
+                          tol=1e-10, output=None, seed=0, delta=None, init_mode=None),
+        lambda: RunConfig("iadmm", SPEC, PARAMS, 100000, 1e-10, None, 0, None, None),
         lambda: RunConfig("iadmm", SPEC, PARAMS, seed=1),
         "RunConfig(solver='iadmm', problem=%s, params=%s, max_iters=100000, "
-        "tol=1e-10, output=None, seed=0, delta=None)" % (SPEC_REPR, PARAMS_REPR)),
+        "tol=1e-10, output=None, seed=0, delta=None, init_mode=None)"
+        % (SPEC_REPR, PARAMS_REPR)),
 }
 FROZEN = {"Schedule": "kind", "InertialParams": "gamma", "ConsensusProblem": "blocks"}
 

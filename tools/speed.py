@@ -49,7 +49,10 @@ made before its clock starts.  One BLAS thread.  The rows, from zeros:
   the same on a Q symmetric only up to rounding (``Q ~ Q'``, where
   ``np.allclose`` decides, not the exact test), the rank test
   ``is_injective``, the SVD of ``injectivity_modulus`` over it, the first
-  x-update factor and the first conjugate (``eigh``);
+  x-update factor and the first conjugate (``eigh``); then
+  ``Quadratic.__init__`` and the first conjugate on a singular Q = A'A of
+  rank n/3, over ``Quadratic.__init__`` alone (its PSD test reads the
+  spectrum the conjugate reuses);
 - fresh processes over ``python -c "import numpy"``: ``python -m
   inadmm.cli`` on the n = 10 lasso's file, ``import inadmm, inadmm.cli``
   (no factor, so no scipy wrappers), and ``import inadmm`` with a first
@@ -469,6 +472,11 @@ def cases(s, tmp):
               make=lambda: ProblemSpec(fresh_f(), L1Norm(m, 1.0), fresh_L()))
     yield Row("first conjugate (eigh)" + where, "ms/run", 1, lambda f: f.conj(u),
               make=fresh_f)
+    A = np.random.default_rng(1).standard_normal((n // 3, n)) / np.sqrt(n)
+    fresh_singular = functools.partial(Quadratic, A.T @ A, q)
+    inside = q + A.T @ A @ u  # in q + range(Q): a finite conjugate
+    yield Row("singular Q: __init__, first conjugate, n = %d" % n, "ms/run", 1,
+              lambda: fresh_singular().conj(inside), ("__init__", fresh_singular))
 
     numpy = ("import numpy", process("-c", "import numpy"))
     path = spec_file(os.path.join(tmp, "lasso.cfg"), lassos[10], "solver iadmm",

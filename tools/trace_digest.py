@@ -40,7 +40,8 @@ a run, a sweep and compare on a scaled identity with an l1 f, budget exhaustion,
 ``--output`` into a missing directory, in run and in sweep mode.  The
 ``cli_sweep_*`` runs cover the sweep's other paths: an L = I file, a budget
 that one point converges within and two exhaust, a ``lambda`` grid whose last
-point is infeasible, a file whose iterates overflow, and the classical solver.  The
+point is infeasible, a file whose iterates overflow, the classical solver, and
+(``cli_sweep_init_mode``) a file that gives ``init_mode alpha2_zero``.  The
 ``cli_error_*`` runs give the CLI a bad input each: the rejected inputs of
 ``tests/test_cli.py``, top-level keys that are duplicated, valueless or
 unknown (also after a duplicate), ``tol inf``, ``--tol inf``, ``seed -1``,
@@ -49,8 +50,9 @@ unknown (also after a duplicate), ``tol inf``, ``--tol inf``, ``seed -1``,
 x-update on a map whose squared norm overflows, a scale s whose gamma s^2
 overflows (iadmm on an l1 and a quadratic f, idr, and a sweep, iadmm and
 classical), ``consensus_sum2`` on three blocks at a gamma whose 1/(3 gamma)
-is 0, and a sweep, iadmm and classical, with a zero budget or a NaN
-tolerance.  Warnings are silenced, since their
+is 0, a sweep, iadmm and classical, with a zero budget or a NaN
+tolerance, and (``cli_error_sweep_nonfinite``) a sweep value that is not
+finite.  Warnings are silenced, since their
 text names source lines.
 
 ``--smoke`` runs seed 1 for 10 iterations, which only checks that the script
@@ -471,6 +473,7 @@ def error_runs():
                                             ["--solver", "classical_admm"]))
            for name, argv in (("max_iters_0", ["--max-iters", "0"]),
                               ("tol_nan", ["--tol", "nan"]))},
+        "sweep_nonfinite": (LASSO, ["--sweep", "alpha=0,nan"]),
     }
     return {"cli_error_" + name: run for name, run in runs.items()}
 
@@ -505,6 +508,9 @@ def cli_runs(tmp):
                                ["--sweep", "alpha=0,0.2"], None),
         "cli_sweep_classical": (dense, ["--solver", "classical_admm",
                                         "--sweep", "alpha=0,0.2"], "sc"),
+        "cli_sweep_init_mode": (
+            dense.replace("alpha 0.2", "alpha 0.2\ninit_mode alpha2_zero"),
+            ["--sweep", "alpha=0,0.2"], "sim"),
         "cli_missing_output_run": (dense, ["--output", missing + ".csv"], None),
         "cli_missing_output_sweep": (
             dense, ["--sweep", "alpha=0,0.1", "--output", missing], None),
